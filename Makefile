@@ -1,19 +1,15 @@
 # Developer entry points. `make test` is the tier-1 gate; `make bench-smoke`
 # runs the perf harness on the smallest workload and validates the JSON
-# schema; `make campaign-smoke` checks the campaign runtime's serial-vs-pool
-# byte identity and resume on a tiny committed spec; `make chaos-smoke`
-# supervises that spec under injected kills + hangs and asserts the digest
-# still matches the serial reference; `make store-smoke` proves the JSONL,
-# SQLite and compacted stores (full-row and incremental-aggregate paths)
-# all land on one digest; `make obs-smoke` runs it with --trace and checks
-# the sidecar schema, the metric catalog and digest identity.
+# schema; `make smoke` runs a tiny committed campaign spec through every
+# execution shape (sharded, pooled, resumed, compacted, traced, supervised
+# under injected faults) and asserts each lands on the serial digest.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-SMOKE_DIR := .bench-smoke
+BENCH_SMOKE_DIR := .bench-smoke
 
-.PHONY: test bench bench-smoke campaign-smoke chaos-smoke store-smoke obs-smoke campaign-demo coverage check install clean
+.PHONY: test bench bench-smoke smoke campaign-demo coverage check install clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -29,41 +25,22 @@ bench:
 	$(PYTHON) -m repro bench --out-dir .
 
 bench-smoke:
-	$(PYTHON) -m repro bench --smoke --out-dir $(SMOKE_DIR) --repeats 1
-	$(PYTHON) scripts/validate_bench.py $(SMOKE_DIR)
+	$(PYTHON) -m repro bench --smoke --out-dir $(BENCH_SMOKE_DIR) --repeats 1
+	$(PYTHON) scripts/validate_bench.py $(BENCH_SMOKE_DIR)
 
-# Tiny 8-task campaign: serial executor, 2-shard split fused by
-# merge_shards, a persistent 2-worker pool (warm start asserted) and a
-# simulated kill+resume must all produce byte-identical aggregates.
-campaign-smoke:
-	$(PYTHON) scripts/campaign_smoke.py
-
-# The same 8-task campaign supervised by the ShardCoordinator under a
-# deterministic fault plan: one shard's worker is killed mid-run, another
-# shard hangs until the per-task watchdog fires; the recovered run must
-# reproduce the serial digest byte-for-byte.
-chaos-smoke:
-	$(PYTHON) scripts/chaos_smoke.py
-
-# The same 8-task campaign through both store backends: JSONL ≡ SQLite ≡
-# compacted, and the incremental-aggregate report path must reproduce the
-# full-row digest on every one of them.
-store-smoke:
-	$(PYTHON) scripts/store_smoke.py
-
-# The same 8-task campaign with --trace: the trace.jsonl sidecar must be
-# schema-valid and hold the full span tree, the persisted metrics.json
-# must cover the required metric catalog, and the traced digest must be
-# byte-identical to the untraced reference.
-obs-smoke:
-	$(PYTHON) scripts/obs_smoke.py
+# The 8-task campaign of examples/campaign_smoke.json: one serial
+# reference, then 2-shard merged, warm pool, kill+resume, compacted,
+# traced and supervised-under-faults legs; every leg's full-row and
+# incremental digests must equal the serial one.
+smoke:
+	$(PYTHON) scripts/smoke.py
 
 # The committed ≥200-task demo campaign (examples/campaign_demo.json).
 campaign-demo:
 	$(PYTHON) -m repro campaign run --spec examples/campaign_demo.json --out .campaign-demo --workers 4
 	$(PYTHON) -m repro campaign report --out .campaign-demo
 
-check: coverage bench-smoke campaign-smoke chaos-smoke store-smoke obs-smoke
+check: coverage bench-smoke smoke
 
 # pip's PEP-517 editable path needs the `wheel` package; fall back to the
 # legacy develop install on environments that ship setuptools without it.
@@ -71,5 +48,5 @@ install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
 clean:
-	rm -rf $(SMOKE_DIR) .campaign-smoke .campaign-demo .chaos-smoke .store-smoke .obs-smoke .pytest_cache
+	rm -rf $(BENCH_SMOKE_DIR) .smoke .campaign-demo .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full local gate: tier-1 tests + perf-harness smoke run with schema check.
+# Full local gate: tier-1 tests + perf-harness smoke run with schema check
+# + the campaign smoke (scripts/smoke.py).
 # Equivalent to `make check`; kept as a plain script for environments
 # without make.
 set -eu
@@ -24,15 +25,6 @@ python -m repro bench --smoke --out-dir .bench-smoke --repeats 1
 python scripts/validate_bench.py .bench-smoke
 
 echo "== campaign smoke =="
-python scripts/campaign_smoke.py
-
-echo "== chaos smoke =="
-python scripts/chaos_smoke.py
-
-echo "== store smoke =="
-python scripts/store_smoke.py
-
-echo "== obs smoke =="
-python scripts/obs_smoke.py
+python scripts/smoke.py
 
 echo "check: OK"

@@ -1,4 +1,4 @@
-"""Campaign execution: serial reference, per-call pools, persistent pools.
+"""Campaign execution: the serial reference and worker pools.
 
 All executors run the same pure :func:`repro.runtime.tasks.execute_task`
 over the pending payloads of a campaign and append each row to the store
@@ -7,15 +7,16 @@ as it completes.  Because task results are pure functions of their payload
 produces byte-identical *content* to the serial one — only the JSONL row
 order, the timing fields and the ``instance_cache_hit`` flags differ, and
 the aggregation layer is insensitive to all three.  The serial path is
-therefore the differential reference: ``make campaign-smoke`` and the
+therefore the differential reference: ``make smoke`` and the
 campaign fuzz harness assert that pool, sharded and resumed runs all
 reproduce its aggregate digest.
 
-Three execution shapes:
+Three execution shapes, two code paths:
 
 * ``workers=0`` (or 1) — the in-process serial reference executor;
-* ``workers=N`` — a per-call :mod:`multiprocessing` pool with chunked
-  dispatch (``imap_unordered``), paying pool startup on every call;
+* ``workers=N`` — a :class:`WorkerPool` of ``N`` processes scoped to the
+  call, with chunked dispatch (``imap_unordered``), paying pool startup
+  on every call;
 * ``pool=WorkerPool(N)`` — a *persistent* pool the caller keeps open
   across ``run_campaign`` calls (and bench repeats), so worker startup
   and the workers' per-process instance caches are amortized; the run's
@@ -205,13 +206,14 @@ class CampaignRunStats:
 
 
 class WorkerPool:
-    """A persistent worker pool reused across ``run_campaign`` calls.
+    """A worker pool, persistent across ``run_campaign`` calls or scoped to one.
 
     A context manager wrapping one :mod:`multiprocessing` pool whose
     processes survive between campaign runs, amortizing both the pool
     startup and the workers' per-process
     :data:`~repro.runtime.tasks.INSTANCE_CACHE` across calls (and across
-    bench repeats).  The underlying pool is started *lazily* on the first
+    bench repeats); ``run_campaign(workers=N)`` opens one for the call
+    alone.  The underlying pool is started *lazily* on the first
     dispatch, so handing a fresh ``WorkerPool`` to a fully-completed
     campaign spawns no processes at all.
     """
@@ -247,18 +249,29 @@ class WorkerPool:
         return self._pool.imap_unordered(fn, iterable, chunksize=chunksize)
 
     def close(self) -> None:
-        """Shut the workers down (idempotent); the pool cannot be restarted."""
+        """Shut the workers down once their queued tasks finish (idempotent).
+
+        The pool cannot be restarted.
+        """
+        self._shutdown(terminate=False)
+
+    def _shutdown(self, terminate: bool) -> None:
         self._closed = True
         if self._pool is not None:
-            self._pool.close()
+            if terminate:
+                self._pool.terminate()
+            else:
+                self._pool.close()
             self._pool.join()
             self._pool = None
 
     def __enter__(self) -> "WorkerPool":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        # Like multiprocessing.Pool: an exception (a worker crash, Ctrl-C)
+        # must not wait for every queued chunk to run first.
+        self._shutdown(terminate=exc_type is not None)
 
 
 def _default_chunk_size(pending: int, workers: int) -> int:
@@ -284,7 +297,6 @@ def run_campaign(
     heartbeat=None,
     chaos: Optional[FaultPlan] = None,
     durability: Optional[str] = None,
-    backend: Optional[str] = None,
     trace: bool = False,
 ) -> CampaignRunStats:
     """Execute every pending task of ``spec``, appending results to ``directory``.
@@ -293,8 +305,8 @@ def run_campaign(
     ----------
     workers:
         ``0`` or ``1`` runs in-process (the serial reference executor);
-        ``N > 1`` dispatches chunks to a fresh pool of ``N`` worker
-        processes torn down when the call returns.
+        ``N > 1`` dispatches chunks to a :class:`WorkerPool` of ``N``
+        worker processes torn down when the call returns.
     chunk_size:
         Tasks per pool dispatch (defaults to ~4 chunks per worker).
     on_row:
@@ -307,7 +319,7 @@ def run_campaign(
         :func:`~repro.runtime.store.merge_shards`.
     pool:
         A persistent :class:`WorkerPool` to dispatch through instead of a
-        per-call pool (``workers`` is then ignored for execution); keeps
+        scoped one (``workers`` is then ignored for execution); keeps
         worker processes and their instance caches warm across calls.
     retry:
         The bounded :class:`RetryPolicy` for failed/timed-out rows
@@ -333,12 +345,6 @@ def run_campaign(
     durability:
         Store write discipline override (``"flush"``/``"fsync"``),
         defaulting to ``spec.durability``.
-    backend:
-        Store backend override (``"jsonl"``/``"sqlite"``), defaulting to
-        the directory's existing backend, else ``spec.store`` — see
-        :func:`~repro.runtime.store.open_store`.  The backend never
-        changes which rows exist, only how they are stored, so the
-        campaign digest is backend-independent.
     trace:
         When True, install a :class:`~repro.obs.JsonlTracer` writing a
         ``trace.jsonl`` sidecar into the campaign directory for the
@@ -383,8 +389,6 @@ def run_campaign(
     store = open_store(
         directory,
         durability=durability if durability is not None else spec.durability,
-        backend=backend,
-        default_backend=spec.store,
     )
     store.initialize(spec)
     payloads = spec.task_payloads()
@@ -523,6 +527,7 @@ def run_campaign(
                 mode = "pool-warm" if pool_warm else "pool-cold"
             elif workers > 1:
                 mode = "percall"
+                pool = scope.enter_context(WorkerPool(workers))
             else:
                 mode = "serial"
             _M_POOL_DISPATCH.labels(campaign, mode).inc()
@@ -536,17 +541,6 @@ def run_campaign(
                     execute_task, first_pass, chunksize=chunk
                 ):
                     record(row)
-            elif workers > 1:
-                import multiprocessing
-
-                chunk = chunk_size if chunk_size is not None else _default_chunk_size(
-                    len(pending), workers
-                )
-                with multiprocessing.Pool(processes=workers) as mp_pool:
-                    for row in mp_pool.imap_unordered(
-                        execute_task, first_pass, chunksize=chunk
-                    ):
-                        record(row)
             else:
                 for payload in first_pass:
                     record(execute_task(payload))

@@ -39,22 +39,16 @@ _REQUIRED_FIELDS = ("name", "seed", "families", "sizes", "ks", "oracles", "lams"
 
 #: Optional spec fields (serialized only when they differ from their
 #: defaults, so the content digests of pre-existing specs never change).
-_OPTIONAL_FIELDS = ("replicates", "epsilon", "task_timeout_s", "durability", "store")
+_OPTIONAL_FIELDS = ("replicates", "epsilon", "task_timeout_s", "durability")
+
+#: Fields older spec files may carry: ``store`` named the result backend
+#: and is accepted only as ``"jsonl"``, the one store left.
+_LEGACY_FIELDS = ("store",)
 
 #: Store durability levels: ``"flush"`` loses at most one row on a
 #: process kill; ``"fsync"`` also survives a machine crash (power loss)
 #: at the cost of one fsync per row.
 DURABILITY_LEVELS = ("flush", "fsync")
-
-#: Result-store backends: ``"jsonl"`` is the append-only line store,
-#: ``"sqlite"`` the indexed backend for campaigns whose status/report
-#: queries must stay cheap at millions of rows.  The backend is a storage
-#: detail — it shapes neither the task grid nor the aggregates — so it is
-#: deliberately excluded from :meth:`CampaignSpec.digest`: the same
-#: campaign run through either backend keeps one identity, which is what
-#: lets the differential harness compare backends digest-for-digest and
-#: lets :func:`repro.runtime.store.merge_shards` fuse mixed-backend shards.
-STORE_BACKENDS = ("jsonl", "sqlite")
 
 
 def task_instance_seed(campaign_seed: int, key: str) -> int:
@@ -203,11 +197,6 @@ class CampaignSpec:
         Store write discipline — ``"flush"`` (default: a kill loses at
         most one row) or ``"fsync"`` (a machine crash loses at most one
         row, at one fsync per row).
-    store:
-        Result-store backend — ``"jsonl"`` (default: append-only lines)
-        or ``"sqlite"`` (indexed queries for very large campaigns).  Not
-        part of the spec digest: the backend changes how rows are stored,
-        never which rows exist or what they aggregate to.
     """
 
     name: str
@@ -221,7 +210,6 @@ class CampaignSpec:
     epsilon: float = 0.5
     task_timeout_s: Optional[float] = None
     durability: str = "flush"
-    store: str = "jsonl"
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -290,10 +278,6 @@ class CampaignSpec:
         if self.durability not in DURABILITY_LEVELS:
             raise CampaignError(
                 f"durability must be one of {DURABILITY_LEVELS}, got {self.durability!r}"
-            )
-        if self.store not in STORE_BACKENDS:
-            raise CampaignError(
-                f"store backend must be one of {STORE_BACKENDS}, got {self.store!r}"
             )
 
     # ------------------------------------------------------------------
@@ -383,8 +367,6 @@ class CampaignSpec:
             data["task_timeout_s"] = self.task_timeout_s
         if self.durability != "flush":
             data["durability"] = self.durability
-        if self.store != "jsonl":
-            data["store"] = self.store
         return data
 
     def to_json(self) -> str:
@@ -392,16 +374,8 @@ class CampaignSpec:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def digest(self) -> str:
-        """Content digest of the spec — the store's campaign-identity check.
-
-        The ``store`` backend is excluded: it is a storage detail, not
-        campaign identity, so the same grid run through JSONL and SQLite
-        stores digests identically (the cross-backend differential
-        harness and mixed-backend shard merges rely on this).
-        """
-        data = self.to_dict()
-        data.pop("store", None)
-        payload = json.dumps(data, indent=2, sort_keys=True)
+        """Content digest of the spec — the store's campaign-identity check."""
+        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     @classmethod
@@ -412,9 +386,16 @@ class CampaignSpec:
         missing = [key for key in _REQUIRED_FIELDS if key not in data]
         if missing:
             raise CampaignError(f"campaign spec is missing the fields {missing!r}")
-        unknown = set(data) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS)
+        known = _REQUIRED_FIELDS + _OPTIONAL_FIELDS + _LEGACY_FIELDS
+        unknown = set(data) - set(known)
         if unknown:
             raise CampaignError(f"campaign spec has unknown fields {sorted(unknown)!r}")
+        if data.get("store", "jsonl") != "jsonl":
+            raise CampaignError(
+                f"campaign spec selects store {data['store']!r}, but the sqlite "
+                f"store backend was removed and JSONL is the only store; drop the "
+                f"'store' field"
+            )
         for axis in ("families", "sizes", "ks", "oracles", "lams"):
             if not isinstance(data[axis], (list, tuple)):
                 raise CampaignError(f"campaign axis {axis!r} must be a list")
@@ -435,7 +416,6 @@ class CampaignSpec:
             epsilon=data.get("epsilon", 0.5),
             task_timeout_s=data.get("task_timeout_s"),
             durability=data.get("durability", "flush"),
-            store=data.get("store", "jsonl"),
         )
 
     @classmethod

@@ -1,102 +1,84 @@
-"""Result stores for campaign artifacts: append-only JSONL and indexed SQLite.
+"""Result store for campaign artifacts: one append-only JSONL log.
 
 A campaign directory always holds ``spec.json`` — the
 :class:`~repro.runtime.spec.CampaignSpec` that owns the directory
 (written on first use; later runs must present a spec with the same
-content digest, so two campaigns can never interleave rows) — plus the
-rows themselves in one of two backends:
+content digest, so two campaigns can never interleave rows) — plus
+``results.jsonl``, one JSON object per line, appended and flushed as each
+task completes.  The append-and-flush discipline is what makes campaigns
+resumable: if the process is killed mid-run, every fully written line
+survives, at most the final line is truncated, and
+:meth:`CampaignStore.rows` simply skips lines that do not parse.  With
+``durability="fsync"`` every append is also fsynced, so even a *machine*
+crash loses at most one row.
 
-* **JSONL** (:class:`CampaignStore`, the default): ``results.jsonl``
-  holds one JSON object per line, appended and flushed as each task
-  completes.  The append-and-flush discipline is what makes campaigns
-  resumable: if the process is killed mid-run, every fully written line
-  survives, at most the final line is truncated, and :meth:`rows` simply
-  skips lines that do not parse.  With ``durability="fsync"`` every
-  append is also fsynced, so even a *machine* crash loses at most one
-  row.
-* **SQLite** (:class:`SQLiteCampaignStore`, ``store: sqlite`` in the
-  spec): ``results.sqlite`` holds the same rows in an indexed table, so
-  ``latest_rows``/``completed_keys``/``status_counts`` are index lookups
-  instead of full-file scans — the right trade at millions of rows.
-  Durability maps onto ``PRAGMA synchronous`` (``fsync`` → ``FULL``,
-  ``flush`` → ``OFF``); a process kill between transactions loses at
-  most the in-flight row, mirroring the JSONL guarantees.
-
-Both backends expose the same surface, and three scale features on top:
+Three scale features sit on top of the log:
 
 * **Incremental aggregation** (:meth:`~CampaignStore.summaries`): the
   per-task sufficient statistics of the deterministic aggregates are
-  persisted next to the rows (``aggregates.json`` with a byte cursor
-  into ``results.jsonl``; an ``aggregate`` table with a row-id cursor in
-  SQLite), so a report touches only rows appended since the last one —
-  O(new rows), not O(all rows) — and feeds the exact same record builder
-  as the full-row reference path (see :mod:`repro.runtime.summary`).
+  persisted next to the rows (``aggregates.json`` with a byte cursor into
+  ``results.jsonl``), so a report touches only rows appended since the
+  last one — O(new rows), not O(all rows) — and feeds the exact same
+  record builder as the full-row reference path (see
+  :mod:`repro.runtime.summary`).
 * **Compaction** (:meth:`~CampaignStore.compact`, ``repro campaign
   compact``): drops superseded and duplicate rows, keeping exactly the
   latest row per task key — digest-identical by construction, crash-safe
-  via write-to-temp + fsync + atomic rename (``DELETE`` + ``VACUUM`` in
-  SQLite).
-* **Merging** (:func:`merge_shards`): fuses shard directories — any mix
-  of backends — into one store with batched, durability-honoring writes,
-  and combines the shards' partial aggregates instead of re-scanning the
-  merged rows.
+  via write-to-temp + fsync + atomic rename.
+* **Merging** (:func:`merge_shards`): fuses shard directories into one
+  store with batched, durability-honoring writes, and combines the
+  shards' partial aggregates instead of re-scanning the merged rows.
 
-A resumed run asks :meth:`completed_keys` which tasks already have a
-``"done"`` row and executes only the remainder — failed and timed-out
-rows are retried up to the retry policy's attempt budget
-(:meth:`retry_exhausted_keys` names the rows that used it up), and a
-re-completed key supersedes older rows (last write wins).
+A resumed run asks :meth:`~CampaignStore.completed_keys` which tasks
+already have a ``"done"`` row and executes only the remainder — failed
+and timed-out rows are retried up to the retry policy's attempt budget
+(:meth:`~CampaignStore.retry_exhausted_keys` names the rows that used it
+up), and a re-completed key supersedes older rows (last write wins).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
 from repro.exceptions import CampaignError
-from repro.runtime.spec import DURABILITY_LEVELS, STORE_BACKENDS, CampaignSpec
+from repro.runtime.spec import DURABILITY_LEVELS, CampaignSpec
 from repro.runtime.summary import SUMMARY_VERSION, summarize_row
 
-# Store metrics, labeled by backend.  "Flush" counts write barriers: one
-# per JSONL write call, one per SQLite commit; fsyncs count only under
-# durability="fsync" (JSONL os.fsync calls / SQLite synchronous=FULL
-# commits).  Compaction counters mirror CompactionStats so a scraper
-# sees reclamation without parsing CLI output.
+# Store metrics.  "Flush" counts write barriers, one per write call;
+# fsyncs count only under durability="fsync".  Compaction counters mirror
+# CompactionStats so a scraper sees reclamation without parsing CLI output.
 _M_ROWS_APPENDED = obs.counter(
     "repro_store_rows_appended_total",
     "Result rows appended to campaign stores.",
-    labels=("backend",),
 )
 _M_FLUSHES = obs.counter(
     "repro_store_flushes_total",
-    "Write barriers issued (JSONL flushed writes / SQLite commits).",
-    labels=("backend",),
+    "Write barriers issued (flushed JSONL writes).",
 )
 _M_FSYNCS = obs.counter(
     "repro_store_fsyncs_total",
     "Durable syncs issued under durability=fsync.",
-    labels=("backend",),
 )
 _M_COMPACTIONS = obs.counter(
     "repro_store_compactions_total",
     "Store compactions performed.",
-    labels=("backend",),
 )
 _M_COMPACTION_ROWS_DROPPED = obs.counter(
     "repro_store_compaction_rows_dropped_total",
     "Superseded/duplicate rows dropped by compactions.",
-    labels=("backend",),
 )
 
 SPEC_FILENAME = "spec.json"
 RESULTS_FILENAME = "results.jsonl"
-SQLITE_FILENAME = "results.sqlite"
 AGGREGATES_FILENAME = "aggregates.json"
+
+#: The results file of the removed SQLite backend; ``open_store`` refuses it.
+LEGACY_SQLITE_FILENAME = "results.sqlite"
 
 #: Terminal row statuses a retry policy re-executes (everything but "done").
 RETRYABLE_STATUSES = ("failed", "timeout")
@@ -182,18 +164,14 @@ class CompactionStats:
         return self.rows_before - self.rows_after
 
 
-class BaseCampaignStore:
-    """Shared surface of the campaign result stores.
+class CampaignStore:
+    """Append-only JSONL store rooted at one campaign directory.
 
-    Concrete backends implement the row I/O (:meth:`append`,
-    :meth:`append_many`, :meth:`rows`, :meth:`summaries`,
-    :meth:`compact`); the spec binding and the latest-row query views are
-    common.  ``durability`` selects the write discipline: ``"flush"``
-    (default) guarantees a process kill loses at most one row,
-    ``"fsync"`` extends that to machine crashes.
+    ``durability`` selects the write discipline of :meth:`append`:
+    ``"flush"`` (default) flushes each row so a process kill loses at
+    most one line; ``"fsync"`` additionally fsyncs so a machine crash
+    loses at most one line.
     """
-
-    backend = "abstract"
 
     def __init__(self, directory, durability: str = "flush") -> None:
         if durability not in DURABILITY_LEVELS:
@@ -202,10 +180,24 @@ class BaseCampaignStore:
             )
         self.directory = Path(directory)
         self.durability = durability
+        # Byte size of results.jsonl after our last write, or None when we
+        # have not looked yet.  While the size matches, the file still ends
+        # with the newline we wrote, so append can skip the tail check; any
+        # external change (kill truncation, test tampering) shows up as a
+        # size mismatch and re-triggers it.
+        self._known_size: Optional[int] = None
 
     @property
     def spec_path(self) -> Path:
         return self.directory / SPEC_FILENAME
+
+    @property
+    def results_path(self) -> Path:
+        return self.directory / RESULTS_FILENAME
+
+    @property
+    def aggregates_path(self) -> Path:
+        return self.directory / AGGREGATES_FILENAME
 
     # ------------------------------------------------------------------
     # spec identity
@@ -216,8 +208,6 @@ class BaseCampaignStore:
         First use writes ``spec.json``; later use re-reads it and raises
         :class:`CampaignError` when the content digest differs, so a
         directory can never accumulate rows from two different campaigns.
-        (The digest excludes the ``store`` backend, so re-opening a
-        directory with a backend-overridden spec is not a foreign spec.)
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.spec_path.exists():
@@ -239,6 +229,9 @@ class BaseCampaignStore:
             )
         return CampaignSpec.from_json(self.spec_path.read_text(encoding="utf-8"))
 
+    # ------------------------------------------------------------------
+    # rows
+    # ------------------------------------------------------------------
     @staticmethod
     def _check_row(row: Dict[str, Any]) -> None:
         if "task_key" not in row or "status" not in row:
@@ -246,96 +239,6 @@ class BaseCampaignStore:
                 f"result rows need 'task_key' and 'status', got {sorted(row)!r}"
             )
 
-    # ------------------------------------------------------------------
-    # row I/O (backend-specific)
-    # ------------------------------------------------------------------
-    def append(self, row: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def append_many(self, rows: Iterable[Dict[str, Any]]) -> None:
-        raise NotImplementedError
-
-    def rows(self) -> List[Dict[str, Any]]:
-        raise NotImplementedError
-
-    def summaries(self) -> Dict[str, Dict[str, Any]]:
-        raise NotImplementedError
-
-    def compact(self) -> CompactionStats:
-        raise NotImplementedError
-
-    def _replace_summaries(self, summaries: Dict[str, Dict[str, Any]]) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources (no-op for file-per-write backends)."""
-
-    # ------------------------------------------------------------------
-    # query views (backends may override with indexed implementations)
-    # ------------------------------------------------------------------
-    def latest_rows(self) -> Dict[str, Dict[str, Any]]:
-        """Map each task key to its most recent row (a retry supersedes a failure)."""
-        latest: Dict[str, Dict[str, Any]] = {}
-        for row in self.rows():
-            latest[row["task_key"]] = row
-        return latest
-
-    def completed_keys(self) -> Set[str]:
-        """Task keys whose latest row is ``"done"`` — the resume skip-set."""
-        return completed_of(self.latest_rows())
-
-    def status_counts(self) -> Dict[str, int]:
-        """Count latest rows per status (``done`` / ``failed`` / ``timeout`` / …)."""
-        return status_counts_of(self.latest_rows())
-
-    def retry_exhausted_keys(self, max_attempts: int) -> Set[str]:
-        """Task keys whose latest row burned the whole retry budget.
-
-        A key qualifies when its latest row is a retryable failure
-        (``failed`` or ``timeout``) whose ``attempt`` counter — the
-        number of consecutive executions that died with the *same* error
-        signature — has reached ``max_attempts``.  The scheduler skips
-        these on resume (re-running them would deterministically fail the
-        same way again) and ``repro campaign status`` warns about them.
-        """
-        return retry_exhausted_of(self.latest_rows(), max_attempts)
-
-    def cache_counts(self) -> Dict[str, int]:
-        """Instance-cache hits/misses over the latest rows (status reporting)."""
-        return cache_counts_of(self.latest_rows())
-
-
-class CampaignStore(BaseCampaignStore):
-    """Append-only JSONL store rooted at one campaign directory.
-
-    ``durability`` selects the write discipline of :meth:`append`:
-    ``"flush"`` (default) flushes each row so a process kill loses at
-    most one line; ``"fsync"`` additionally fsyncs so a machine crash
-    loses at most one line.
-    """
-
-    backend = "jsonl"
-
-    def __init__(self, directory, durability: str = "flush") -> None:
-        super().__init__(directory, durability)
-        # Byte size of results.jsonl after our last write, or None when we
-        # have not looked yet.  While the size matches, the file still ends
-        # with the newline we wrote, so append can skip the tail check; any
-        # external change (kill truncation, test tampering) shows up as a
-        # size mismatch and re-triggers it.
-        self._known_size: Optional[int] = None
-
-    @property
-    def results_path(self) -> Path:
-        return self.directory / RESULTS_FILENAME
-
-    @property
-    def aggregates_path(self) -> Path:
-        return self.directory / AGGREGATES_FILENAME
-
-    # ------------------------------------------------------------------
-    # rows
-    # ------------------------------------------------------------------
     def _needs_tail_newline(self) -> bool:
         """True when a kill left the file without a trailing newline.
 
@@ -378,10 +281,10 @@ class CampaignStore(BaseCampaignStore):
             handle.flush()
             if self.durability == "fsync":
                 os.fsync(handle.fileno())
-                _M_FSYNCS.labels(self.backend).inc()
+                _M_FSYNCS.inc()
             self._known_size = handle.tell()
-        _M_ROWS_APPENDED.labels(self.backend).inc(len(lines))
-        _M_FLUSHES.labels(self.backend).inc()
+        _M_ROWS_APPENDED.inc(len(lines))
+        _M_FLUSHES.inc()
 
     def append(self, row: Dict[str, Any]) -> None:
         """Append one result row, flushed so a kill loses at most this line.
@@ -421,6 +324,40 @@ class CampaignStore(BaseCampaignStore):
                 if row is not None:
                     rows.append(row)
         return rows
+
+    # ------------------------------------------------------------------
+    # query views over the latest row per key
+    # ------------------------------------------------------------------
+    def latest_rows(self) -> Dict[str, Dict[str, Any]]:
+        """Map each task key to its most recent row (a retry supersedes a failure)."""
+        latest: Dict[str, Dict[str, Any]] = {}
+        for row in self.rows():
+            latest[row["task_key"]] = row
+        return latest
+
+    def completed_keys(self) -> Set[str]:
+        """Task keys whose latest row is ``"done"`` — the resume skip-set."""
+        return completed_of(self.latest_rows())
+
+    def status_counts(self) -> Dict[str, int]:
+        """Count latest rows per status (``done`` / ``failed`` / ``timeout`` / …)."""
+        return status_counts_of(self.latest_rows())
+
+    def retry_exhausted_keys(self, max_attempts: int) -> Set[str]:
+        """Task keys whose latest row burned the whole retry budget.
+
+        A key qualifies when its latest row is a retryable failure
+        (``failed`` or ``timeout``) whose ``attempt`` counter — the
+        number of consecutive executions that died with the *same* error
+        signature — has reached ``max_attempts``.  The scheduler skips
+        these on resume (re-running them would deterministically fail the
+        same way again) and ``repro campaign status`` warns about them.
+        """
+        return retry_exhausted_of(self.latest_rows(), max_attempts)
+
+    def cache_counts(self) -> Dict[str, int]:
+        """Instance-cache hits/misses over the latest rows (status reporting)."""
+        return cache_counts_of(self.latest_rows())
 
     # ------------------------------------------------------------------
     # incremental aggregation
@@ -547,350 +484,33 @@ class CampaignStore(BaseCampaignStore):
         self._store_aggregate_state(
             bytes_after, {row["task_key"]: summarize_row(row) for row in kept}
         )
-        _M_COMPACTIONS.labels(self.backend).inc()
-        _M_COMPACTION_ROWS_DROPPED.labels(self.backend).inc(len(rows) - len(kept))
+        _M_COMPACTIONS.inc()
+        _M_COMPACTION_ROWS_DROPPED.inc(len(rows) - len(kept))
         return CompactionStats(len(rows), len(kept), bytes_before, bytes_after)
 
 
-class SQLiteCampaignStore(BaseCampaignStore):
-    """Indexed campaign store backed by a SQLite file (``store: sqlite``).
+# perfbench/ledger.py imports this name and wraps latest_rows through its class __dict__.
+BaseCampaignStore = CampaignStore
 
-    Rows live in a ``results`` table ordered by an autoincrement id (the
-    insertion order, so last-write-wins means MAX(id) per task key) with
-    the hot query fields — status, attempt, cache flag — as indexed
-    columns next to the full JSON payload.  The query views are index
-    lookups; the aggregate sidecar is an ``aggregate`` table plus a
-    row-id cursor, advanced inside the same transaction that scans new
-    rows.  Durability maps to ``PRAGMA synchronous``: ``"fsync"`` →
-    ``FULL`` (every commit reaches the platter), ``"flush"`` → ``OFF``
-    (the OS page cache absorbs kills, matching JSONL flush semantics).
+
+def open_store(directory, durability: str = "flush") -> CampaignStore:
+    """Open the campaign store rooted at ``directory``.
+
+    Refuses a directory holding the removed backend's ``results.sqlite``:
+    its rows would stay invisible, so every task would silently re-run
+    into a fresh ``results.jsonl`` beside them.
     """
-
-    backend = "sqlite"
-
-    def __init__(self, directory, durability: str = "flush") -> None:
-        super().__init__(directory, durability)
-        self._conn: Optional[sqlite3.Connection] = None
-
-    @property
-    def results_path(self) -> Path:
-        return self.directory / SQLITE_FILENAME
-
-    def _connect(self) -> sqlite3.Connection:
-        if self._conn is None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(str(self.results_path))
-            conn.execute(
-                "PRAGMA synchronous=%s"
-                % ("FULL" if self.durability == "fsync" else "OFF")
-            )
-            with conn:
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS results ("
-                    " id INTEGER PRIMARY KEY AUTOINCREMENT,"
-                    " task_key TEXT NOT NULL,"
-                    " status TEXT NOT NULL,"
-                    " attempt INTEGER NOT NULL DEFAULT 1,"
-                    " cache_hit INTEGER,"
-                    " payload TEXT NOT NULL)"
-                )
-                conn.execute(
-                    "CREATE INDEX IF NOT EXISTS idx_results_key"
-                    " ON results (task_key, id)"
-                )
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS aggregate ("
-                    " task_key TEXT PRIMARY KEY, summary TEXT NOT NULL)"
-                )
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS meta ("
-                    " key TEXT PRIMARY KEY, value TEXT NOT NULL)"
-                )
-            self._conn = conn
-        return self._conn
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-    @staticmethod
-    def _row_params(row: Dict[str, Any]) -> Tuple:
-        cache_hit = row.get("instance_cache_hit")
-        return (
-            row["task_key"],
-            row["status"],
-            int(row.get("attempt", 1)),
-            None if cache_hit is None else int(bool(cache_hit)),
-            json.dumps(row, sort_keys=True),
+    legacy = Path(directory) / LEGACY_SQLITE_FILENAME
+    if legacy.exists():
+        raise CampaignError(
+            f"{legacy} was written by the removed SQLite store backend; "
+            f"only {RESULTS_FILENAME} stores are supported — re-run the campaign "
+            f"into a fresh directory"
         )
-
-    _INSERT = (
-        "INSERT INTO results (task_key, status, attempt, cache_hit, payload)"
-        " VALUES (?, ?, ?, ?, ?)"
-    )
-
-    def _count_commit(self, rows_appended: int) -> None:
-        """One transaction landed: count its rows, the commit, and the sync."""
-        _M_ROWS_APPENDED.labels(self.backend).inc(rows_appended)
-        _M_FLUSHES.labels(self.backend).inc()
-        if self.durability == "fsync":
-            # synchronous=FULL makes every commit a durable sync.
-            _M_FSYNCS.labels(self.backend).inc()
-
-    def append(self, row: Dict[str, Any]) -> None:
-        """Insert one row in its own transaction (commit = the kill boundary)."""
-        self._check_row(row)
-        conn = self._connect()
-        with conn:
-            conn.execute(self._INSERT, self._row_params(row))
-        self._count_commit(1)
-
-    def append_many(self, rows: Iterable[Dict[str, Any]]) -> None:
-        """Insert a batch of rows in one transaction: one commit, one sync."""
-        rows = list(rows)
-        for row in rows:
-            self._check_row(row)
-        if not rows:
-            return
-        conn = self._connect()
-        with conn:
-            conn.executemany(self._INSERT, [self._row_params(row) for row in rows])
-        self._count_commit(len(rows))
-
-    def rows(self) -> List[Dict[str, Any]]:
-        """Every stored row in insertion order (the JSONL file-order analogue)."""
-        if not self.results_path.exists():
-            return []
-        conn = self._connect()
-        return [
-            json.loads(payload)
-            for (payload,) in conn.execute("SELECT payload FROM results ORDER BY id")
-        ]
-
-    def latest_rows(self) -> Dict[str, Dict[str, Any]]:
-        if not self.results_path.exists():
-            return {}
-        conn = self._connect()
-        return {
-            key: json.loads(payload)
-            for key, payload in conn.execute(
-                "SELECT r.task_key, r.payload FROM results r JOIN"
-                " (SELECT task_key, MAX(id) AS mid FROM results GROUP BY task_key) m"
-                " ON r.id = m.mid"
-            )
-        }
-
-    def completed_keys(self) -> Set[str]:
-        if not self.results_path.exists():
-            return set()
-        conn = self._connect()
-        return {
-            key
-            for (key,) in conn.execute(
-                "SELECT r.task_key FROM results r JOIN"
-                " (SELECT task_key, MAX(id) AS mid FROM results GROUP BY task_key) m"
-                " ON r.id = m.mid WHERE r.status = 'done'"
-            )
-        }
-
-    def status_counts(self) -> Dict[str, int]:
-        if not self.results_path.exists():
-            return {}
-        conn = self._connect()
-        return {
-            status: count
-            for status, count in conn.execute(
-                "SELECT r.status, COUNT(*) FROM results r JOIN"
-                " (SELECT task_key, MAX(id) AS mid FROM results GROUP BY task_key) m"
-                " ON r.id = m.mid GROUP BY r.status"
-            )
-        }
-
-    def retry_exhausted_keys(self, max_attempts: int) -> Set[str]:
-        if max_attempts < 1:
-            raise CampaignError(f"max_attempts must be >= 1, got {max_attempts}")
-        if not self.results_path.exists():
-            return set()
-        conn = self._connect()
-        return {
-            key
-            for (key,) in conn.execute(
-                "SELECT r.task_key FROM results r JOIN"
-                " (SELECT task_key, MAX(id) AS mid FROM results GROUP BY task_key) m"
-                " ON r.id = m.mid WHERE r.status IN (?, ?) AND r.attempt >= ?",
-                (*RETRYABLE_STATUSES, max_attempts),
-            )
-        }
-
-    def cache_counts(self) -> Dict[str, int]:
-        counts = {"cache_hits": 0, "cache_misses": 0}
-        if not self.results_path.exists():
-            return counts
-        conn = self._connect()
-        for cache_hit, count in conn.execute(
-            "SELECT r.cache_hit, COUNT(*) FROM results r JOIN"
-            " (SELECT task_key, MAX(id) AS mid FROM results GROUP BY task_key) m"
-            " ON r.id = m.mid WHERE r.cache_hit IS NOT NULL GROUP BY r.cache_hit"
-        ):
-            counts["cache_hits" if cache_hit else "cache_misses"] += count
-        return counts
-
-    # ------------------------------------------------------------------
-    # incremental aggregation
-    # ------------------------------------------------------------------
-    def _cursor(self, conn: sqlite3.Connection) -> int:
-        found = conn.execute(
-            "SELECT value FROM meta WHERE key = 'aggregate_cursor'"
-        ).fetchone()
-        return int(found[0]) if found else 0
-
-    def summaries(self) -> Dict[str, Dict[str, Any]]:
-        """Latest-per-key sufficient statistics, maintained incrementally.
-
-        The ``aggregate`` table mirrors the latest summary per task key;
-        ``meta.aggregate_cursor`` records the highest summarized row id,
-        so each call scans only newer rows.  A cursor above MAX(id) means
-        rows were deleted underneath us (a simulated kill, an external
-        repair) — the table is rebuilt from scratch, because like the
-        JSONL sidecar it is a cache, never a source of truth.
-        """
-        if not self.results_path.exists():
-            return {}
-        conn = self._connect()
-        with conn:
-            cursor = self._cursor(conn)
-            (max_id,) = conn.execute(
-                "SELECT COALESCE(MAX(id), 0) FROM results"
-            ).fetchone()
-            if cursor > max_id:
-                conn.execute("DELETE FROM aggregate")
-                cursor = 0
-            if max_id > cursor:
-                fresh = conn.execute(
-                    "SELECT payload FROM results WHERE id > ? ORDER BY id", (cursor,)
-                ).fetchall()
-                conn.executemany(
-                    "INSERT OR REPLACE INTO aggregate (task_key, summary) VALUES (?, ?)",
-                    [
-                        (row["task_key"], json.dumps(summarize_row(row), sort_keys=True))
-                        for (payload,) in fresh
-                        for row in (json.loads(payload),)
-                    ],
-                )
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES"
-                    " ('aggregate_cursor', ?)",
-                    (str(max_id),),
-                )
-        return {
-            key: json.loads(summary)
-            for key, summary in conn.execute("SELECT task_key, summary FROM aggregate")
-        }
-
-    def _replace_summaries(self, summaries: Dict[str, Dict[str, Any]]) -> None:
-        conn = self._connect()
-        with conn:
-            (max_id,) = conn.execute(
-                "SELECT COALESCE(MAX(id), 0) FROM results"
-            ).fetchone()
-            conn.execute("DELETE FROM aggregate")
-            conn.executemany(
-                "INSERT INTO aggregate (task_key, summary) VALUES (?, ?)",
-                [
-                    (key, json.dumps(summary, sort_keys=True))
-                    for key, summary in summaries.items()
-                ],
-            )
-            conn.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES ('aggregate_cursor', ?)",
-                (str(max_id),),
-            )
-
-    # ------------------------------------------------------------------
-    # compaction
-    # ------------------------------------------------------------------
-    def compact(self) -> CompactionStats:
-        """Delete superseded rows (everything but MAX(id) per key) and VACUUM."""
-        if not self.results_path.exists():
-            return CompactionStats(0, 0, 0, 0)
-        conn = self._connect()
-        bytes_before = os.path.getsize(self.results_path)
-        with conn:
-            (rows_before,) = conn.execute("SELECT COUNT(*) FROM results").fetchone()
-            conn.execute(
-                "DELETE FROM results WHERE id NOT IN"
-                " (SELECT MAX(id) FROM results GROUP BY task_key)"
-            )
-            (rows_after,) = conn.execute("SELECT COUNT(*) FROM results").fetchone()
-        conn.execute("VACUUM")
-        bytes_after = os.path.getsize(self.results_path)
-        _M_COMPACTIONS.labels(self.backend).inc()
-        _M_COMPACTION_ROWS_DROPPED.labels(self.backend).inc(rows_before - rows_after)
-        return CompactionStats(rows_before, rows_after, bytes_before, bytes_after)
+    return CampaignStore(directory, durability=durability)
 
 
-#: Backend name → store class (the ``open_store`` dispatch table).
-STORE_CLASSES = {"jsonl": CampaignStore, "sqlite": SQLiteCampaignStore}
-
-
-def detect_backend(directory) -> Optional[str]:
-    """Which backend already owns ``directory``, or None for a fresh one.
-
-    An existing results file wins (it *is* the data); otherwise a bound
-    ``spec.json`` names its preferred backend.
-    """
-    directory = Path(directory)
-    if (directory / RESULTS_FILENAME).exists():
-        return "jsonl"
-    if (directory / SQLITE_FILENAME).exists():
-        return "sqlite"
-    spec_path = directory / SPEC_FILENAME
-    if spec_path.exists():
-        try:
-            return CampaignSpec.from_json(spec_path.read_text(encoding="utf-8")).store
-        except CampaignError:
-            return None
-    return None
-
-
-def open_store(
-    directory,
-    durability: str = "flush",
-    backend: Optional[str] = None,
-    default_backend: str = "jsonl",
-) -> BaseCampaignStore:
-    """Open the right store for ``directory``.
-
-    ``backend`` forces one explicitly (refused when the directory already
-    holds the *other* backend's results file — rows must never split
-    across two files); otherwise the directory's existing results file or
-    bound spec decides, falling back to ``default_backend`` (pass the
-    spec's ``store`` field here) for fresh directories.
-    """
-    for name in (backend, default_backend):
-        if name is not None and name not in STORE_CLASSES:
-            raise CampaignError(
-                f"store backend must be one of {STORE_BACKENDS}, got {name!r}"
-            )
-    detected = detect_backend(directory)
-    if backend is not None:
-        has_rows = detected is not None and (
-            Path(directory)
-            / (RESULTS_FILENAME if detected == "jsonl" else SQLITE_FILENAME)
-        ).exists()
-        if has_rows and detected != backend:
-            raise CampaignError(
-                f"campaign directory {directory} already holds {detected} results; "
-                f"refusing to open it with the {backend!r} backend"
-            )
-        chosen = backend
-    else:
-        chosen = detected or default_backend
-    return STORE_CLASSES[chosen](directory, durability=durability)
-
-
-def merge_shards(destination, shard_dirs, durability: Optional[str] = None) -> BaseCampaignStore:
+def merge_shards(destination, shard_dirs, durability: Optional[str] = None) -> CampaignStore:
     """Fuse shard campaign directories into one store and return it.
 
     Every shard directory must be bound to the *same* spec (content
@@ -904,12 +524,10 @@ def merge_shards(destination, shard_dirs, durability: Optional[str] = None) -> B
 
     Writes honor the spec's ``durability`` (or an explicit ``durability``
     override): each shard's rows go through one batched
-    :meth:`~BaseCampaignStore.append_many` — one flush, and under
-    ``"fsync"`` one fsync, per shard.  Shards may use either backend; the
-    destination uses its own existing backend, else the spec's.  Instead
-    of re-scanning the merged log, the shards' partial aggregates are
-    combined into the destination's (shard order = append order, so last
-    write per key wins identically).
+    :meth:`~CampaignStore.append_many` — one flush, and under ``"fsync"``
+    one fsync, per shard.  Instead of re-scanning the merged log, the
+    shards' partial aggregates are combined into the destination's (shard
+    order = append order, so last write per key wins identically).
     """
     shard_dirs = [Path(d) for d in shard_dirs]
     if not shard_dirs:
@@ -934,7 +552,6 @@ def merge_shards(destination, shard_dirs, durability: Optional[str] = None) -> B
     merged = open_store(
         destination,
         durability=durability if durability is not None else spec.durability,
-        default_backend=spec.store,
     )
     merged.initialize(spec)
     # Catch the destination's own pre-existing rows up first, so the shard

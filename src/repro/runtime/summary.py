@@ -8,12 +8,11 @@ edge counts, the distinct-color total, and the color bound.
 *summary* dict, and :func:`records_from_summaries` rebuilds the
 experiment records from a ``{task_key: summary}`` mapping.
 
-This split is what makes report cost O(new rows): stores persist the
-summary mapping next to the raw rows (``aggregates.json`` for the JSONL
-backend, an ``aggregate`` table for SQLite) together with a cursor into
-the row log, so a later report only summarizes rows appended since the
-cursor and merges them into the persisted mapping (last write per task
-key wins, exactly like the row store).
+This split is what makes report cost O(new rows): the store persists the
+summary mapping next to the raw rows (``aggregates.json``) together with
+a byte cursor into the row log, so a later report only summarizes rows
+appended since the cursor and merges them into the persisted mapping
+(last write per task key wins, exactly like the row store).
 
 Digest safety is by construction, not by parallel implementations:
 :func:`repro.runtime.aggregate.campaign_records` — the retained

@@ -504,7 +504,6 @@ class ShardCoordinator:
         out_store = open_store(
             self.out_dir,
             durability=self.durability if self.durability is not None else self.spec.durability,
-            default_backend=self.spec.store,
         )
         out_store.initialize(self.spec)
 

@@ -14,11 +14,10 @@ timing and cache flags), identical aggregate
 ``campaign_digest``.  The seeded test sweep layers the other execution
 modes on top: a persistent two-worker :class:`WorkerPool` shared by all
 fuzzed campaigns (warm starts), occasional fresh pools with other worker
-counts, a kill+resume at a seeded cut point of the JSONL store, the
-SQLite backend (including its own kill+resume via a seeded ``DELETE`` of
-the results-table tail), the incremental-aggregate report path, and
-compaction of both backends — every variant must land on the byte-exact
-serial reference digest.
+counts, a kill+resume at a seeded cut point of the JSONL store, a traced
+run, the incremental-aggregate report path, and compaction after a
+planted duplicate — every variant must land on the byte-exact serial
+reference digest.
 
 Collected by pytest via the ``python_files`` entry in ``pytest.ini``.
 """
@@ -38,7 +37,6 @@ from repro import obs
 from repro.runtime import (
     CampaignSpec,
     CampaignStore,
-    SQLiteCampaignStore,
     WorkerPool,
     campaign_digest,
     campaign_records,
@@ -243,55 +241,18 @@ def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_
         f"{ctx} incremental-aggregate digest diverged from the full-row reference"
     )
 
-    # SQLite backend: the same campaign through the indexed store, checked
-    # via both the full-row path and the incremental-aggregate path.
-    sqlite_dir = tmp_path / "sqlite"
-    sqlite_stats = run_campaign(spec, sqlite_dir, workers=0, backend="sqlite")
-    assert sqlite_stats.failed == 0, f"{ctx} sqlite run had failing tasks"
-    sqlite_store = open_store(sqlite_dir)
-    assert isinstance(sqlite_store, SQLiteCampaignStore), (
-        f"{ctx} backend override did not select the sqlite store"
+    # Compaction is digest-preserving, even with a superseded duplicate
+    # row planted on top of the resumed store.
+    store = open_store(killed)
+    store.append(store.rows()[0])
+    stats = store.compact()
+    assert stats.rows_dropped >= 1, f"{ctx} compaction dropped nothing"
+    assert _digest_of(spec, killed) == reference, (
+        f"{ctx} compacted digest diverged from the reference"
     )
-    assert _digest_of(spec, sqlite_dir) == reference, (
-        f"{ctx} sqlite digest diverged from the serial reference"
+    assert _incremental_digest_of(spec, killed) == reference, (
+        f"{ctx} compacted incremental digest diverged"
     )
-    assert _incremental_digest_of(spec, sqlite_dir) == reference, (
-        f"{ctx} sqlite incremental digest diverged from the serial reference"
-    )
-
-    # SQLite kill+resume: drop the tail of the results table at a seeded
-    # cut (a crash between transactions) and let the executor finish.
-    conn = sqlite_store._connect()
-    sqlite_cut = rng.randrange(0, spec.num_tasks())
-    with conn:
-        conn.execute(
-            "DELETE FROM results WHERE id > (SELECT COALESCE(MAX(id), 0) FROM"
-            " (SELECT id FROM results ORDER BY id LIMIT ?))",
-            (sqlite_cut,),
-        )
-    sqlite_store.close()
-    sqlite_resumed = run_campaign(spec, sqlite_dir, workers=0)
-    assert sqlite_resumed.skipped == sqlite_cut, (
-        f"{ctx} sqlite resume after cut={sqlite_cut} skipped "
-        f"{sqlite_resumed.skipped} tasks"
-    )
-    assert _digest_of(spec, sqlite_dir) == reference, (
-        f"{ctx} sqlite kill+resume (cut={sqlite_cut}) digest diverged"
-    )
-
-    # Compaction is digest-preserving on both backends, even with a
-    # superseded duplicate row planted on top of the resumed stores.
-    for directory in (killed, sqlite_dir):
-        store = open_store(directory)
-        store.append(store.rows()[0])
-        stats = store.compact()
-        assert stats.rows_dropped >= 1, f"{ctx} compaction dropped nothing"
-        assert _digest_of(spec, directory) == reference, (
-            f"{ctx} compacted {store.backend} digest diverged from the reference"
-        )
-        assert _incremental_digest_of(spec, directory) == reference, (
-            f"{ctx} compacted {store.backend} incremental digest diverged"
-        )
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)

@@ -3,8 +3,12 @@ persistent worker pools, sharded runs, and the no-pool-when-idle regression."""
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
+from repro import obs
 from repro.exceptions import CampaignError
 from repro.runtime import (
     CampaignSpec,
@@ -27,7 +31,6 @@ def digest_of(spec: CampaignSpec, directory) -> str:
 
 def _forbid_pool_spawn(monkeypatch):
     """Make any multiprocessing.Pool construction fail the test."""
-    import multiprocessing
 
     def boom(*args, **kwargs):
         raise AssertionError("multiprocessing.Pool must not be constructed here")
@@ -214,6 +217,73 @@ class TestWorkerPool:
         pool = WorkerPool(2)
         pool.close()
         pool.close()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_exception_exit_terminates_instead_of_joining(self, error):
+        # close() joins, which would wait out all four queued sleeps (10 s
+        # on two workers); a crash or Ctrl-C must kill the workers at once.
+        before = set(multiprocessing.active_children())
+        start = time.perf_counter()
+        with pytest.raises(error, match="abort"):
+            with WorkerPool(2) as pool:
+                pool.imap_unordered(time.sleep, [5.0] * 4)
+                workers = set(multiprocessing.active_children()) - before
+                raise error("abort")
+        assert time.perf_counter() - start < 4.0
+        assert len(workers) == 2
+        assert not any(process.is_alive() for process in workers)
+        assert not pool.started
+
+    def test_clean_exit_finishes_the_queued_work(self):
+        with WorkerPool(2) as pool:
+            results = pool.imap_unordered(abs, [-1, -2, -3, -4])
+        assert sorted(results) == [1, 2, 3, 4]
+        assert not pool.started
+
+    def test_scoped_pool_terminates_when_the_run_raises(self, tmp_path, monkeypatch):
+        import repro.runtime.scheduler as scheduler
+
+        shutdowns = []
+
+        class RecordingPool(WorkerPool):
+            def _shutdown(self, terminate):
+                shutdowns.append(terminate)
+                super()._shutdown(terminate)
+
+        monkeypatch.setattr(scheduler, "WorkerPool", RecordingPool)
+
+        def crash(row):
+            raise RuntimeError("row callback crashed")
+
+        with pytest.raises(RuntimeError, match="crashed"):
+            run_campaign(small_spec(), tmp_path / "crashed", workers=2, on_row=crash)
+        assert shutdowns == [True]
+        assert len(CampaignStore(tmp_path / "crashed").rows()) == 1
+        run_campaign(small_spec(), tmp_path / "clean", workers=2)
+        assert shutdowns == [True, False]
+
+    def test_workers_argument_runs_a_scoped_pool(self, tmp_path, monkeypatch):
+        import repro.runtime.scheduler as scheduler
+
+        opened = []
+
+        class RecordingPool(WorkerPool):
+            def __init__(self, workers):
+                super().__init__(workers)
+                opened.append(self)
+
+        monkeypatch.setattr(scheduler, "WorkerPool", RecordingPool)
+        spec = small_spec(name="scoped-pool")
+        percall = obs.get_registry().counter(
+            "repro_pool_dispatch_total", "", labels=("campaign", "mode")
+        ).labels(spec.name, "percall")
+        before = percall.value
+        stats = run_campaign(spec, tmp_path, workers=2)
+        assert [pool.workers for pool in opened] == [2]
+        assert not opened[0].started  # shut down when the call returned
+        assert percall.value == before + 1
+        assert not stats.pool_warm
+        assert stats.workers == 2
 
     @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
     def test_invalid_worker_count_rejected(self, workers):

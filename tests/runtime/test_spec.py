@@ -185,26 +185,21 @@ class TestValidation:
         assert spec.oracles == ("capped:greedy-min-degree",)
 
 
-class TestStoreBackendField:
-    def test_default_backend_is_jsonl(self):
-        assert small_spec().store == "jsonl"
+class TestLegacyStoreField:
+    """Spec files from before JSONL became the only store still load."""
 
-    def test_unknown_backend_rejected(self):
+    def test_jsonl_store_field_loads_with_an_unchanged_digest(self):
+        data = small_spec().to_dict()
+        legacy = CampaignSpec.from_dict(dict(data, store="jsonl"))
+        assert legacy == small_spec()
+        assert legacy.digest() == CampaignSpec.from_dict(data).digest()
+
+    def test_sqlite_store_field_is_refused_as_removed(self):
+        data = dict(small_spec().to_dict(), store="sqlite")
+        with pytest.raises(CampaignError, match="removed"):
+            CampaignSpec.from_dict(data)
+
+    def test_unknown_store_field_is_refused(self):
+        data = dict(small_spec().to_dict(), store="parquet")
         with pytest.raises(CampaignError, match="store"):
-            small_spec(store="parquet")
-
-    def test_backend_survives_the_round_trip(self):
-        spec = small_spec(store="sqlite")
-        assert CampaignSpec.from_json(spec.to_json()) == spec
-        assert spec.to_dict()["store"] == "sqlite"
-
-    def test_default_backend_is_not_serialized(self):
-        # Older spec files (and their digests) predate the field: the
-        # default must serialize to exactly the same JSON as before.
-        assert "store" not in small_spec().to_dict()
-
-    def test_digest_excludes_the_backend(self):
-        # The backend is a storage detail, not campaign identity: the
-        # same grid in JSONL and SQLite is the *same campaign*, so shard
-        # stores of either backend merge and resume interchangeably.
-        assert small_spec(store="sqlite").digest() == small_spec().digest()
+            CampaignSpec.from_dict(data)

@@ -11,10 +11,20 @@ from repro.runtime import (
     CampaignSpec,
     CampaignStore,
     CompactionStats,
+    cache_counts_of,
+    campaign_digest,
+    campaign_records,
+    completed_of,
     merge_shards,
+    open_store,
+    records_from_summaries,
+    retry_exhausted_of,
+    run_campaign,
+    status_counts_of,
     summaries_of,
     summarize_row,
 )
+from repro.runtime.store import BaseCampaignStore
 
 from tests.runtime.test_spec import small_spec
 
@@ -44,6 +54,22 @@ class TestSpecBinding:
         with pytest.raises(CampaignError, match="refusing"):
             store.initialize(small_spec(seed=99))
 
+    def test_spec_file_with_the_legacy_jsonl_store_key_still_binds(self, tmp_path):
+        # A directory whose spec.json names the JSONL store explicitly
+        # resumes in place: nothing re-runs and the digest is unchanged.
+        spec = small_spec()
+        run_campaign(spec, tmp_path, workers=0)
+        reference = campaign_digest(campaign_records(spec, CampaignStore(tmp_path).rows()))
+        store = CampaignStore(tmp_path)
+        legacy = dict(json.loads(store.spec_path.read_text()), store="jsonl")
+        store.spec_path.write_text(json.dumps(legacy))
+        assert store.load_spec() == spec
+        resumed = run_campaign(spec, tmp_path, workers=0)
+        assert resumed.executed == 0
+        assert resumed.skipped == spec.num_tasks()
+        digest = campaign_digest(records_from_summaries(spec, store.summaries()))
+        assert digest == reference
+
     def test_load_spec_without_directory_rejected(self, tmp_path):
         with pytest.raises(CampaignError, match="campaign directory"):
             CampaignStore(tmp_path / "nope").load_spec()
@@ -64,6 +90,30 @@ class TestRows:
         store = CampaignStore(tmp_path)
         with pytest.raises(CampaignError):
             store.append({"task_key": "a"})
+
+    def test_round_trip_preserves_payload_fields(self, tmp_path):
+        original = row(
+            "a",
+            wall_time_s=0.1 + 0.2,
+            result={"color_bound": 3, "phases": [{"happy": 4}]},
+            oracle="capped:greedy-first-fit",
+            note="λ ≥ 2",
+        )
+        store = CampaignStore(tmp_path)
+        store.append(original)
+        (restored,) = store.rows()
+        assert restored == original
+        assert CampaignStore(tmp_path).latest_rows() == {"a": original}
+
+    def test_rows_are_written_as_canonical_json(self, tmp_path):
+        # Sorted keys make a row's bytes a function of its content, so
+        # compaction and merges rewrite rows byte-for-byte.
+        store = CampaignStore(tmp_path)
+        entries = [row("b", z_field=1, a_field=2), row("a", status="failed", error="x")]
+        store.append(entries[0])
+        store.append_many(entries[1:])
+        lines = store.results_path.read_text(encoding="utf-8").splitlines()
+        assert lines == [json.dumps(entry, sort_keys=True) for entry in entries]
 
     def test_retry_supersedes_failure(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -104,9 +154,34 @@ class TestRows:
     def test_rows_empty_without_results_file(self, tmp_path):
         store = CampaignStore(tmp_path)
         assert store.rows() == []
+        assert store.latest_rows() == {}
         assert store.completed_keys() == set()
         assert store.status_counts() == {}
         assert store.cache_counts() == {"cache_hits": 0, "cache_misses": 0}
+        assert store.retry_exhausted_keys(3) == set()
+        assert store.summaries() == {}
+        assert list(tmp_path.iterdir()) == []  # queries never create files
+
+    def test_append_many_matches_one_by_one_appends(self, tmp_path):
+        rows = [
+            row("a", status="failed", attempt=1, error="boom"),
+            row("b", instance_cache_hit=True),
+            row("a", attempt=2, z_field=1, a_field=2),
+        ]
+        one_by_one = CampaignStore(tmp_path / "single")
+        for entry in rows:
+            one_by_one.append(entry)
+        batched = CampaignStore(tmp_path / "batch")
+        batched.append_many(rows)
+        assert batched.results_path.read_bytes() == one_by_one.results_path.read_bytes()
+        batched.append_many([])  # an empty batch is a no-op, not an error
+        assert batched.rows() == rows
+
+    def test_append_many_validates_every_row_before_writing(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        with pytest.raises(CampaignError):
+            store.append_many([row("a"), {"task_key": "b"}])
+        assert store.rows() == []
 
     def test_truncated_tail_then_duplicate_key_rewrite(self, tmp_path):
         # Kill truncates a half-written row for "b"; the retry appends a
@@ -131,6 +206,35 @@ class TestRows:
         # A rewrite of "a" flips its flag; only the latest row counts.
         store.append(row("a", instance_cache_hit=True))
         assert store.cache_counts() == {"cache_hits": 2, "cache_misses": 0}
+
+
+class TestOpenStore:
+    def test_opens_the_jsonl_store(self, tmp_path):
+        store = open_store(tmp_path, durability="fsync")
+        assert isinstance(store, CampaignStore)
+        assert store.durability == "fsync"
+
+    def test_legacy_sqlite_results_are_refused_by_name(self, tmp_path):
+        # Opening it as an empty JSONL store would silently re-run every
+        # task into a fresh results.jsonl beside the old rows.
+        (tmp_path / "results.sqlite").write_bytes(b"")
+        with pytest.raises(CampaignError, match="results.sqlite"):
+            open_store(tmp_path)
+        assert not (tmp_path / "results.jsonl").exists()
+
+    def test_merge_refuses_a_legacy_sqlite_shard(self, tmp_path):
+        shard = CampaignStore(tmp_path / "shard")
+        shard.initialize(small_spec())
+        (shard.directory / "results.sqlite").write_bytes(b"")
+        with pytest.raises(CampaignError, match="results.sqlite"):
+            merge_shards(tmp_path / "merged", [shard.directory])
+
+    def test_base_store_name_keeps_the_methods_on_the_class_itself(self):
+        # perfbench/ledger.py imports BaseCampaignStore and swaps methods
+        # through the class __dict__, so inherited definitions would break it.
+        assert BaseCampaignStore is CampaignStore
+        for name in ("append", "rows", "summaries", "latest_rows"):
+            assert name in CampaignStore.__dict__, name
 
 
 class TestMergeShards:
@@ -575,6 +679,54 @@ class TestIncrementalAggregates:
         merged = merge_shards(tmp_path / "merged", [first.directory, second.directory])
         assert merged.summaries() == summaries_of(merged.rows())
         assert merged.summaries()["x"]["status"] == "done"
+
+
+class TestSummaryViews:
+    """The query helpers answer the same from summaries as from latest rows.
+
+    ``repro campaign status`` derives every view from one ``summaries()``
+    read instead of re-reading the row log, so the two must agree.
+    """
+
+    ROWS = [
+        row("a", status="failed", attempt=1, error="boom"),
+        row("b", instance_cache_hit=True),
+        row("c", status="timeout", attempt=4),
+        row("a", attempt=2, instance_cache_hit=False),
+        row("d", status="failed"),  # no attempt field (legacy row)
+        row("e", status="failed", attempt=2, error="boom"),
+        row("b", instance_cache_hit=True),  # byte-identical duplicate
+    ]
+
+    def _views(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append_many(self.ROWS)
+        return store.latest_rows(), store.summaries()
+
+    def test_completed_and_status_views_agree(self, tmp_path):
+        latest, summaries = self._views(tmp_path)
+        assert completed_of(summaries) == completed_of(latest) == {"a", "b"}
+        assert status_counts_of(summaries) == status_counts_of(latest) == {
+            "done": 2,
+            "failed": 2,
+            "timeout": 1,
+        }
+
+    def test_cache_view_agrees(self, tmp_path):
+        latest, summaries = self._views(tmp_path)
+        assert cache_counts_of(summaries) == cache_counts_of(latest) == {
+            "cache_hits": 1,
+            "cache_misses": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "budget, exhausted",
+        [(1, {"c", "d", "e"}), (2, {"c", "e"}), (4, {"c"}), (5, set())],
+    )
+    def test_retry_exhaustion_view_agrees(self, tmp_path, budget, exhausted):
+        latest, summaries = self._views(tmp_path)
+        assert retry_exhausted_of(summaries, budget) == exhausted
+        assert retry_exhausted_of(latest, budget) == exhausted
 
 
 class TestRetryExhaustion:

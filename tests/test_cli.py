@@ -280,7 +280,7 @@ class TestCampaignShardCLI:
 
 
 class TestCampaignStoreCLI:
-    """The store-facing subcommands: compact, --store, single-read status."""
+    """The store-facing subcommands: compact, legacy refusal, single-read status."""
 
     SPEC = dict(TestCampaignCLI.SPEC, name="cli-store-campaign")
 
@@ -320,32 +320,66 @@ class TestCampaignStoreCLI:
         assert main(["campaign", "compact", "--out", str(tmp_path / "nope")]) == 2
         assert "campaign error" in capsys.readouterr().err
 
-    def test_store_flag_selects_the_sqlite_backend(self, spec_path, tmp_path, capsys):
-        assert main(
-            ["campaign", "run", "--spec", str(spec_path), "--out", str(tmp_path / "jl")]
-        ) == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--spec", "{spec}", "--out", "{legacy}"],
+            ["supervise", "--spec", "{spec}", "--out", "{legacy}"],
+            ["status", "--out", "{legacy}"],
+            ["report", "--out", "{legacy}"],
+            ["compact", "--out", "{legacy}"],
+            ["merge", "--out", "{fresh}", "{legacy}"],
+            ["merge", "--out", "{legacy}", "{shard}"],
+        ],
+        ids=[
+            "run",
+            "supervise",
+            "status",
+            "report",
+            "compact",
+            "merge-shard",
+            "merge-destination",
+        ],
+    )
+    def test_legacy_sqlite_directory_is_refused_not_rerun(
+        self, spec_path, tmp_path, capsys, argv
+    ):
+        dirs = {name: tmp_path / name for name in ("legacy", "fresh", "shard")}
+        for name in ("legacy", "shard"):
+            dirs[name].mkdir()
+            (dirs[name] / "spec.json").write_text(spec_path.read_text())
+        (dirs["legacy"] / "results.sqlite").write_bytes(b"")
+        fields = dict({name: str(path) for name, path in dirs.items()}, spec=str(spec_path))
+        assert main(["campaign"] + [part.format(**fields) for part in argv]) == 2
+        assert "results.sqlite" in capsys.readouterr().err
+        assert not (dirs["legacy"] / "results.jsonl").exists()
+        assert not (dirs["fresh"] / "results.jsonl").exists()
+
+    def test_spec_naming_the_jsonl_store_resumes_the_same_campaign(
+        self, spec_path, tmp_path, capsys
+    ):
+        import json
+
+        out = tmp_path / "campaign"
+        assert main(["campaign", "run", "--spec", str(spec_path), "--out", str(out)]) == 0
         reference = self._digest(capsys.readouterr().out)
-        out = tmp_path / "sq"
-        assert main(
-            [
-                "campaign", "run",
-                "--spec", str(spec_path),
-                "--out", str(out),
-                "--store", "sqlite",
-            ]
-        ) == 0
-        run_output = capsys.readouterr().out
-        assert "4/4 done" in run_output
-        assert self._digest(run_output) == reference
-        assert (out / "results.sqlite").is_file()
-        assert not (out / "results.jsonl").exists()
-        # status / report / compact all work against the indexed backend.
-        assert main(["campaign", "status", "--out", str(out)]) == 0
-        assert "cli-store-campaign" in capsys.readouterr().out
-        assert main(["campaign", "report", "--out", str(out)]) == 0
-        assert self._digest(capsys.readouterr().out) == reference
-        assert main(["campaign", "compact", "--out", str(out)]) == 0
-        assert self._digest(capsys.readouterr().out) == reference
+        legacy_spec = tmp_path / "legacy-spec.json"
+        legacy_spec.write_text(json.dumps(dict(self.SPEC, store="jsonl")))
+        # Same digest, so the directory accepts it as the same campaign.
+        assert main(["campaign", "run", "--spec", str(legacy_spec), "--out", str(out)]) == 0
+        output = capsys.readouterr().out
+        assert "4/4 done" in output
+        assert self._digest(output) == reference
+
+    def test_spec_naming_the_sqlite_store_exits_2(self, tmp_path, capsys):
+        import json
+
+        legacy_spec = tmp_path / "sqlite-spec.json"
+        legacy_spec.write_text(json.dumps(dict(self.SPEC, store="sqlite")))
+        out = tmp_path / "campaign"
+        assert main(["campaign", "run", "--spec", str(legacy_spec), "--out", str(out)]) == 2
+        assert "removed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_status_reads_the_row_log_at_most_once(
         self, spec_path, tmp_path, capsys, monkeypatch
