@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full local gate: tier-1 tests + perf-harness smoke run with schema check
-# + the campaign smoke (scripts/smoke.py).
+# + the benchmark's own tests + the campaign smoke (scripts/smoke.py).
 # Equivalent to `make check`; kept as a plain script for environments
 # without make.
 set -eu
@@ -23,6 +23,9 @@ fi
 echo "== bench smoke =="
 python -m repro bench --smoke --out-dir .bench-smoke --repeats 1
 python scripts/validate_bench.py .bench-smoke
+
+echo "== perfbench tests =="
+python -m pytest perfbench/tests -q
 
 echo "== campaign smoke =="
 python scripts/smoke.py

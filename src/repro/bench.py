@@ -30,7 +30,9 @@ record carries ``label`` (workload), ``n`` / ``m`` (size of the object
 being processed), ``wall_time_s`` and ``peak_triples`` (``|V(G_k)|``, the
 high-water number of conflict triples the workload materializes).
 Conflict-graph records add ``k``, ``num_edges``, ``legacy_wall_time_s``
-and ``speedup``; MIS records add ``algorithm`` and ``is_size``; campaign
+and ``speedup``; MIS records add ``algorithm``, ``is_size`` and
+``kernel_wall_time_s`` (the solve alone, on a graph frozen outside the
+timer; ``wall_time_s`` also pays the freeze); campaign
 records add ``workers``, ``tasks``, ``tasks_per_s``, ``speedup`` (vs.
 the serial executor), ``shards`` (1 unless the run was shard-split),
 ``pool_warm`` (persistent pool reused across runs), ``cache_hits``
@@ -84,8 +86,8 @@ SMOKE_SIZES: Tuple[Tuple[int, int], ...] = ((30, 20),)
 
 #: MIS algorithms timed by default (registry names).  ``exact`` is omitted:
 #: it is exponential and the conflict graphs here exceed its size guard.
-#: ``greedy-min-degree`` exercises the bitset-only residual-degree kernel
-#: and ``luby-batch-of-8`` the bit-parallel batched Luby rounds.
+#: ``greedy-min-degree`` exercises the popcount-recompute bucket-queue
+#: kernel and ``luby-batch-of-8`` the bit-parallel batched Luby rounds.
 DEFAULT_MAXIS_ALGORITHMS: Tuple[str, ...] = (
     "greedy-min-degree",
     "greedy-first-fit",
@@ -210,8 +212,15 @@ def bench_maxis(
     algorithms: Sequence[str] = DEFAULT_MAXIS_ALGORITHMS,
     include_plain_graphs: bool = True,
 ) -> List[Dict[str, object]]:
-    """Time MIS solves on conflict graphs (and the plain-graph family)."""
+    """Time MIS solves on conflict graphs (and the plain-graph family).
+
+    ``wall_time_s`` times the solver on the mutable graph, which includes
+    freezing it in ``repr`` order; ``kernel_wall_time_s`` times the same
+    solver on a graph frozen once with :func:`freeze_sorted` outside the
+    timer, so it measures the oracle alone.
+    """
     from repro.core.conflict_graph import ConflictGraph
+    from repro.graphs.indexed import freeze_sorted
     from repro.maxis import get_approximator
 
     workloads: List[Tuple[str, object, int]] = []
@@ -224,9 +233,11 @@ def bench_maxis(
 
     records: List[Dict[str, object]] = []
     for label, graph, peak_triples in workloads:
+        frozen = freeze_sorted(graph)
         for name in algorithms:
             solver = get_approximator(name)
             wall_s, result = _best_time(lambda: solver(graph), repeats)
+            kernel_s, _ = _best_time(lambda: solver(frozen), repeats)
             records.append(
                 {
                     "label": label,
@@ -236,6 +247,7 @@ def bench_maxis(
                     "is_size": len(result),
                     "peak_triples": peak_triples,
                     "wall_time_s": wall_s,
+                    "kernel_wall_time_s": kernel_s,
                 }
             )
     return records
@@ -618,7 +630,7 @@ _BENCHMARK_KEYS: Dict[str, Tuple[str, ...]] = {
         "legacy_wall_time_s",
         "speedup",
     ),
-    "maxis_solve": ("algorithm", "is_size"),
+    "maxis_solve": ("algorithm", "is_size", "kernel_wall_time_s"),
     "campaign_run": (
         "workers",
         "tasks",

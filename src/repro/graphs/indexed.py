@@ -559,48 +559,27 @@ def first_fit_mis_ids(graph: IndexedGraph, order: Iterable[int]) -> List[int]:
 def min_degree_greedy_ids(graph: IndexedGraph) -> List[int]:
     """Minimum-degree greedy IS via a bucket queue; ties break to smallest id.
 
-    Repeatedly takes an alive vertex of minimum residual degree and deletes
-    its closed neighborhood.  Buckets are keyed by residual degree and the
-    minimum pointer only moves down when a decrement creates a lower
-    bucket, so the queue maintenance is O(m) overall instead of the
-    O(n) min-scan per selection of the reference implementation.  With
+    Repeatedly takes an alive vertex ``v`` of minimum residual degree and
+    deletes ``N[v]``.  The rows of the deleted vertices are ORed and masked
+    with ``alive``; each vertex of that union gets its degree recomputed
+    once by popcount and changes bucket only if it changed, so bucket moves
+    scale with the affected vertices, not with the removed conflict edges.
+    Only bitset rows are read; the lazy CSR arrays are never built.  With
     labels interned in ``sorted(..., key=repr)`` order this reproduces the
     reference tie-breaking ``(degree, repr)`` exactly.
 
-    The kernel never *materializes* the lazy CSR arrays: on a fresh frozen
-    snapshot (``_from_bitsets`` / ``_permuted``) it runs bitset-only —
-    residual degrees are popcounts of alive-masked rows and neighborhoods
-    are walked with low-bit extraction — so the one-time CSR build that
-    used to dominate the reduction's oracle cost is gone.  When the CSR
-    arrays already exist (e.g. the graph was frozen from a mutable
-    :class:`Graph`) the walk uses them instead, which is faster per
-    neighbor; both paths select identically.
-
-    Accepts an :class:`IndexedSubgraph` view: the selection then runs on
-    the induced subgraph (masked initial degrees, dead ids never enter the
-    queue) and returns parent ids, matching what a from-scratch rebuild of
-    the subgraph would select.
+    On an :class:`IndexedSubgraph` view the selection runs on the induced
+    subgraph and returns parent ids, as a rebuild of the subgraph would.
     """
-    base, mask = _base_and_mask(graph)
-    if base._indptr is not None:
-        return _min_degree_greedy_csr(base, mask)
-    return _min_degree_greedy_bitset(base, mask)
-
-
-def _min_degree_greedy_bitset(base: IndexedGraph, mask: Optional[int]) -> List[int]:
-    """Bitset-only selection loop (no CSR access at all)."""
-    n = base.num_vertices()
-    if n == 0:
-        return []
-    bitsets = base._bitsets
-    alive = (1 << n) - 1 if mask is None else mask
+    bitsets = graph._bitsets  # raw rows; a view shares its parent's
+    alive = graph.alive_mask()
     if not alive:
         return []
     ids = list(iter_bits(alive))
-    deg = [0] * n
+    deg = [0] * len(bitsets)
     for i in ids:
         deg[i] = _popcount(bitsets[i] & alive)
-    buckets: List[Set[int]] = [set() for _ in range(max(deg[i] for i in ids) + 1)]
+    buckets: List[Set[int]] = [set() for _ in range(max(deg) + 1)]
     for i in ids:
         buckets[deg[i]].add(i)
     min_deg = 0
@@ -610,86 +589,28 @@ def _min_degree_greedy_bitset(base: IndexedGraph, mask: Optional[int]) -> List[i
             min_deg += 1
         v = min(buckets[min_deg])
         chosen.append(v)
-        # Delete N[v]: v itself plus every alive neighbor.
         buckets[min_deg].discard(v)
         dead = bitsets[v] & alive
         alive &= ~(dead | (1 << v))
-        m = dead
-        while m:
-            low = m & -m
-            buckets[deg[low.bit_length() - 1]].discard(low.bit_length() - 1)
-            m ^= low
-        m = dead
-        while m:
-            low = m & -m
+        affected = 0
+        while dead:
+            low = dead & -dead
             u = low.bit_length() - 1
-            m ^= low
-            survivors = bitsets[u] & alive
-            while survivors:
-                wl = survivors & -survivors
-                w = wl.bit_length() - 1
-                survivors ^= wl
-                d = deg[w]
-                buckets[d].discard(w)
-                deg[w] = d - 1
-                buckets[d - 1].add(w)
-                if d - 1 < min_deg:
-                    min_deg = d - 1
-    return sorted(chosen)
-
-
-def _min_degree_greedy_csr(base: IndexedGraph, mask: Optional[int]) -> List[int]:
-    """CSR-walking selection loop, used when the arrays are already built."""
-    n = base.num_vertices()
-    if n == 0:
-        return []
-    if mask is None:
-        deg = base.degrees()
-        ids: Sequence[int] = range(n)
-        alive = bytearray([1]) * n
-        remaining = n
-    else:
-        bitsets = base._bitsets
-        ids = list(iter_bits(mask))
-        if not ids:
-            return []
-        deg = [0] * n
-        alive = bytearray(n)
-        for i in ids:
-            deg[i] = _popcount(bitsets[i] & mask)
-            alive[i] = 1
-        remaining = len(ids)
-    buckets: List[Set[int]] = [set() for _ in range(max(deg[i] for i in ids) + 1)]
-    for i in ids:
-        buckets[deg[i]].add(i)
-    min_deg = 0
-    chosen: List[int] = []
-    neighbors = base.neighbors
-    while remaining:
-        while not buckets[min_deg]:
-            min_deg += 1
-        v = min(buckets[min_deg])
-        chosen.append(v)
-        # Delete N[v]: v itself plus every alive neighbor.
-        buckets[min_deg].discard(v)
-        alive[v] = 0
-        remaining -= 1
-        dead: List[int] = []
-        for u in neighbors(v):
-            if alive[u]:
-                alive[u] = 0
-                buckets[deg[u]].discard(u)
-                remaining -= 1
-                dead.append(u)
-        for u in dead:
-            for w in neighbors(u):
-                if alive[w]:
-                    d = deg[w]
-                    buckets[d].discard(w)
-                    deg[w] = d - 1
-                    buckets[d - 1].add(w)
-                    if d - 1 < min_deg:
-                        min_deg = d - 1
+            dead ^= low
+            buckets[deg[u]].discard(u)
+            affected |= bitsets[u]
+        affected &= alive
+        while affected:
+            low = affected & -affected
+            w = low.bit_length() - 1
+            affected ^= low
+            d = _popcount(bitsets[w] & alive)
+            if d != deg[w]:
+                buckets[deg[w]].discard(w)
+                buckets[d].add(w)
+                deg[w] = d
+                if d < min_deg:
+                    min_deg = d
     return sorted(chosen)
 
 

@@ -12,9 +12,11 @@ Both algorithms here are the production ports running on a frozen
 :class:`~repro.graphs.indexed.IndexedGraph` (plain :class:`Graph` inputs
 are auto-frozen in ``repr`` order, which reproduces the reference
 implementations in :mod:`repro.graphs.independent_sets` bit-for-bit):
-min-degree greedy uses a bucket queue instead of an O(n) min-scan per
-selection, first-fit uses bitset neighborhood tests.  Alive-mask subgraph
-views (:meth:`IndexedGraph.subgraph_view`) are accepted directly — the
+min-degree greedy runs one bucket-queue loop over the bitset rows that
+recomputes each affected vertex's degree by popcount after a deletion,
+instead of an O(n) min-scan per selection; first-fit uses bitset
+neighborhood tests.  Alive-mask subgraph views
+(:meth:`IndexedGraph.subgraph_view`) are accepted directly — the
 reduction's phase loop passes them to avoid re-freezing per phase — and
 produce exactly what a from-scratch rebuild of the subgraph would.
 """

@@ -49,6 +49,7 @@ class TestHarness:
         for record in payload["records"]:
             assert record["is_size"] > 0
             assert record["n"] == record["peak_triples"]  # conflict-graph workloads
+            assert record["kernel_wall_time_s"] >= 0
 
     def test_reduction_payload_schema(self, smoke_run):
         out, _ = smoke_run
