@@ -1,6 +1,6 @@
 """Stand-alone perf harness runner.
 
-Times the conflict-graph builder (bucketed vs. legacy) and the MIS
+Times the conflict-graph builder (mask vs. legacy) and the MIS
 approximators on the standard workload families, and writes
 ``BENCH_conflict_graph.json`` / ``BENCH_maxis.json``.  The implementation
 lives in :mod:`repro.bench` so that the ``repro bench`` CLI subcommand and

@@ -6,7 +6,7 @@ pipeline on the standard workload families (the same families the
 benchmark suite under ``benchmarks/`` uses) and writes machine-readable
 trajectories:
 
-* ``BENCH_conflict_graph.json`` — wall time of the bucketed
+* ``BENCH_conflict_graph.json`` — wall time of the mask
   :class:`~repro.core.conflict_graph.ConflictGraph` builder next to the
   retained legacy (seed) builder, per workload;
 * ``BENCH_maxis.json`` — wall time of each registered MIS approximator on
@@ -160,13 +160,13 @@ def bench_conflict_graph(
     repeats: int = 3,
     include_legacy: bool = True,
 ) -> List[Dict[str, object]]:
-    """Time the bucketed builder (and optionally the legacy one) per workload."""
+    """Time the mask builder (and optionally the legacy one) per workload."""
     from repro.core.conflict_graph import ConflictGraph, legacy_build_graph
 
     records: List[Dict[str, object]] = []
     for label, hypergraph, _planted, kk in hypergraph_family(sizes=sizes, k=k):
         # ``wall_time_s`` times the constructor alone — since the
-        # incremental engine landed, that builds the bucket structures plus
+        # incremental engine landed, that builds the adjacency rows plus
         # the frozen bitset snapshot, which is exactly what the reduction's
         # phase loop consumes (the mutable .graph became a lazily
         # materialized compatibility view).  ``graph_wall_time_s``
@@ -195,7 +195,7 @@ def bench_conflict_graph(
             legacy_s, legacy = _best_time(lambda: legacy_build_graph(hypergraph, kk), repeats)
             if legacy != cg.graph:
                 raise AssertionError(
-                    f"bucketed and legacy conflict graphs differ on workload {label!r}"
+                    f"mask and legacy conflict graphs differ on workload {label!r}"
                 )
             record["legacy_wall_time_s"] = legacy_s
             # None (not inf) when the timer underflows: json.dumps would emit

@@ -98,122 +98,63 @@ def classify_conflict_edge(a: ConflictVertex, b: ConflictVertex, hypergraph: Hyp
 
 def _build_structures(
     hypergraph: Hypergraph, k: int
-) -> Tuple[
-    List[ConflictVertex],
-    List[int],
-    Dict[EdgeId, Tuple[List[Vertex], int]],
-    Dict[Tuple[Vertex, Color], List[int]],
-    Dict[Vertex, List[int]],
-    int,
-]:
-    """Build ``G_k``'s adjacency directly from the three bucket structures.
+) -> Tuple[List[ConflictVertex], List[int], Dict[EdgeId, Tuple[List[Vertex], int]]]:
+    """Build ``G_k``'s adjacency rows from per-vertex color-1 masks.
 
-    Returns ``(triples, rows, blocks, vc_bucket, by_vertex, num_edges)`` where
-    ``triples`` is ``V(G_k)`` in the canonical interning order of
-    :func:`conflict_vertices` and ``rows[i]`` is the *bitset* (over triple
-    indices) of the neighbors of triple ``i``.  The bucket structures are
-    returned (not discarded) because :class:`ConflictGraph` keeps them as
-    live state: :meth:`ConflictGraph.remove_hyperedges` maintains them
-    across phases of the reduction.  Each relation is emitted as
-    whole-bucket bitmask ORs — no pairwise ``frozenset`` dedup, no
-    per-element set inserts and no ``repr`` sorting in inner loops (the
-    only sorts are the per-edge member orderings that define the interning
-    table itself):
+    Returns ``(triples, rows, blocks)``: ``V(G_k)`` in the canonical order of
+    :func:`conflict_vertices`, the neighbor *bitset* of each triple, and
+    ``edge id -> (sorted members, base index)``.
 
-    * ``E_vertex`` — group triples by hypergraph vertex; each ``(v, c)``
-      class links to the rest of its group in one mask OR;
-    * ``E_edge`` — each hyperedge's block of ``|e|·k`` consecutive indices
-      forms a clique (one contiguous mask);
-    * ``E_color`` — a triple ``(e, v, c)`` links to the ``(·, u, c)``
-      buckets of its co-members ``u ∈ e \\ {v}`` (the union
-      ``S[e][c] \\ bucket(v, c)``), and symmetrically each ``(·, u, c)``
-      bucket receives the aggregated mask of the witnessing triples, so
-      rows stay symmetric even when only one of the two edges witnesses
-      the relation.
+    Triple ``(e, v, c)`` sits at index ``base_e + k·pos_e(v) + (c − 1)``, so
+    every base is a multiple of ``k`` and the color-``c`` triples of any set
+    are its color-1 triples shifted by ``c − 1``.  With ``M[v]`` the color-1
+    triples of ``v``, ``A_e = ∪_{u∈e} M[u]``, ``B_v = ∪_{g∋v}`` (color-1
+    triples of ``g``) and ``R = 2^k − 1``, four word operations per row give::
+
+        row(e, v, c) = ((block_e | M[v]·R) ^ (M[v] << c−1))
+                       | (((A_e | B_v) & ~M[v]) << c−1)
+
+    It is exact: ``M[v]·R`` has no carries (its bits are ``k`` apart) and is
+    every triple of ``v`` (``E_vertex``); ``block_e`` is the ``E_edge``
+    clique; the XOR removes exactly the ``(·, v, c)`` triples, the triple
+    itself included, which no relation joins to it; and the last term is
+    ``E_color`` (``u ≠ v``), witnessed by ``e`` through ``A_e`` or by the
+    other triple's edge ``g`` through ``B_v``.
     """
-    edge_ids = hypergraph.edge_ids
     triples: List[ConflictVertex] = []
-    # (vertex, color) -> indices of triples (·, vertex, color); insertion is
-    # in canonical order, so the buckets are ascending.  The *_mask twins
-    # hold the same sets as bitmasks for the relation emission below.
-    vc_bucket: Dict[Tuple[Vertex, Color], List[int]] = {}
-    vc_mask: Dict[Tuple[Vertex, Color], int] = {}
-    by_vertex: Dict[Vertex, List[int]] = {}
-    group_mask: Dict[Vertex, int] = {}
     # edge id -> (sorted members, base index); insertion is edge_ids order.
     blocks: Dict[EdgeId, Tuple[List[Vertex], int]] = {}
-    append_triple = triples.append
+    color_one: Dict[Vertex, int] = {}  # M[v]
+    reach: Dict[Vertex, int] = {}  # B_v
+    radix = (1 << k) - 1  # R
     colors = range(1, k + 1)
-    for e in edge_ids:
+    # ConflictVertex(e, v, c) without the named tuple constructor's frame.
+    make = tuple.__new__
+    for e in hypergraph.edge_ids:
         members = sorted(hypergraph.edge(e), key=repr)
         base = len(triples)
         blocks[e] = (members, base)
-        for v in members:
-            group = by_vertex.get(v)
-            if group is None:
-                group = by_vertex[v] = []
-            gm = group_mask.get(v, 0)
-            for c in colors:
-                i = len(triples)
-                bit = 1 << i
-                append_triple(ConflictVertex(e, v, c))
-                key = (v, c)
-                bucket = vc_bucket.get(key)
-                if bucket is None:
-                    vc_bucket[key] = [i]
-                    vc_mask[key] = bit
-                else:
-                    bucket.append(i)
-                    vc_mask[key] |= bit
-                group.append(i)
-                gm |= bit
-            group_mask[v] = gm
+        # The color-1 triples of e: bits base, base + k, base + 2k, ...
+        ones = ((1 << (len(members) * k)) - 1) // radix << base
+        for pos, v in enumerate(members):
+            color_one[v] = color_one.get(v, 0) | (1 << (base + pos * k))
+            reach[v] = reach.get(v, 0) | ones
+        triples += [make(ConflictVertex, (e, v, c)) for v in members for c in colors]
 
-    rows: List[int] = [0] * len(triples)
-
-    # E_vertex: within each vertex group, link every pair of distinct colors
-    # (one OR of "the group minus my color class" per triple).
-    for (v, c), bucket in vc_bucket.items():
-        others = group_mask[v] & ~vc_mask[(v, c)]
-        if others:
-            for i in bucket:
-                rows[i] |= others
-
+    shifts = range(k)
+    rows: List[int] = []
     for members, base in blocks.values():
-        size = len(members) * k
-        # E_edge: each hyperedge's triples form a clique (contiguous mask;
-        # the self-bit is cleared in the final pass).
-        block = ((1 << size) - 1) << base
-        # S[c] = all triples (·, u, c) over members u of this edge.
-        for c in range(1, k + 1):
-            s_c = 0
-            edge_color = 0  # the (e, ·, c) triples of this edge itself
-            for pos, u in enumerate(members):
-                s_c |= vc_mask[(u, c)]
-                edge_color |= 1 << (base + pos * k + (c - 1))
-            # E_color, direct side: (e, v, c) links to every (·, u, c) with
-            # u a co-member of e (its own vertex's bucket masked out).
-            for pos, v in enumerate(members):
-                ia = base + pos * k + (c - 1)
-                rows[ia] |= block | (s_c & ~vc_mask[(v, c)])
-            # E_color, symmetric side: every (g, u, c) with u ∈ e receives
-            # the (e, v, c) triples of the other members v ≠ u, covering
-            # witnesses g does not see itself.
-            for pos, u in enumerate(members):
-                incoming = edge_color & ~(1 << (base + pos * k + (c - 1)))
-                if incoming:
-                    for ib in vc_bucket[(u, c)]:
-                        rows[ib] |= incoming
-
-    # Clear the self-bits introduced by the E_edge block masks; count the
-    # conflict edges in the same pass so the frozen snapshot constructor
-    # does not need its own popcount sweep.
-    degree_sum = 0
-    for i in range(len(rows)):
-        row = rows[i] & ~(1 << i)
-        rows[i] = row
-        degree_sum += popcount(row)
-    return triples, rows, blocks, vc_bucket, by_vertex, degree_sum // 2
+        block = ((1 << (len(members) * k)) - 1) << base
+        around = 0  # A_e
+        for v in members:
+            around |= color_one[v]
+        for v in members:
+            mine = color_one[v]
+            keep = block | mine * radix
+            # M[v] ⊆ A_e, so the XOR is the set difference (A_e | B_v) & ~M[v].
+            witness = (around | reach[v]) ^ mine
+            rows += [(keep ^ (mine << s)) | (witness << s) for s in shifts]
+    return triples, rows, blocks
 
 
 def _edge_vertex_pairs(hypergraph: Hypergraph, k: int) -> Iterator[Tuple[ConflictVertex, ConflictVertex]]:
@@ -221,8 +162,8 @@ def _edge_vertex_pairs(hypergraph: Hypergraph, k: int) -> Iterator[Tuple[Conflic
 
     This is the original quadratic-overhead enumeration (pairwise
     ``frozenset`` dedup, ``repr``-sorted inner loops).  It is retained as
-    the *reference* builder: the property tests check the bucketed
-    :func:`_build_adjacency` against it, and the perf harness times it to
+    the *reference* builder: the property tests check the mask builder
+    :func:`_build_structures` against it, and the perf harness times it to
     report the speedup trajectory.
     """
     # E_vertex: same hypergraph vertex, different colors (edges may coincide or differ).
@@ -284,7 +225,7 @@ def legacy_build_graph(hypergraph: Hypergraph, k: int) -> Graph:
     """Build ``G_k`` with the original pairwise-emit algorithm (reference).
 
     Kept verbatim from the seed implementation so that (a) the property
-    tests have an independent oracle for the bucketed builder and (b) the
+    tests have an independent oracle for the mask builder and (b) the
     perf harness can measure the before/after speedup on identical
     workloads.
     """
@@ -336,24 +277,21 @@ class ConflictGraph:
             raise ReductionError(f"palette size k must be positive, got {k}")
         self.hypergraph = hypergraph
         self.k = k
-        triples, rows, blocks, vc_bucket, by_vertex, num_edges = _build_structures(
-            hypergraph, k
-        )
+        triples, rows, blocks = _build_structures(hypergraph, k)
         self._triples = triples
         self._blocks = blocks
-        self._vc_bucket = vc_bucket
-        self._by_vertex = by_vertex
-        self._canonical = IndexedGraph._from_bitsets(triples, rows, num_edges)
+        self._canonical = IndexedGraph._from_bitsets(triples, rows)
         self._alive = (1 << len(triples)) - 1
         # |E(G_k)| over the surviving triples, maintained under
         # remove_hyperedges in O(deleted part) — num_edges() must not pay a
         # full popcount sweep per phase of the reduction.
-        self._alive_edge_count = num_edges
+        self._alive_edge_count = self._canonical.num_edges()
         self._graph: Optional[Graph] = None
         self._frozen_view: Optional["IndexedGraph"] = self._canonical
         # repr-sorted snapshot for the MIS oracles (built on first use).
         self._sorted_full: Optional["IndexedGraph"] = None
         self._sorted_alive = 0
+        # canonical id -> sorted id; only built when the orders differ.
         self._canon_to_sorted: List[int] = []
         self._sorted_view: Optional["IndexedGraph"] = None
 
@@ -363,14 +301,13 @@ class ConflictGraph:
     def remove_hyperedges(self, edge_ids: Iterable[EdgeId]) -> None:
         """Delete every triple of the given hyperedges from the conflict graph.
 
-        All conflict edges incident to a deleted triple disappear with it;
-        the ``E_vertex``/``E_edge``/``E_color`` bucket structures and the
-        alive masks of the frozen snapshots are updated in time
-        proportional to the deleted part (plus the size of the touched
-        buckets).  This realizes the phase step ``G^{i+1}_k =
-        G^i_k[surviving triples]``: hyperedge removal never makes two
-        surviving triples adjacent, so the maintained graph equals a
-        from-scratch rebuild on the surviving hypergraph.
+        All conflict edges incident to a deleted triple disappear with it:
+        the alive masks of the frozen snapshots and the edge counter are
+        updated in time proportional to the deleted part.  This realizes
+        the phase step ``G^{i+1}_k = G^i_k[surviving triples]``: hyperedge
+        removal never makes two surviving triples adjacent, so the
+        maintained graph equals a from-scratch rebuild on the surviving
+        hypergraph.
 
         The caller is responsible for removing the same edges from
         :attr:`hypergraph` (before or after this call).
@@ -392,29 +329,11 @@ class ConflictGraph:
         k = self.k
         dead_mask = 0
         dead_ids: List[int] = []
-        touched_vertices: Set[Vertex] = set()
         for e in ids:
             members, base = self._blocks.pop(e)
             size = len(members) * k
             dead_mask |= ((1 << size) - 1) << base
             dead_ids.extend(range(base, base + size))
-            touched_vertices.update(members)
-        dead_set = set(dead_ids)
-        for v in touched_vertices:
-            survivors = [i for i in self._by_vertex[v] if i not in dead_set]
-            if survivors:
-                self._by_vertex[v] = survivors
-            else:
-                del self._by_vertex[v]
-            for c in range(1, k + 1):
-                bucket = self._vc_bucket.get((v, c))
-                if bucket is None:
-                    continue
-                kept = [i for i in bucket if i not in dead_set]
-                if kept:
-                    self._vc_bucket[(v, c)] = kept
-                else:
-                    del self._vc_bucket[(v, c)]
         # Conflict edges incident to the deleted triples: each dead triple
         # counts its alive neighbors; edges with both endpoints dead are
         # counted once per endpoint, so subtract half the within-dead sum.
@@ -431,11 +350,14 @@ class ConflictGraph:
         self._frozen_view = None
         self._graph = None
         if self._sorted_full is not None:
-            sorted_dead = 0
-            perm = self._canon_to_sorted
-            for i in dead_ids:
-                sorted_dead |= 1 << perm[i]
-            self._sorted_alive &= ~sorted_dead
+            if self._sorted_full is self._canonical:
+                self._sorted_alive = self._alive
+            else:
+                sorted_dead = 0
+                perm = self._canon_to_sorted
+                for i in dead_ids:
+                    sorted_dead |= 1 << perm[i]
+                self._sorted_alive &= ~sorted_dead
             self._sorted_view = None
 
     def _current_frozen(self) -> "IndexedGraph":
@@ -494,7 +416,6 @@ class ConflictGraph:
                 # every instance whose labels repr-sort component-wise,
                 # e.g. integer ids) — reuse the snapshot, skip the remap.
                 self._sorted_full = self._canonical
-                self._canon_to_sorted = list(range(n))
                 self._sorted_alive = self._alive
             else:
                 order = sorted(range(n), key=keys.__getitem__)
@@ -528,30 +449,23 @@ class ConflictGraph:
         return self._current_frozen()
 
     def bucket_structure(self) -> Dict[str, Dict]:
-        """Snapshot of the maintained bucket state, keyed by triples.
+        """The relation groupings of the surviving triples, derived from ``_blocks``.
 
-        Returns the three structures the incremental builder maintains —
-        ``vertex_color`` (the ``(v, c)`` buckets feeding ``E_vertex`` and
-        ``E_color``), ``by_vertex`` (the per-vertex groups of ``E_vertex``)
-        and ``edge_blocks`` (the per-hyperedge cliques of ``E_edge``) —
-        with triple indices resolved to :class:`ConflictVertex` values, so
-        a maintained instance can be compared structurally against a
-        from-scratch rebuild in tests.
+        ``vertex_color`` (the ``(v, c)`` classes of ``E_vertex`` and
+        ``E_color``), ``by_vertex`` (the groups of ``E_vertex``) and
+        ``edge_blocks`` (the cliques of ``E_edge``), each in ascending
+        triple index, so tests can compare a maintained instance with a
+        from-scratch rebuild.
         """
-        t = self._triples
         k = self.k
-        return {
-            "vertex_color": {
-                key: [t[i] for i in bucket] for key, bucket in self._vc_bucket.items()
-            },
-            "by_vertex": {
-                v: [t[i] for i in group] for v, group in self._by_vertex.items()
-            },
-            "edge_blocks": {
-                e: [t[i] for i in range(base, base + len(members) * k)]
-                for e, (members, base) in self._blocks.items()
-            },
-        }
+        structure: Dict[str, Dict] = {"vertex_color": {}, "by_vertex": {}, "edge_blocks": {}}
+        for e, (members, base) in self._blocks.items():
+            block = self._triples[base:base + len(members) * k]
+            structure["edge_blocks"][e] = block
+            for t in block:
+                structure["vertex_color"].setdefault((t.vertex, t.color), []).append(t)
+                structure["by_vertex"].setdefault(t.vertex, []).append(t)
+        return structure
 
     # ------------------------------------------------------------------
     # size accounting (benchmark E5)

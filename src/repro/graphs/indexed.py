@@ -142,7 +142,7 @@ class IndexedGraph:
         g._indices = None
         g._bitsets = bitsets
         if num_edges is None:
-            num_edges = sum(_popcount(b) for b in bitsets) // 2
+            num_edges = sum(map(_popcount, bitsets)) // 2
         g._num_edges = num_edges
         return g
 

@@ -279,6 +279,11 @@ def _default_chunk_size(pending: int, workers: int) -> int:
     return max(1, pending // (workers * 4))
 
 
+#: The fields of a stored row the resume plan reads: ``is_complete``, the
+#: pending loop and :func:`_error_signature`.
+_PLAN_FIELDS = ("status", "instance_seed", "attempt", "error_type", "error")
+
+
 def _error_signature(row: dict) -> Tuple:
     """The identity of a failure: same signature ⇒ same error, for retry counting."""
     return (row.get("error_type"), row.get("error"))
@@ -401,8 +406,12 @@ def run_campaign(
     # from the instance seed this spec derives today — so a store written
     # under an older seed-derivation scheme is transparently re-executed
     # (the fresh rows supersede the stale ones, last write wins) instead
-    # of silently mixing two schemes in one aggregate.
-    latest = store.latest_rows()
+    # of silently mixing two schemes in one aggregate.  The plan streams
+    # the log and keeps only the fields it reads of each task's latest
+    # row, never the full results.
+    latest: Dict[str, dict] = {}
+    for row in store.iter_rows():
+        latest[row["task_key"]] = {name: row[name] for name in _PLAN_FIELDS if name in row}
 
     def is_complete(payload: dict) -> bool:
         row = latest.get(payload["task_key"])

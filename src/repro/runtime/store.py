@@ -42,7 +42,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
 from repro.exceptions import CampaignError
@@ -308,22 +308,26 @@ class CampaignStore:
         if rows:
             self._write_lines([json.dumps(row, sort_keys=True) for row in rows])
 
-    def rows(self) -> List[Dict[str, Any]]:
-        """Read every well-formed result row, in file order.
+    def iter_rows(self) -> Iterator[Dict[str, Any]]:
+        """Yield every well-formed result row, in file order.
 
         Lines that fail to parse (the truncated tail of a killed run) and
         lines without a ``task_key`` are skipped — resuming re-executes
-        those tasks, which is always safe because tasks are pure.
+        those tasks, which is always safe because tasks are pure.  A
+        caller that keeps a few fields per row (the resume plan) never
+        holds the whole log in memory.
         """
         if not self.results_path.exists():
-            return []
-        rows: List[Dict[str, Any]] = []
+            return
         with open(self.results_path, "r", encoding="utf-8") as handle:
             for line in handle:
                 row = _parse_row(line)
                 if row is not None:
-                    rows.append(row)
-        return rows
+                    yield row
+
+    def rows(self) -> List[Dict[str, Any]]:
+        """Read every well-formed result row, in file order (see :meth:`iter_rows`)."""
+        return list(self.iter_rows())
 
     # ------------------------------------------------------------------
     # query views over the latest row per key

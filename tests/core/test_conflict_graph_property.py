@@ -1,9 +1,9 @@
-"""Property tests: the bucketed conflict-graph builder vs. the edge oracle.
+"""Property tests: the mask conflict-graph builder vs. the edge oracle.
 
-The bucketed builder in :mod:`repro.core.conflict_graph` emits adjacency
-directly from the E_vertex / E_edge / E_color bucket structure.  These
-tests check it on ~50 random small hypergraphs for every palette size
-k ∈ {1, 2, 3} against two independent references:
+The mask builder in :mod:`repro.core.conflict_graph` computes each
+adjacency row in closed form from per-vertex color-1 masks.  These tests
+check it on ~50 random small hypergraphs for every palette size
+k ∈ {1, 2, 3, 4, 10} against two independent references:
 
 * the :func:`classify_conflict_edge` oracle (pairwise definition of the
   paper's three relations), and
@@ -28,6 +28,9 @@ from repro.core import (
 from repro.hypergraph import Hypergraph
 
 N_INSTANCES = 50
+#: Palette sizes: the small ones, the k = 4 of the multi-phase benchmark,
+#: and k = 10, where color 10 repr-sorts before color 2.
+PALETTES = [1, 2, 3, 4, 10]
 
 
 def _random_hypergraph(rng: random.Random) -> Hypergraph:
@@ -45,7 +48,7 @@ def _instances():
     return [(i, _random_hypergraph(rng)) for i in range(N_INSTANCES)]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", PALETTES)
 def test_builder_matches_classification_oracle(k):
     for idx, h in _instances():
         cg = ConflictGraph(h, k)
@@ -61,7 +64,7 @@ def test_builder_matches_classification_oracle(k):
         assert actual_edges == expected_edges, f"instance {idx} (k={k}): edge set differs"
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", PALETTES)
 def test_builder_matches_legacy_builder(k):
     for idx, h in _instances():
         cg = ConflictGraph(h, k)

@@ -3,13 +3,16 @@
 The reduction's phase engine maintains one :class:`ConflictGraph` across
 phases via :meth:`ConflictGraph.remove_hyperedges` instead of rebuilding
 ``G^i_k`` from scratch.  These tests simulate random phase histories on
-~50 random hypergraphs for every palette size k ∈ {1, 2, 3} and, after
-*every* deletion batch, compare the maintained instance against a
+~50 random hypergraphs for every palette size k ∈ {1, 2, 3, 4, 10} and,
+after *every* deletion batch, compare the maintained instance against a
 from-scratch ``ConflictGraph(H_i, k)`` rebuild on three axes:
 
 * the vertex set and interning order (canonical triple order),
 * the full edge set (mutable graph equality + frozen bitsets), and
-* the maintained E_vertex/E_edge/E_color bucket structure.
+* the E_vertex/E_edge/E_color groupings of the surviving triples.
+
+At k = 10 color 10 repr-sorts before color 2, so ``frozen_sorted()``
+permutes the canonical order instead of reusing it.
 """
 
 from __future__ import annotations
@@ -59,11 +62,11 @@ def _assert_matches_rebuild(cg: ConflictGraph, h: Hypergraph, k: int, ctx: str) 
     for p, orig in enumerate(ids):
         mapped = {pos[j] for j in iter_bits(view.neighbor_bitset(orig))}
         assert mapped == set(iter_bits(fresh.neighbor_bitset(p))), f"{ctx}: row {p}"
-    # Maintained bucket structure == freshly built bucket structure.
+    # Relation groupings of the survivors == those of the rebuild.
     assert cg.bucket_structure() == rebuilt.bucket_structure(), f"{ctx}: buckets"
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 10])
 def test_incremental_deletions_match_rebuilds(k):
     for idx, h, rng in _instances():
         working = h.copy()
@@ -115,17 +118,20 @@ def test_remove_all_edges_empties_the_graph():
     }
 
 
-def test_frozen_sorted_view_tracks_deletions():
+@pytest.mark.parametrize("k", [2, 10])
+def test_frozen_sorted_view_tracks_deletions(k):
     """frozen_sorted() after deletions == freeze_sorted of a fresh rebuild."""
     from repro.graphs.indexed import freeze_sorted
 
     h = Hypergraph.from_edge_list([[0, 1, 2], [2, 3], [1, 3, 4], [0, 4]])
-    cg = ConflictGraph(h, 2)
+    cg = ConflictGraph(h, k)
     cg.frozen_sorted()  # materialize before deleting: masks must track
     cg.remove_hyperedges([1, 3])
     h.remove_edges([1, 3])
     view = cg.frozen_sorted()
-    reference = freeze_sorted(ConflictGraph(h, 2).graph)
+    # k = 10 takes the permuted branch; k = 2 reuses the canonical order.
+    assert (view.labels() != cg.frozen().labels()) == (k == 10)
+    reference = freeze_sorted(ConflictGraph(h, k).graph)
     ids = list(view.vertex_ids())
     assert [view.label(i) for i in ids] == list(reference.labels())
     pos = {orig: p for p, orig in enumerate(ids)}
@@ -134,14 +140,15 @@ def test_frozen_sorted_view_tracks_deletions():
         assert mapped == set(iter_bits(reference.neighbor_bitset(p)))
 
 
-def test_frozen_sorted_created_after_deletions():
+@pytest.mark.parametrize("k", [2, 10])
+def test_frozen_sorted_created_after_deletions(k):
     h = Hypergraph.from_edge_list([[0, 1, 2], [2, 3], [1, 3, 4]])
-    cg = ConflictGraph(h, 2)
+    cg = ConflictGraph(h, k)
     cg.remove_hyperedges([0])
     h.remove_edges([0])
     from repro.graphs.indexed import freeze_sorted
 
     view = cg.frozen_sorted()
-    reference = freeze_sorted(ConflictGraph(h, 2).graph)
+    reference = freeze_sorted(ConflictGraph(h, k).graph)
     assert [view.label(i) for i in view.vertex_ids()] == list(reference.labels())
     assert view.num_edges() == reference.num_edges()

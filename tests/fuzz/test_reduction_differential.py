@@ -2,21 +2,37 @@
 
 120 seeded corpus instances (hypergraph families × k × oracle) through
 ``assert_equivalent_run`` — the one helper every kernel rewrite must keep
-green.  The pytest id carries the reproducing seed.
+green — plus the first seeds again at palettes k ∈ {10, 11} with both
+greedy kernels and the λ-capped oracle.  The pytest id carries the
+reproducing seed.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from tests.fuzz.corpus import FAMILIES, ORACLES, assert_equivalent_run, corpus, make_instance
 
 SEED_COUNT = 120
+#: Seeds of the wide-palette check below.  Both greedy kernels finish
+#: these instances in one phase; the λ-capped oracle needs up to three, so
+#: it also drives deletions through the permuted sorted view.
+WIDE_PALETTE_SEEDS = range(24)
 
 
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
 def test_run_equals_run_rebuild(seed):
     assert_equivalent_run(make_instance(seed))
+
+
+@pytest.mark.parametrize("oracle_name", ["greedy-first-fit", "greedy-min-degree", "capped-first-fit"])
+@pytest.mark.parametrize("k", [10, 11])
+@pytest.mark.parametrize("seed", WIDE_PALETTE_SEEDS, ids=lambda seed: f"seed={seed}")
+def test_run_equals_run_rebuild_at_wide_palettes(seed, k, oracle_name):
+    """At k >= 10 color 10 repr-sorts before color 2: the engine's sorted view is a permutation."""
+    assert_equivalent_run(dataclasses.replace(make_instance(seed), k=k, oracle_name=oracle_name))
 
 
 def test_corpus_covers_every_family_and_oracle():

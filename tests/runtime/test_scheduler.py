@@ -158,6 +158,38 @@ class TestResume:
         assert resumed.executed == spec.num_tasks()
         assert digest_of(spec, tmp_path / "stale") == digest_of(spec, tmp_path / "ref")
 
+    def test_resume_plan_streams_the_log(self, tmp_path, monkeypatch):
+        # The plan keeps a few fields per task from iter_rows(); it never
+        # loads the full rows through rows() or latest_rows().
+        spec = small_spec()
+        store = CampaignStore(tmp_path)
+        store.initialize(spec)
+        payloads = spec.task_payloads()
+        done, retryable, exhausted, stale = payloads[:4]
+        store.append(execute_task(done))
+        for payload, attempt in ((retryable, 1), (exhausted, 3)):
+            store.append({
+                "task_key": payload["task_key"], "status": "failed",
+                "instance_seed": payload["instance_seed"], "attempt": attempt,
+                "error_type": "RuntimeError", "error": "injected",
+            })
+        stale_row = execute_task(dict(stale, instance_seed=stale["instance_seed"] ^ 1))
+        store.append(dict(stale_row, task_key=stale["task_key"]))
+
+        def full_read(self):
+            raise AssertionError("the resume plan must stream iter_rows()")
+
+        monkeypatch.setattr(CampaignStore, "rows", full_read)
+        monkeypatch.setattr(CampaignStore, "latest_rows", full_read)
+        rows = {}
+        resumed = run_campaign(
+            spec, tmp_path, workers=0, on_row=lambda row: rows.setdefault(row["task_key"], row)
+        )
+        assert (resumed.executed, resumed.skipped, resumed.exhausted) == (len(payloads) - 2, 1, 1)
+        assert done["task_key"] not in rows and exhausted["task_key"] not in rows
+        assert rows[retryable["task_key"]]["attempt"] == 2
+        assert rows[stale["task_key"]]["instance_seed"] == stale["instance_seed"]
+
     def test_directory_bound_to_other_campaign_rejected(self, tmp_path):
         run_campaign(small_spec(), tmp_path, workers=0)
         with pytest.raises(CampaignError, match="refusing"):
