@@ -15,10 +15,10 @@ BENCH_SMOKE_DIR := .bench-smoke
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Line-coverage gate over src/repro/{core,maxis,graphs} (fail-under floor
-# lives in scripts/coverage.py; uses pytest-cov when installed, stdlib
-# trace otherwise).  Runs the full test suite itself, so `check` does not
-# also need the plain `test` target.
+# Line-coverage gate over src/repro/{core,maxis,graphs,runtime,obs}
+# (fail-under floor lives in scripts/coverage.py; uses pytest-cov when
+# installed, stdlib trace otherwise).  Runs the full test suite itself, so
+# `check` does not also need the plain `test` target.
 coverage:
 	$(PYTHON) scripts/coverage.py
 

@@ -10,7 +10,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 # The coverage gate runs the full suite itself (propagating pytest's exit
 # code) and then enforces the line-coverage floor over
-# src/repro/{core,maxis,graphs} — so tests run once, not twice.
+# src/repro/{core,maxis,graphs,runtime,obs} — so tests run once, not twice.
 # SKIP_COVERAGE=1 falls back to the plain (faster) tier-1 run.
 if [ "${SKIP_COVERAGE:-0}" = "1" ]; then
     echo "== tier-1 tests (coverage skipped: SKIP_COVERAGE=1) =="

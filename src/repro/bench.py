@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import time
 from pathlib import Path
@@ -257,35 +256,6 @@ def bench_maxis(
 REDUCTION_LAM = 4.0
 
 
-def capped_oracle(base_name: str = "greedy-first-fit", lam: float = REDUCTION_LAM):
-    """A genuinely λ-approximate oracle: the base oracle capped to ``⌈|I|/λ⌉`` triples.
-
-    The full-strength registry oracles solve the colorable workloads in
-    one or two phases, where an incremental engine cannot beat a rebuild
-    by definition (there is nothing to reuse).  Capping the returned
-    independent set to a ``1/λ`` fraction (any subset of an independent
-    set is independent, so Lemma 2.1(b) still holds per selected triple)
-    emulates an oracle that only achieves its worst-case guarantee — the
-    regime the paper's analysis is about, with ``ρ = λ·ln(m) + 1`` phases
-    — and is the primary workload of the reduction benchmark.
-    """
-    from repro.maxis import MaxISApproximator, get_approximator
-
-    base = get_approximator(base_name)
-
-    def solve(graph):
-        full = sorted(base.solve(graph), key=repr)
-        target = max(1, math.ceil(len(full) / lam))
-        return set(full[:target])
-
-    return MaxISApproximator(
-        name=f"{base_name}@1/{lam:g}",
-        solve=solve,
-        accepts_frozen=True,  # delegates to a built-in, which handles views
-        description=f"{base_name} capped to a 1/{lam:g} fraction (worst-case λ regime).",
-    )
-
-
 def bench_reduction(
     sizes: Sequence[Tuple[int, int]] = DEFAULT_SIZES,
     k: int = 4,
@@ -302,7 +272,7 @@ def bench_reduction(
     """
     from repro.core.conflict_graph import ConflictGraph
     from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS
-    from repro.maxis import get_approximator
+    from repro.maxis import capped_oracle, get_approximator
 
     oracles = [
         (f"first-fit@1/{lam:g}", capped_oracle("greedy-first-fit", lam)),

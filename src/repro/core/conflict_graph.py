@@ -21,6 +21,21 @@ graph ``G_k`` has
 The triples are represented as :class:`ConflictVertex` named tuples; the
 graph itself is an ordinary :class:`repro.graphs.Graph`, so every
 independent-set algorithm in :mod:`repro.maxis` applies directly.
+
+Triple order
+------------
+Every ``G_k`` is laid out in ``repr`` order, the interning order of the
+MIS oracles (:func:`~repro.graphs.indexed.freeze_sorted`): edges by
+``repr``, then the members of each edge by ``repr``, then the colors by
+``repr`` (``1, 10, 11, 2, …`` once ``k ≥ 10``).  That nested order is
+the sort by the whole triple ``repr``
+``ConflictVertex(edge=R(e), vertex=R(v), color=R(c))`` unless two sorted
+edge-id (or vertex) reprs ``a < b`` have ``b == a``, or ``b`` starting
+with ``a`` followed by a character ``≤ ','``: the character after
+``R(e)`` and ``R(v)`` is always ``','``, so only such pairs can order
+differently.  Ints, strs, bytes, non-NaN floats, and tuples and
+frozensets of these never form one; :class:`ConflictGraph` refuses ids
+(typically a custom ``__repr__``) that do.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optiona
 
 from repro.exceptions import ReductionError
 from repro.graphs.graph import Graph
-from repro.graphs.indexed import IndexedGraph, iter_bits, popcount
+from repro.graphs.indexed import IndexedGraph, popcount
 from repro.hypergraph.hypergraph import Hypergraph
 
 Vertex = Hashable
@@ -56,13 +71,14 @@ class ConflictVertex(NamedTuple):
 
 
 def conflict_vertices(hypergraph: Hypergraph, k: int) -> List[ConflictVertex]:
-    """Enumerate ``V(G_k)`` in deterministic order."""
+    """Enumerate ``V(G_k)`` in ``repr`` order (module docstring, "Triple order")."""
     if k <= 0:
         raise ReductionError(f"palette size k must be positive, got {k}")
+    colors = sorted(range(1, k + 1), key=repr)
     result: List[ConflictVertex] = []
     for e in hypergraph.edge_ids:
         for v in sorted(hypergraph.edge(e), key=repr):
-            for c in range(1, k + 1):
+            for c in colors:
                 result.append(ConflictVertex(edge=e, vertex=v, color=c))
     return result
 
@@ -96,23 +112,45 @@ def classify_conflict_edge(a: ConflictVertex, b: ConflictVertex, hypergraph: Hyp
     return kinds
 
 
+def _refuse_ambiguous_reprs(reprs: List[str], what: str) -> None:
+    """Raise :class:`ReductionError` if two of the sorted ``reprs`` break the triple order.
+
+    Adjacent ``a < b`` break it when ``b == a`` or ``b`` extends ``a`` by a
+    character ``≤ ','`` (module docstring, "Triple order").  Adjacent pairs
+    suffice: whatever sorts between ``a`` and such a ``b`` extends ``a`` the
+    same way.
+    """
+    for a, b in zip(reprs, reprs[1:]):
+        if b.startswith(a) and b[len(a):len(a) + 1] <= ",":
+            raise ReductionError(
+                f"{what} {a} and {b} would break the repr order of G_k's triples "
+                "(equal reprs, or one extends the other by a character <= ',')"
+            )
+
+
 def _build_structures(
     hypergraph: Hypergraph, k: int
 ) -> Tuple[List[ConflictVertex], List[int], Dict[EdgeId, Tuple[List[Vertex], int]]]:
     """Build ``G_k``'s adjacency rows from per-vertex color-1 masks.
 
-    Returns ``(triples, rows, blocks)``: ``V(G_k)`` in the canonical order of
+    Returns ``(triples, rows, blocks)``: ``V(G_k)`` in the ``repr`` order of
     :func:`conflict_vertices`, the neighbor *bitset* of each triple, and
-    ``edge id -> (sorted members, base index)``.
+    ``edge id -> (sorted members, base index)``.  Edge ids and member
+    vertices whose reprs would make that nested order differ from the sort
+    by triple ``repr`` are refused with :class:`ReductionError`; each
+    ``repr`` is taken once, and members sort by a rank map.
 
-    Triple ``(e, v, c)`` sits at index ``base_e + k·pos_e(v) + (c − 1)``, so
-    every base is a multiple of ``k`` and the color-``c`` triples of any set
-    are its color-1 triples shifted by ``c − 1``.  With ``M[v]`` the color-1
-    triples of ``v``, ``A_e = ∪_{u∈e} M[u]``, ``B_v = ∪_{g∋v}`` (color-1
-    triples of ``g``) and ``R = 2^k − 1``, four word operations per row give::
+    Triple ``(e, v, c)`` sits at index ``base_e + k·pos_e(v) + s``, with
+    ``s`` the slot of ``c`` in the ``repr`` order of ``1..k`` (``c − 1``
+    while ``k ≤ 9``; slot 0 is always color 1).  Every block uses the same
+    slots, so every base is a multiple of ``k`` and the color-``c`` triples
+    of any set are its color-1 triples shifted by ``s``.  With ``M[v]`` the
+    color-1 triples of ``v``, ``A_e = ∪_{u∈e} M[u]``, ``B_v = ∪_{g∋v}``
+    (color-1 triples of ``g``) and ``R = 2^k − 1``, four word operations per
+    row give::
 
-        row(e, v, c) = ((block_e | M[v]·R) ^ (M[v] << c−1))
-                       | (((A_e | B_v) & ~M[v]) << c−1)
+        row(e, v, c) = ((block_e | M[v]·R) ^ (M[v] << s))
+                       | (((A_e | B_v) & ~M[v]) << s)
 
     It is exact: ``M[v]·R`` has no carries (its bits are ``k`` apart) and is
     every triple of ``v`` (``E_vertex``); ``block_e`` is the ``E_edge``
@@ -121,17 +159,24 @@ def _build_structures(
     ``E_color`` (``u ≠ v``), witnessed by ``e`` through ``A_e`` or by the
     other triple's edge ``g`` through ``B_v``.
     """
+    edge_ids = hypergraph.edge_ids
+    _refuse_ambiguous_reprs([repr(e) for e in edge_ids], "edge ids")
+    reprs = {v: repr(v) for v in set().union(*map(hypergraph.edge, edge_ids))}
+    order = sorted(reprs, key=reprs.__getitem__)
+    _refuse_ambiguous_reprs([reprs[v] for v in order], "vertices")
+    rank = {v: i for i, v in enumerate(order)}
+
     triples: List[ConflictVertex] = []
     # edge id -> (sorted members, base index); insertion is edge_ids order.
     blocks: Dict[EdgeId, Tuple[List[Vertex], int]] = {}
     color_one: Dict[Vertex, int] = {}  # M[v]
     reach: Dict[Vertex, int] = {}  # B_v
     radix = (1 << k) - 1  # R
-    colors = range(1, k + 1)
+    colors = sorted(range(1, k + 1), key=repr)
     # ConflictVertex(e, v, c) without the named tuple constructor's frame.
     make = tuple.__new__
-    for e in hypergraph.edge_ids:
-        members = sorted(hypergraph.edge(e), key=repr)
+    for e in edge_ids:
+        members = sorted(hypergraph.edge(e), key=rank.__getitem__)
         base = len(triples)
         blocks[e] = (members, base)
         # The color-1 triples of e: bits base, base + k, base + 2k, ...
@@ -248,10 +293,12 @@ class ConflictGraph:
     creates new conflicts between surviving triples — ``G^{i+1}_k`` is
     exactly the induced subgraph of ``G^i_k`` on the surviving triples.
     Internally the adjacency lives in one immutable
-    :class:`~repro.graphs.indexed.IndexedGraph` snapshot plus an alive
-    bitmask; :meth:`frozen` and :meth:`frozen_sorted` serve alive-mask
-    subgraph views of it, and the mutable :attr:`graph` is materialized
-    lazily from the current view.
+    :class:`~repro.graphs.indexed.IndexedGraph` snapshot, whose triples are
+    laid out in ``repr`` order (module docstring, "Triple order"), plus an
+    alive bitmask; :meth:`frozen` serves alive-mask subgraph views of it,
+    and the mutable :attr:`graph` is materialized lazily from the current
+    view.  The constructor raises :class:`ReductionError` for edge ids or
+    vertices whose reprs would break that order.
 
     Parameters
     ----------
@@ -268,8 +315,7 @@ class ConflictGraph:
     graph:
         The underlying :class:`repro.graphs.Graph` whose vertices are
         :class:`ConflictVertex` triples (lazily materialized; insertion
-        order is the canonical triple order restricted to the surviving
-        edges).
+        order is the ``repr`` order restricted to the surviving edges).
     """
 
     def __init__(self, hypergraph: Hypergraph, k: int) -> None:
@@ -280,20 +326,14 @@ class ConflictGraph:
         triples, rows, blocks = _build_structures(hypergraph, k)
         self._triples = triples
         self._blocks = blocks
-        self._canonical = IndexedGraph._from_bitsets(triples, rows)
+        self._snapshot = IndexedGraph._from_bitsets(triples, rows)
         self._alive = (1 << len(triples)) - 1
         # |E(G_k)| over the surviving triples, maintained under
         # remove_hyperedges in O(deleted part) — num_edges() must not pay a
         # full popcount sweep per phase of the reduction.
-        self._alive_edge_count = self._canonical.num_edges()
+        self._alive_edge_count = self._snapshot.num_edges()
         self._graph: Optional[Graph] = None
-        self._frozen_view: Optional["IndexedGraph"] = self._canonical
-        # repr-sorted snapshot for the MIS oracles (built on first use).
-        self._sorted_full: Optional["IndexedGraph"] = None
-        self._sorted_alive = 0
-        # canonical id -> sorted id; only built when the orders differ.
-        self._canon_to_sorted: List[int] = []
-        self._sorted_view: Optional["IndexedGraph"] = None
+        self._frozen_view: Optional["IndexedGraph"] = self._snapshot
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -302,7 +342,7 @@ class ConflictGraph:
         """Delete every triple of the given hyperedges from the conflict graph.
 
         All conflict edges incident to a deleted triple disappear with it:
-        the alive masks of the frozen snapshots and the edge counter are
+        the alive mask of the frozen snapshot and the edge counter are
         updated in time proportional to the deleted part.  This realizes
         the phase step ``G^{i+1}_k = G^i_k[surviving triples]``: hyperedge
         removal never makes two surviving triples adjacent, so the
@@ -337,7 +377,7 @@ class ConflictGraph:
         # Conflict edges incident to the deleted triples: each dead triple
         # counts its alive neighbors; edges with both endpoints dead are
         # counted once per endpoint, so subtract half the within-dead sum.
-        bitsets = self._canonical.bitsets()
+        bitsets = self._snapshot.bitsets()
         alive_old = self._alive
         incident = 0
         within = 0
@@ -349,34 +389,18 @@ class ConflictGraph:
         self._alive &= ~dead_mask
         self._frozen_view = None
         self._graph = None
-        if self._sorted_full is not None:
-            if self._sorted_full is self._canonical:
-                self._sorted_alive = self._alive
-            else:
-                sorted_dead = 0
-                perm = self._canon_to_sorted
-                for i in dead_ids:
-                    sorted_dead |= 1 << perm[i]
-                self._sorted_alive &= ~sorted_dead
-            self._sorted_view = None
-
-    def _current_frozen(self) -> "IndexedGraph":
-        """The canonical-order frozen graph restricted to the alive triples."""
-        if self._frozen_view is None:
-            self._frozen_view = self._canonical.subgraph_view(self._alive)
-        return self._frozen_view
 
     @property
     def graph(self) -> Graph:
         """The mutable :class:`Graph` over the surviving triples (lazy)."""
         if self._graph is None:
-            self._graph = self._current_frozen().to_graph()
+            self._graph = self.frozen().to_graph()
         return self._graph
 
     def frozen(self) -> "IndexedGraph":
         """Return (and cache) the conflict graph as an :class:`IndexedGraph`.
 
-        The interning table is the canonical triple order of
+        The interning table is the ``repr`` order of
         :func:`conflict_vertices`; after :meth:`remove_hyperedges` the
         result is an alive-mask subgraph view of the original snapshot
         (same table, dead ids masked out), so the frozen form stays valid
@@ -387,7 +411,9 @@ class ConflictGraph:
         ``self.graph`` directly would leave the cached snapshot stale —
         call ``self.graph.freeze()`` instead if you do.
         """
-        return self._current_frozen()
+        if self._frozen_view is None:
+            self._frozen_view = self._snapshot.subgraph_view(self._alive)
+        return self._frozen_view
 
     def frozen_sorted(self) -> "IndexedGraph":
         """Return the surviving conflict graph frozen in ``repr`` order.
@@ -396,57 +422,11 @@ class ConflictGraph:
         (:func:`~repro.graphs.indexed.freeze_sorted`), so handing this
         view to an approximator reproduces, bit for bit, what the
         approximator would compute on a freshly rebuilt conflict graph of
-        the surviving hypergraph.  The full snapshot is derived from the
-        canonical one exactly once per :class:`ConflictGraph`; subsequent
-        calls only re-mask.
+        the surviving hypergraph.  The builder already lays the triples out
+        in that order, so this is :meth:`frozen`; the phase engine calls it
+        by this name to state the order it relies on.
         """
-        if self._sorted_full is None:
-            triples = self._triples
-            n = len(triples)
-            # The sort keys are exactly repr(triple); the f-string mirrors
-            # NamedTuple.__repr__ to skip its per-call overhead (guarded by
-            # a unit test), and an is-sorted scan avoids the argsort in the
-            # common case where the canonical order already repr-sorts.
-            keys = [
-                f"ConflictVertex(edge={t[0]!r}, vertex={t[1]!r}, color={t[2]!r})"
-                for t in triples
-            ]
-            if all(keys[i] <= keys[i + 1] for i in range(n - 1)):
-                # The canonical order already is the repr order (true for
-                # every instance whose labels repr-sort component-wise,
-                # e.g. integer ids) — reuse the snapshot, skip the remap.
-                self._sorted_full = self._canonical
-                self._sorted_alive = self._alive
-            else:
-                order = sorted(range(n), key=keys.__getitem__)
-                self._sorted_full = self._canonical._permuted(order)
-                perm = [0] * n
-                for p, old in enumerate(order):
-                    perm[old] = p
-                self._canon_to_sorted = perm
-                alive = 0
-                if self._alive == (1 << n) - 1:
-                    alive = self._alive
-                else:
-                    for i in iter_bits(self._alive):
-                        alive |= 1 << perm[i]
-                self._sorted_alive = alive
-        if self._sorted_view is None:
-            self._sorted_view = self._sorted_full.subgraph_view(self._sorted_alive)
-        return self._sorted_view
-
-    def verification_graph(self):
-        """The cheapest already-materialized form for independence checks.
-
-        Returns the mutable :attr:`graph` when it has been materialized
-        (so pre-existing callers keep their exact behavior) and the
-        canonical frozen view otherwise — the reduction's phase engine
-        never needs the mutable graph at all.  Either form is accepted by
-        :func:`~repro.graphs.independent_sets.verify_independent_set`.
-        """
-        if self._graph is not None:
-            return self._graph
-        return self._current_frozen()
+        return self.frozen()
 
     def bucket_structure(self) -> Dict[str, Dict]:
         """The relation groupings of the surviving triples, derived from ``_blocks``.

@@ -76,7 +76,7 @@ def coloring_to_independent_set(
 
     # The lemma asserts independence; verifying it here turns any bug in the
     # construction (or in the conflict-graph definition) into a loud failure.
-    verify_independent_set(conflict_graph.verification_graph(), independent_set)
+    verify_independent_set(conflict_graph.frozen(), independent_set)
     return independent_set
 
 
@@ -103,7 +103,7 @@ def independent_set_to_coloring(
     for t in triples:
         if not isinstance(t, ConflictVertex):
             raise ReductionError(f"{t!r} is not a ConflictVertex triple")
-    verify_independent_set(conflict_graph.verification_graph(), triples)
+    verify_independent_set(conflict_graph.frozen(), triples)
 
     coloring: Dict[Vertex, Color] = {}
     for t in sorted(triples, key=repr):

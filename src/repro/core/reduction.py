@@ -27,9 +27,10 @@ Incremental phase engine
 Since a phase only ever *removes* happy edges — and removing hyperedges
 never makes two surviving conflict triples adjacent — the pipeline is
 phase-incremental: :meth:`ConflictFreeMulticoloringViaMaxIS.run` builds
-the conflict graph once, freezes it once (in the oracle's ``repr`` order),
-and per phase hands the oracle an alive-mask subgraph view, then deletes
-the happy edges in place from both the hypergraph and the conflict graph.
+the conflict graph once, as bitset rows already laid out in the oracle's
+``repr`` order, and per phase hands the oracle an alive-mask subgraph view
+of it, then deletes the happy edges in place from both the hypergraph and
+the conflict graph.
 Total work is proportional to what is deleted, not phases × full rebuild.
 The from-scratch path is retained as
 :meth:`ConflictFreeMulticoloringViaMaxIS.run_rebuild`; it produces

@@ -1,15 +1,13 @@
-"""Immutable indexed graph: interned vertices, CSR adjacency, bitset rows.
+"""Immutable indexed graph: interned vertices, bitset rows.
 
 :class:`IndexedGraph` is the performance substrate of the library.  It
 interns arbitrary hashable vertex labels to dense integer ids and stores
-the adjacency structure twice:
-
-* as CSR-style arrays (``indptr`` / ``indices``) for cache-friendly
-  neighbor iteration, and
-* as one Python arbitrary-precision integer per vertex (bit ``j`` of row
-  ``i`` is set iff ``{i, j}`` is an edge) so that set algebra on whole
-  neighborhoods — the inner loop of every independent-set algorithm —
-  becomes single ``&``/``|`` machine-word-parallel operations.
+the adjacency structure once, as one Python arbitrary-precision integer
+per vertex (bit ``j`` of row ``i`` is set iff ``{i, j}`` is an edge), so
+that set algebra on whole neighborhoods — the inner loop of every
+independent-set algorithm — becomes single ``&``/``|``
+machine-word-parallel operations.  Degrees are popcounts and
+:meth:`IndexedGraph.neighbors` walks the row's set bits.
 
 Interning / determinism contract
 --------------------------------
@@ -20,8 +18,8 @@ mutable :class:`~repro.graphs.graph.Graph`, so any deterministically
 constructed graph freezes to a deterministic ``IndexedGraph``; callers that
 need a canonical order independent of construction history pass an explicit
 ``order`` (the MIS ports use ``sorted(vertices, key=repr)`` to reproduce
-the tie-breaking of the reference implementations bit-for-bit).  CSR rows
-are sorted ascending by id, so neighbor iteration order, bitset contents
+the tie-breaking of the reference implementations bit-for-bit).  Neighbors
+are listed ascending by id, so neighbor iteration order, bitset contents
 and :meth:`to_graph` round-trips are all functions of the interning table
 alone.
 
@@ -33,8 +31,8 @@ Alive-mask subgraph views
 -------------------------
 :meth:`IndexedGraph.subgraph_view` lifts that idiom to whole-pipeline
 scope: it returns an :class:`IndexedSubgraph` — an induced-subgraph view
-that shares the parent's interning table, CSR arrays and bitset rows and
-only carries an ``alive`` bitmask.  Construction is O(1) (no re-interning,
+that shares the parent's interning table and bitset rows and only
+carries an ``alive`` bitmask.  Construction is O(1) (no re-interning,
 no row copying); all size/degree/adjacency queries answer for the induced
 subgraph.  Views keep the *parent's* integer ids (the id space stays
 sparse), which is exactly what the bitset kernels below want: the kernels
@@ -45,7 +43,6 @@ anything.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
@@ -75,7 +72,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class IndexedGraph:
     """An immutable graph over interned integer ids (see module docstring)."""
 
-    __slots__ = ("_labels", "_index", "_indptr", "_indices", "_bitsets", "_num_edges")
+    __slots__ = ("_labels", "_index", "_bitsets", "_num_edges")
 
     def __init__(self, labels: Sequence[Vertex], rows: Sequence[Iterable[int]]) -> None:
         """Build from interned ``labels`` and per-vertex neighbor-id ``rows``.
@@ -93,28 +90,22 @@ class IndexedGraph:
         self._index: Dict[Vertex, int] = {v: i for i, v in enumerate(self._labels)}
         if len(self._index) != len(self._labels):
             raise GraphError("duplicate vertex labels")
-        indptr = array("l", [0])
-        indices = array("l")
         bitsets: List[int] = []
         total = 0
         n = len(self._labels)
         for i, row in enumerate(rows):
-            ids = sorted(set(row))
-            if ids and (ids[0] < 0 or ids[-1] >= n):
+            ids = set(row)
+            if ids and (min(ids) < 0 or max(ids) >= n):
                 raise GraphError(f"neighbor id out of range in row {i}")
+            if i in ids:
+                raise GraphError(f"self-loop on id {i}")
             bits = 0
             for j in ids:
-                if j == i:
-                    raise GraphError(f"self-loop on id {i}")
                 bits |= 1 << j
-            indices.extend(ids)
             bitsets.append(bits)
             total += len(ids)
-            indptr.append(len(indices))
         if total % 2:
             raise GraphError("adjacency rows are not symmetric (odd degree sum)")
-        self._indptr = indptr
-        self._indices = indices
         self._bitsets = bitsets
         self._num_edges = total // 2
 
@@ -122,71 +113,19 @@ class IndexedGraph:
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def _from_bitsets(
-        cls,
-        labels: Sequence[Vertex],
-        bitsets: List[int],
-        num_edges: Optional[int] = None,
-    ) -> "IndexedGraph":
+    def _from_bitsets(cls, labels: Sequence[Vertex], bitsets: List[int]) -> "IndexedGraph":
         """Adopt prebuilt bitset rows without re-validating them (internal).
 
-        The caller guarantees symmetry and loop-freeness.  The CSR arrays
-        are materialized lazily on first :meth:`neighbors` access, so
-        constructing a graph this way is O(n) on top of the rows — the
-        fast path used by the conflict-graph builder and :meth:`_permuted`.
+        The caller guarantees symmetry and loop-freeness, so constructing a
+        graph this way is O(n) on top of the rows — the path the
+        conflict-graph builder takes.
         """
         g = cls.__new__(cls)
         g._labels = tuple(labels)
         g._index = {v: i for i, v in enumerate(g._labels)}
-        g._indptr = None
-        g._indices = None
         g._bitsets = bitsets
-        if num_edges is None:
-            num_edges = sum(map(_popcount, bitsets)) // 2
-        g._num_edges = num_edges
+        g._num_edges = sum(map(_popcount, bitsets)) // 2
         return g
-
-    def _ensure_csr(self) -> None:
-        """Materialize the CSR arrays from the bitset rows (lazy, internal)."""
-        if self._indptr is not None:
-            return
-        indptr = array("l", [0])
-        indices = array("l")
-        for bits in self._bitsets:
-            row = []
-            m = bits
-            while m:
-                low = m & -m
-                row.append(low.bit_length() - 1)
-                m ^= low
-            indices.extend(row)
-            indptr.append(len(indices))
-        self._indptr = indptr
-        self._indices = indices
-
-    def _permuted(self, order: Sequence[int]) -> "IndexedGraph":
-        """Return the same graph re-interned so new id ``p`` is old id ``order[p]``.
-
-        ``order`` must be a permutation of ``range(n)``.  Adjacency is
-        remapped in O(n + m); used to derive a ``repr``-sorted snapshot
-        from an already-frozen graph without a :class:`Graph` round-trip.
-        """
-        n = len(self._labels)
-        perm = [0] * n  # old id -> new id
-        for p, old in enumerate(order):
-            perm[old] = p
-        labels = tuple(self._labels[old] for old in order)
-        old_bits = self._bitsets
-        bitsets: List[int] = []
-        for old in order:
-            m = old_bits[old]
-            bits = 0
-            while m:
-                low = m & -m
-                bits |= 1 << perm[low.bit_length() - 1]
-                m ^= low
-            bitsets.append(bits)
-        return IndexedGraph._from_bitsets(labels, bitsets, self._num_edges)
 
     @classmethod
     def from_graph(cls, graph, order: Optional[Iterable[Vertex]] = None) -> "IndexedGraph":
@@ -265,25 +204,19 @@ class IndexedGraph:
 
     def degree(self, i: int) -> int:
         """Return the degree of id ``i``."""
-        if self._indptr is None:
-            return _popcount(self._bitsets[i])
-        return self._indptr[i + 1] - self._indptr[i]
+        return _popcount(self.neighbor_bitset(i))
 
     def degrees(self) -> List[int]:
         """Return the degree of every vertex, indexed by id."""
-        indptr = self._indptr
-        if indptr is None:
-            return [_popcount(b) for b in self._bitsets]
-        return [indptr[i + 1] - indptr[i] for i in range(len(self._labels))]
+        return [_popcount(b) for b in self._bitsets]
 
     def max_degree(self) -> int:
         """Return Δ (0 for the empty graph)."""
         return max(self.degrees(), default=0)
 
-    def neighbors(self, i: int) -> Sequence[int]:
-        """Return the neighbor ids of ``i`` (sorted ascending, no copy of labels)."""
-        self._ensure_csr()
-        return self._indices[self._indptr[i]:self._indptr[i + 1]]
+    def neighbors(self, i: int) -> List[int]:
+        """Return the neighbor ids of ``i``, ascending (the set bits of its row)."""
+        return list(iter_bits(self.neighbor_bitset(i)))
 
     def neighbor_bitset(self, i: int) -> int:
         """Return the adjacency row of ``i`` as a Python-int bitset."""
@@ -314,7 +247,7 @@ class IndexedGraph:
     def subgraph_view(self, alive: int) -> "IndexedGraph":
         """Return the induced subgraph on the id-bitset ``alive`` as a view.
 
-        The view shares this graph's interning table and adjacency arrays
+        The view shares this graph's interning table and bitset rows
         (construction is O(1)); ids are *parent* ids, so masks computed
         against the parent remain meaningful.  When ``alive`` covers every
         vertex, ``self`` is returned unchanged.
@@ -360,8 +293,8 @@ class IndexedSubgraph(IndexedGraph):
     """An induced-subgraph *view* of an :class:`IndexedGraph` (alive bitmask).
 
     The view keeps a reference to the parent's interning table and raw
-    adjacency arrays and adds only an ``alive`` id-bitmask, so creating one
-    is O(1).  Ids are **parent ids**: ``label(i)`` / ``labels()`` answer for
+    bitset rows and adds only an ``alive`` id-bitmask, so creating one is
+    O(1).  Ids are **parent ids**: ``label(i)`` / ``labels()`` answer for
     the full interning table, while the size, degree, membership and
     adjacency queries answer for the induced subgraph (dead ids are
     rejected like unknown vertices).  The relative order of alive ids is
@@ -385,8 +318,6 @@ class IndexedSubgraph(IndexedGraph):
         # these directly and never see a dead contribution.
         self._labels = parent._labels
         self._index = parent._index
-        self._indptr = parent._indptr
-        self._indices = parent._indices
         self._bitsets = parent._bitsets
         self._num_edges = parent._num_edges
         self._alive_ids: Optional[List[int]] = None
@@ -434,10 +365,6 @@ class IndexedSubgraph(IndexedGraph):
         if not (self._alive >> i) & 1:
             raise GraphError(f"vertex id {i} is not alive in this view")
 
-    def degree(self, i: int) -> int:
-        self._check_alive(i)
-        return _popcount(self._bitsets[i] & self._alive)
-
     def degrees(self) -> List[int]:
         """Masked degree for every parent id (dead ids report 0).
 
@@ -458,10 +385,6 @@ class IndexedSubgraph(IndexedGraph):
         return max(
             (_popcount(bitsets[i] & alive) for i in self.vertex_ids()), default=0
         )
-
-    def neighbors(self, i: int) -> Sequence[int]:
-        self._check_alive(i)
-        return list(iter_bits(self._bitsets[i] & self._alive))
 
     def neighbor_bitset(self, i: int) -> int:
         self._check_alive(i)
@@ -564,8 +487,7 @@ def min_degree_greedy_ids(graph: IndexedGraph) -> List[int]:
     with ``alive``; each vertex of that union gets its degree recomputed
     once by popcount and changes bucket only if it changed, so bucket moves
     scale with the affected vertices, not with the removed conflict edges.
-    Only bitset rows are read; the lazy CSR arrays are never built.  With
-    labels interned in ``sorted(..., key=repr)`` order this reproduces the
+    With labels interned in ``sorted(..., key=repr)`` order this reproduces the
     reference tie-breaking ``(degree, repr)`` exactly.
 
     On an :class:`IndexedSubgraph` view the selection runs on the induced

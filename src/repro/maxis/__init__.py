@@ -4,6 +4,7 @@ approximators, the λ-approximation oracle interface, and guarantee verification
 from repro.maxis.approximators import (
     MaxISApproximator,
     available_approximators,
+    capped_oracle,
     get_approximator,
     register_approximator,
 )
@@ -37,6 +38,7 @@ from repro.maxis.verification import (
 __all__ = [
     "MaxISApproximator",
     "available_approximators",
+    "capped_oracle",
     "get_approximator",
     "register_approximator",
     "exact_maximum_independent_set",

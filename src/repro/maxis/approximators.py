@@ -11,6 +11,7 @@ them uniformly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional, Set
 
@@ -113,3 +114,31 @@ def _ensure_builtins() -> None:
     if _REGISTRY:
         return
     from repro.maxis import builtin  # noqa: F401  (importing registers the algorithms)
+
+
+def capped_oracle(base_name: str, lam: float) -> MaxISApproximator:
+    """A genuinely λ-approximate oracle: the base oracle capped to ``⌈|I|/λ⌉`` triples.
+
+    The full-strength registry oracles solve the colorable workloads in
+    one or two phases, where an incremental engine cannot beat a rebuild
+    by definition (there is nothing to reuse).  Capping the returned
+    independent set to a ``1/λ`` fraction (any subset of an independent
+    set is independent, so Lemma 2.1(b) still holds per selected triple)
+    emulates an oracle that only achieves its worst-case guarantee — the
+    regime the paper's analysis is about, with ``ρ = λ·ln(m) + 1`` phases.
+    The campaign runtime's ``capped:<name>`` oracles and the reduction
+    benchmark use it; its name is ``<base_name>@1/<λ>``.
+    """
+    base = get_approximator(base_name)
+
+    def solve(graph):
+        full = sorted(base.solve(graph), key=repr)
+        target = max(1, math.ceil(len(full) / lam))
+        return set(full[:target])
+
+    return MaxISApproximator(
+        name=f"{base_name}@1/{lam:g}",
+        solve=solve,
+        accepts_frozen=True,  # delegates to a built-in, which handles views
+        description=f"{base_name} capped to a 1/{lam:g} fraction (worst-case λ regime).",
+    )

@@ -166,12 +166,11 @@ def resolve_oracle(oracle: str, lam: float):
     """Resolve an oracle spec string to an approximator.
 
     ``capped:<name>`` wraps the registry oracle ``<name>`` with
-    :func:`repro.bench.capped_oracle` at the task's λ — an oracle that only
+    :func:`repro.maxis.capped_oracle` at the task's λ — an oracle that only
     achieves its worst-case guarantee, which is what makes the paper's
     ``ρ = λ·ln m + 1`` multi-phase regime observable.
     """
-    from repro.bench import capped_oracle
-    from repro.maxis import get_approximator
+    from repro.maxis import capped_oracle, get_approximator
 
     if oracle.startswith(CAPPED_PREFIX):
         return capped_oracle(oracle[len(CAPPED_PREFIX):], lam=lam)

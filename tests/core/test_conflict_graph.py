@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from repro.core import ConflictGraph, ConflictVertex, build_conflict_graph, conflict_vertices
 from repro.core.conflict_graph import classify_conflict_edge
+from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS
 from repro.exceptions import ReductionError
 from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
+from repro.maxis import get_approximator
 
 from tests.conftest import hypergraphs
 
@@ -158,3 +160,69 @@ class TestStructuralInvariants:
         cg = ConflictGraph(h, k=3)
         assert cg.num_vertices() == 0
         assert cg.num_edges() == 0
+
+
+class Tagged:
+    """An id with a custom ``__repr__`` (hashed by identity)."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _with_edge_ids(a, b) -> Hypergraph:
+    h = Hypergraph()
+    h.add_edge([0, 1], edge_id=a)
+    h.add_edge([1, 2], edge_id=b)
+    return h
+
+
+def _with_vertices(a, b) -> Hypergraph:
+    h = Hypergraph()
+    h.add_edge([a, b], edge_id=0)
+    h.add_edge([b, 7], edge_id=1)
+    return h
+
+
+def _run(h: Hypergraph):
+    oracle = get_approximator("greedy-first-fit")
+    return ConflictFreeMulticoloringViaMaxIS(k=2, approximator=oracle, lam=2.0).run(h)
+
+
+class TestReprOrderGuard:
+    """The builder refuses ids whose reprs would break the repr order of the triples."""
+
+    REFUSED = {
+        "equal-edge-id-reprs": lambda: _with_edge_ids(Tagged("<e>"), Tagged("<e>")),
+        "edge-id-extended-by-space": lambda: _with_edge_ids(Tagged("<a>"), Tagged("<a> b")),
+        "vertex-extended-by-bang": lambda: _with_vertices(Tagged("<a>"), Tagged("<a>!")),
+    }
+
+    ACCEPTED = {
+        "ints": (1, 2, 10),
+        "strs": ("a", "a b"),
+        "tuples": ((1, 2), (1, 2, 3)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_by_the_builder_and_the_reduction(self, case):
+        with pytest.raises(ReductionError, match="repr order"):
+            ConflictGraph(self.REFUSED[case](), 2)
+        with pytest.raises(ReductionError, match="repr order"):
+            _run(self.REFUSED[case]())
+
+    @pytest.mark.parametrize("case", sorted(ACCEPTED))
+    @pytest.mark.parametrize("role", ["edge ids", "vertices"])
+    def test_accepted_and_repr_sorted(self, case, role):
+        ids = self.ACCEPTED[case]
+        h = Hypergraph()
+        for i, x in enumerate(ids):
+            if role == "edge ids":
+                h.add_edge([i, i + 1], edge_id=x)
+            else:
+                h.add_edge([x, "hub"], edge_id=i)
+        labels = ConflictGraph(h, 11).frozen().labels()
+        assert list(labels) == sorted(labels, key=repr)
+        assert _run(h).multicoloring

@@ -9,8 +9,9 @@ k ∈ {1, 2, 3, 4, 10} against two independent references:
   paper's three relations), and
 * the retained legacy pairwise-emit builder from the seed.
 
-They also pin the closed-form vertex count, the canonical interning order
-and determinism across rebuilds.
+They also pin the closed-form vertex count, the interning order (the
+``repr`` order of the triples, which the MIS oracles intern by) and
+determinism across rebuilds.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from repro.hypergraph import Hypergraph
 
 N_INSTANCES = 50
 #: Palette sizes: the small ones, the k = 4 of the multi-phase benchmark,
-#: and k = 10, where color 10 repr-sorts before color 2.
+#: and k = 10, where color 10 repr-sorts before color 2, so every block
+#: lays its colors out as 1, 10, 2, …, 9.
 PALETTES = [1, 2, 3, 4, 10]
 
 
@@ -54,6 +56,7 @@ def test_builder_matches_classification_oracle(k):
         cg = ConflictGraph(h, k)
         triples = conflict_vertices(h, k)
         assert list(cg.graph) == triples, f"instance {idx}: interning order drifted"
+        assert triples == sorted(triples, key=repr), f"instance {idx} (k={k}): not repr order"
         assert cg.num_vertices() == cg.expected_num_vertices() == k * h.total_edge_size()
         expected_edges = set()
         for i, a in enumerate(triples):

@@ -7,12 +7,13 @@ phases via :meth:`ConflictGraph.remove_hyperedges` instead of rebuilding
 after *every* deletion batch, compare the maintained instance against a
 from-scratch ``ConflictGraph(H_i, k)`` rebuild on three axes:
 
-* the vertex set and interning order (canonical triple order),
+* the vertex set and interning order (the ``repr`` order of the triples),
 * the full edge set (mutable graph equality + frozen bitsets), and
 * the E_vertex/E_edge/E_color groupings of the surviving triples.
 
-At k = 10 color 10 repr-sorts before color 2, so ``frozen_sorted()``
-permutes the canonical order instead of reusing it.
+At k = 10 color 10 repr-sorts before color 2, so every ``(e, v)`` block
+lays its colors out as 1, 10, 2, …, 9; ``frozen_sorted()`` is ``frozen()``
+at every k.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _instances():
 
 def _assert_matches_rebuild(cg: ConflictGraph, h: Hypergraph, k: int, ctx: str) -> None:
     rebuilt = ConflictGraph(h, k)
-    # Vertex set, canonical interning order, closed-form count.
+    # Vertex set, repr interning order, closed-form count.
     assert list(cg.graph) == conflict_vertices(h, k), f"{ctx}: interning order"
     assert cg.num_vertices() == rebuilt.num_vertices() == k * h.total_edge_size(), ctx
     # Edge set (mutable graph equality is label-based and order-free).
@@ -129,8 +130,7 @@ def test_frozen_sorted_view_tracks_deletions(k):
     cg.remove_hyperedges([1, 3])
     h.remove_edges([1, 3])
     view = cg.frozen_sorted()
-    # k = 10 takes the permuted branch; k = 2 reuses the canonical order.
-    assert (view.labels() != cg.frozen().labels()) == (k == 10)
+    assert view.labels() == cg.frozen().labels()
     reference = freeze_sorted(ConflictGraph(h, k).graph)
     ids = list(view.vertex_ids())
     assert [view.label(i) for i in ids] == list(reference.labels())

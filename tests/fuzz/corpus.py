@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.bench import capped_oracle
 from repro.coloring.multicoloring import verify_conflict_free_multicoloring
 from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS, ReductionResult
 from repro.hypergraph import (
@@ -28,7 +27,7 @@ from repro.hypergraph import (
     sunflower_hypergraph,
     uniform_random_hypergraph,
 )
-from repro.maxis import get_approximator
+from repro.maxis import capped_oracle, get_approximator
 
 FAMILIES = (
     "uniform",

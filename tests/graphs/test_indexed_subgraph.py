@@ -18,7 +18,6 @@ from repro.graphs.indexed import (
     IndexedSubgraph,
     first_fit_mis_ids,
     freeze_sorted,
-    iter_bits,
     maximum_independent_set_mask,
     min_degree_greedy_ids,
 )
@@ -151,36 +150,3 @@ class TestKernelsOnViews:
                 assert solver(view) == solver(sub), (
                     f"{name} differs on trial {trial}"
                 )
-
-
-class TestLazyCsr:
-    def test_bitset_construction_defers_csr(self):
-        g = Graph(edges=[(0, 1), (1, 2)])
-        frozen = freeze_sorted(g)
-        permuted = frozen._permuted([2, 0, 1])
-        assert permuted._indptr is None  # CSR not built yet
-        assert permuted.degrees() == [1, 1, 2]  # bitset fallback
-        assert list(permuted.labels()) == [2, 0, 1]
-        assert list(permuted.neighbors(2)) == [0, 1]  # materializes CSR
-        assert permuted._indptr is not None
-        assert permuted.to_graph() == g
-
-    def test_permuted_preserves_adjacency(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            g = _random_graph(rng, rng.randint(1, 12))
-            frozen = freeze_sorted(g)
-            order = list(range(frozen.num_vertices()))
-            rng.shuffle(order)
-            permuted = frozen._permuted(order)
-            assert permuted.num_edges() == frozen.num_edges()
-            assert permuted.to_graph() == g
-            for p in range(permuted.num_vertices()):
-                expected = {
-                    frozen.label(j)
-                    for j in iter_bits(frozen.neighbor_bitset(order[p]))
-                }
-                actual = {
-                    permuted.label(q) for q in iter_bits(permuted.neighbor_bitset(p))
-                }
-                assert actual == expected
