@@ -18,9 +18,34 @@ graph ``G_k`` has
     proof of Lemma 2.1(a) requires it; see DESIGN.md "interpretation
     notes".)
 
-The triples are represented as :class:`ConflictVertex` named tuples; the
-graph itself is an ordinary :class:`repro.graphs.Graph`, so every
-independent-set algorithm in :mod:`repro.maxis` applies directly.
+Representation
+--------------
+A triple is a :class:`ConflictVertex` named tuple, but
+:class:`ConflictGraph` stores none.  It keeps two *pair arrays* over the
+``(e, v)`` pairs, ``pair_edge`` and ``pair_vertex``, the colors ``1..k``
+in ``repr`` order, and one bitset row per triple in an immutable
+:class:`~repro.graphs.indexed.IndexedGraph`.  The block of each edge
+starts at a multiple of ``k`` and every block uses the same color slots,
+so triple id ``i`` is::
+
+    (pair_edge[i // k], pair_vertex[i // k], colors[i % k])
+
+and ascending id is ``repr`` order (below).  The labels are built from
+the pair arrays on first use — ``frozen().labels()``,
+:attr:`ConflictGraph.graph`, :meth:`ConflictGraph.bucket_structure` —
+while the reduction's phase engine works on ids from the build to the
+phase coloring and builds none.  Every independent-set algorithm in
+:mod:`repro.maxis` applies to the frozen form, or to the mutable
+:class:`repro.graphs.Graph` materialized from it.
+
+Edge counts
+-----------
+Permuting the ``k`` color slots maps ``G_k`` onto itself and fixes every
+mask that is a union of whole edge blocks.  Against such a mask the ``k``
+rows of one pair have equal popcounts, so edges are counted once per
+pair: ``|E(G_k)| = k · Σ popcount(slot-0 row) / 2`` at build time, and
+:meth:`ConflictGraph.remove_hyperedges`, whose alive and dead masks are
+always unions of whole blocks, takes one row per dead pair.
 
 Triple order
 ------------
@@ -40,6 +65,7 @@ frozensets of these never form one; :class:`ConflictGraph` refuses ids
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.exceptions import ReductionError
@@ -128,26 +154,28 @@ def _refuse_ambiguous_reprs(reprs: List[str], what: str) -> None:
             )
 
 
-def _build_structures(
-    hypergraph: Hypergraph, k: int
-) -> Tuple[List[ConflictVertex], List[int], Dict[EdgeId, Tuple[List[Vertex], int]]]:
+def _build_structures(hypergraph: Hypergraph, k: int) -> Tuple[
+    List[EdgeId], List[Vertex], List[Color], List[int], Dict[EdgeId, Tuple[List[Vertex], int]], int
+]:
     """Build ``G_k``'s adjacency rows from per-vertex color-1 masks.
 
-    Returns ``(triples, rows, blocks)``: ``V(G_k)`` in the ``repr`` order of
-    :func:`conflict_vertices`, the neighbor *bitset* of each triple, and
-    ``edge id -> (sorted members, base index)``.  Edge ids and member
-    vertices whose reprs would make that nested order differ from the sort
-    by triple ``repr`` are refused with :class:`ReductionError`; each
-    ``repr`` is taken once, and members sort by a rank map.
+    Returns ``(pair_edge, pair_vertex, colors, rows, blocks, num_edges)``:
+    the ``(e, v)`` pairs in the ``repr`` order of :func:`conflict_vertices`,
+    the colors ``1..k`` in ``repr`` order, the neighbor *bitset* of each
+    triple, ``edge id -> (sorted members, base index)`` and ``|E(G_k)|``.
+    Triple id ``i`` is ``(pair_edge[i // k], pair_vertex[i // k],
+    colors[i % k])``; no triple is built.  Edge ids and member vertices
+    whose reprs would make that nested order differ from the sort by
+    triple ``repr`` are refused with :class:`ReductionError`; each ``repr``
+    is taken once, and members sort by a rank map.
 
     Triple ``(e, v, c)`` sits at index ``base_e + k·pos_e(v) + s``, with
-    ``s`` the slot of ``c`` in the ``repr`` order of ``1..k`` (``c − 1``
-    while ``k ≤ 9``; slot 0 is always color 1).  Every block uses the same
-    slots, so every base is a multiple of ``k`` and the color-``c`` triples
-    of any set are its color-1 triples shifted by ``s``.  With ``M[v]`` the
-    color-1 triples of ``v``, ``A_e = ∪_{u∈e} M[u]``, ``B_v = ∪_{g∋v}``
-    (color-1 triples of ``g``) and ``R = 2^k − 1``, four word operations per
-    row give::
+    ``s`` the slot of ``c`` in ``colors`` (``c − 1`` while ``k ≤ 9``; slot 0
+    is always color 1).  Every block uses the same slots, so every base is
+    a multiple of ``k`` and the color-``c`` triples of any set are its
+    color-1 triples shifted by ``s``.  With ``M[v]`` the color-1 triples of
+    ``v``, ``A_e = ∪_{u∈e} M[u]``, ``B_v = ∪_{g∋v}`` (color-1 triples of
+    ``g``) and ``R = 2^k − 1``, four word operations per row give::
 
         row(e, v, c) = ((block_e | M[v]·R) ^ (M[v] << s))
                        | (((A_e | B_v) & ~M[v]) << s)
@@ -158,6 +186,9 @@ def _build_structures(
     itself included, which no relation joins to it; and the last term is
     ``E_color`` (``u ≠ v``), witnessed by ``e`` through ``A_e`` or by the
     other triple's edge ``g`` through ``B_v``.
+
+    The edge count takes one popcount per pair (module docstring, "Edge
+    counts").
     """
     edge_ids = hypergraph.edge_ids
     _refuse_ambiguous_reprs([repr(e) for e in edge_ids], "edge ids")
@@ -166,25 +197,24 @@ def _build_structures(
     _refuse_ambiguous_reprs([reprs[v] for v in order], "vertices")
     rank = {v: i for i, v in enumerate(order)}
 
-    triples: List[ConflictVertex] = []
+    pair_edge: List[EdgeId] = []
+    pair_vertex: List[Vertex] = []
     # edge id -> (sorted members, base index); insertion is edge_ids order.
     blocks: Dict[EdgeId, Tuple[List[Vertex], int]] = {}
     color_one: Dict[Vertex, int] = {}  # M[v]
     reach: Dict[Vertex, int] = {}  # B_v
     radix = (1 << k) - 1  # R
-    colors = sorted(range(1, k + 1), key=repr)
-    # ConflictVertex(e, v, c) without the named tuple constructor's frame.
-    make = tuple.__new__
     for e in edge_ids:
         members = sorted(hypergraph.edge(e), key=rank.__getitem__)
-        base = len(triples)
+        base = len(pair_vertex) * k
         blocks[e] = (members, base)
         # The color-1 triples of e: bits base, base + k, base + 2k, ...
         ones = ((1 << (len(members) * k)) - 1) // radix << base
         for pos, v in enumerate(members):
             color_one[v] = color_one.get(v, 0) | (1 << (base + pos * k))
             reach[v] = reach.get(v, 0) | ones
-        triples += [make(ConflictVertex, (e, v, c)) for v in members for c in colors]
+        pair_edge += [e] * len(members)
+        pair_vertex += members
 
     shifts = range(k)
     rows: List[int] = []
@@ -199,7 +229,24 @@ def _build_structures(
             # M[v] ⊆ A_e, so the XOR is the set difference (A_e | B_v) & ~M[v].
             witness = (around | reach[v]) ^ mine
             rows += [(keep ^ (mine << s)) | (witness << s) for s in shifts]
-    return triples, rows, blocks
+    num_edges = k * sum(map(popcount, rows[::k])) // 2
+    return pair_edge, pair_vertex, sorted(range(1, k + 1), key=repr), rows, blocks, num_edges
+
+
+def _triple_labels(
+    pair_edge: List[EdgeId], pair_vertex: List[Vertex], colors: List[Color]
+) -> List[ConflictVertex]:
+    """``V(G_k)`` in id order from the pair arrays: the label factory of the snapshot.
+
+    A module-level function bound with :func:`functools.partial`, so the
+    snapshot holds no reference back to its :class:`ConflictGraph` and is
+    freed by reference counting.
+    """
+    # ConflictVertex(e, v, c) without the named tuple constructor's frame.
+    make = tuple.__new__
+    return [
+        make(ConflictVertex, (e, v, c)) for e, v in zip(pair_edge, pair_vertex) for c in colors
+    ]
 
 
 def _edge_vertex_pairs(hypergraph: Hypergraph, k: int) -> Iterator[Tuple[ConflictVertex, ConflictVertex]]:
@@ -300,6 +347,16 @@ class ConflictGraph:
     view.  The constructor raises :class:`ReductionError` for edge ids or
     vertices whose reprs would break that order.
 
+    No triple is stored: the instance keeps the pair arrays of the module
+    docstring ("Representation"), so id ``i`` is the triple
+    ``(pair_edge[i // k], pair_vertex[i // k], colors[i % k])``.  The
+    snapshot builds its :class:`ConflictVertex` label table from them on
+    first use, and :attr:`graph`, :meth:`bucket_structure` and
+    :meth:`host_assignment` read that table.  The edge counter is
+    maintained once per ``(e, v)`` pair (module docstring, "Edge counts"),
+    which requires the alive mask to stay a union of whole edge blocks:
+    mutate only through :meth:`remove_hyperedges`.
+
     Parameters
     ----------
     hypergraph:
@@ -323,15 +380,18 @@ class ConflictGraph:
             raise ReductionError(f"palette size k must be positive, got {k}")
         self.hypergraph = hypergraph
         self.k = k
-        triples, rows, blocks = _build_structures(hypergraph, k)
-        self._triples = triples
+        pair_edge, pair_vertex, colors, rows, blocks, num_edges = _build_structures(hypergraph, k)
+        self._pair_vertex = pair_vertex
+        self._colors = colors
         self._blocks = blocks
-        self._snapshot = IndexedGraph._from_bitsets(triples, rows)
-        self._alive = (1 << len(triples)) - 1
+        self._snapshot = IndexedGraph._from_bitsets(
+            rows, num_edges, partial(_triple_labels, pair_edge, pair_vertex, colors)
+        )
+        self._alive = (1 << len(rows)) - 1
         # |E(G_k)| over the surviving triples, maintained under
         # remove_hyperedges in O(deleted part) — num_edges() must not pay a
         # full popcount sweep per phase of the reduction.
-        self._alive_edge_count = self._snapshot.num_edges()
+        self._alive_edge_count = num_edges
         self._graph: Optional[Graph] = None
         self._frozen_view: Optional["IndexedGraph"] = self._snapshot
 
@@ -368,24 +428,27 @@ class ConflictGraph:
             return
         k = self.k
         dead_mask = 0
-        dead_ids: List[int] = []
+        dead_pairs: List[int] = []  # the slot-0 id of each dead (e, v)
         for e in ids:
             members, base = self._blocks.pop(e)
             size = len(members) * k
             dead_mask |= ((1 << size) - 1) << base
-            dead_ids.extend(range(base, base + size))
+            dead_pairs.extend(range(base, base + size, k))
         # Conflict edges incident to the deleted triples: each dead triple
         # counts its alive neighbors; edges with both endpoints dead are
         # counted once per endpoint, so subtract half the within-dead sum.
+        # Both masks are unions of whole blocks, which permuting the color
+        # slots fixes, so the k triples of a pair count alike: count slot 0
+        # and multiply by k.
         bitsets = self._snapshot.bitsets()
         alive_old = self._alive
         incident = 0
         within = 0
-        for i in dead_ids:
+        for i in dead_pairs:
             row = bitsets[i]
             incident += popcount(row & alive_old)
             within += popcount(row & dead_mask)
-        self._alive_edge_count -= incident - within // 2
+        self._alive_edge_count -= k * incident - k * within // 2
         self._alive &= ~dead_mask
         self._frozen_view = None
         self._graph = None
@@ -438,9 +501,10 @@ class ConflictGraph:
         from-scratch rebuild.
         """
         k = self.k
+        triples = self._snapshot.labels()
         structure: Dict[str, Dict] = {"vertex_color": {}, "by_vertex": {}, "edge_blocks": {}}
         for e, (members, base) in self._blocks.items():
-            block = self._triples[base:base + len(members) * k]
+            block = list(triples[base:base + len(members) * k])
             structure["edge_blocks"][e] = block
             for t in block:
                 structure["vertex_color"].setdefault((t.vertex, t.color), []).append(t)

@@ -12,12 +12,12 @@ under which at least ``|I|`` hyperedges are happy.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional, Set
+from typing import Dict, Hashable, Iterable, Optional, Set, Union
 
 from repro.coloring.conflict_free import UNCOLORED, unique_color_vertices
 from repro.core.conflict_graph import ConflictGraph, ConflictVertex
 from repro.exceptions import ColoringError, IndependenceError, ReductionError
-from repro.graphs.independent_sets import verify_independent_set
+from repro.graphs.independent_sets import verify_independent_ids, verify_independent_set
 from repro.hypergraph.hypergraph import Hypergraph
 
 Vertex = Hashable
@@ -82,12 +82,18 @@ def coloring_to_independent_set(
 
 def independent_set_to_coloring(
     conflict_graph: ConflictGraph,
-    independent_set: Iterable[ConflictVertex],
+    independent_set: Iterable[Union[ConflictVertex, int]],
 ) -> Dict[Vertex, Color]:
     """Build the partial coloring ``f_I`` of Lemma 2.1(b) from an independent set.
 
     ``f_I(v) = c`` if some triple ``(·, v, c)`` belongs to the independent
-    set and ``⊥`` (absent from the returned dict) otherwise.
+    set and ``⊥`` (absent from the returned dict) otherwise.  The set may
+    be given as :class:`ConflictVertex` triples or as the triple ids of
+    ``conflict_graph.frozen()`` (what ``approximator(view, ids=True)``
+    returns); id ``i`` is the triple ``(·, pair_vertex[i // k],
+    colors[i % k])`` (see :mod:`repro.core.conflict_graph`), so no triple
+    is built.  Either way the dict is filled in ``repr`` order of the
+    triples, which is ascending id order.
 
     Raises
     ------
@@ -99,21 +105,30 @@ def independent_set_to_coloring(
         only happen when the input was not independent, so this error
         indicates an inconsistent conflict graph.
     """
-    triples = set(independent_set)
-    for t in triples:
-        if not isinstance(t, ConflictVertex):
-            raise ReductionError(f"{t!r} is not a ConflictVertex triple")
-    verify_independent_set(conflict_graph.frozen(), triples)
+    items = list(independent_set)
+    if all(type(t) is int for t in items):
+        ids = sorted(items)
+        verify_independent_ids(conflict_graph.frozen(), ids)
+        k = conflict_graph.k
+        pair_vertex, colors = conflict_graph._pair_vertex, conflict_graph._colors
+        assigned = [(pair_vertex[i // k], colors[i % k]) for i in ids]
+    else:
+        triples = set(items)
+        for t in triples:
+            if not isinstance(t, ConflictVertex):
+                raise ReductionError(f"{t!r} is not a ConflictVertex triple")
+        verify_independent_set(conflict_graph.frozen(), triples)
+        assigned = [(t.vertex, t.color) for t in sorted(triples, key=repr)]
 
     coloring: Dict[Vertex, Color] = {}
-    for t in sorted(triples, key=repr):
-        existing = coloring.get(t.vertex)
-        if existing is not None and existing != t.color:
+    for v, c in assigned:
+        existing = coloring.get(v)
+        if existing is not None and existing != c:
             raise ReductionError(
-                f"independent set assigns two colors ({existing}, {t.color}) to "
-                f"vertex {t.vertex!r}; E_vertex should have prevented this"
+                f"independent set assigns two colors ({existing}, {c}) to "
+                f"vertex {v!r}; E_vertex should have prevented this"
             )
-        coloring[t.vertex] = t.color
+        coloring[v] = c
     return coloring
 
 

@@ -32,6 +32,12 @@ the conflict graph once, as bitset rows already laid out in the oracle's
 of it, then deletes the happy edges in place from both the hypergraph and
 the conflict graph.
 Total work is proportional to what is deleted, not phases × full rebuild.
+With an approximator that has an id kernel (``solve_ids``; every built-in
+does) the engine never builds a triple: the oracle answers
+``approximator(view, ids=True)`` with triple ids checked on masks, and
+:func:`~repro.core.correspondence.independent_set_to_coloring` reads the
+phase coloring off them as ``pair_vertex[i // k] ↦ colors[i % k]``.  Other
+approximators and plain callables get the mutable ``Graph`` of labels.
 The from-scratch path is retained as
 :meth:`ConflictFreeMulticoloringViaMaxIS.run_rebuild`; it produces
 bit-for-bit identical results and serves as the test oracle and the
@@ -238,13 +244,13 @@ class ConflictFreeMulticoloringViaMaxIS:
         self.oracle = _default_oracle(approximator)
         self.max_phases = max_phases
         self.strict = strict
-        # MaxISApproximator instances that opt in via accepts_frozen (every
-        # built-in does) can consume a frozen IndexedGraph, which lets the
-        # incremental engine freeze once per run and pass alive-mask views.
-        # Plain callables and Graph-only approximators keep receiving the
-        # mutable Graph.
-        self._oracle_accepts_frozen = (
-            isinstance(approximator, MaxISApproximator) and approximator.accepts_frozen
+        # Approximators with an id kernel (every built-in) answer the
+        # engine's alive-mask views with ids; plain callables and
+        # Graph-only approximators keep receiving the mutable Graph.
+        self._id_oracle: Optional[MaxISApproximator] = (
+            approximator
+            if isinstance(approximator, MaxISApproximator) and approximator.solve_ids is not None
+            else None
         )
         #: Wall seconds the most recent run/run_rebuild spent computing the
         #: per-phase happy-edge sets (the ``happy_check_wall_time_s`` key of
@@ -361,15 +367,15 @@ class ConflictFreeMulticoloringViaMaxIS:
         engine (together with ``tracker``, its happy-state twin).  The
         rebuild path hands the oracle the mutable graph (the seed
         behavior) and computes happiness from scratch — the equality
-        oracle for the tracker's incidence-driven check; the engine hands
-        registered approximators the ``repr``-sorted frozen view, which
-        yields the same independent set.
+        oracle for the tracker's incidence-driven check; the engine asks
+        approximators with an id kernel for the ids of an independent set
+        of the ``repr``-sorted frozen view, the triples the mutable path
+        selects, and colors from the ids without building a triple.
         """
-        if rebuild or not self._oracle_accepts_frozen:
-            oracle_input = conflict_graph.graph
+        if rebuild or self._id_oracle is None:
+            independent_set = self.oracle(conflict_graph.graph)
         else:
-            oracle_input = conflict_graph.frozen_sorted()
-        independent_set = self.oracle(oracle_input)
+            independent_set = self._id_oracle(conflict_graph.frozen_sorted(), ids=True)
         if current.num_edges() > 0 and not independent_set:
             raise ReductionError(
                 f"the MaxIS oracle returned an empty set in phase {phase} although "

@@ -12,7 +12,13 @@ machine-word-parallel operations.  Degrees are popcounts and
 Interning / determinism contract
 --------------------------------
 The interning table is fixed at construction time and never changes: id
-``i`` maps to ``labels()[i]`` forever.  When built via :meth:`from_graph`
+``i`` maps to ``labels()[i]`` forever.  The constructor and
+:meth:`from_graph` build and validate it eagerly; a graph adopted with
+:meth:`_from_bitsets` (the conflict-graph builder's path) holds a
+zero-argument label factory instead and builds the table, and the
+label → id index, on first use, so a caller that works on ids alone never
+pays for labels.  Sizes and masks come from the rows, so no kernel reads
+the table.  When built via :meth:`from_graph`
 (or :meth:`Graph.freeze`) the default order is the *insertion order* of the
 mutable :class:`~repro.graphs.graph.Graph`, so any deterministically
 constructed graph freezes to a deterministic ``IndexedGraph``; callers that
@@ -43,7 +49,7 @@ anything.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
 
@@ -72,7 +78,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class IndexedGraph:
     """An immutable graph over interned integer ids (see module docstring)."""
 
-    __slots__ = ("_labels", "_index", "_bitsets", "_num_edges")
+    __slots__ = ("_labels", "_index", "_bitsets", "_num_edges", "_make_labels")
 
     def __init__(self, labels: Sequence[Vertex], rows: Sequence[Iterable[int]]) -> None:
         """Build from interned ``labels`` and per-vertex neighbor-id ``rows``.
@@ -108,24 +114,41 @@ class IndexedGraph:
             raise GraphError("adjacency rows are not symmetric (odd degree sum)")
         self._bitsets = bitsets
         self._num_edges = total // 2
+        self._make_labels = None
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def _from_bitsets(cls, labels: Sequence[Vertex], bitsets: List[int]) -> "IndexedGraph":
+    def _from_bitsets(
+        cls, bitsets: List[int], num_edges: int, make_labels: Callable[[], Sequence[Vertex]]
+    ) -> "IndexedGraph":
         """Adopt prebuilt bitset rows without re-validating them (internal).
 
-        The caller guarantees symmetry and loop-freeness, so constructing a
-        graph this way is O(n) on top of the rows — the path the
-        conflict-graph builder takes.
+        The caller guarantees symmetry and loop-freeness, that ``num_edges``
+        is the edge count of the rows, and that ``make_labels()`` returns
+        ``len(bitsets)`` distinct labels; it is called on the first use of
+        the interning table.  Constructing a graph this way is O(1)
+        on top of the rows — the path the conflict-graph builder takes.
         """
         g = cls.__new__(cls)
-        g._labels = tuple(labels)
-        g._index = {v: i for i, v in enumerate(g._labels)}
+        g._labels = g._index = None
+        g._make_labels = make_labels
         g._bitsets = bitsets
-        g._num_edges = sum(map(_popcount, bitsets)) // 2
+        g._num_edges = num_edges
         return g
+
+    def _lookup(self) -> Dict[Vertex, int]:
+        """The label → id index of the interning table (built on first use)."""
+        if self._index is None:
+            self._intern()
+        return self._index
+
+    def _intern(self) -> None:
+        # The factory is kept: two threads interning at once build equal tables.
+        labels = tuple(self._make_labels())
+        self._index = {v: i for i, v in enumerate(labels)}
+        self._labels = labels
 
     @classmethod
     def from_graph(cls, graph, order: Optional[Iterable[Vertex]] = None) -> "IndexedGraph":
@@ -153,7 +176,7 @@ class IndexedGraph:
         """
         from repro.graphs.graph import Graph
 
-        labels = self._labels
+        labels = self.labels()
         bitsets = self._bitsets
         adj = {}
         for i in ids:
@@ -168,14 +191,14 @@ class IndexedGraph:
 
     def to_graph(self):
         """Materialize a mutable :class:`Graph` with the original labels."""
-        return self._materialize_graph(range(len(self._labels)), None)
+        return self._materialize_graph(range(len(self._bitsets)), None)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def num_vertices(self) -> int:
         """Return ``|V|``."""
-        return len(self._labels)
+        return len(self._bitsets)
 
     def num_edges(self) -> int:
         """Return ``|E|``."""
@@ -183,11 +206,13 @@ class IndexedGraph:
 
     def labels(self) -> Tuple[Vertex, ...]:
         """The interning table: ``labels()[i]`` is the label of id ``i``."""
+        if self._labels is None:
+            self._intern()
         return self._labels
 
     def label(self, i: int) -> Vertex:
         """Return the original label of id ``i``."""
-        return self._labels[i]
+        return self.labels()[i]
 
     def index_of(self, label: Vertex) -> int:
         """Return the dense id of ``label``.
@@ -198,7 +223,7 @@ class IndexedGraph:
             If the label is unknown.
         """
         try:
-            return self._index[label]
+            return self._lookup()[label]
         except KeyError:
             raise GraphError(f"vertex {label!r} not in graph") from None
 
@@ -238,11 +263,11 @@ class IndexedGraph:
         ids.  Kernels and wrappers iterate this instead of ``range(n)`` so
         they work on both without branching.
         """
-        return range(len(self._labels))
+        return range(len(self._bitsets))
 
     def alive_mask(self) -> int:
         """Return the bitmask of live ids (all-ones for a full graph)."""
-        return (1 << len(self._labels)) - 1
+        return (1 << len(self._bitsets)) - 1
 
     def subgraph_view(self, alive: int) -> "IndexedGraph":
         """Return the induced subgraph on the id-bitset ``alive`` as a view.
@@ -257,7 +282,7 @@ class IndexedGraph:
         GraphError
             If ``alive`` has bits outside ``range(n)``.
         """
-        full = (1 << len(self._labels)) - 1
+        full = (1 << len(self._bitsets)) - 1
         if alive & ~full:
             raise GraphError("alive mask has bits outside the vertex-id range")
         if alive == full:
@@ -266,7 +291,7 @@ class IndexedGraph:
 
     def labels_for_mask(self, mask: int) -> Set[Vertex]:
         """Translate a bitset over ids back into a set of vertex labels."""
-        labels = self._labels
+        labels = self.labels()
         return {labels[i] for i in iter_bits(mask)}
 
     def mask_of(self, vertices: Iterable[Vertex]) -> int:
@@ -277,13 +302,13 @@ class IndexedGraph:
         return mask
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._bitsets)
 
     def __iter__(self) -> Iterator[Vertex]:
-        return iter(self._labels)
+        return iter(self.labels())
 
     def __contains__(self, label: Vertex) -> bool:
-        return label in self._index
+        return label in self._lookup()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"IndexedGraph(n={self.num_vertices()}, m={self.num_edges()})"
@@ -292,12 +317,12 @@ class IndexedGraph:
 class IndexedSubgraph(IndexedGraph):
     """An induced-subgraph *view* of an :class:`IndexedGraph` (alive bitmask).
 
-    The view keeps a reference to the parent's interning table and raw
-    bitset rows and adds only an ``alive`` id-bitmask, so creating one is
-    O(1).  Ids are **parent ids**: ``label(i)`` / ``labels()`` answer for
-    the full interning table, while the size, degree, membership and
-    adjacency queries answer for the induced subgraph (dead ids are
-    rejected like unknown vertices).  The relative order of alive ids is
+    The view keeps a reference to its parent, whose interning table it
+    reads, and to the parent's raw bitset rows, and adds only an ``alive``
+    id-bitmask, so creating one is O(1).  Ids are **parent ids**:
+    ``label(i)`` / ``labels()`` answer for the full interning table, while
+    the size, degree, membership and adjacency queries answer for the
+    induced subgraph (dead ids are rejected like unknown vertices).  The relative order of alive ids is
     the parent's interning order, so a view of a ``repr``-sorted graph is
     itself ``repr``-sorted — the property the MIS wrappers rely on for
     bit-for-bit reproducibility.
@@ -313,11 +338,9 @@ class IndexedSubgraph(IndexedGraph):
             parent = parent._parent
         self._parent = parent
         self._alive = alive
-        # Shared, *raw* internals: kernels that pre-filter by id (first-fit
+        # Shared, *raw* rows: kernels that pre-filter by id (first-fit
         # along an alive order, branch-and-bound on an active mask) read
         # these directly and never see a dead contribution.
-        self._labels = parent._labels
-        self._index = parent._index
         self._bitsets = parent._bitsets
         self._num_edges = parent._num_edges
         self._alive_ids: Optional[List[int]] = None
@@ -328,6 +351,12 @@ class IndexedSubgraph(IndexedGraph):
     def parent(self) -> IndexedGraph:
         """The full graph this view restricts."""
         return self._parent
+
+    def labels(self) -> Tuple[Vertex, ...]:
+        return self._parent.labels()
+
+    def _lookup(self) -> Dict[Vertex, int]:
+        return self._parent._lookup()
 
     def alive_mask(self) -> int:
         """The bitmask of alive ids."""
@@ -340,7 +369,7 @@ class IndexedSubgraph(IndexedGraph):
         return self._alive_ids
 
     def subgraph_view(self, alive: int) -> "IndexedGraph":
-        full = (1 << len(self._labels)) - 1
+        full = (1 << len(self._bitsets)) - 1
         if alive & ~full:
             raise GraphError("alive mask has bits outside the vertex-id range")
         alive &= self._alive
@@ -422,16 +451,16 @@ class IndexedSubgraph(IndexedGraph):
         return _popcount(self._alive)
 
     def __iter__(self) -> Iterator[Vertex]:
-        labels = self._labels
+        labels = self.labels()
         return (labels[i] for i in self.vertex_ids())
 
     def __contains__(self, label: Vertex) -> bool:
-        i = self._parent._index.get(label)
+        i = self._lookup().get(label)
         return i is not None and bool((self._alive >> i) & 1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"IndexedSubgraph(n={self.num_vertices()}/{len(self._labels)}, "
+            f"IndexedSubgraph(n={self.num_vertices()}/{len(self._bitsets)}, "
             f"m={self.num_edges()})"
         )
 

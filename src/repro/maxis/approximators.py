@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Set
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.exceptions import ApproximationError
 from repro.graphs.graph import Graph
-from repro.graphs.independent_sets import verify_independent_set
+from repro.graphs.independent_sets import verify_independent_ids, verify_independent_set
+from repro.graphs.indexed import IndexedGraph
 
 Vertex = Hashable
 
@@ -32,43 +33,62 @@ class MaxISApproximator:
         Registry key / display name.
     solve:
         ``solve(graph) -> set_of_vertices``.  Receives a mutable
-        :class:`Graph` by default; see ``accepts_frozen``.
-    accepts_frozen:
-        Whether ``solve`` also handles frozen
-        :class:`~repro.graphs.indexed.IndexedGraph` inputs (including
-        alive-mask subgraph views).  The reduction's phase engine freezes
-        the conflict graph once per run and hands such approximators views
-        instead of re-materializing the mutable graph per phase — the
-        indexed fast path.  Defaults to ``False`` so custom approximators
-        written against the mutable-:class:`Graph` interface keep working
-        unchanged (they get the mutable conflict graph, at rebuild-path
-        speed); every built-in opts in, and deterministic built-ins return
-        the same set on both representations when the frozen input is
-        interned in ``repr`` order.
+        :class:`Graph` (the reduction's rebuild path and every plain
+        caller); built-ins also accept a frozen
+        :class:`~repro.graphs.indexed.IndexedGraph` or alive-mask view.
     guarantee:
         Callable mapping a graph to the approximation factor λ the
         algorithm guarantees on that graph (``None`` when no worst-case
         guarantee is claimed — e.g. purely heuristic baselines).
     description:
         One-line description used in benchmark tables.
+    solve_ids:
+        ``solve_ids(graph) -> iterable of ids``: the same algorithm on a
+        frozen :class:`~repro.graphs.indexed.IndexedGraph` or alive-mask
+        subgraph view interned in ``repr`` order, answering with the ids of
+        an independent set.  It is what ``__call__(graph, ids=True)`` runs,
+        and what the reduction's phase engine calls on the conflict graph,
+        whose ids are laid out in ``repr`` order.  Every built-in sets it
+        and returns, on such a graph, the ids of the labels ``solve``
+        returns on the mutable graph.  ``None`` (the default) keeps a
+        custom approximator on the mutable-:class:`Graph` path.
     """
 
     name: str
     solve: Callable[[Graph], Set[Vertex]]
     guarantee: Optional[Callable[[Graph], float]] = None
     description: str = ""
-    accepts_frozen: bool = False
+    solve_ids: Optional[Callable[[IndexedGraph], Iterable[int]]] = None
 
-    def __call__(self, graph: Graph) -> Set[Vertex]:
-        """Run the approximator and verify that its output is independent."""
-        result = self.solve(graph)
-        verify_independent_set(graph, result)
+    def __call__(self, graph, ids: bool = False):
+        """Run the approximator and verify that its output is independent.
+
+        By default ``solve`` runs and the answer is a set of vertex labels.
+        With ``ids=True``, ``graph`` must be an
+        :class:`~repro.graphs.indexed.IndexedGraph` or view interned in
+        ``repr`` order; ``solve_ids`` runs and the answer is a list of ids
+        in ascending order, checked on masks without building a label.
+
+        Raises
+        ------
+        IndependenceError
+            If the answer names a vertex outside ``graph``, repeats one, or
+            holds two adjacent vertices.
+        ApproximationError
+            If the answer is empty although ``graph`` is not.
+        """
+        if ids:
+            result = sorted(self.solve_ids(graph))
+            verify_independent_ids(graph, result)
+        else:
+            result = self.solve(graph)
+            verify_independent_set(graph, result)
         if graph.num_vertices() > 0 and not result:
             raise ApproximationError(
                 f"approximator {self.name!r} returned an empty set on a non-empty graph; "
                 "no finite approximation factor can hold"
             )
-        return set(result)
+        return result if ids else set(result)
 
     def guaranteed_lambda(self, graph: Graph) -> Optional[float]:
         """Return the guaranteed approximation factor on ``graph`` (or ``None``)."""
@@ -126,6 +146,9 @@ def capped_oracle(base_name: str, lam: float) -> MaxISApproximator:
     set is independent, so Lemma 2.1(b) still holds per selected triple)
     emulates an oracle that only achieves its worst-case guarantee — the
     regime the paper's analysis is about, with ``ρ = λ·ln(m) + 1`` phases.
+    The kept triples are the first ``⌈|I|/λ⌉`` by ``repr``; ``solve_ids``
+    keeps the ``⌈|I|/λ⌉`` smallest ids, the same triples on a graph
+    interned in ``repr`` order (set only when the base oracle has one).
     The campaign runtime's ``capped:<name>`` oracles and the reduction
     benchmark use it; its name is ``<base_name>@1/<λ>``.
     """
@@ -136,9 +159,14 @@ def capped_oracle(base_name: str, lam: float) -> MaxISApproximator:
         target = max(1, math.ceil(len(full) / lam))
         return set(full[:target])
 
+    def solve_ids(graph) -> List[int]:
+        # Ascending id is repr order on the graphs solve_ids receives.
+        full = sorted(base.solve_ids(graph))
+        return full[:max(1, math.ceil(len(full) / lam))]
+
     return MaxISApproximator(
         name=f"{base_name}@1/{lam:g}",
         solve=solve,
-        accepts_frozen=True,  # delegates to a built-in, which handles views
+        solve_ids=None if base.solve_ids is None else solve_ids,
         description=f"{base_name} capped to a 1/{lam:g} fraction (worst-case λ regime).",
     )

@@ -3,24 +3,36 @@
 Importing this module populates the registry in
 :mod:`repro.maxis.approximators`; it is imported lazily by
 :func:`repro.maxis.approximators.get_approximator` so that library users who
-never touch the registry pay nothing.
+never touch the registry pay nothing.  Each built-in sets ``solve_ids`` to
+the id kernel its label ``solve`` runs on a frozen graph.
 """
 
 from __future__ import annotations
 
+from repro.graphs.indexed import (
+    first_fit_mis_ids,
+    iter_bits,
+    maximum_independent_set_mask,
+    min_degree_greedy_ids,
+)
 from repro.maxis.approximators import MaxISApproximator, register_approximator
 from repro.maxis.exact import exact_maximum_independent_set
 from repro.maxis.greedy import first_fit_greedy, min_degree_greedy, turan_guarantee
-from repro.maxis.local_ratio import clique_cover_approximation
-from repro.maxis.luby_based import luby_based_approximation, luby_batch_mis
+from repro.maxis.local_ratio import clique_cover_approximation, clique_cover_ids
+from repro.maxis.luby_based import (
+    best_of_random_mis_ids,
+    luby_based_approximation,
+    luby_batch_best_ids,
+    luby_batch_mis,
+)
 
 
 register_approximator(
     MaxISApproximator(
         name="exact",
         solve=lambda g: exact_maximum_independent_set(g, size_limit=None),
+        solve_ids=lambda g: iter_bits(maximum_independent_set_mask(g)),
         guarantee=lambda g: 1.0,
-        accepts_frozen=True,
         description="Exact branch-and-bound (λ = 1); exponential worst case.",
     )
 )
@@ -29,8 +41,8 @@ register_approximator(
     MaxISApproximator(
         name="greedy-min-degree",
         solve=min_degree_greedy,
+        solve_ids=min_degree_greedy_ids,
         guarantee=turan_guarantee,
-        accepts_frozen=True,
         description="Minimum-degree greedy; Turán-type (Δ+1)-approximation.",
     )
 )
@@ -39,8 +51,8 @@ register_approximator(
     MaxISApproximator(
         name="greedy-first-fit",
         solve=first_fit_greedy,
+        solve_ids=lambda g: first_fit_mis_ids(g, g.vertex_ids()),
         guarantee=turan_guarantee,
-        accepts_frozen=True,
         description="First-fit maximal IS along a fixed order; (Δ+1)-approximation.",
     )
 )
@@ -49,8 +61,8 @@ register_approximator(
     MaxISApproximator(
         name="luby-best-of-5",
         solve=lambda g: luby_based_approximation(g, seed=0, trials=5),
+        solve_ids=lambda g: best_of_random_mis_ids(g, trials=5, seed=0),
         guarantee=turan_guarantee,
-        accepts_frozen=True,
         description="Largest of 5 random-order maximal independent sets.",
     )
 )
@@ -59,8 +71,8 @@ register_approximator(
     MaxISApproximator(
         name="luby-batch-of-8",
         solve=lambda g: luby_batch_mis(g, trials=8, seed=0),
+        solve_ids=lambda g: luby_batch_best_ids(g, trials=8, seed=0),
         guarantee=turan_guarantee,
-        accepts_frozen=True,
         description="Largest of 8 Luby coin-flip trials, advanced bit-parallel in lanes.",
     )
 )
@@ -69,8 +81,8 @@ register_approximator(
     MaxISApproximator(
         name="clique-cover",
         solve=clique_cover_approximation,
+        solve_ids=clique_cover_ids,
         guarantee=turan_guarantee,
-        accepts_frozen=True,
         description="One representative per greedy clique-cover class.",
     )
 )

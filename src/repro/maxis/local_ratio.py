@@ -83,14 +83,7 @@ def clique_cover_approximation(graph: Union[Graph, IndexedGraph]) -> Set[Vertex]
     independent set of size at least ``(#cliques) / (Δ + 1)``.
     """
     if isinstance(graph, IndexedGraph):
-        bitsets = graph._bitsets
-        selected = 0
-        for clique in _greedy_clique_cover_masks(graph):
-            for v in iter_bits(clique):
-                if not bitsets[v] & selected:
-                    selected |= 1 << v
-                    break
-        result = graph.labels_for_mask(selected)
+        result = {graph.label(i) for i in clique_cover_ids(graph)}
         verify_independent_set(graph, result)
         return result
     representatives: Set[Vertex] = set()
@@ -101,6 +94,25 @@ def clique_cover_approximation(graph: Union[Graph, IndexedGraph]) -> Set[Vertex]
                 break
     verify_independent_set(graph, representatives)
     return representatives
+
+
+def clique_cover_ids(graph: IndexedGraph) -> List[int]:
+    """The bitset port of :func:`clique_cover_approximation` on a frozen graph or view: ids.
+
+    Cliques are visited in cover order and their members in ascending id,
+    so on a ``repr``-sorted interning this selects the labels the mutable
+    path selects.
+    """
+    bitsets = graph._bitsets
+    selected = 0
+    chosen: List[int] = []
+    for clique in _greedy_clique_cover_masks(graph):
+        for v in iter_bits(clique):
+            if not bitsets[v] & selected:
+                selected |= 1 << v
+                chosen.append(v)
+                break
+    return chosen
 
 
 def clique_cover_number_upper_bound(graph: Graph) -> int:

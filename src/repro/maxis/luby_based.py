@@ -78,20 +78,28 @@ def best_of_random_mis(
     ApproximationError
         If ``trials`` is not positive.
     """
+    frozen = freeze_sorted(graph)
+    return {frozen.label(i) for i in best_of_random_mis_ids(frozen, trials, seed)}
+
+
+def best_of_random_mis_ids(
+    frozen: IndexedGraph,
+    trials: int = 10,
+    seed: Optional[Union[int, random.Random]] = None,
+) -> List[int]:
+    """The kernel of :func:`best_of_random_mis` on a frozen graph or view: ids.
+
+    The first of the largest trials wins.
+    """
     if trials <= 0:
         raise ApproximationError(f"trials must be positive, got {trials}")
     rng = _rng(seed)
-    frozen = freeze_sorted(graph)
-    best: List[int] = []
-    for _ in range(trials):
-        candidate = _one_random_trial(frozen, rng)
-        if len(candidate) > len(best):
-            best = candidate
+    best = max((_one_random_trial(frozen, rng) for _ in range(trials)), key=len)
     if len(frozen) > 0 and not best:
         # A maximal independent set of a non-empty graph is never empty;
         # reaching this line indicates a bug upstream.
         raise ApproximationError("random MIS sampling produced an empty set")
-    return {frozen.label(i) for i in best}
+    return best
 
 
 def luby_based_approximation(
@@ -197,11 +205,14 @@ def luby_batch_mis(
     running the scalar reference per trial and keeping the first best.
     """
     frozen = freeze_sorted(graph)
-    per_trial = luby_batch_mis_ids(frozen, trials, seed)
-    best: List[int] = []
-    for candidate in per_trial:
-        if len(candidate) > len(best):
-            best = candidate
-    if len(frozen) > 0 and not best:
+    return {frozen.label(i) for i in luby_batch_best_ids(frozen, trials, seed)}
+
+
+def luby_batch_best_ids(
+    graph: IndexedGraph, trials: int = 8, seed: Optional[int] = None
+) -> List[int]:
+    """The kernel of :func:`luby_batch_mis` on a frozen graph or view: the winning trial's ids."""
+    best = max(luby_batch_mis_ids(graph, trials, seed), key=len)
+    if len(graph) > 0 and not best:
         raise ApproximationError("batched Luby sampling produced an empty set")
-    return {frozen.label(i) for i in best}
+    return best

@@ -65,6 +65,7 @@ def test_builder_matches_classification_oracle(k):
                     expected_edges.add(frozenset((a, b)))
         actual_edges = {frozenset(e) for e in cg.graph.edges()}
         assert actual_edges == expected_edges, f"instance {idx} (k={k}): edge set differs"
+        assert cg.num_edges() == len(expected_edges), f"instance {idx} (k={k}): edge count"
 
 
 @pytest.mark.parametrize("k", PALETTES)

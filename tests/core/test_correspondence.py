@@ -119,8 +119,10 @@ class TestLemma21b:
         triples = sorted(cg.graph.vertices, key=repr)
         a = triples[0]
         neighbor = next(iter(cg.graph.neighbors(a)))
-        with pytest.raises(IndependenceError):
-            independent_set_to_coloring(cg, {a, neighbor})
+        ids = [cg.frozen().index_of(a), cg.frozen().index_of(neighbor)]
+        for candidate in ({a, neighbor}, ids):
+            with pytest.raises(IndependenceError):
+                independent_set_to_coloring(cg, candidate)
 
     def test_non_triple_input_rejected(self, instance):
         _, _, cg = instance

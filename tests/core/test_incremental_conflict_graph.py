@@ -54,6 +54,7 @@ def _assert_matches_rebuild(cg: ConflictGraph, h: Hypergraph, k: int, ctx: str) 
     # Edge set (mutable graph equality is label-based and order-free).
     assert cg.graph == rebuilt.graph, f"{ctx}: edge set"
     assert cg.num_edges() == rebuilt.num_edges(), ctx
+    assert cg.num_edges() == cg.graph.num_edges(), f"{ctx}: maintained edge counter"
     # Frozen view: alive subsequence of the original table == fresh table,
     # with identical masked adjacency under the order-preserving id map.
     view, fresh = cg.frozen(), rebuilt.frozen()

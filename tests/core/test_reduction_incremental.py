@@ -7,7 +7,7 @@ views per phase, in-place edge removal) must produce exactly the same
 identical phase records (including happy-edge sets and conflict-graph
 sizes), identical multicoloring, identical bounds — for every registered
 oracle, for λ-capped oracles that force the multi-phase worst-case
-regime, and for plain-callable oracles that bypass the frozen fast path.
+regime, and for plain-callable oracles that bypass the id path.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coloring import verify_conflict_free_multicoloring
+import repro.core.conflict_graph as conflict_graph_module
 from repro.core import ConflictFreeMulticoloringViaMaxIS
+from repro.core.conflict_graph import ConflictVertex
 from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
 from repro.maxis import available_approximators, capped_oracle, get_approximator
 
@@ -80,9 +82,9 @@ class TestEngineEqualsRebuild:
         _assert_results_identical(result, reduction.run_rebuild(hypergraph))
 
     def test_graph_only_approximator_works_by_default(self):
-        # accepts_frozen defaults to False: a custom approximator written
-        # against the pre-incremental mutable-Graph contract (``.vertices``
-        # does not exist on a frozen view) must keep working unchanged.
+        # solve_ids defaults to None: a custom approximator written against
+        # the pre-incremental mutable-Graph contract (``.vertices`` does not
+        # exist on a frozen view) must keep working unchanged.
         from repro.maxis import MaxISApproximator
 
         hypergraph, _ = colorable_almost_uniform_hypergraph(n=16, m=8, k=2, seed=17)
@@ -91,14 +93,34 @@ class TestEngineEqualsRebuild:
             return {min(graph.vertices, key=repr)}
 
         oracle = MaxISApproximator(name="graph-only-tmp", solve=graph_only_solve)
-        assert not oracle.accepts_frozen
+        assert oracle.solve_ids is None
         reduction = ConflictFreeMulticoloringViaMaxIS(k=2, approximator=oracle, lam=8.0)
         _assert_results_identical(
             reduction.run(hypergraph), reduction.run_rebuild(hypergraph)
         )
 
     def test_builtins_opt_into_frozen_fast_path(self):
-        assert all(a.accepts_frozen for a in available_approximators().values())
+        assert all(a.solve_ids is not None for a in available_approximators().values())
+
+    @pytest.mark.parametrize("oracle_name", sorted(available_approximators()) + ["capped"])
+    def test_run_builds_no_conflict_vertex(self, oracle_name, monkeypatch):
+        """With an id kernel the engine goes from the G_k build to the coloring on ids."""
+        n, m = (12, 6) if oracle_name == "exact" else (40, 25)
+        hypergraph, _ = colorable_almost_uniform_hypergraph(n=n, m=m, k=3, seed=23)
+        if oracle_name == "capped":
+            approximator = capped_oracle("greedy-first-fit", 4)
+        else:
+            approximator = get_approximator(oracle_name)
+        reduction = ConflictFreeMulticoloringViaMaxIS(k=3, approximator=approximator, lam=4.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine built a ConflictVertex")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(conflict_graph_module, "_triple_labels", refuse)
+            patch.setattr(ConflictVertex, "__new__", refuse)
+            result = reduction.run(hypergraph)
+        _assert_results_identical(result, reduction.run_rebuild(hypergraph))
 
     def test_capped_oracle_honours_fractional_lambda(self):
         from repro.graphs import Graph

@@ -47,6 +47,10 @@ ORACLES = (
     "capped-first-fit",
 )
 
+#: The exponential ``exact`` oracle runs only on conflict graphs of at most
+#: this many triples; the corpus solves each of those within ~50 ms.
+EXACT_MAX_TRIPLES = 80
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -124,9 +128,13 @@ def make_hypergraph(family: str, rng: random.Random) -> Hypergraph:
 
 
 def make_oracle(name: str):
-    """Resolve an :data:`ORACLES` entry to an approximator."""
-    if name == "capped-first-fit":
-        return capped_oracle("greedy-first-fit", lam=2.0)
+    """Resolve an :data:`ORACLES` entry, any registry name or ``capped-<greedy kernel>``.
+
+    ``capped-first-fit`` and ``capped-min-degree`` are the λ = 2 caps of
+    ``greedy-first-fit`` and ``greedy-min-degree``.
+    """
+    if name.startswith("capped-"):
+        return capped_oracle(f"greedy-{name[len('capped-'):]}", lam=2.0)
     return get_approximator(name)
 
 

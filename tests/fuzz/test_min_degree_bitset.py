@@ -20,7 +20,7 @@ from repro.graphs import erdos_renyi_graph
 from repro.graphs.independent_sets import greedy_min_degree_independent_set
 from repro.graphs.indexed import freeze_sorted, min_degree_greedy_ids
 from repro.hypergraph import colorable_almost_uniform_hypergraph
-from repro.maxis import MaxISApproximator
+from repro.maxis import MaxISApproximator, min_degree_greedy
 from repro.runtime.tasks import build_instance
 from tests.fuzz.corpus import make_instance
 
@@ -37,11 +37,12 @@ GRID_SEEDS = (0, 1, 2)
 
 
 def _assert_matches_reference(graph, ctx):
-    """Assert kernel == reference on ``graph``; return the selected labels."""
-    got = {graph.label(i) for i in min_degree_greedy_ids(graph)}
+    """Assert kernel == reference on ``graph``; return the selected ids."""
+    ids = min_degree_greedy_ids(graph)
+    got = {graph.label(i) for i in ids}
     expected = greedy_min_degree_independent_set(graph.to_graph())
     assert got == expected, f"{ctx} kernel {got!r} != reference {expected!r}"
-    return got
+    return ids
 
 
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
@@ -90,7 +91,7 @@ def test_every_phase_view_of_the_demo_grid_matches_reference(family, n, m, k, se
         return _assert_matches_reference(graph, f"{ctx} phase {len(views)}")
 
     oracle = MaxISApproximator(
-        name="checked-min-degree", solve=checked, accepts_frozen=True
+        name="checked-min-degree", solve=min_degree_greedy, solve_ids=checked
     )
     hypergraph = build_instance(family, n, m, k, epsilon=0.5, seed=seed)
     ConflictFreeMulticoloringViaMaxIS(k=k, approximator=oracle, lam=2.0).run(hypergraph)
@@ -104,11 +105,13 @@ def test_conflict_graph_views_match_reference(seed):
     ctx = f"[{instance.label}]"
     rng = random.Random(seed)
     cg = ConflictGraph(instance.hypergraph, instance.k)
-    selected = _assert_matches_reference(cg.frozen_sorted(), f"{ctx} snapshot")
+    view = cg.frozen_sorted()
+    selected = _assert_matches_reference(view, f"{ctx} snapshot")
     for step in (1, 2):
-        touched = sorted({triple.edge for triple in selected}, key=repr)
+        touched = sorted({view.label(i).edge for i in selected}, key=repr)
         cg.remove_hyperedges(rng.sample(touched, (len(touched) + 1) // 2))
-        selected = _assert_matches_reference(cg.frozen_sorted(), f"{ctx} view {step}")
+        view = cg.frozen_sorted()
+        selected = _assert_matches_reference(view, f"{ctx} view {step}")
 
 
 class TestNoCsrMaterialization:

@@ -3,9 +3,10 @@
 120 seeded corpus instances (hypergraph families × k × oracle) through
 ``assert_equivalent_run`` — the one helper every kernel rewrite must keep
 green — plus the first seeds again at palettes k ∈ {10, 11} with both
-greedy kernels and the λ-capped oracle, and again with their vertices and
-edge ids relabeled to str, tuple and mixed int/tuple ids.  The pytest id
-carries the reproducing seed.
+greedy kernels and the λ-capped oracle, again with their vertices and
+edge ids relabeled to str, tuple and mixed int/tuple ids, and again with
+the id-kernel oracles the corpus pool leaves out.  The pytest id carries
+the reproducing seed.
 """
 
 from __future__ import annotations
@@ -17,13 +18,24 @@ import pytest
 
 from repro.core import ConflictGraph
 from repro.hypergraph import Hypergraph
-from tests.fuzz.corpus import FAMILIES, ORACLES, assert_equivalent_run, corpus, make_instance
+from tests.fuzz.corpus import (
+    EXACT_MAX_TRIPLES,
+    FAMILIES,
+    ORACLES,
+    assert_equivalent_run,
+    corpus,
+    make_instance,
+)
 
 SEED_COUNT = 120
 #: Seeds of the wide-palette and relabeled-id checks below.  Both greedy
 #: kernels finish these instances in one phase; the λ-capped oracle needs
 #: up to three, so it also drives deletions through the repr-ordered view.
 WIDE_PALETTE_SEEDS = range(24)
+#: Oracles with an id kernel that ``ORACLES`` leaves out (changing that pool
+#: would re-deal every seed); ``capped-min-degree`` stands for the campaign
+#: oracle ``capped:greedy-min-degree``.
+UNPOOLED_ORACLES = ("exact", "luby-best-of-5", "clique-cover", "capped-min-degree")
 
 
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
@@ -37,6 +49,21 @@ def test_run_equals_run_rebuild(seed):
 def test_run_equals_run_rebuild_at_wide_palettes(seed, k, oracle_name):
     """At k >= 10 color 10 repr-sorts before color 2: each block's colors run 1, 10, 11, 2, …"""
     assert_equivalent_run(dataclasses.replace(make_instance(seed), k=k, oracle_name=oracle_name))
+
+
+def _unpooled_oracle_cases():
+    for seed in WIDE_PALETTE_SEEDS:
+        instance = make_instance(seed)
+        for name in UNPOOLED_ORACLES:
+            if name == "exact" and instance.k * instance.hypergraph.total_edge_size() > EXACT_MAX_TRIPLES:
+                continue
+            yield pytest.param(seed, name, id=f"seed={seed}-{name}")
+
+
+@pytest.mark.parametrize("seed,oracle_name", list(_unpooled_oracle_cases()))
+def test_run_equals_run_rebuild_with_unpooled_oracles(seed, oracle_name):
+    """The oracles outside ``ORACLES``: their id kernels against their label path, end to end."""
+    assert_equivalent_run(dataclasses.replace(make_instance(seed), oracle_name=oracle_name))
 
 
 def _relabeling(items, kind: str, rng: random.Random) -> dict:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ApproximationError
+from repro.exceptions import ApproximationError, IndependenceError
 from repro.graphs import (
     Graph,
     complete_graph,
@@ -76,6 +76,37 @@ class TestRegistry:
     def test_guarantee_none_when_not_declared(self):
         heuristic = MaxISApproximator(name="heur-tmp", solve=lambda g: set())
         assert heuristic.guaranteed_lambda(path_graph(2)) is None
+
+
+class TestIdCall:
+    """``approximator(view, ids=True)`` checks a stub ``solve_ids`` on masks."""
+
+    def _view(self):
+        # Path 0-1-2-3-4 interned in repr order, with id 4 dead.
+        return path_graph(5).freeze(order=range(5)).subgraph_view(0b01111)
+
+    def _stub(self, answer):
+        return MaxISApproximator(
+            name="stub-tmp", solve=lambda g: set(), solve_ids=lambda g: list(answer)
+        )
+
+    def test_answer_is_ascending_ids(self):
+        assert self._stub([3, 0])(self._view(), ids=True) == [0, 3]
+
+    @pytest.mark.parametrize(
+        "answer", [[0, 4], [2, -1], [0, 2, 0], [0, 1]], ids=["dead", "negative", "repeated", "adjacent"]
+    )
+    def test_bad_answers_raise_independence_error(self, answer):
+        with pytest.raises(IndependenceError):
+            self._stub(answer)(self._view(), ids=True)
+
+    def test_empty_answer_on_nonempty_view_raises(self):
+        with pytest.raises(ApproximationError):
+            self._stub([])(self._view(), ids=True)
+
+    def test_empty_answer_on_empty_view_is_accepted(self):
+        empty = path_graph(5).freeze().subgraph_view(0)
+        assert self._stub([])(empty, ids=True) == []
 
 
 class TestExact:
