@@ -43,9 +43,10 @@ already-aggregated store — the O(new rows) query-path deliverable) and
 plus the informational ``digest``); reduction
 records add ``k``, ``num_phases``, ``total_colors``,
 ``rebuild_wall_time_s``, ``happy_check_wall_time_s`` (seconds the
-incremental engine's incidence-driven happiness tracker spent across all
-phases of the timed run; ``rebuild_happy_check_wall_time_s`` is the
-informational full-scan counterpart) and ``speedup`` (plus the
+incremental engine's incidence-driven happy check,
+:meth:`ConflictGraph.happy_edges`, spent across all phases of the timed
+run; ``rebuild_happy_check_wall_time_s`` is the informational full-scan
+counterpart) and ``speedup`` (plus the
 informational ``oracle`` and ``lam``).  Later PRs must keep these keys so the trajectory stays
 comparable (:func:`validate_bench_payload` is the schema check used by
 tests and ``make bench-smoke``).

@@ -65,8 +65,9 @@ def happy_from_incidence(coloring: Dict[Vertex, Color], incident_of) -> Set:
     colored vertex the color-census of its incident edges is bumped, then
     every *touched* edge is classified from its census — an edge is happy
     iff some color appears on exactly one of its members, and an edge no
-    colored vertex touches cannot be happy.  This single kernel backs both
-    :func:`happy_edges_incident` and the phase loop's stateful
+    colored vertex touches cannot be happy.  This single kernel backs
+    :func:`happy_edges_incident`, the phase loop's check
+    :meth:`repro.core.conflict_graph.ConflictGraph.happy_edges` and
     :class:`repro.core.happiness.HappinessTracker`, so the happiness rule
     cannot diverge between them.
     """

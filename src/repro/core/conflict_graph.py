@@ -68,6 +68,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
+from repro.coloring.conflict_free import happy_from_incidence
 from repro.exceptions import ReductionError
 from repro.graphs.graph import Graph
 from repro.graphs.indexed import IndexedGraph, popcount
@@ -339,6 +340,8 @@ class ConflictGraph:
     proportional to the deleted part, because removing hyperedges never
     creates new conflicts between surviving triples — ``G^{i+1}_k`` is
     exactly the induced subgraph of ``G^i_k`` on the surviving triples.
+    It is the reduction engine's only phase state: the surviving edge
+    blocks are ``E_i``, which every size and happiness helper reads.
     Internally the adjacency lives in one immutable
     :class:`~repro.graphs.indexed.IndexedGraph` snapshot, whose triples are
     laid out in ``repr`` order (module docstring, "Triple order"), plus an
@@ -360,10 +363,9 @@ class ConflictGraph:
     Parameters
     ----------
     hypergraph:
-        The instance ``H``.  Callers that use :meth:`remove_hyperedges`
-        are expected to mirror the removals on ``hypergraph`` (the
-        reduction's phase loop removes from both); the conflict graph
-        itself never mutates it.
+        The instance ``H`` the graph is built from, kept as
+        :attr:`hypergraph` and never mutated: the helpers read its member
+        sets and incidences restricted to the surviving blocks.
     k:
         The palette size.
 
@@ -407,10 +409,8 @@ class ConflictGraph:
         the phase step ``G^{i+1}_k = G^i_k[surviving triples]``: hyperedge
         removal never makes two surviving triples adjacent, so the
         maintained graph equals a from-scratch rebuild on the surviving
-        hypergraph.
-
-        The caller is responsible for removing the same edges from
-        :attr:`hypergraph` (before or after this call).
+        hypergraph.  :attr:`hypergraph` is left as it is: the removed edges
+        leave the blocks, which is where every helper reads ``E_i`` from.
 
         Raises
         ------
@@ -523,12 +523,32 @@ class ConflictGraph:
         return self._alive_edge_count
 
     def expected_num_vertices(self) -> int:
-        """The closed-form vertex count ``k · Σ_e |e|`` (cross-check for tests)."""
-        return self.k * self.hypergraph.total_edge_size()
+        """The closed-form vertex count ``k · Σ_e |e|`` over the surviving blocks (tests)."""
+        return self.k * sum(len(members) for members, _base in self._blocks.values())
+
+    def num_hyperedges(self) -> int:
+        """Return ``|E_i|``, the number of surviving hyperedges (O(1))."""
+        return len(self._blocks)
+
+    def hyperedge_ids(self) -> List[EdgeId]:
+        """The surviving hyperedges in ``repr`` order (the order of their blocks)."""
+        return list(self._blocks)
 
     # ------------------------------------------------------------------
     # structure helpers used by the correspondence and by tests
     # ------------------------------------------------------------------
+    def happy_edges(self, coloring: Dict[Vertex, Hashable]) -> Set[EdgeId]:
+        """The surviving hyperedges that ``coloring`` (over vertices of ``H``) makes happy.
+
+        :func:`~repro.coloring.conflict_free.happy_from_incidence` over the
+        incidence of :attr:`hypergraph`, filtered to the surviving blocks
+        (an edge's census reads only its own members, so a dead edge never
+        changes a surviving one): ``O(Σ_{v colored} deg_H(v))``, equal to
+        the full scan on ``H_i``.
+        """
+        happy = happy_from_incidence(coloring, self.hypergraph.edges_containing)
+        return self._blocks.keys() & happy
+
     def triples_of_edge(self, edge_id: EdgeId) -> List[ConflictVertex]:
         """Return all triples ``(edge_id, ·, ·)``."""
         return [
@@ -538,10 +558,11 @@ class ConflictGraph:
         ]
 
     def triples_of_vertex(self, vertex: Vertex) -> List[ConflictVertex]:
-        """Return all triples ``(·, vertex, ·)``."""
+        """Return all triples ``(·, vertex, ·)`` of the surviving hyperedges."""
+        edges = [e for e in self.hypergraph.edges_containing(vertex) if e in self._blocks]
         return [
             ConflictVertex(e, vertex, c)
-            for e in sorted(self.hypergraph.edges_containing(vertex), key=repr)
+            for e in sorted(edges, key=repr)
             for c in range(1, self.k + 1)
         ]
 

@@ -12,13 +12,12 @@ under which at least ``|I|`` hyperedges are happy.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional, Set, Union
+from typing import Dict, Hashable, Iterable, Set, Union
 
 from repro.coloring.conflict_free import UNCOLORED, unique_color_vertices
 from repro.core.conflict_graph import ConflictGraph, ConflictVertex
-from repro.exceptions import ColoringError, IndependenceError, ReductionError
+from repro.exceptions import ColoringError, ReductionError
 from repro.graphs.independent_sets import verify_independent_ids, verify_independent_set
-from repro.hypergraph.hypergraph import Hypergraph
 
 Vertex = Hashable
 Color = int
@@ -31,9 +30,10 @@ def coloring_to_independent_set(
 ) -> Set[ConflictVertex]:
     """Build the independent set ``I_f`` of Lemma 2.1(a) from a coloring ``f``.
 
-    For every hyperedge ``e`` that is happy under ``coloring`` the set
-    receives one triple ``(e, v, f(v))`` where ``v`` is a vertex whose color
-    is unique within ``e`` (ties broken deterministically by ``repr``).
+    For every surviving hyperedge ``e`` of ``conflict_graph`` that is happy
+    under ``coloring`` the set receives one triple ``(e, v, f(v))`` where
+    ``v`` is a vertex whose color is unique within ``e`` (ties broken
+    deterministically by ``repr``).
 
     Parameters
     ----------
@@ -63,7 +63,7 @@ def coloring_to_independent_set(
             )
 
     independent_set: Set[ConflictVertex] = set()
-    for e in hypergraph.edge_ids:
+    for e in conflict_graph.hyperedge_ids():
         unique = unique_color_vertices(hypergraph, coloring, e)
         if not unique:
             if require_conflict_free:
@@ -136,17 +136,15 @@ def happy_edges_of_independent_set(
     conflict_graph: ConflictGraph,
     independent_set: Iterable[ConflictVertex],
 ) -> Set:
-    """Return the hyperedges made happy by ``f_I`` — Lemma 2.1(b) guarantees ≥ ``|I|``.
+    """Return the surviving hyperedges made happy by ``f_I`` (Lemma 2.1(b): at least ``|I|``).
 
     The proof of the lemma shows a stronger, constructive fact: for every
     triple ``(e, v, c)`` in the independent set the edge ``e`` itself is
     happy.  This function returns the happy-edge set of the induced
     coloring, which therefore always contains ``{t.edge for t in I}``.
     """
-    from repro.coloring.conflict_free import happy_edges as cf_happy_edges
-
     coloring = independent_set_to_coloring(conflict_graph, independent_set)
-    return cf_happy_edges(conflict_graph.hypergraph, coloring)
+    return conflict_graph.happy_edges(coloring)
 
 
 def verify_lemma_21a(
@@ -155,10 +153,10 @@ def verify_lemma_21a(
     """Check Lemma 2.1(a) on a concrete instance and return the witness ``I_f``.
 
     Asserts that ``I_f`` is independent (checked during construction) and
-    has size exactly ``m = |E(H)|``.
+    has size exactly ``m``, the number of surviving hyperedges.
     """
     witness = coloring_to_independent_set(conflict_graph, coloring, require_conflict_free=True)
-    m = conflict_graph.hypergraph.num_edges()
+    m = conflict_graph.num_hyperedges()
     if len(witness) != m:
         raise ReductionError(
             f"Lemma 2.1(a) violated: |I_f| = {len(witness)} but m = {m}"
@@ -194,6 +192,7 @@ def maximum_independent_set_size_bound(conflict_graph: ConflictGraph) -> int:
     """Return the upper bound ``α(G_k) ≤ m`` from the proof of Lemma 2.1(a).
 
     The ``E_edge`` relation turns the triples of each hyperedge into a
-    clique, so an independent set contains at most one triple per edge.
+    clique, so an independent set contains at most one triple per edge;
+    ``m`` counts the surviving hyperedges.
     """
-    return conflict_graph.hypergraph.num_edges()
+    return conflict_graph.num_hyperedges()

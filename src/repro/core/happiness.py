@@ -1,26 +1,23 @@
-"""Incidence-driven happy-edge tracking for the reduction's phase loop.
+"""Incidence-driven happy-edge tracking: a stateful twin of the engine's happy check.
 
-The rebuild path of the Theorem 1.1 reduction re-scans every surviving
-hyperedge per phase to find the happy ones, although only edges incident
-to a vertex recolored in that phase can possibly become happy (a phase
-coloring draws from a phase-private palette, so an edge without recolored
-members has no colored member at all under it).  :class:`HappinessTracker`
-makes that observation operational: it maintains its own vertex →
-incident-edge index plus a per-edge happiness state across the phases, so
-committing an independent set ``I_i`` costs ``O(Σ_{v ∈ I_i} deg(v))`` —
-proportional to the phase's own work — instead of ``O(Σ_e |e|)``.
+Only edges incident to a vertex recolored in a phase can become happy (a
+phase coloring draws from a phase-private palette, so an edge without
+recolored members has no colored member at all under it).
+:class:`HappinessTracker` makes that observation stateful: it keeps its
+own member snapshot, vertex → incident-edge index and per-edge happiness
+state, so committing an independent set ``I_i`` costs
+``O(Σ_{v ∈ I_i} deg(v))`` instead of ``O(Σ_e |e|)``.
 
-The tracker mirrors the lifecycle of the incremental
-:class:`~repro.core.conflict_graph.ConflictGraph`: built once per run,
-then maintained through :meth:`remove_edges` in time proportional to the
-deleted part.  ``run_rebuild`` keeps computing happiness from scratch
-(:func:`repro.coloring.conflict_free.happy_edges`), which is the equality
-oracle the differential tests in ``tests/fuzz`` assert against.
+The tracker is off the reduction's engine path, which runs the same
+kernel through :meth:`~repro.core.conflict_graph.ConflictGraph.happy_edges`.
+It stays only because ``perfbench/ledger.py`` wraps three of its methods
+by name (``happiness.init_s``, ``commit_s`` and ``remove_s``); it can go
+once those hooks are retired.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Hashable, Iterable, Set
 
 from repro.coloring.conflict_free import happy_from_incidence
 from repro.exceptions import ReductionError
@@ -37,12 +34,10 @@ class HappinessTracker:
     Parameters
     ----------
     hypergraph:
-        The working hypergraph at the start of the run.  The tracker takes
-        a structural snapshot (member sets and the vertex → incident-edge
-        index) and from then on is independent of it: callers that remove
-        edges from the hypergraph mirror the removal through
-        :meth:`remove_edges`, exactly like
-        :meth:`~repro.core.conflict_graph.ConflictGraph.remove_hyperedges`.
+        The hypergraph to track.  The tracker takes a structural snapshot
+        (member sets and the vertex → incident-edge index) and from then on
+        is independent of it: callers that remove edges from the
+        hypergraph mirror the removal through :meth:`remove_edges`.
 
     Attributes
     ----------

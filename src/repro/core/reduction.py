@@ -27,10 +27,11 @@ Incremental phase engine
 Since a phase only ever *removes* happy edges — and removing hyperedges
 never makes two surviving conflict triples adjacent — the pipeline is
 phase-incremental: :meth:`ConflictFreeMulticoloringViaMaxIS.run` builds
-the conflict graph once, as bitset rows already laid out in the oracle's
-``repr`` order, and per phase hands the oracle an alive-mask subgraph view
-of it, then deletes the happy edges in place from both the hypergraph and
-the conflict graph.
+the conflict graph once, on the caller's hypergraph, as bitset rows
+already laid out in the oracle's ``repr`` order; per phase it hands the
+oracle an alive-mask subgraph view and deletes the happy edges' blocks in
+place.  That conflict graph is the only phase state (DESIGN.md, "Phase
+state"): the input is never copied or mutated.
 Total work is proportional to what is deleted, not phases × full rebuild.
 With an approximator that has an id kernel (``solve_ids``; every built-in
 does) the engine never builds a triple: the oracle answers
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Hashable, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.coloring.conflict_free import happy_edges as single_happy_edges
@@ -56,7 +57,6 @@ from repro.coloring.multicoloring import Multicoloring
 from repro.core.bounds import color_budget, expected_remaining_edges, phase_budget
 from repro.core.conflict_graph import ConflictGraph, ConflictVertex
 from repro.core.correspondence import independent_set_to_coloring
-from repro.core.happiness import HappinessTracker
 from repro.exceptions import ReductionError
 from repro.graphs.graph import Graph
 from repro.hypergraph.hypergraph import Hypergraph
@@ -261,36 +261,37 @@ class ConflictFreeMulticoloringViaMaxIS:
     def run(self, hypergraph: Hypergraph) -> ReductionResult:
         """Execute the reduction on ``hypergraph`` and return a :class:`ReductionResult`.
 
-        This is the incremental phase engine: the conflict graph of the
-        input is built (and frozen for the oracle) exactly once; each
-        phase solves on an alive-mask subgraph view and then removes the
-        happy edges *in place* from both the working hypergraph and the
-        maintained conflict graph, so the per-phase cost is the oracle
-        solve plus work proportional to the deleted part.  The result is
-        bit-for-bit identical to :meth:`run_rebuild`.
+        This is the incremental phase engine: the conflict graph of
+        ``hypergraph`` is built (and frozen for the oracle) exactly once;
+        each phase solves on an alive-mask subgraph view, finds the happy
+        edges with :meth:`ConflictGraph.happy_edges` and removes them from
+        the conflict graph alone, so ``hypergraph`` is neither copied nor
+        mutated.  The result is bit-for-bit identical to :meth:`run_rebuild`.
         """
         return self._execute(hypergraph, rebuild=False)
 
     def run_rebuild(self, hypergraph: Hypergraph) -> ReductionResult:
         """Execute the reduction rebuilding ``H_i`` and ``G^i_k`` from scratch each phase.
 
-        This is the pre-incremental reference path: every phase restricts a
-        fresh hypergraph copy and constructs a new :class:`ConflictGraph`.
-        It is retained as the oracle for equality tests and as the baseline
-        the ``repro bench reduction`` benchmark measures the incremental
-        engine against; its output is identical to :meth:`run`.
+        This is the pre-incremental reference path: every phase restricts
+        ``H_i`` to a fresh ``H_{i+1}``, constructs a new
+        :class:`ConflictGraph` on it and finds the happy edges by a full
+        scan.  It is retained as the oracle for equality tests and as the
+        baseline the ``repro bench reduction`` benchmark measures the
+        incremental engine against; its output is identical to :meth:`run`.
         """
         return self._execute(hypergraph, rebuild=True)
 
     # ------------------------------------------------------------------
     def _execute(self, hypergraph: Hypergraph, rebuild: bool) -> ReductionResult:
-        """Shared phase loop; ``rebuild`` selects how ``G^i_k`` is derived.
+        """Shared phase loop; ``rebuild`` selects how ``G^{i+1}_k`` is derived.
 
-        Incremental mode keeps one :class:`ConflictGraph` and removes the
-        happy edges in place; rebuild mode reconstructs hypergraph and
-        conflict graph every phase (the seed behavior).  Everything else —
-        budgets, caps, strictness, record keeping — is identical by
-        construction.
+        Both modes start from ``G_k`` built on ``hypergraph`` itself and
+        read ``|E_i|`` off its surviving blocks.  Incremental mode removes
+        the happy edges from that one :class:`ConflictGraph`; rebuild mode
+        builds ``H_{i+1}`` and its conflict graph afresh (the seed
+        behavior).  Everything else — budgets, caps, strictness, record
+        keeping — is identical by construction.
         """
         m = hypergraph.num_edges()
         rho = phase_budget(self.lam, m)
@@ -299,42 +300,30 @@ class ConflictFreeMulticoloringViaMaxIS:
 
         multicoloring = Multicoloring()
         phases: List[PhaseRecord] = []
-        current = hypergraph.copy()
-        conflict_graph: Optional[ConflictGraph] = None
-        tracker: Optional[HappinessTracker] = None
+        conflict_graph = ConflictGraph(hypergraph, self.k)
         self.last_happy_check_wall_time_s = 0.0
 
         phase = 0
-        while current.num_edges() > 0:
+        while conflict_graph.num_hyperedges() > 0:
             phase += 1
             if phase > cap:
                 raise ReductionError(
                     f"reduction did not finish within {cap} phases; "
-                    f"{current.num_edges()} edges remain unhappy"
+                    f"{conflict_graph.num_hyperedges()} edges remain unhappy"
                 )
             if self.strict and phase > rho:
                 raise ReductionError(
                     f"strict mode: phase {phase} exceeds the theoretical budget ρ = {rho}"
                 )
             phase_start = time.perf_counter()
-            with obs.span("phase", phase=phase, edges=current.num_edges()):
-                if rebuild or conflict_graph is None:
-                    conflict_graph = ConflictGraph(current, self.k)
-                    if not rebuild:
-                        tracker = HappinessTracker(current)
-                record = self._run_phase(
-                    current, conflict_graph, phase, multicoloring, rebuild=rebuild,
-                    tracker=tracker,
-                )
+            with obs.span("phase", phase=phase, edges=conflict_graph.num_hyperedges()):
+                record = self._run_phase(conflict_graph, phase, multicoloring, rebuild=rebuild)
                 phases.append(record)
                 if rebuild:
-                    current = current.restrict_to_edges(
-                        [e for e in current.edge_ids if e not in record.happy_edges]
-                    )
+                    h_next = remove_happy_edges(conflict_graph.hypergraph, record.happy_edges)
+                    conflict_graph = ConflictGraph(h_next, self.k)
                 else:
-                    current.remove_edges(record.happy_edges)
                     conflict_graph.remove_hyperedges(record.happy_edges)
-                    tracker.remove_edges(record.happy_edges)
             _M_PHASES.inc()
             _M_PHASE_DURATION.observe(time.perf_counter() - phase_start)
             _M_ALIVE_VERTICES.set(conflict_graph.num_vertices())
@@ -353,47 +342,46 @@ class ConflictFreeMulticoloringViaMaxIS:
     # ------------------------------------------------------------------
     def _run_phase(
         self,
-        current: Hypergraph,
         conflict_graph: ConflictGraph,
         phase: int,
         multicoloring: Multicoloring,
         rebuild: bool = False,
-        tracker: Optional[HappinessTracker] = None,
     ) -> PhaseRecord:
-        """Run one phase on the surviving hypergraph and merge its colors.
+        """Run one phase on ``G^i_k`` (at least one edge survives) and merge its colors.
 
-        ``conflict_graph`` must be the conflict graph of ``current`` —
-        freshly built in the rebuild path, incrementally maintained in the
-        engine (together with ``tracker``, its happy-state twin).  The
-        rebuild path hands the oracle the mutable graph (the seed
-        behavior) and computes happiness from scratch — the equality
-        oracle for the tracker's incidence-driven check; the engine asks
-        approximators with an id kernel for the ids of an independent set
-        of the ``repr``-sorted frozen view, the triples the mutable path
-        selects, and colors from the ids without building a triple.
+        ``conflict_graph`` is freshly built on ``H_i`` in the rebuild path
+        and incrementally maintained in the engine.  The rebuild path hands
+        the oracle the mutable graph (the seed behavior) and finds the
+        happy edges by a full scan of ``H_i`` — the equality oracle for
+        :meth:`ConflictGraph.happy_edges`, the engine's incidence-driven
+        check; the engine asks approximators with an id kernel for the ids
+        of an independent set of the ``repr``-sorted frozen view, the
+        triples the mutable path selects, and colors from the ids without
+        building a triple.
         """
+        edges_before = conflict_graph.num_hyperedges()
         if rebuild or self._id_oracle is None:
             independent_set = self.oracle(conflict_graph.graph)
         else:
             independent_set = self._id_oracle(conflict_graph.frozen_sorted(), ids=True)
-        if current.num_edges() > 0 and not independent_set:
+        if not independent_set:
             raise ReductionError(
                 f"the MaxIS oracle returned an empty set in phase {phase} although "
-                f"{current.num_edges()} edges remain; the reduction cannot progress"
+                f"{edges_before} edges remain; the reduction cannot progress"
             )
 
         # f_{I_i}: the phase's partial single-coloring over palette 1..k.
         phase_coloring = independent_set_to_coloring(conflict_graph, independent_set)
         happy_start = time.perf_counter()
-        if tracker is None:
-            happy = single_happy_edges(current, phase_coloring)
+        if rebuild:
+            happy = single_happy_edges(conflict_graph.hypergraph, phase_coloring)
         else:
-            happy = tracker.commit(phase_coloring)
+            happy = conflict_graph.happy_edges(phase_coloring)
         happy_elapsed = time.perf_counter() - happy_start
         self.last_happy_check_wall_time_s += happy_elapsed
         _M_HAPPY_CHECKS.inc()
         _M_HAPPY_CHECK_SECONDS.inc(happy_elapsed)
-        if independent_set and len(happy) < len(independent_set):
+        if len(happy) < len(independent_set):
             raise ReductionError(
                 f"phase {phase}: only {len(happy)} happy edges for an independent "
                 f"set of size {len(independent_set)}; Lemma 2.1(b) is violated"
@@ -403,14 +391,12 @@ class ConflictFreeMulticoloringViaMaxIS:
         for v, c in phase_coloring.items():
             multicoloring.add_color(v, (phase, c))
 
-        edges_before = current.num_edges()
-        edges_after = edges_before - len(happy)
         return PhaseRecord(
             phase=phase,
             edges_before=edges_before,
-            edges_after=edges_after,
+            edges_after=edges_before - len(happy),
             independent_set_size=len(independent_set),
-            happy_edges=set(happy),
+            happy_edges=happy,
             conflict_graph_vertices=conflict_graph.num_vertices(),
             conflict_graph_edges=conflict_graph.num_edges(),
             guaranteed_edges_after=expected_remaining_edges(edges_before, self.lam, 1),

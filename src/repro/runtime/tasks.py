@@ -96,12 +96,14 @@ def instance_cache_key(
 
 
 class InstanceCache:
-    """Per-process memo of generated hypergraph instances, with hit/miss stats.
+    """Per-process memo of generated hypergraph instances and their digests, with hit/miss stats.
 
-    Reductions never mutate their input (``run`` copies the hypergraph
-    first), so one cached instance can safely serve every task that shares
-    its cache key.  The cache is bounded (FIFO eviction) and process-local:
-    pool workers each hold their own copy, and a persistent
+    Reductions never mutate their input (``run`` builds the conflict graph
+    on the caller's hypergraph and tracks the surviving edges in it alone),
+    so one cached instance can safely serve every task that shares its
+    cache key, and its :func:`instance_digest`, taken once on the miss,
+    stays valid for every hit.  The cache is bounded (FIFO eviction) and
+    process-local: pool workers each hold their own copy, and a persistent
     :class:`~repro.runtime.scheduler.WorkerPool` keeps those worker caches
     warm across ``run_campaign`` calls.
     """
@@ -112,7 +114,7 @@ class InstanceCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[Tuple, Hypergraph]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, Tuple[Hypergraph, str]]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -127,20 +129,28 @@ class InstanceCache:
         self, family: str, n: int, m: int, k: int, epsilon: float, seed: int
     ) -> Tuple[Hypergraph, bool]:
         """Return ``(instance, cache_hit)``, building and caching on a miss."""
+        hypergraph, _digest, cache_hit = self.entry(family, n, m, k, epsilon, seed)
+        return hypergraph, cache_hit
+
+    def entry(
+        self, family: str, n: int, m: int, k: int, epsilon: float, seed: int
+    ) -> Tuple[Hypergraph, str, bool]:
+        """Return ``(instance, digest, cache_hit)``; a miss builds, digests and caches."""
         key = instance_cache_key(family, n, m, k, epsilon, seed)
         cached = self._entries.get(key)
         if cached is not None:
             self.hits += 1
-            return cached, True
+            return cached[0], cached[1], True
         self.misses += 1
         with obs.span("instance_build", family=family, n=n, m=m):
             hypergraph = build_instance(
                 family=family, n=n, m=m, k=k, epsilon=epsilon, seed=seed
             )
-        self._entries[key] = hypergraph
+        digest = instance_digest(hypergraph)
+        self._entries[key] = (hypergraph, digest)
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-        return hypergraph, False
+        return hypergraph, digest, False
 
 
 #: The process-level cache :func:`execute_task` builds instances through.
@@ -276,7 +286,7 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                 from repro.runtime.faults import inject_fault
 
                 inject_fault(payload["chaos"], payload["task_key"], attempt)
-            hypergraph, cache_hit = INSTANCE_CACHE.get_or_build(
+            hypergraph, digest, cache_hit = INSTANCE_CACHE.entry(
                 family=payload["family"],
                 n=payload["n"],
                 m=payload["m"],
@@ -295,7 +305,7 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                 "n": hypergraph.num_vertices(),
                 "m": hypergraph.num_edges(),
                 "peak_triples": payload["k"] * hypergraph.total_edge_size(),
-                "instance_digest": instance_digest(hypergraph),
+                "instance_digest": digest,
                 "result": reduction_result_to_dict(result),
                 "wall_time_s": time.perf_counter() - start,
                 "happy_check_wall_time_s": reduction.last_happy_check_wall_time_s,

@@ -154,3 +154,22 @@ class TestRoundTrip:
         # And it keeps every edge happy (each edge kept its unique witness).
         happy = happy_edges_of_independent_set(cg, witness)
         assert happy == set(hypergraph.edge_ids)
+
+
+class TestAfterRemovals:
+    """On ``G^i_k`` maintained by ``remove_hyperedges`` alone, both directions read ``E_i``."""
+
+    def test_lemma_21_on_the_surviving_edges(self, instance):
+        hypergraph, planted, cg = instance
+        removed = hypergraph.edge_ids[::3]
+        cg.remove_hyperedges(removed)
+        surviving = set(hypergraph.edge_ids) - set(removed)
+        assert hypergraph.num_edges() == 10  # the input keeps every edge
+        witness = verify_lemma_21a(cg, planted)
+        assert {t.edge for t in witness} == surviving
+        assert maximum_independent_set_size_bound(cg) == len(surviving)
+        assert verify_lemma_21b(cg, witness) == surviving
+        for v in hypergraph.vertices:
+            assert {t.edge for t in cg.triples_of_vertex(v)} == (
+                hypergraph.edges_containing(v) & surviving
+            )

@@ -11,6 +11,10 @@ from-scratch ``ConflictGraph(H_i, k)`` rebuild on three axes:
 * the full edge set (mutable graph equality + frozen bitsets), and
 * the E_vertex/E_edge/E_color groupings of the surviving triples.
 
+A second, unmirrored pass removes edges from the conflict graph only, as
+the reduction engine does: the input must stay intact, and the size
+helpers must count the surviving blocks at every step.
+
 At k = 10 color 10 repr-sorts before color 2, so every ``(e, v)`` block
 lays its colors out as 1, 10, 2, …, 9; ``frozen_sorted()`` is ``frozen()``
 at every k.
@@ -22,7 +26,7 @@ import random
 
 import pytest
 
-from repro.core import ConflictGraph
+from repro.core import ConflictGraph, maximum_independent_set_size_bound
 from repro.core.conflict_graph import conflict_vertices
 from repro.exceptions import ReductionError
 from repro.graphs.indexed import iter_bits
@@ -84,6 +88,19 @@ def test_incremental_deletions_match_rebuilds(k):
             _assert_matches_rebuild(
                 cg, working, k, f"instance {idx} (k={k}) step {step}"
             )
+        # Unmirrored, as the engine runs: removals reach the conflict graph
+        # only, the input stays intact and the size helpers count blocks.
+        cg = ConflictGraph(h, k)
+        original = h.copy()
+        while True:
+            ctx = f"instance {idx} (k={k}) unmirrored, {cg.num_hyperedges()} edges left"
+            assert cg.num_vertices() == cg.expected_num_vertices(), ctx
+            assert maximum_independent_set_size_bound(cg) == cg.num_hyperedges(), ctx
+            ids = cg.hyperedge_ids()
+            if not ids:
+                break
+            cg.remove_hyperedges(rng.sample(ids, rng.randint(1, len(ids))))
+        assert h == original, f"instance {idx} (k={k}): remove_hyperedges mutated the input"
 
 
 def test_remove_unknown_edge_is_rejected_and_state_preserved():

@@ -7,9 +7,10 @@ a failing case is reproduced by ``make_instance(<seed>)`` — the seed is
 part of both the pytest id and every assertion message.
 
 The central helper is :func:`assert_equivalent_run`: the incremental
-phase engine (`run`, with the incidence-driven happiness tracker and the
-maintained conflict graph) must agree bit for bit with the from-scratch
-`run_rebuild` path — phases, colorings and per-phase happy sets.
+phase engine (`run`, whose only phase state is the maintained conflict
+graph and its incidence-driven happy check) must agree bit for bit with
+the from-scratch `run_rebuild` path — phases, colorings and per-phase
+happy sets — and neither path may mutate the instance it was given.
 """
 
 from __future__ import annotations
@@ -161,16 +162,23 @@ def corpus(count: int, base_seed: int = 0):
 def assert_equivalent_run(instance: Instance, lam: float = 2.0) -> ReductionResult:
     """Assert ``run == run_rebuild`` on ``instance`` (phases, colorings, happy sets).
 
-    Returns the (verified conflict-free) incremental result so callers can
-    pile on further checks.  Every assertion message leads with the
-    reproducing seed.
+    Both paths run on ``instance.hypergraph`` itself, which must come out
+    unchanged: the campaign's instance cache shares one instance across
+    every task of a grid point.  Returns the (verified conflict-free)
+    incremental result so callers can pile on further checks.  Every
+    assertion message leads with the reproducing seed.
     """
     reduction = ConflictFreeMulticoloringViaMaxIS(
         k=instance.k, approximator=make_oracle(instance.oracle_name), lam=lam
     )
-    fast = reduction.run(instance.hypergraph)
-    reference = reduction.run_rebuild(instance.hypergraph)
+    hypergraph = instance.hypergraph
+    snapshot = (hypergraph.copy(), hypergraph.edge_ids, hypergraph.total_edge_size())
+    fast = reduction.run(hypergraph)
+    reference = reduction.run_rebuild(hypergraph)
     ctx = f"[{instance.label}]"
+    assert (hypergraph, hypergraph.edge_ids, hypergraph.total_edge_size()) == snapshot, (
+        f"{ctx} the run mutated its input hypergraph"
+    )
     assert fast.multicoloring == reference.multicoloring, (
         f"{ctx} incremental and rebuild multicolorings differ"
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.runtime.tasks as tasks_module
 from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS
 from repro.exceptions import CampaignError
 from repro.hypergraph.io import reduction_result_from_dict
@@ -164,6 +165,32 @@ class TestExecuteTask:
         assert [r["instance_cache_hit"] for r in rows] == [False, True]
         assert len({r["instance_digest"] for r in rows}) == 1
         assert len({r["instance_seed"] for r in rows}) == 1
+
+    def test_shared_instance_is_digested_once(self, monkeypatch):
+        INSTANCE_CACHE.clear()
+        calls = []
+
+        def counting(hypergraph):
+            calls.append(hypergraph)
+            return instance_digest(hypergraph)
+
+        monkeypatch.setattr(tasks_module, "instance_digest", counting)
+        # One grid point swept by two oracles: the hit reuses the miss's digest.
+        spec = small_spec(families=("colorable",), sizes=((12, 8),), replicates=1)
+        payloads = spec.task_payloads()
+        rows = [execute_task(p) for p in payloads]
+        assert len(rows) == 2 and len(calls) == 1
+        expected = instance_digest(
+            build_instance(
+                payloads[0]["family"],
+                n=payloads[0]["n"],
+                m=payloads[0]["m"],
+                k=payloads[0]["k"],
+                epsilon=payloads[0]["epsilon"],
+                seed=payloads[0]["instance_seed"],
+            )
+        )
+        assert [r["instance_digest"] for r in rows] == [expected, expected]
 
     def test_done_row_matches_direct_reduction(self):
         payload = small_spec().task_payloads()[0]

@@ -5,7 +5,9 @@ it runs with the tests, so a change to any kernel's output (one different
 selection is enough) fails ``pytest`` instead of the next benchmark run.
 The pinned ``multiphase-capped`` spec also runs once under the layer
 ledger, so an engine that stops calling one of the entry points the
-ledger wraps fails here instead of reading 0 in the next traced run.
+ledger wraps fails here instead of reading 0 in the next traced run, and
+an engine that goes back to copying its input or tracking happiness in a
+second structure fails here too.
 """
 
 from __future__ import annotations
@@ -45,6 +47,16 @@ ENGINE_SPANS = (
 )
 
 
+#: Layers retired from the engine path: the conflict graph is the only phase state.
+RETIRED_SPANS = (
+    "hypergraph.copy_s",
+    "hypergraph.remove_s",
+    "happiness.init_s",
+    "happiness.commit_s",
+    "happiness.remove_s",
+)
+
+
 def test_engine_routes_through_the_ledger_hooks(tmp_path):
     workload = workloads.WORKLOADS["multiphase-capped"](workloads.DEFAULT_SEED, tmp_path)
     trace = ledger.Ledger()
@@ -55,3 +67,4 @@ def test_engine_routes_through_the_ledger_hooks(tmp_path):
     assert counts["conflict_graph.builds"] == result.tasks > 0, dict(counts)
     recorded = {name for name, _parent, _start, _end in trace.spans}
     assert set(ENGINE_SPANS) <= recorded, f"spans never recorded: {set(ENGINE_SPANS) - recorded}"
+    assert not set(RETIRED_SPANS) & recorded, f"retired spans recorded: {set(RETIRED_SPANS) & recorded}"
