@@ -3,10 +3,12 @@
 
 Runs the tiny committed 8-task spec (``examples/campaign_smoke.json``)
 once through the serial reference executor, then through each leg of
-:data:`LEGS`.  Every leg's store must reproduce the reference digest
-twice — from the full row log and through the incremental-aggregate path
-(``store.summaries()`` + ``records_from_summaries``) — and each leg adds
-its own check:
+:data:`LEGS`.  Every leg's store must leave its summary sidecar current
+(the first ``summaries()`` of a fresh store rewrites nothing, so the next
+resume, status or report parses no row) and reproduce the reference
+digest twice — from the full row log and through the
+incremental-aggregate path (``store.summaries()`` +
+``records_from_summaries``) — and each leg adds its own check:
 
 * 2-shard merged: both halves of ``shard=(i, 2)``, fused by
   ``merge_shards``, cover the whole task set;
@@ -84,6 +86,22 @@ class SmokeFailure(Exception):
 def check(condition: bool, message: str) -> None:
     if not condition:
         raise SmokeFailure(message)
+
+
+def _stat(path: Path):
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return stat.st_size, stat.st_mtime_ns
+
+
+def sidecar_is_current(directory: Path) -> bool:
+    """Whether a fresh store's first ``summaries()`` leaves the sidecar's size and mtime alone."""
+    store = open_store(directory)
+    before = _stat(store.aggregates_path)
+    store.summaries()
+    return before is not None and _stat(store.aggregates_path) == before
 
 
 def digests(spec: CampaignSpec, directory: Path) -> tuple:
@@ -216,10 +234,14 @@ def main() -> int:
 
     serial_dir = SCRATCH / "serial"
     serial = run_campaign(spec, serial_dir)
+    current = sidecar_is_current(serial_dir)
     reference, incremental = digests(spec, serial_dir)
     print(f"{'serial':<15} {serial.executed} tasks  digest {reference[:12]}")
-    if serial.failed or incremental != reference:
-        print("smoke: FAIL — the serial reference failed tasks or its digests disagree")
+    if serial.failed or incremental != reference or not current:
+        print(
+            "smoke: FAIL — the serial reference failed tasks, left its summary "
+            "sidecar behind its log, or its digests disagree"
+        )
         return 1
 
     for name, leg in LEGS:
@@ -228,6 +250,7 @@ def main() -> int:
         except SmokeFailure as failure:
             print(f"smoke: FAIL — {name}: {failure}")
             return 1
+        current = sidecar_is_current(directory)
         full, incremental = digests(spec, directory)
         print(f"{name:<15} {detail}  digest {full[:12]}")
         if full != reference or incremental != reference:
@@ -235,6 +258,9 @@ def main() -> int:
                 f"smoke: FAIL — {name}: full {full[:12]} / incremental "
                 f"{incremental[:12]} differ from the serial {reference[:12]}"
             )
+            return 1
+        if not current:
+            print(f"smoke: FAIL — {name}: the leg left its summary sidecar behind its log")
             return 1
 
     print(f"smoke: OK (serial ≡ {' ≡ '.join(name for name, _ in LEGS)})")

@@ -417,10 +417,11 @@ def bench_campaign(
         digest = campaign_digest(campaign_records(spec, rows))  # full-row reference
         done = [r for r in rows if r["status"] == "done"]
         peak = max((r["peak_triples"] for r in done), default=0)
-        # Incremental report: the first summaries() call builds the
-        # persisted per-task aggregates; the *timed* second call is the
-        # steady-state O(new rows) = O(0) path every later
-        # `repro campaign report` takes on an already-aggregated store.
+        # Incremental report: every runner leaves the summary sidecar
+        # current (run_campaign and merge_shards checkpoint it), so both
+        # summaries() calls only read it.  The untimed first one warms the
+        # page cache; the *timed* second one is the steady-state O(new
+        # rows) = O(0) path of every later `repro campaign report`.
         store.summaries()
         start = time.perf_counter()
         incremental = campaign_digest(records_from_summaries(spec, store.summaries()))

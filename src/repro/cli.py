@@ -618,8 +618,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if args.campaign_command == "merge":
             merged = merge_shards(args.out, args.shards)
             spec = merged.load_spec()
-            # merge_shards already combined the shards' partial
-            # aggregates, so this is a cache read, not a row scan.
+            # merge_shards folded the shards' summaries as it appended
+            # their rows, so this is a sidecar read, not a row scan.
             summaries = merged.summaries()
             records = records_from_summaries(spec, summaries)
             counts = status_counts_of(summaries)

@@ -37,7 +37,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.exceptions import CampaignError
@@ -279,14 +279,47 @@ def _default_chunk_size(pending: int, workers: int) -> int:
     return max(1, pending // (workers * 4))
 
 
-#: The fields of a stored row the resume plan reads: ``is_complete``, the
-#: pending loop and :func:`_error_signature`.
-_PLAN_FIELDS = ("status", "instance_seed", "attempt", "error_type", "error")
-
-
 def _error_signature(row: dict) -> Tuple:
     """The identity of a failure: same signature ⇒ same error, for retry counting."""
     return (row.get("error_type"), row.get("error"))
+
+
+def _plan(
+    latest: Dict[str, dict], payloads: List[dict], retry: Optional[RetryPolicy]
+) -> Tuple[List[dict], Dict[str, int], Dict[str, Tuple], int]:
+    """Select the pending payloads from each task's latest summary.
+
+    A task is complete only if its latest entry is "done" *and* was built
+    from the instance seed this spec derives today — so a store written
+    under an older seed-derivation scheme is transparently re-executed (the
+    fresh rows supersede the stale ones, last write wins) instead of
+    silently mixing two schemes in one aggregate.  A prior retryable entry
+    (same instance seed) continues its attempt count; one that already used
+    the whole budget on a single error signature is skipped — re-running it
+    would deterministically fail again.  Returns the pending payloads, their
+    first attempts, their last error signatures and the exhausted count.
+    """
+    pending = []
+    start_attempts: Dict[str, int] = {}
+    last_signature: Dict[str, Tuple] = {}
+    exhausted = 0
+    for payload in payloads:
+        key = payload["task_key"]
+        prior = latest.get(key)
+        same_seed = prior is not None and prior.get("instance_seed") == payload["instance_seed"]
+        if same_seed and prior["status"] == "done":
+            continue
+        attempt = 1
+        if same_seed and prior["status"] in RETRYABLE_STATUSES:
+            prior_attempt = prior.get("attempt", 1)
+            if retry is not None and prior_attempt >= retry.max_attempts:
+                exhausted += 1
+                continue
+            attempt = prior_attempt + 1
+            last_signature[key] = _error_signature(prior)
+        pending.append(payload)
+        start_attempts[key] = attempt
+    return pending, start_attempts, last_signature, exhausted
 
 
 def run_campaign(
@@ -402,24 +435,14 @@ def run_campaign(
         payloads = [
             p for p in payloads if task_shard_index(p["task_key"], n_shards) == index
         ]
-    # A task is complete only if its latest row is "done" *and* was built
-    # from the instance seed this spec derives today — so a store written
-    # under an older seed-derivation scheme is transparently re-executed
-    # (the fresh rows supersede the stale ones, last write wins) instead
-    # of silently mixing two schemes in one aggregate.  The plan streams
-    # the log and keeps only the fields it reads of each task's latest
-    # row, never the full results.
-    latest: Dict[str, dict] = {}
-    for row in store.iter_rows():
-        latest[row["task_key"]] = {name: row[name] for name in _PLAN_FIELDS if name in row}
-
-    def is_complete(payload: dict) -> bool:
-        row = latest.get(payload["task_key"])
-        return (
-            row is not None
-            and row["status"] == "done"
-            and row.get("instance_seed") == payload["instance_seed"]
-        )
+    # The plan reads the per-task summaries — the sidecar, plus any rows
+    # appended after its cursor — never the rows, and drops them once the
+    # pending list is built.  Reading them also starts the store folding
+    # the summaries of this run's appends, which the checkpoint at the end
+    # persists.
+    pending, start_attempts, last_signature, exhausted = _plan(
+        store.summaries(), payloads, retry
+    )
 
     def decorate(payload: dict, attempt: int) -> dict:
         extra = {"attempt": attempt}
@@ -428,34 +451,6 @@ def run_campaign(
         if chaos is not None:
             extra["chaos"] = chaos.to_payload()
         return dict(payload, **extra)
-
-    # Pending selection with the shared retry budget: a prior retryable
-    # row (same instance seed) continues its attempt count; one that
-    # already used the whole budget on a single error signature is
-    # skipped — re-running it would deterministically fail again.
-    pending = []
-    start_attempts: Dict[str, int] = {}
-    last_signature: Dict[str, Tuple] = {}
-    exhausted = 0
-    for payload in payloads:
-        if is_complete(payload):
-            continue
-        key = payload["task_key"]
-        attempt = 1
-        prior = latest.get(key)
-        if (
-            prior is not None
-            and prior["status"] in RETRYABLE_STATUSES
-            and prior.get("instance_seed") == payload["instance_seed"]
-        ):
-            prior_attempt = prior.get("attempt", 1)
-            if retry is not None and prior_attempt >= retry.max_attempts:
-                exhausted += 1
-                continue
-            attempt = prior_attempt + 1
-            last_signature[key] = _error_signature(prior)
-        pending.append(payload)
-        start_attempts[key] = attempt
 
     effective_workers = pool.workers if pool is not None else max(1, workers)
     pool_warm = pool is not None and pool.started
@@ -583,6 +578,7 @@ def run_campaign(
                     record(execute_task(decorate(by_key[key], attempt)))
                     retried_counter.inc()
         queue_gauge.set(0)
+        store.checkpoint()
 
         failed = sum(row["status"] != "done" for row in final_rows.values())
         timeouts = sum(row["status"] == "timeout" for row in final_rows.values())

@@ -15,25 +15,30 @@ crash loses at most one row.
 Three scale features sit on top of the log:
 
 * **Incremental aggregation** (:meth:`~CampaignStore.summaries`): the
-  per-task sufficient statistics of the deterministic aggregates are
-  persisted next to the rows (``aggregates.json`` with a byte cursor into
-  ``results.jsonl``), so a report touches only rows appended since the
-  last one — O(new rows), not O(all rows) — and feeds the exact same
-  record builder as the full-row reference path (see
-  :mod:`repro.runtime.summary`).
+  per-task summaries of :mod:`repro.runtime.summary` are kept in an
+  append-only sidecar, ``aggregates.json``, one delta line per write, each
+  covering the log up to a byte cursor.  A store that has read its
+  summaries folds the summaries of its own appends and
+  :meth:`~CampaignStore.checkpoint` persists them, so resume, status and
+  report parse only rows some other writer appended — O(new rows), not
+  O(all rows) — and feed the exact same record builder as the full-row
+  reference path.
 * **Compaction** (:meth:`~CampaignStore.compact`, ``repro campaign
   compact``): drops superseded and duplicate rows, keeping exactly the
   latest row per task key — digest-identical by construction, crash-safe
   via write-to-temp + fsync + atomic rename.
 * **Merging** (:func:`merge_shards`): fuses shard directories into one
-  store with batched, durability-honoring writes, and combines the
-  shards' partial aggregates instead of re-scanning the merged rows.
+  store with batched, durability-honoring writes, folding the shards'
+  summaries as it appends their rows instead of re-scanning the merged
+  log.
 
-A resumed run asks :meth:`~CampaignStore.completed_keys` which tasks
-already have a ``"done"`` row and executes only the remainder — failed
-and timed-out rows are retried up to the retry policy's attempt budget
+A resumed run reads :meth:`~CampaignStore.summaries` and executes only the
+tasks whose latest entry is not ``"done"`` — failed and timed-out rows are
+retried up to the retry policy's attempt budget
 (:meth:`~CampaignStore.retry_exhausted_keys` names the rows that used it
-up), and a re-completed key supersedes older rows (last write wins).
+up), and a re-completed key supersedes older rows (last write wins).  The
+query views (:meth:`~CampaignStore.completed_keys`,
+:meth:`~CampaignStore.status_counts`, …) answer from the same summaries.
 """
 
 from __future__ import annotations
@@ -82,6 +87,9 @@ LEGACY_SQLITE_FILENAME = "results.sqlite"
 
 #: Terminal row statuses a retry policy re-executes (everything but "done").
 RETRYABLE_STATUSES = ("failed", "timeout")
+
+#: Decodes the sidecar's delta lines in place, without slicing them out.
+_DECODER = json.JSONDecoder()
 
 
 # ----------------------------------------------------------------------
@@ -186,6 +194,14 @@ class CampaignStore:
         # external change (kill truncation, test tampering) shows up as a
         # size mismatch and re-triggers it.
         self._known_size: Optional[int] = None
+        # Fold state, set by summaries(): the byte offset of results.jsonl
+        # that the sidecar plus _unsaved cover (None until this store reads
+        # its summaries, and again once another writer moves the log or the
+        # sidecar under it), the sidecar's length as this store last read or
+        # wrote it, and the summaries of the rows it appended since.
+        self._covered: Optional[int] = None
+        self._sidecar_length = 0
+        self._unsaved: Dict[str, Dict[str, Any]] = {}
 
     @property
     def spec_path(self) -> Path:
@@ -254,26 +270,43 @@ class CampaignStore:
             handle.seek(-1, 2)
             return handle.read(1) != b"\n"
 
-    def _tail_unknown(self) -> bool:
-        """Whether the tail state must be re-checked before the next write.
+    def _torn_tail(self, size: int) -> Optional[bytes]:
+        """The unterminated bytes between the covered offset and ``size``.
 
-        One stat call per append replaces the old open+seek+read: while
-        the file size still matches what we last wrote, our own trailing
-        newline is necessarily intact.
+        None when the log no longer extends the covered offset by at most
+        one torn line: another writer appended to it or cut it.
         """
-        if self._known_size is None:
-            return True
-        try:
-            return os.path.getsize(self.results_path) != self._known_size
-        except OSError:
-            return True
+        offset = self._covered
+        if size < offset:
+            return None
+        with open(self.results_path, "rb") as handle:
+            if offset:
+                handle.seek(offset - 1)
+                if handle.read(1) != b"\n":
+                    return None
+            tail = handle.read()
+        return None if b"\n" in tail else tail
 
-    def _write_lines(self, lines: List[str]) -> None:
+    def _write_lines(self, rows: List[Dict[str, Any]]) -> None:
+        """Append ``rows``, folding their summaries while the log is as this store left it.
+
+        One stat call per append: while the file size still matches what
+        we last wrote, our own trailing newline is necessarily intact, and
+        any external change (kill truncation, test tampering) shows up as a
+        size mismatch that re-triggers the tail check.  A folding store
+        also folds the torn tail this write terminates, if that row parsed.
+        """
+        payload = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("utf-8")
+        size = self._results_size()
+        torn: Optional[bytes] = b""
+        if self._covered is not None and size != self._covered:
+            torn = self._torn_tail(size)
+            if torn is None:
+                self._covered, self._unsaved = None, {}
         needs_newline = False
-        if self._tail_unknown():
+        if size != self._known_size:
             self.directory.mkdir(parents=True, exist_ok=True)
             needs_newline = self._needs_tail_newline()
-        payload = "".join(line + "\n" for line in lines).encode("utf-8")
         with open(self.results_path, "ab") as handle:
             if needs_newline:
                 handle.write(b"\n")
@@ -283,8 +316,13 @@ class CampaignStore:
                 os.fsync(handle.fileno())
                 _M_FSYNCS.inc()
             self._known_size = handle.tell()
-        _M_ROWS_APPENDED.inc(len(lines))
+        _M_ROWS_APPENDED.inc(len(rows))
         _M_FLUSHES.inc()
+        if self._covered is not None:
+            tail_row = _parse_row(torn) if torn else None
+            for row in rows if tail_row is None else [tail_row, *rows]:
+                self._unsaved[row["task_key"]] = summarize_row(row)
+            self._covered = self._known_size
 
     def append(self, row: Dict[str, Any]) -> None:
         """Append one result row, flushed so a kill loses at most this line.
@@ -294,7 +332,7 @@ class CampaignStore:
         the page cache is written back.
         """
         self._check_row(row)
-        self._write_lines([json.dumps(row, sort_keys=True)])
+        self._write_lines([row])
 
     def append_many(self, rows: Iterable[Dict[str, Any]]) -> None:
         """Append a batch of rows through one handle: one flush, one fsync.
@@ -306,16 +344,17 @@ class CampaignStore:
         for row in rows:
             self._check_row(row)
         if rows:
-            self._write_lines([json.dumps(row, sort_keys=True) for row in rows])
+            self._write_lines(rows)
 
     def iter_rows(self) -> Iterator[Dict[str, Any]]:
         """Yield every well-formed result row, in file order.
 
         Lines that fail to parse (the truncated tail of a killed run) and
         lines without a ``task_key`` are skipped — resuming re-executes
-        those tasks, which is always safe because tasks are pure.  A
-        caller that keeps a few fields per row (the resume plan) never
-        holds the whole log in memory.
+        those tasks, which is always safe because tasks are pure.  This
+        parses every row; resume, status and report read
+        :meth:`summaries` instead, which parses only the rows after the
+        sidecar's cursor.
         """
         if not self.results_path.exists():
             return
@@ -330,10 +369,14 @@ class CampaignStore:
         return list(self.iter_rows())
 
     # ------------------------------------------------------------------
-    # query views over the latest row per key
+    # query views over the latest entry per key
     # ------------------------------------------------------------------
     def latest_rows(self) -> Dict[str, Dict[str, Any]]:
-        """Map each task key to its most recent row (a retry supersedes a failure)."""
+        """Map each task key to its most recent row (a retry supersedes a failure).
+
+        Parses the whole log; the views below answer from
+        :meth:`summaries` instead.
+        """
         latest: Dict[str, Dict[str, Any]] = {}
         for row in self.rows():
             latest[row["task_key"]] = row
@@ -341,11 +384,11 @@ class CampaignStore:
 
     def completed_keys(self) -> Set[str]:
         """Task keys whose latest row is ``"done"`` — the resume skip-set."""
-        return completed_of(self.latest_rows())
+        return completed_of(self.summaries())
 
     def status_counts(self) -> Dict[str, int]:
         """Count latest rows per status (``done`` / ``failed`` / ``timeout`` / …)."""
-        return status_counts_of(self.latest_rows())
+        return status_counts_of(self.summaries())
 
     def retry_exhausted_keys(self, max_attempts: int) -> Set[str]:
         """Task keys whose latest row burned the whole retry budget.
@@ -357,103 +400,153 @@ class CampaignStore:
         these on resume (re-running them would deterministically fail the
         same way again) and ``repro campaign status`` warns about them.
         """
-        return retry_exhausted_of(self.latest_rows(), max_attempts)
+        return retry_exhausted_of(self.summaries(), max_attempts)
 
     def cache_counts(self) -> Dict[str, int]:
         """Instance-cache hits/misses over the latest rows (status reporting)."""
-        return cache_counts_of(self.latest_rows())
+        return cache_counts_of(self.summaries())
 
     # ------------------------------------------------------------------
     # incremental aggregation
     # ------------------------------------------------------------------
-    def _load_aggregate_state(self) -> Tuple[int, Dict[str, Dict[str, Any]]]:
+    def _results_size(self) -> int:
         try:
-            payload = json.loads(self.aggregates_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return 0, {}
-        if not isinstance(payload, dict) or payload.get("version") != SUMMARY_VERSION:
-            return 0, {}
-        offset = payload.get("byte_offset")
-        summaries = payload.get("summaries")
-        if not isinstance(offset, int) or offset < 0 or not isinstance(summaries, dict):
-            return 0, {}
-        return offset, summaries
-
-    def _store_aggregate_state(
-        self, offset: int, summaries: Dict[str, Dict[str, Any]]
-    ) -> None:
-        payload = {
-            "version": SUMMARY_VERSION,
-            "byte_offset": offset,
-            "summaries": summaries,
-        }
-        tmp = self.aggregates_path.with_name(AGGREGATES_FILENAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.flush()
-            if self.durability == "fsync":
-                os.fsync(handle.fileno())
-        os.replace(tmp, self.aggregates_path)
-
-    def _replace_summaries(self, summaries: Dict[str, Dict[str, Any]]) -> None:
-        """Persist ``summaries`` as covering the results file as it stands."""
-        try:
-            size = os.path.getsize(self.results_path)
+            return os.path.getsize(self.results_path)
         except OSError:
-            size = 0
-        self._store_aggregate_state(size, summaries)
+            return 0
 
-    def summaries(self) -> Dict[str, Dict[str, Any]]:
-        """Latest-per-key sufficient statistics, maintained incrementally.
+    def _load_sidecar(self) -> Tuple[Dict[str, Dict[str, Any]], int, int, bool]:
+        """Apply the sidecar's deltas in order: ``(summaries, cursor, length, clean)``.
 
-        The mapping is persisted in ``aggregates.json`` together with the
-        byte offset of the last fully scanned line, so each call
-        summarizes only rows appended since the previous one (O(new
-        rows)) before merging them in (last write per key wins, exactly
-        like the row log).  The sidecar is rebuilt from scratch whenever
-        the cursor no longer lands on a line boundary of the current file
-        (kill truncation below the cursor, external rewrites, format
-        changes) — it is a pure cache of ``results.jsonl``, never a
-        source of truth.  A valid-but-unterminated tail row (the write a
-        kill interrupted) is folded into the *returned* mapping, matching
-        :meth:`rows`, but the persisted cursor never advances past it.
+        Deltas apply up to the first line that is unterminated, does not
+        parse, has another version or moves the cursor back; ``length``
+        counts the bytes before it and ``clean`` says whether that is the
+        whole file.  The file is held as one text copy, decoded in place
+        (deltas are ASCII, so character offsets are byte offsets).
         """
         try:
-            size = os.path.getsize(self.results_path)
-        except OSError:
-            size = 0
-        offset, summaries = self._load_aggregate_state()
-        dirty = False
-        if offset > size:
-            offset, summaries, dirty = 0, {}, True
-        tail_entry: Optional[Tuple[str, Dict[str, Any]]] = None
-        if size > offset:
-            with open(self.results_path, "rb") as handle:
-                if offset:
-                    handle.seek(offset - 1)
-                    if handle.read(1) != b"\n":
-                        offset, summaries, dirty = 0, {}, True
-                        handle.seek(0)
-                chunk = handle.read()
-            lines = chunk.split(b"\n")
-            for raw in lines[:-1]:
-                offset += len(raw) + 1
-                dirty = True
-                row = _parse_row(raw)
-                if row is not None:
-                    summaries[row["task_key"]] = summarize_row(row)
-            tail_row = _parse_row(lines[-1]) if lines[-1] else None
-            if tail_row is not None:
-                tail_entry = (tail_row["task_key"], summarize_row(tail_row))
-        if dirty:
+            with open(self.aggregates_path, encoding="ascii", newline="") as handle:
+                text = handle.read()
+        except FileNotFoundError:
+            return {}, 0, 0, True
+        except (OSError, ValueError):
+            return {}, 0, 0, False
+        summaries: Dict[str, Dict[str, Any]] = {}
+        cursor = length = 0
+        while length < len(text):
             try:
-                self._store_aggregate_state(offset, summaries)
+                delta, end = _DECODER.raw_decode(text, length)
+            except ValueError:
+                break
+            if not (
+                text.startswith("\n", end)
+                and isinstance(delta, dict)
+                and delta.get("version") == SUMMARY_VERSION
+                and isinstance(delta.get("byte_offset"), int)
+                and delta["byte_offset"] >= cursor
+                and isinstance(delta.get("summaries"), dict)
+            ):
+                break
+            summaries.update(delta["summaries"])
+            cursor = delta["byte_offset"]
+            length = end + 1
+        return summaries, cursor, length, length == len(text)
+
+    def _append_delta(self, cursor: int, summaries: Mapping[str, Mapping[str, Any]]) -> None:
+        """Append one delta covering the log from the sidecar's last cursor to ``cursor``.
+
+        It goes only onto the sidecar as this store last read or wrote it.
+        If another writer changed the sidecar, or the write fails, the
+        store stops folding: a later delta would then start at a cursor
+        the sidecar does not hold, and claim rows it never summarized.
+        """
+        data = (
+            json.dumps(
+                {"byte_offset": cursor, "summaries": summaries, "version": SUMMARY_VERSION},
+                sort_keys=True,
+            )
+            + "\n"
+        ).encode("ascii")
+        try:
+            with open(self.aggregates_path, "ab") as handle:
+                written = handle.tell() == self._sidecar_length
+                if written:
+                    handle.write(data)
+                    handle.flush()
+                    if self.durability == "fsync":
+                        os.fsync(handle.fileno())
+        except OSError:
+            written = False
+        if written:
+            self._covered = cursor
+            self._sidecar_length += len(data)
+            self._unsaved = {}
+        else:
+            self._covered, self._unsaved = None, {}
+
+    def checkpoint(self) -> None:
+        """Persist the summaries folded since the sidecar was last read or written, as one delta.
+
+        :func:`~repro.runtime.scheduler.run_campaign` and
+        :func:`merge_shards` call this once at the end, so the next resume,
+        status or report parses no row they appended.  A no-op when nothing
+        was folded.
+        """
+        if self._unsaved:
+            self._append_delta(self._covered, self._unsaved)
+
+    def summaries(self) -> Dict[str, Dict[str, Any]]:
+        """Latest-per-key summaries: the sidecar's deltas plus the rows after its cursor.
+
+        Checkpoints what this store folded, applies the sidecar's deltas,
+        then parses only the lines of ``results.jsonl`` after the last
+        cursor and appends them as one more delta (O(new rows)).  The
+        sidecar is a pure cache of ``results.jsonl``, never a source of
+        truth: it is rebuilt from every row when its cursor no longer lands
+        on a line boundary of the log (kill truncation below it, external
+        rewrites) or its version is not the current one, and a torn tail
+        of it is cut off.  A valid-but-unterminated tail row (the write a
+        kill interrupted) is served in the returned mapping, matching
+        :meth:`rows`, but no cursor passes it until an append terminates
+        it.  From here on this store folds the summaries of its own appends
+        (see :meth:`checkpoint`); it keeps no copy of the returned mapping.
+        """
+        self.checkpoint()
+        summaries, cursor, length, clean = self._load_sidecar()
+        size = self._results_size()
+        if size < cursor:
+            summaries, cursor, length, clean = {}, 0, 0, False
+        fresh: Dict[str, Dict[str, Any]] = {}
+        end = cursor
+        tail_row = None
+        if size > cursor:
+            with open(self.results_path, "rb") as handle:
+                if cursor:
+                    handle.seek(cursor - 1)
+                    if handle.read(1) != b"\n":
+                        summaries, cursor, length, clean = {}, 0, 0, False
+                        handle.seek(0)
+                end = cursor
+                for raw in handle:
+                    if not raw.endswith(b"\n"):
+                        tail_row = _parse_row(raw)
+                        break
+                    end += len(raw)
+                    row = _parse_row(raw)
+                    if row is not None:
+                        fresh[row["task_key"]] = summarize_row(row)
+        summaries.update(fresh)
+        self._covered, self._sidecar_length, self._unsaved = end, length, {}
+        if not clean:
+            try:
+                os.truncate(self.aggregates_path, length)
             except OSError:
-                pass  # read-only directory: serve the scan, skip the cache refresh
-        result = dict(summaries)
-        if tail_entry is not None:
-            result[tail_entry[0]] = tail_entry[1]
-        return result
+                self._covered = None
+        if end > cursor and self._covered is not None:
+            self._append_delta(end, fresh)
+        if tail_row is not None:
+            summaries[tail_row["task_key"]] = summarize_row(tail_row)
+        return summaries
 
     # ------------------------------------------------------------------
     # compaction
@@ -466,8 +559,9 @@ class CampaignStore:
         occurrence) and crash-safe: the survivors are written to a
         temporary file, fsynced, and atomically renamed over
         ``results.jsonl``, so a kill at any point leaves either the old
-        or the new log — never a mix.  The aggregate sidecar is refreshed
-        to cover the compacted file.
+        or the new log — never a mix.  The summary sidecar is removed
+        before the rename and rewritten after it as one delta covering the
+        compacted file — the one full rewrite of the sidecar.
         """
         try:
             bytes_before = os.path.getsize(self.results_path)
@@ -482,12 +576,13 @@ class CampaignStore:
                 handle.write((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
+        # The old sidecar's cursors do not describe the compacted log.
+        self.aggregates_path.unlink(missing_ok=True)
         os.replace(tmp, self.results_path)
         bytes_after = os.path.getsize(self.results_path)
         self._known_size = bytes_after
-        self._store_aggregate_state(
-            bytes_after, {row["task_key"]: summarize_row(row) for row in kept}
-        )
+        self._sidecar_length = 0
+        self._append_delta(bytes_after, {row["task_key"]: summarize_row(row) for row in kept})
         _M_COMPACTIONS.inc()
         _M_COMPACTION_ROWS_DROPPED.inc(len(rows) - len(kept))
         return CompactionStats(len(rows), len(kept), bytes_before, bytes_after)
@@ -529,9 +624,10 @@ def merge_shards(destination, shard_dirs, durability: Optional[str] = None) -> C
     Writes honor the spec's ``durability`` (or an explicit ``durability``
     override): each shard's rows go through one batched
     :meth:`~CampaignStore.append_many` — one flush, and under ``"fsync"``
-    one fsync, per shard.  Instead of re-scanning the merged log, the
-    shards' partial aggregates are combined into the destination's (shard
-    order = append order, so last write per key wins identically).
+    one fsync, per shard.  The merged store reads its summaries first, so
+    it folds the summaries of each shard's rows as it appends them, and
+    one :meth:`~CampaignStore.checkpoint` persists them: no row of the
+    merged log is parsed again.
     """
     shard_dirs = [Path(d) for d in shard_dirs]
     if not shard_dirs:
@@ -558,11 +654,8 @@ def merge_shards(destination, shard_dirs, durability: Optional[str] = None) -> C
         durability=durability if durability is not None else spec.durability,
     )
     merged.initialize(spec)
-    # Catch the destination's own pre-existing rows up first, so the shard
-    # partials land on top of them in append order.
-    combined = merged.summaries()
+    merged.summaries()
     for store in stores:
         merged.append_many(store.rows())
-        combined.update(store.summaries())
-    merged._replace_summaries(combined)
+    merged.checkpoint()
     return merged

@@ -3,16 +3,19 @@
 The deterministic aggregates (``C1`` phase decay, ``C2`` color budgets —
 see :mod:`repro.runtime.aggregate`) need only a handful of numbers per
 task, not the full serialized reduction result: the per-phase surviving
-edge counts, the distinct-color total, and the color bound.
-:func:`summarize_row` extracts exactly those into a small JSON-safe
-*summary* dict, and :func:`records_from_summaries` rebuilds the
-experiment records from a ``{task_key: summary}`` mapping.
+edge counts, the distinct-color total, and the color bound.  The resume
+plan needs a few more: the status, the instance seed, the attempt count
+and the error signature.  :func:`summarize_row` extracts exactly those
+into a small JSON-safe *summary* dict, and :func:`records_from_summaries`
+rebuilds the experiment records from a ``{task_key: summary}`` mapping.
 
-This split is what makes report cost O(new rows): the store persists the
-summary mapping next to the raw rows (``aggregates.json``) together with
-a byte cursor into the row log, so a later report only summarizes rows
-appended since the cursor and merges them into the persisted mapping
-(last write per task key wins, exactly like the row store).
+Each row is summarized once, when it is written: the store folds the
+summaries of its own appends and persists them as one delta line of its
+append-only sidecar (``aggregates.json``), each line carrying the byte
+cursor into the row log that it covers up to.  Resume, status and report
+then read the summaries only, and parse just the rows appended after the
+last cursor — O(new rows), not O(all rows).  Last write per task key
+wins, exactly like the row store.
 
 Digest safety is by construction, not by parallel implementations:
 :func:`repro.runtime.aggregate.campaign_records` — the retained
@@ -33,9 +36,9 @@ from typing import Any, Dict, List, Mapping
 from repro.analysis.records import ExperimentRecord
 from repro.runtime.spec import CampaignSpec
 
-#: Format version of persisted summary mappings; bump on layout changes
+#: Format version of persisted summary deltas; bump on layout changes
 #: so stale sidecars are rebuilt instead of misread.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 
 def format_duration(seconds: float) -> str:
@@ -68,9 +71,11 @@ def format_duration(seconds: float) -> str:
 
 def total_colors_of(result: Dict[str, Any]) -> int:
     """Distinct colors of a serialized reduction result (without reconstructing it)."""
-    colors = set()
-    for _vertex, vertex_colors in result["multicoloring"]:
-        colors.update((phase, c) for phase, c in vertex_colors)
+    colors = {
+        (phase, c)
+        for _vertex, vertex_colors in result["multicoloring"]
+        for phase, c in vertex_colors
+    }
     return len(colors)
 
 
@@ -79,14 +84,17 @@ def summarize_row(row: Mapping[str, Any]) -> Dict[str, Any]:
 
     Every summary carries the row's ``status`` plus, when present, the
     query-side fields (``oracle``, ``k``, ``attempt``,
-    ``instance_cache_hit``) so status reporting can run off summaries
-    alone.  A ``"done"`` row with a serialized result additionally
+    ``instance_cache_hit``) and the resume plan's (``instance_seed``,
+    ``error_type``, ``error``), so status reporting and resume planning
+    run off summaries alone.  A ``"done"`` row with a serialized result additionally
     carries the C1/C2 sufficient statistics; rows without one (failures,
     timeouts, synthetic test rows) summarize to just the light fields and
     are excluded from the deterministic records exactly like before.
     """
     summary: Dict[str, Any] = {"status": row["status"]}
-    for key in ("oracle", "k", "attempt", "instance_cache_hit"):
+    for key in (
+        "oracle", "k", "attempt", "instance_cache_hit", "instance_seed", "error_type", "error"
+    ):
         if key in row:
             summary[key] = row[key]
     result = row.get("result")

@@ -4,10 +4,13 @@ persistent worker pools, sharded runs, and the no-pool-when-idle regression."""
 from __future__ import annotations
 
 import multiprocessing
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.runtime.store as store_module
 from repro import obs
 from repro.exceptions import CampaignError
 from repro.runtime import (
@@ -17,16 +20,38 @@ from repro.runtime import (
     campaign_digest,
     campaign_records,
     execute_task,
+    records_from_summaries,
     run_campaign,
+    summaries_of,
     task_shard_index,
 )
 
 from tests.runtime.test_spec import small_spec
+from tests.runtime.test_store import deltas_of
 from tests.runtime.test_tasks import NONDETERMINISTIC_ROW_FIELDS
+
+#: The 8-task smoke spec's store as the version-1 sidecar format left it: its
+#: last row torn in half by a kill, then a status wrote ``aggregates.json``.
+V1_STORE = Path(__file__).with_name("data") / "v1_store"
+#: The aggregate digest the version-1 code reported for the finished campaign.
+V1_DIGEST = "b5655e080a448933f295ed7cee3db06466b171fb3dcb20d99f0a59fd2fbfc49b"
 
 
 def digest_of(spec: CampaignSpec, directory) -> str:
     return campaign_digest(campaign_records(spec, CampaignStore(directory).rows()))
+
+
+def _parse_spy(monkeypatch) -> list:
+    """Record every raw line the store parses."""
+    calls = []
+    real = store_module._parse_row
+
+    def spy(raw):
+        calls.append(raw)
+        return real(raw)
+
+    monkeypatch.setattr(store_module, "_parse_row", spy)
+    return calls
 
 
 def _forbid_pool_spawn(monkeypatch):
@@ -159,7 +184,7 @@ class TestResume:
         assert digest_of(spec, tmp_path / "stale") == digest_of(spec, tmp_path / "ref")
 
     def test_resume_plan_streams_the_log(self, tmp_path, monkeypatch):
-        # The plan keeps a few fields per task from iter_rows(); it never
+        # The plan reads the per-task summaries (summaries()); it never
         # loads the full rows through rows() or latest_rows().
         spec = small_spec()
         store = CampaignStore(tmp_path)
@@ -177,7 +202,7 @@ class TestResume:
         store.append(dict(stale_row, task_key=stale["task_key"]))
 
         def full_read(self):
-            raise AssertionError("the resume plan must stream iter_rows()")
+            raise AssertionError("the resume plan must read summaries()")
 
         monkeypatch.setattr(CampaignStore, "rows", full_read)
         monkeypatch.setattr(CampaignStore, "latest_rows", full_read)
@@ -194,6 +219,64 @@ class TestResume:
         run_campaign(small_spec(), tmp_path, workers=0)
         with pytest.raises(CampaignError, match="refusing"):
             run_campaign(small_spec(seed=99), tmp_path, workers=0)
+
+
+class TestResumeReadsSummaries:
+    """A resume plans from the summary sidecar and leaves it current."""
+
+    @staticmethod
+    def _killed(directory, shape):
+        """Run the small spec, cut its log as ``shape`` says, then take a status.
+
+        Returns the spec and the unterminated tail the cut left.
+        """
+        spec = small_spec()
+        run_campaign(spec, directory)
+        store = CampaignStore(directory)
+        lines = store.results_path.read_bytes().splitlines(keepends=True)
+        kept, tail = lines, b""
+        if shape == "torn half row":  # the resume-large kill shape
+            kept, tail = lines[:-1], lines[-1][: len(lines[-1]) // 2]
+        elif shape == "row without newline":
+            kept, tail = lines[:-2], lines[-2].rstrip(b"\n")
+        store.results_path.write_bytes(b"".join(kept) + tail)
+        CampaignStore(directory).summaries()
+        return spec, tail
+
+    @pytest.mark.parametrize(
+        "shape", ["clean", "torn half row", "row without newline"]
+    )
+    def test_resume_of_a_current_sidecar_parses_no_stored_line(
+        self, tmp_path, monkeypatch, shape
+    ):
+        spec, tail = self._killed(tmp_path, shape)
+        calls = _parse_spy(monkeypatch)
+        stats = run_campaign(spec, tmp_path)
+        assert stats.executed == (0 if shape == "clean" else 1)
+        # Only the unterminated tail is parsed: to serve it, and to fold it
+        # once the first append terminates it.
+        assert all(raw == tail for raw in calls), calls
+        calls.clear()
+        fresh = CampaignStore(tmp_path)
+        summaries = fresh.summaries()
+        assert calls == []  # the run left the sidecar current
+        assert summaries == summaries_of(fresh.rows())
+
+    def test_a_v1_directory_resumes_and_reports_the_v1_digest(self, tmp_path, monkeypatch):
+        directory = tmp_path / "v1"
+        shutil.copytree(V1_STORE, directory)
+        store = CampaignStore(directory)
+        spec = store.load_spec()
+        stats = run_campaign(spec, directory)
+        assert (stats.executed, stats.skipped) == (1, spec.num_tasks() - 1)
+        # The v1 file failed the version check and was rebuilt once: one
+        # delta for the stored rows, one for the row the resume ran.
+        assert [len(delta["summaries"]) for delta in deltas_of(store)] == [7, 1]
+        calls = _parse_spy(monkeypatch)
+        summaries = CampaignStore(directory).summaries()
+        assert calls == []
+        assert campaign_digest(records_from_summaries(spec, summaries)) == V1_DIGEST
+        assert digest_of(spec, directory) == V1_DIGEST
 
 
 class TestNoIdlePoolSpawn:

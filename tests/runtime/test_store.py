@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.runtime import (
     summaries_of,
     summarize_row,
 )
+import repro.runtime.store as store_module
 from repro.runtime.store import BaseCampaignStore
 
 from tests.runtime.test_spec import small_spec
@@ -33,6 +36,11 @@ def row(key: str, status: str = "done", **extra) -> dict:
     data = {"task_key": key, "status": status}
     data.update(extra)
     return data
+
+
+def deltas_of(store: CampaignStore) -> list:
+    """The summary sidecar's delta lines, in order."""
+    return [json.loads(line) for line in store.aggregates_path.read_text().splitlines()]
 
 
 class TestSpecBinding:
@@ -383,11 +391,12 @@ class TestDurability:
         spec = small_spec(durability="fsync")
         stats = run_campaign(spec, tmp_path, workers=0)
         assert stats.failed == 0
-        assert len(synced) == spec.num_tasks()
+        # One fsync per row, plus one for the checkpoint's sidecar delta.
+        assert len(synced) == spec.num_tasks() + 1
         # An explicit override beats the spec's default.
         more = run_campaign(spec, tmp_path / "flush", workers=0, durability="flush")
         assert more.failed == 0
-        assert len(synced) == spec.num_tasks()
+        assert len(synced) == spec.num_tasks() + 1
 
 
 class TestTailCheckCache:
@@ -594,10 +603,13 @@ class TestIncrementalAggregates:
         parsed_by_summaries = len(calls) - len(store.rows())  # rows() also parses
         assert parsed_by_summaries == 0  # nothing new: pure cache read
         calls.clear()
-        store.append(row("c"))
+        store.append(row("c"))  # the store that wrote it folded its summary
+        assert store.summaries()["c"] == summarize_row(row("c"))
+        assert calls == []
+        CampaignStore(tmp_path).append(row("d"))  # another store's row
         summaries = store.summaries()
-        assert summaries["c"] == summarize_row(row("c"))
-        assert len(calls) == 1  # only the fresh row was parsed
+        assert summaries["d"] == summarize_row(row("d"))
+        assert len(calls) == 1  # only the foreign row was parsed
 
     def test_sidecar_records_the_byte_cursor(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -645,13 +657,14 @@ class TestIncrementalAggregates:
             handle.write(json.dumps(row("b")))  # complete row, no newline yet
         summaries = store.summaries()
         assert set(summaries) == {"a", "b"}  # matches rows(): the row parses
-        payload = json.loads(store.aggregates_path.read_text())
-        assert set(payload["summaries"]) == {"a"}  # cursor never passes the tail
+        (delta,) = deltas_of(store)
+        assert set(delta["summaries"]) == {"a"}  # cursor never passes the tail
+        assert delta["byte_offset"] == len(json.dumps(row("a"))) + 1
         # Once the tail is terminated by the next append, it gets cached.
         store.append(row("c"))
         store.summaries()
-        payload = json.loads(store.aggregates_path.read_text())
-        assert set(payload["summaries"]) == {"a", "b", "c"}
+        assert [set(d["summaries"]) for d in deltas_of(store)] == [{"a"}, {"b", "c"}]
+        assert deltas_of(store)[-1]["byte_offset"] == store.results_path.stat().st_size
 
     def test_merge_combines_partials_without_rescanning(self, tmp_path, monkeypatch):
         spec = small_spec()
@@ -679,6 +692,123 @@ class TestIncrementalAggregates:
         merged = merge_shards(tmp_path / "merged", [first.directory, second.directory])
         assert merged.summaries() == summaries_of(merged.rows())
         assert merged.summaries()["x"]["status"] == "done"
+
+
+class TestSummaryFold:
+    """Resume, status and report cost O(new rows): the store that appends summarizes."""
+
+    @pytest.mark.parametrize("writer", ["the store that planned", "another store"])
+    def test_one_more_row_grows_the_sidecar_alike_at_10_and_1000_rows(self, tmp_path, writer):
+        # The 10 stored rows are padded so both stores' byte cursors have
+        # five digits: then one delta line is the same size in both.
+        extra = row("new", oracle="greedy-first-fit", k=2, attempt=1, instance_seed=5)
+        growth, cursors = [], []
+        for count, pad in ((10, 1100), (1000, 0)):
+            directory = tmp_path / f"{count}-{writer.replace(' ', '-')}"
+            store = CampaignStore(directory)
+            store.append_many([row(f"t{i:04d}", note="x" * pad) for i in range(count)])
+            store.summaries()  # a current sidecar, and the store starts folding
+            before = store.aggregates_path.stat().st_size
+            if writer == "another store":
+                CampaignStore(directory).append(extra)
+                store.summaries()
+            else:
+                store.append(extra)
+                store.checkpoint()
+            growth.append(store.aggregates_path.stat().st_size - before)
+            cursors.append(store.results_path.stat().st_size)
+            assert deltas_of(store)[-1] == {
+                "byte_offset": cursors[-1],
+                "summaries": {"new": summarize_row(extra)},
+                "version": 2,
+            }
+        assert len(str(cursors[0])) == len(str(cursors[1]))
+        assert growth[0] == growth[1]
+
+    def test_a_foreign_append_stops_the_fold(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append(row("a"))
+        store.summaries()
+        CampaignStore(tmp_path).append(row("b"))  # another writer, between our appends
+        store.append(row("c"))
+        store.checkpoint()
+        fresh = CampaignStore(tmp_path)
+        assert fresh.summaries() == summaries_of(fresh.rows())
+
+    def test_deltas_apply_up_to_the_first_bad_line(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append(row("a"))
+        store.summaries()
+        (good,) = store.aggregates_path.read_text().splitlines(keepends=True)
+        store.append(row("b"))
+        cursor = store.results_path.stat().st_size
+        later = json.dumps(
+            {"byte_offset": cursor, "summaries": {"b": {"status": "lost"}}, "version": 2}
+        )
+        store.aggregates_path.write_text(good + "not json\n" + later + "\n")
+        # The line after the bad one never applies: "b" is parsed from the
+        # log again, and the bad tail of the sidecar is replaced.
+        fresh = CampaignStore(tmp_path)
+        assert fresh.summaries() == summaries_of(fresh.rows())
+        assert [set(delta["summaries"]) for delta in deltas_of(store)] == [{"a"}, {"b"}]
+
+
+class TestSidecarFollowsTheLog:
+    """After every step, a fresh store's summaries() equal a full scan of the rows."""
+
+    @staticmethod
+    def _matches(directory: Path, scratch: Path) -> bool:
+        # Checked on a copy: the check's own catch-up must not hand the
+        # next step a repaired sidecar.
+        copy = scratch / f"check-{len(list(scratch.iterdir()))}"
+        shutil.copytree(directory, copy)
+        fresh = CampaignStore(copy)
+        return fresh.summaries() == summaries_of(fresh.rows())
+
+    def test_each_step_leaves_a_sidecar_that_matches_the_rows(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        directory, checks = tmp_path / "campaign", tmp_path / "checks"
+        checks.mkdir()
+        store = CampaignStore(directory)
+
+        run_campaign(spec, directory)
+        assert self._matches(directory, checks), "run"
+
+        lines = store.results_path.read_bytes().splitlines(keepends=True)
+        store.results_path.write_bytes(b"".join(lines[:-3]) + lines[-3][:40])
+        assert self._matches(directory, checks), "kill mid-row"
+
+        assert run_campaign(spec, directory).executed == 3
+        assert self._matches(directory, checks), "resume"
+
+        sidecar = store.aggregates_path.read_bytes()
+        store.aggregates_path.write_bytes(sidecar[:-20])
+        assert self._matches(directory, checks), "sidecar cut mid-line"
+
+        # A kill drops the last row, and the resume's catch-up delta (the
+        # rows the cut sidecar line covered) fails to write.
+        lines = store.results_path.read_bytes().splitlines(keepends=True)
+        store.results_path.write_bytes(b"".join(lines[:-1]))
+        failed = []
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if Path(file) == store.aggregates_path and "a" in mode and not failed:
+                failed.append(mode)
+                raise OSError("no space left on device")
+            return open(file, mode, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "open", failing_open, raising=False)
+            assert run_campaign(spec, directory).executed == 1
+        assert failed
+        assert self._matches(directory, checks), "sidecar write raised OSError"
+
+        store.append(store.rows()[0])  # a superseded duplicate
+        assert store.compact().rows_dropped == 1
+        assert self._matches(directory, checks), "compact"
+
+        merged = merge_shards(tmp_path / "merged", [directory])
+        assert self._matches(merged.directory, checks), "merge"
 
 
 class TestSummaryViews:

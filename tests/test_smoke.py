@@ -1,9 +1,10 @@
 """Tests for the campaign smoke gate (``scripts/smoke.py``).
 
 Each leg runs on its own against the serial reference of the committed
-8-task spec and must pass its own check and reproduce the reference
-digest.  The gate itself must fail when a leg's check fails or when a
-leg's store drifts from the reference digest.
+8-task spec and must pass its own check, leave its summary sidecar
+current and reproduce the reference digest.  The gate itself must fail
+when a leg's check fails, when a leg leaves its sidecar behind its log,
+or when a leg's store drifts from the reference digest.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ def reference(tmp_path_factory):
     spec = CampaignSpec.from_json(smoke.SPEC_PATH.read_text(encoding="utf-8"))
     serial_dir = tmp_path_factory.mktemp("smoke-reference") / "serial"
     assert run_campaign(spec, serial_dir).failed == 0
+    assert smoke.sidecar_is_current(serial_dir)
     full, incremental = smoke.digests(spec, serial_dir)
     assert full == incremental
     return spec, serial_dir, full
@@ -57,6 +59,7 @@ def test_leg_passes_its_check_and_matches_the_serial_digest(reference, scratch, 
     spec, serial_dir, expected = reference
     directory, detail = leg(spec, serial_dir)
     assert Path(directory).parent == scratch
+    assert smoke.sidecar_is_current(directory), detail
     assert smoke.digests(spec, directory) == (expected, expected), detail
 
 
@@ -73,6 +76,21 @@ def test_gate_fails_when_a_leg_check_fails(scratch, monkeypatch, capsys):
     monkeypatch.setattr(smoke, "LEGS", (("broken", broken),))
     assert smoke.main() == 1
     assert "smoke: FAIL — broken: planted failure" in capsys.readouterr().out
+
+
+def test_gate_fails_when_a_leg_leaves_the_sidecar_behind(scratch, monkeypatch, capsys):
+    def behind(spec, serial_dir):
+        # A duplicate row appended by a store that never read its summaries:
+        # the digest holds, but the next reader has a row to parse.
+        directory = smoke.SCRATCH / "behind"
+        shutil.copytree(serial_dir, directory)
+        store = open_store(directory)
+        store.append(store.rows()[0])
+        return directory, "one row past the sidecar"
+
+    monkeypatch.setattr(smoke, "LEGS", (("behind", behind),))
+    assert smoke.main() == 1
+    assert "smoke: FAIL — behind: the leg left its summary sidecar" in capsys.readouterr().out
 
 
 def test_gate_fails_when_a_leg_drifts_from_the_reference(scratch, monkeypatch, capsys):
