@@ -17,8 +17,7 @@ test:
 
 # Line-coverage gate over src/repro/{core,maxis,graphs,runtime,obs}
 # (fail-under floor lives in scripts/coverage.py; uses pytest-cov when
-# installed, stdlib trace otherwise).  Runs the full test suite itself, so
-# `check` does not also need the plain `test` target.
+# installed, stdlib trace otherwise).  Runs the full test suite itself.
 coverage:
 	$(PYTHON) scripts/coverage.py
 
@@ -47,7 +46,10 @@ campaign-demo:
 	$(PYTHON) -m repro campaign run --spec examples/campaign_demo.json --out .campaign-demo --workers 4
 	$(PYTHON) -m repro campaign report --out .campaign-demo
 
-check: coverage bench-smoke perfbench-test smoke
+# The full local gate.  scripts/check.sh holds its one list of steps
+# (coverage, bench-smoke, perfbench-test, smoke) for hosts without make.
+check:
+	PYTHON=$(PYTHON) sh scripts/check.sh
 
 # pip's PEP-517 editable path needs the `wheel` package; fall back to the
 # legacy develop install on environments that ship setuptools without it.

@@ -1,33 +1,29 @@
 #!/bin/sh
-# Full local gate: tier-1 tests + perf-harness smoke run with schema check
-# + the benchmark's own tests + the campaign smoke (scripts/smoke.py).
-# Equivalent to `make check`; kept as a plain script for environments
-# without make.
+# Full local gate, and the one list of its steps: tier-1 tests under the
+# coverage gate, the perf-harness smoke run with its schema check, the
+# benchmark's own tests and the campaign smoke (scripts/smoke.py).
+# `make check` runs this script; run it directly on hosts without make.
+# The interpreter is $PYTHON (the Makefile's variable), else `python`.
 set -eu
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+PYTHON="${PYTHON:-python}"
 
 # The coverage gate runs the full suite itself (propagating pytest's exit
 # code) and then enforces the line-coverage floor over
 # src/repro/{core,maxis,graphs,runtime,obs} — so tests run once, not twice.
-# SKIP_COVERAGE=1 falls back to the plain (faster) tier-1 run.
-if [ "${SKIP_COVERAGE:-0}" = "1" ]; then
-    echo "== tier-1 tests (coverage skipped: SKIP_COVERAGE=1) =="
-    python -m pytest -x -q
-else
-    echo "== tier-1 tests + coverage gate =="
-    python scripts/coverage.py
-fi
+echo "== tier-1 tests + coverage gate =="
+$PYTHON scripts/coverage.py
 
 echo "== bench smoke =="
-python -m repro bench --smoke --out-dir .bench-smoke --repeats 1
-python scripts/validate_bench.py .bench-smoke
+$PYTHON -m repro bench --smoke --out-dir .bench-smoke --repeats 1
+$PYTHON scripts/validate_bench.py .bench-smoke
 
 echo "== perfbench tests =="
-python -m pytest perfbench/tests -q
+$PYTHON -m pytest perfbench/tests -q
 
 echo "== campaign smoke =="
-python scripts/smoke.py
+$PYTHON scripts/smoke.py
 
 echo "check: OK"

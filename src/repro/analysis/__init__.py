@@ -23,7 +23,7 @@ from repro.analysis.records import (
     record_phase_decay,
     write_records,
 )
-from repro.analysis.tables import consume_table_log, format_records, format_table, print_table
+from repro.analysis.tables import format_records, format_table
 
 __all__ = [
     "DecayCurve",
@@ -43,8 +43,6 @@ __all__ = [
     "record_oracle_quality",
     "record_phase_decay",
     "write_records",
-    "consume_table_log",
     "format_records",
     "format_table",
-    "print_table",
 ]

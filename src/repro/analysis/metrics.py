@@ -1,9 +1,9 @@
-"""Cross-cutting metrics used by benchmarks: approximation quality, model costs.
+"""Cross-cutting metrics: approximation quality, model costs.
 
-These helpers compute, for a given instance, the numbers that the
-experiment tables report side by side — e.g. the measured approximation
-ratio of every registered MaxIS oracle, or the SLOCAL-locality versus
-LOCAL-rounds comparison of benchmark E7.
+These helpers compute, for a given instance, numbers to report side by
+side — e.g. the measured approximation ratio of every registered MaxIS
+oracle, or the SLOCAL-locality versus LOCAL-rounds comparison of the
+model-gap experiment (E7).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def mis_model_comparison(graph: Graph, seed: int = 0) -> Dict[str, float]:
 
 
 def conflict_graph_scaling_row(hypergraph, k: int) -> Dict[str, float]:
-    """Size accounting of the conflict graph of one hypergraph (benchmark E5)."""
+    """Size accounting of the conflict graph of one hypergraph (E5)."""
     from repro.core.bounds import (
         conflict_graph_edge_count_upper_bound,
         conflict_graph_vertex_count,

@@ -1,11 +1,10 @@
-"""Phase-decay analysis of reduction runs (benchmarks E3/E4).
+"""Phase-decay analysis of reduction runs (paper claims E3/E4).
 
 The analysis of Theorem 1.1 predicts geometric decay of the unhappy-edge
 count: ``|E_{i+1}| ≤ (1 − 1/λ)·|E_i|``.  The helpers here turn a
 :class:`~repro.core.reduction.ReductionResult` into the decay curve, fit
 the observed per-phase removal rate, and compare phase/color counts to the
-theoretical budgets — producing exactly the rows that EXPERIMENTS.md
-reports.
+theoretical budgets.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ def effective_lambda(result: ReductionResult) -> float:
 
 
 def phase_summary(result: ReductionResult) -> List[Dict[str, float]]:
-    """Return one row per phase with the quantities reported in EXPERIMENTS.md."""
+    """Return one row per phase: edge counts, ``|I|``, removal fraction and ``G_k`` size."""
     rows: List[Dict[str, float]] = []
     for p in result.phases:
         rows.append(

@@ -1,13 +1,12 @@
 """Machine-readable experiment records.
 
-The benchmark harness prints plain-text tables; downstream users often want
-the same data as JSON (to plot decay curves, compare oracles across
-machines, or archive runs next to EXPERIMENTS.md).  This module provides a
-small record model — an :class:`ExperimentRecord` is a named collection of
-homogeneous rows plus free-form metadata — together with JSON round-trip
-helpers and runners that produce the records for the core experiments
-programmatically (the same computations the benches perform, minus the
-pytest wrapper).
+Downstream users often want experiment data as JSON (to plot decay
+curves, compare oracles across machines, or archive runs).  This module
+provides a small record model — an :class:`ExperimentRecord` is a named
+collection of homogeneous rows plus free-form metadata — together with
+JSON round-trip helpers and runners that produce the records for the
+phase-decay (E3), oracle-quality (E6) and model-gap (E7) experiments
+programmatically.
 """
 
 from __future__ import annotations

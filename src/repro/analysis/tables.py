@@ -1,23 +1,27 @@
-"""Plain-text table rendering shared by the benchmark harness and the examples.
+"""Plain-text table rendering for the CLI and the examples.
 
-The benchmark harness prints its reproduction tables to stdout (captured in
-``bench_output.txt``); a tiny formatter keeps those tables aligned and free
-of external dependencies.
+A tiny formatter keeps their tables aligned and free of external
+dependencies.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
 
 def format_cell(value: Cell, precision: int = 3) -> str:
-    """Render a single cell: floats get fixed precision, everything else ``str``."""
+    """Render a single cell: floats get fixed precision, everything else ``str``.
+
+    Integral floats print as integers; ``nan`` and ``±inf`` print as
+    ``nan``, ``inf`` and ``-inf``.
+    """
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
+        if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
             return str(int(value))
         return f"{value:.{precision}f}"
     return str(value)
@@ -47,27 +51,3 @@ def format_records(records: Sequence[Dict[str, Cell]], precision: int = 3) -> st
     rows = [[record.get(h, "") for h in headers] for record in records]
     return format_table(headers, rows, precision=precision)
 
-
-#: Accumulates every table printed via :func:`print_table` during a process.
-#: The benchmark harness replays this log in its terminal summary so the
-#: reproduction tables survive pytest's output capture.
-_TABLE_LOG: List[str] = []
-
-
-def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[Cell]]) -> None:
-    """Print a titled table and record it in the in-process table log."""
-    text = f"\n== {title} ==\n{format_table(headers, list(rows))}\n"
-    _TABLE_LOG.append(text)
-    print(text, end="")
-
-
-def consume_table_log() -> str:
-    """Return every table printed so far and clear the log.
-
-    Used by the benchmark harness (``benchmarks/conftest.py``) to re-emit the
-    reproduction tables in pytest's terminal summary, where they are not
-    swallowed by per-test output capture.
-    """
-    text = "".join(_TABLE_LOG)
-    _TABLE_LOG.clear()
-    return text

@@ -1,10 +1,9 @@
 """Performance harness: timed conflict-graph builds and MIS solves.
 
-This module is the library half of ``benchmarks/perf_harness.py`` and the
-``repro bench`` CLI subcommand.  It times the two hottest layers of the
-pipeline on the standard workload families (the same families the
-benchmark suite under ``benchmarks/`` uses) and writes machine-readable
-trajectories:
+This module backs the ``repro bench`` CLI subcommand.  It times the two
+hottest layers of the pipeline on the standard workload families (the
+same families the paper-claim tests in ``tests/`` check) and writes
+machine-readable trajectories:
 
 * ``BENCH_conflict_graph.json`` — wall time of the mask
   :class:`~repro.core.conflict_graph.ConflictGraph` builder next to the
@@ -62,12 +61,11 @@ should use it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 CONFLICT_GRAPH_BENCH = "BENCH_conflict_graph.json"
 MAXIS_BENCH = "BENCH_maxis.json"
@@ -79,7 +77,7 @@ SCHEMA_VERSION = 1
 #: The benchmark families ``run()`` knows how to produce.
 FAMILIES = ("conflict-graph", "maxis", "reduction", "campaign")
 
-#: The instance-size sweep of the benchmark suite's ``hypergraph_family``.
+#: The instance-size sweep of :func:`hypergraph_family`.
 DEFAULT_SIZES: Tuple[Tuple[int, int], ...] = ((30, 20), (60, 40), (90, 60), (120, 80))
 #: The single smallest workload, for smoke runs.
 SMOKE_SIZES: Tuple[Tuple[int, int], ...] = ((30, 20),)
@@ -97,7 +95,7 @@ DEFAULT_MAXIS_ALGORITHMS: Tuple[str, ...] = (
 
 
 # ----------------------------------------------------------------------
-# workload families (shared with benchmarks/conftest.py)
+# workload families (shared with the paper-claim tests)
 # ----------------------------------------------------------------------
 def hypergraph_family(
     sizes: Sequence[Tuple[int, int]] = DEFAULT_SIZES, k: int = 4, epsilon: float = 0.5
@@ -115,7 +113,7 @@ def hypergraph_family(
 
 
 def graph_family():
-    """Return ``[(label, graph)]`` for the MIS model-comparison experiment (E7)."""
+    """Return ``[(label, graph)]``: the plain graphs of the MIS timings and model comparison."""
     from repro.graphs import cycle_graph, erdos_renyi_graph, grid_graph, random_tree
 
     return [
@@ -125,17 +123,6 @@ def graph_family():
         ("G(64, 0.08)", erdos_renyi_graph(64, 0.08, seed=6)),
         ("G(64, 0.20)", erdos_renyi_graph(64, 0.20, seed=7)),
     ]
-
-
-def interval_family():
-    """Return ``[(label, hypergraph, n_points)]`` of interval hypergraphs (E8)."""
-    from repro.hypergraph import random_interval_hypergraph
-
-    result = []
-    for n_points, n_intervals, seed in [(16, 12, 1), (32, 24, 2), (48, 36, 3)]:
-        hypergraph = random_interval_hypergraph(n_points, n_intervals, seed=seed)
-        result.append((f"points={n_points}", hypergraph, n_points))
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -704,30 +691,3 @@ def run(
         )
     return written
 
-
-def main(argv: Optional[Iterable[str]] = None) -> int:
-    """Stand-alone entry point used by ``benchmarks/perf_harness.py``."""
-    parser = argparse.ArgumentParser(
-        prog="perf_harness", description="Time conflict-graph builds and MIS solves."
-    )
-    parser.add_argument("--out-dir", default=".", help="directory for the BENCH_*.json files")
-    parser.add_argument("--smoke", action="store_true", help="smallest workload only")
-    parser.add_argument("--repeats", type=int, default=3, help="timing repeats (best-of)")
-    parser.add_argument("--palette", type=int, default=4, help="palette size k")
-    parser.add_argument(
-        "families",
-        nargs="*",
-        metavar="family",
-        help=f"benchmark families to run, from {FAMILIES} (default: all)",
-    )
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    written = run(
-        out_dir=args.out_dir,
-        smoke=args.smoke,
-        repeats=args.repeats,
-        k=args.palette,
-        families=args.families or None,
-    )
-    for name, path in written.items():
-        print(f"{name}: wrote {path}")
-    return 0

@@ -1,9 +1,9 @@
 """Centralized baselines for conflict-free coloring.
 
 These are *not* part of the paper's reduction; they serve as reference
-points in the benchmark harness (how many colors does a direct greedy
-approach use versus the reduction's ``k·ρ`` budget?) and as generators of
-valid conflict-free colorings for testing Lemma 2.1(a).
+points (how many colors does a direct greedy approach use versus the
+reduction's ``k·ρ`` budget?) and as generators of valid conflict-free
+colorings for testing Lemma 2.1(a).
 """
 
 from __future__ import annotations

@@ -9,10 +9,9 @@ color; every interval covers a contiguous range of points, and the point
 of minimum color inside the range is unique, so ``⌈log2(n)⌉ + 1`` colors
 always suffice.
 
-This module provides that optimal-order algorithm plus the helpers needed
-by benchmark E8 (the end-to-end comparison between direct interval
-coloring and the paper's MaxIS-approximation reduction on the same
-instances).
+This module provides that optimal-order algorithm plus the helpers that
+compare it with the paper's MaxIS-approximation reduction on the same
+instances (``tests/test_integration.py`` checks both routes).
 """
 
 from __future__ import annotations

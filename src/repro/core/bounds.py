@@ -4,8 +4,8 @@ The hardness reduction runs ``ρ = λ·ln(m) + 1`` phases; after phase ``i``
 at most ``(1 - 1/λ)^i · m`` hyperedges remain unhappy, so after ``ρ``
 phases the count drops below 1 and the produced multicoloring uses at most
 ``k·ρ`` colors.  These closed forms are collected here so that the
-reduction, its certificates and the benchmark harness all compute them in
-exactly one place.
+reduction, its certificates and the tests all compute them in exactly one
+place.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def conflict_graph_edge_count_upper_bound(total_edge_size: int, k: int) -> int:
     """Return the trivial quadratic upper bound ``|E(G_k)| ≤ |V(G_k)|² / 2``.
 
     The paper only needs polynomiality; the quadratic bound is what the
-    benchmark harness reports the measured edge counts against.
+    measured edge counts are checked against.
     """
     n = conflict_graph_vertex_count(total_edge_size, k)
     return n * n // 2
@@ -88,10 +88,10 @@ def conflict_graph_edge_count_upper_bound(total_edge_size: int, k: int) -> int:
 def is_polylog(value: float, n: int, exponent: float = 3.0, constant: float = 8.0) -> bool:
     """Heuristic check that ``value ≤ constant · log2(n)^exponent``.
 
-    "Polylogarithmic" is an asymptotic notion; for the finite instances of
-    the benchmark harness we report whether the measured quantity stays
-    under a fixed reference envelope ``c · log^3``, which is the convention
-    used throughout EXPERIMENTS.md.
+    "Polylogarithmic" is an asymptotic notion; for finite instances this
+    checks whether the measured quantity stays under a fixed reference
+    envelope ``c · log^3`` (the color-budget check of
+    ``tests/test_paper_claims.py`` uses ``c = 32``).
     """
     if n < 2:
         return True

@@ -92,8 +92,8 @@ def check_decay(result: ReductionResult) -> List[str]:
             continue
         bound = (1.0 - 1.0 / result.lam) * record.edges_before
         # The bound is only promised when α(G^i_k) = |E_i|; we still report
-        # (rather than fail) because the benchmark harness wants to see where
-        # weaker oracles fall short.
+        # (rather than fail) so callers can see where weaker oracles fall
+        # short.
         if record.edges_after > bound + 1e-9:
             issues.append(
                 f"phase {record.phase}: {record.edges_after} edges remain, above the "

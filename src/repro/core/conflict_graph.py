@@ -512,7 +512,7 @@ class ConflictGraph:
         return structure
 
     # ------------------------------------------------------------------
-    # size accounting (benchmark E5)
+    # size accounting
     # ------------------------------------------------------------------
     def num_vertices(self) -> int:
         """Return ``|V(G_k)| = k · Σ_e |e|`` (over the surviving edges)."""

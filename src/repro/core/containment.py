@@ -13,9 +13,9 @@ constructive idea is the standard cluster-by-cluster argument:
 
 The resulting independent set is maximal, and because every cluster
 contributes an optimum of its residual subgraph the practical approximation
-quality is far better than the maximality guarantee; benchmark
-``bench_containment`` (an ablation) measures it against the exact optimum
-and the oracles of :mod:`repro.maxis`.
+quality is far better than the maximality guarantee:
+``tests/core/test_containment.py`` checks it within a factor 3 of the exact
+optimum, and within 2 for every carving radius on a grid.
 
 This module is an executable companion to the cited containment result —
 its purpose is to exercise the SLOCAL machinery end to end on the MaxIS

@@ -92,7 +92,7 @@ def polylog_decomposition(graph: Graph) -> NetworkDecomposition:
 
     For the instance sizes the library targets this produces clusters of
     weak diameter ``O(log n)``; the number of cluster colors is bounded by
-    the quotient graph's degree + 1 and reported by the benchmark harness.
+    the quotient graph's degree + 1.
     """
     n = graph.num_vertices()
     radius = max(1, math.ceil(math.log2(n))) if n >= 2 else 0

@@ -191,8 +191,7 @@ def maximum_independent_set(graph: Graph) -> Set[Vertex]:
     interned in ``repr`` order) so the active set, memo keys and all
     neighborhood algebra are machine-word-parallel bitset operations.
     Exponential in the worst case — intended for the ground-truth
-    comparisons on small and medium instances used by the test-suite and
-    the benchmark harness.
+    comparisons on small and medium instances used by the test-suite.
     """
     from repro.graphs.indexed import maximum_independent_set_mask
 

@@ -3,8 +3,8 @@
 A maximal independent set is automatically a (Δ+1)-approximation of the
 maximum independent set.  Running Luby's algorithm (or the random-order
 greedy equivalent) several times and keeping the largest set is a simple
-randomized baseline that often does much better than its worst-case bound;
-benchmark E6 quantifies this on the conflict graphs of the reduction.
+randomized baseline that often does much better than its worst-case bound,
+including on the conflict graphs of the reduction.
 
 Performance: the graph is frozen to a
 :class:`~repro.graphs.indexed.IndexedGraph` once per call (in ``repr``

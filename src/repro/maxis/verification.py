@@ -4,8 +4,8 @@ The reduction's analysis hinges on the inequality ``|I| ≥ α(G)/λ``.  When
 ``α(G)`` is known (exactly, or via a lower bound such as the planted
 independent set of Lemma 2.1(a)), the helpers here check whether a
 computed independent set actually meets a claimed approximation factor —
-this is how the benchmark harness certifies, per phase, that the oracle it
-plugged into the reduction really behaved as a λ-approximation.
+this is how a caller certifies, per phase, that the oracle it plugged into
+the reduction really behaved as a λ-approximation.
 """
 
 from __future__ import annotations

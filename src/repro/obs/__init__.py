@@ -1,7 +1,6 @@
 """Observability substrate: in-process metrics and span/event tracing.
 
-``repro.obs`` is the layer ROADMAP item 1's campaign service will scrape
-— built now so the runtime's numbers live in one queryable place instead
+``repro.obs`` keeps the runtime's numbers in one queryable place instead
 of scattered one-off dataclass counters:
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of

@@ -1,9 +1,8 @@
 """In-process metrics: counters, gauges and histograms with label support.
 
-The registry is the live, queryable view the future campaign service
-will scrape (ROADMAP item 1): runtime subsystems register metric
-*families* once at import time and update cheap per-label-set *children*
-on their hot paths.  Two read surfaces exist:
+The registry is the live, queryable view of a run: runtime subsystems
+register metric *families* once at import time and update cheap
+per-label-set *children* on their hot paths.  Two read surfaces exist:
 
 * :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
   exposition format (``# HELP`` / ``# TYPE`` headers, one

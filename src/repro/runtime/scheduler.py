@@ -51,8 +51,8 @@ from repro.runtime.tasks import execute_task
 # ----------------------------------------------------------------------
 # CampaignRunStats is a *projection* of these: run_campaign captures the
 # relevant counter values at run start and reports the deltas, so the
-# registry is the single source of truth and a live scraper (ROADMAP
-# item 1) sees the same numbers the stats object reports.
+# registry is the single source of truth and anything reading it sees
+# the same numbers the stats object reports.
 _M_TASKS_STARTED = obs.counter(
     "repro_tasks_started_total",
     "Task executions dispatched by run_campaign (first passes and retries).",

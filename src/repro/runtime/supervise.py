@@ -28,10 +28,9 @@ When every shard lands, the aggregate digest is computed and (optionally)
 checked against an ``expected_digest`` from a serial reference run.
 
 Executors are deliberately thin — ``launch`` one shard, ``poll`` its exit
-code, ``kill`` it — so the v1 :class:`LocalProcessExecutor` (supervised
-``repro campaign run --shard i/n`` subprocesses) can later be joined by
-SSH or queue-submission executors without touching the coordinator; see
-ROADMAP item 2 for what those still need.
+code, ``kill`` it — so the coordinator never depends on how
+:class:`LocalProcessExecutor` (supervised ``repro campaign run --shard
+i/n`` subprocesses) starts its shards.
 """
 
 from __future__ import annotations

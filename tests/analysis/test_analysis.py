@@ -18,11 +18,18 @@ from repro.analysis import (
     phases_needed_at_rate,
     run_summary,
 )
+from repro.bench import graph_family
 from repro.core import solve_conflict_free_multicoloring
 from repro.exceptions import ReproError
-from repro.graphs import cycle_graph, erdos_renyi_graph
+from repro.graphs import Graph, cycle_graph, erdos_renyi_graph
 from repro.hypergraph import colorable_almost_uniform_hypergraph
-from repro.maxis import get_approximator
+from repro.maxis import (
+    MaxISApproximator,
+    approximators,
+    clique_cover_quality,
+    first_fit_greedy,
+    get_approximator,
+)
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +95,11 @@ class TestMetrics:
         assert by_name["greedy-min-degree"]["measured_ratio"] >= 1.0
 
     def test_mis_model_comparison_row(self):
-        row = mis_model_comparison(cycle_graph(10), seed=2)
-        assert row["slocal_valid"] == 1.0 and row["luby_valid"] == 1.0
+        cases = [(cycle_graph(10), 2)] + [(g, 13) for _, g in graph_family()]
+        for graph, seed in cases:
+            row = mis_model_comparison(graph, seed=seed)
+            assert row["slocal_valid"] == 1.0 and row["luby_valid"] == 1.0
+            assert row["slocal_locality"] == 1.0
 
     def test_conflict_graph_scaling_row(self):
         hypergraph, _ = colorable_almost_uniform_hypergraph(n=15, m=8, k=2, seed=22)
@@ -106,9 +116,18 @@ class TestTables:
         assert set(lines[1]) <= {"-", " "}
         assert len(lines) == 4
 
-    def test_format_table_float_precision(self):
+    def test_format_table_float_precision(self, monkeypatch):
         text = format_table(["x"], [[1.23456]])
         assert "1.235" in text
+        assert format_table(["x"], [[float("-inf")]]).endswith("-inf")
+        # An approximator without a guarantee reports λ = nan.
+        get_approximator("exact")  # registers the built-ins first
+        heuristic = MaxISApproximator(name="heuristic-tmp", solve=first_fit_greedy)
+        monkeypatch.setitem(approximators._REGISTRY, heuristic.name, heuristic)
+        rows = approximator_quality_table(cycle_graph(6), names=[heuristic.name])
+        assert format_records(rows).splitlines()[-1].split()[-1] == "nan"
+        # The clique cover of the empty graph certifies an infinite ratio.
+        assert format_records([clique_cover_quality(Graph())]).splitlines()[-1].split()[-1] == "inf"
 
     def test_format_records(self):
         text = format_records([{"a": 1, "b": True}, {"a": 2, "b": False}])

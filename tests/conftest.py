@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from repro.bench import hypergraph_family
 from repro.graphs import Graph, erdos_renyi_graph
 from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
 
@@ -38,6 +39,16 @@ def small_hypergraph() -> Hypergraph:
 def colorable_instance():
     """A colorable almost-uniform hypergraph together with its planted coloring."""
     return colorable_almost_uniform_hypergraph(n=24, m=15, k=3, epsilon=0.5, seed=11)
+
+
+@pytest.fixture(scope="session")
+def bench_family():
+    """``repro bench``'s sweep ``[(label, hypergraph, planted, k)]``: n = 30…120, k = 4.
+
+    The paper's claims are checked on it; Lemma 2.1(b) and the phase
+    decay on its first three instances.
+    """
+    return hypergraph_family()
 
 
 # ----------------------------------------------------------------------

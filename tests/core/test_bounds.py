@@ -116,10 +116,14 @@ class TestConflictGraphSizeBounds:
 
     def test_measured_sizes_respect_bounds(self, colorable_instance):
         from repro.core import ConflictGraph
+        from repro.hypergraph import colorable_almost_uniform_hypergraph
 
-        hypergraph, _ = colorable_instance
-        k = 3
-        cg = ConflictGraph(hypergraph, k)
-        total = hypergraph.total_edge_size()
-        assert cg.num_vertices() == conflict_graph_vertex_count(total, k)
-        assert cg.num_edges() <= conflict_graph_edge_count_upper_bound(total, k)
+        cases = [(colorable_instance[0], 3)]
+        for i, (n, m) in enumerate([(20, 12), (40, 25), (60, 40), (80, 55)]):
+            hypergraph, _ = colorable_almost_uniform_hypergraph(n=n, m=m, k=3, seed=200 + i)
+            cases += [(hypergraph, k) for k in (2, 3, 5)]
+        for hypergraph, k in cases:
+            cg = ConflictGraph(hypergraph, k)
+            total = hypergraph.total_edge_size()
+            assert cg.num_vertices() == conflict_graph_vertex_count(total, k)
+            assert cg.num_edges() <= conflict_graph_edge_count_upper_bound(total, k)

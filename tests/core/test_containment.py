@@ -18,6 +18,7 @@ from repro.graphs import (
     independence_number,
     is_maximal_independent_set,
     path_graph,
+    random_tree,
     verify_independent_set,
 )
 
@@ -51,6 +52,27 @@ class TestClusterwiseMaxIS:
             # The cluster-by-cluster optimum never does worse than the trivial
             # (Δ+1) maximality guarantee and usually much better.
             assert len(result.independent_set) * (g.max_degree() + 1) >= alpha
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(grid_graph(6, 6), id="grid-6x6"),
+            pytest.param(random_tree(40, seed=61), id="tree-40"),
+            pytest.param(erdos_renyi_graph(36, 0.10, seed=62), id="G(36,0.10)"),
+            pytest.param(erdos_renyi_graph(36, 0.25, seed=63), id="G(36,0.25)"),
+        ],
+    )
+    def test_within_factor_three_of_optimum(self, graph):
+        """E9: the cluster-by-cluster set is within 3 of α on these graphs."""
+        result = clusterwise_maxis(graph)
+        assert independence_number(graph) <= 3 * len(result.independent_set)
+
+    @pytest.mark.parametrize("radius", range(4))
+    def test_every_carving_radius_within_factor_two_on_a_grid(self, radius):
+        """E9: on the 7x7 grid every carving radius gives a set within 2 of α."""
+        g = grid_graph(7, 7)
+        result = clusterwise_maxis(g, decomposition=ball_carving_decomposition(g, radius))
+        assert independence_number(g) <= 2 * len(result.independent_set)
 
     def test_respects_given_decomposition(self):
         g = grid_graph(4, 4)

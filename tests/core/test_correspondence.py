@@ -31,11 +31,15 @@ def instance():
 
 
 class TestLemma21a:
-    def test_induced_set_has_size_m_and_is_independent(self, instance):
+    def test_induced_set_has_size_m_and_is_independent(self, instance, bench_family):
         hypergraph, planted, cg = instance
-        witness = verify_lemma_21a(cg, planted)
-        assert len(witness) == hypergraph.num_edges()
-        verify_independent_set(cg.graph, witness)
+        cases = [(hypergraph, planted, cg)] + [
+            (h, coloring, ConflictGraph(h, k)) for _, h, coloring, k in bench_family
+        ]
+        for hypergraph, planted, cg in cases:
+            witness = verify_lemma_21a(cg, planted)
+            assert len(witness) == hypergraph.num_edges()
+            verify_independent_set(cg.graph, witness)
 
     def test_one_triple_per_hyperedge(self, instance):
         hypergraph, planted, cg = instance
@@ -72,10 +76,11 @@ class TestLemma21a:
         assert maximum_independent_set_size_bound(cg) == hypergraph.num_edges()
 
     def test_no_independent_set_exceeds_m_on_small_instance(self):
-        hypergraph, planted = colorable_almost_uniform_hypergraph(n=8, m=4, k=2, seed=23)
-        cg = ConflictGraph(hypergraph, 2)
-        alpha = independence_number(cg.graph)
-        assert alpha == hypergraph.num_edges()
+        for n, m, seed in [(8, 4, 23), (18, 9, 77)]:
+            hypergraph, planted = colorable_almost_uniform_hypergraph(n=n, m=m, k=2, seed=seed)
+            cg = ConflictGraph(hypergraph, 2)
+            alpha = independence_number(cg.graph)
+            assert alpha == hypergraph.num_edges() == len(verify_lemma_21a(cg, planted))
 
     @given(colorable_hypergraphs(max_n=14, max_m=6, max_k=3))
     @settings(max_examples=20, deadline=None)
@@ -96,12 +101,13 @@ class TestLemma21b:
         for v, c in coloring.items():
             assert 1 <= c <= cg.k
 
-    def test_happy_edges_at_least_independent_set_size(self, instance):
-        _, _, cg = instance
-        for name in ("greedy-min-degree", "luby-best-of-5", "clique-cover"):
-            independent_set = get_approximator(name)(cg.graph)
-            happy = verify_lemma_21b(cg, independent_set)
-            assert len(happy) >= len(independent_set)
+    def test_happy_edges_at_least_independent_set_size(self, instance, bench_family):
+        graphs = [instance[2]] + [ConflictGraph(h, k) for _, h, _, k in bench_family[:3]]
+        for cg in graphs:
+            for name in ("greedy-min-degree", "greedy-first-fit", "luby-best-of-5", "clique-cover"):
+                independent_set = get_approximator(name)(cg.graph)
+                happy = verify_lemma_21b(cg, independent_set)
+                assert len(happy) >= len(independent_set)
 
     def test_selected_edges_are_happy(self, instance):
         _, _, cg = instance

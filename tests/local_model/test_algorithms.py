@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import graph_family
 from repro.core import ConflictGraph
 from repro.exceptions import ModelError
 from repro.graphs import (
@@ -76,8 +77,11 @@ class TestRandomizedColoring:
             assert 0 <= c <= random_graph.degree(v)
 
     def test_total_colors_at_most_delta_plus_one(self, random_graph):
-        coloring, _ = randomized_coloring(random_graph, seed=6)
-        assert num_colors(coloring) <= random_graph.max_degree() + 1
+        cases = [(random_graph, 6)] + [(g, 17) for _, g in graph_family()]
+        for g, seed in cases:
+            coloring, _ = randomized_coloring(g, seed=seed)
+            assert is_proper_coloring(g, coloring)
+            assert num_colors(coloring) <= g.max_degree() + 1
 
     def test_path_graph_colors(self):
         coloring, _ = randomized_coloring(path_graph(10), seed=7)

@@ -209,11 +209,14 @@ class TestCliqueCover:
 
 
 class TestRegisteredQuality:
-    @pytest.mark.parametrize("name", ["greedy-min-degree", "greedy-first-fit", "luby-best-of-5", "clique-cover"])
+    @pytest.mark.parametrize(
+        "name", ["greedy-min-degree", "greedy-first-fit", "luby-best-of-5", "clique-cover", "exact"]
+    )
     def test_every_registered_approximator_respects_its_guarantee(self, name):
         approximator = get_approximator(name)
-        for seed in range(3):
-            g = erdos_renyi_graph(18, 0.25, seed=seed)
+        cases = [(18, 0.25, seed) for seed in range(3)] + [(16, 0.2, 1), (20, 0.3, 2), (24, 0.4, 3)]
+        for n, p, seed in cases:
+            g = erdos_renyi_graph(n, p, seed=seed)
             result = approximator(g)
             lam = approximator.guaranteed_lambda(g)
             assert len(result) * lam >= independence_number(g)

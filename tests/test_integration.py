@@ -20,6 +20,7 @@ from repro.analysis import decay_curve, effective_lambda, run_summary
 from repro.coloring import (
     Multicoloring,
     greedy_conflict_free_coloring,
+    interval_color_bound,
     interval_conflict_free_coloring,
     num_colors_used,
     single_coloring_as_multicoloring,
@@ -99,16 +100,23 @@ class TestAgainstBaselines:
         verify_conflict_free_multicoloring(hypergraph, baseline_mc)
 
     def test_interval_instance_solved_by_both_routes(self):
-        hypergraph = random_interval_hypergraph(24, 16, seed=46)
-        order = canonical_point_order(hypergraph)
-        direct = interval_conflict_free_coloring(hypergraph, order)
-        assert num_colors_used(direct) <= 6
+        # (points, intervals, seed, λ): the [DN18] setting the paper adapts.
+        for n_points, n_intervals, seed, lam in [
+            (24, 16, 46, 5.0), (16, 12, 1, 4.0), (32, 24, 2, 4.0), (48, 36, 3, 4.0),
+        ]:
+            hypergraph = random_interval_hypergraph(n_points, n_intervals, seed=seed)
+            order = canonical_point_order(hypergraph)
+            direct = interval_conflict_free_coloring(hypergraph, order)
+            assert num_colors_used(direct) <= interval_color_bound(n_points)
 
-        result = solve_conflict_free_multicoloring(
-            hypergraph, k=6, approximator=get_approximator("greedy-min-degree"), lam=5.0
-        )
-        report = verify_reduction_result(hypergraph, result)
-        assert report.conflict_free
+            result = solve_conflict_free_multicoloring(
+                hypergraph,
+                k=max(num_colors_used(direct), 2),
+                approximator=get_approximator("greedy-min-degree"),
+                lam=lam,
+            )
+            report = verify_reduction_result(hypergraph, result)
+            assert report.conflict_free
 
     def test_mis_instance_as_two_uniform_hypergraph(self):
         # A conflict-free coloring of the 2-uniform hypergraph of a graph is
@@ -129,16 +137,17 @@ class TestAgainstBaselines:
 
 class TestModelsIntegration:
     def test_conflict_graph_runs_inside_virtual_embedding(self):
-        hypergraph, _ = colorable_almost_uniform_hypergraph(n=18, m=9, k=2, seed=48)
-        cg = ConflictGraph(hypergraph, 2)
-        host = hypergraph.primal_graph()
-        embedding = VirtualGraphEmbedding(host, cg.graph, cg.host_assignment())
-        stats = embedding.stats()
-        assert stats.dilation <= 2
-        assert stats.num_virtual_vertices == cg.num_vertices()
-        # Simulating an O(log n)-round virtual algorithm costs only a constant
-        # factor more on the host.
-        assert embedding.simulation_rounds(10) <= 20
+        for n, m, k, seed in [(18, 9, 2, 48), (20, 12, 3, 300), (40, 25, 3, 301), (60, 40, 3, 302)]:
+            hypergraph, _ = colorable_almost_uniform_hypergraph(n=n, m=m, k=k, seed=seed)
+            cg = ConflictGraph(hypergraph, k)
+            host = hypergraph.primal_graph()
+            embedding = VirtualGraphEmbedding(host, cg.graph, cg.host_assignment())
+            stats = embedding.stats()
+            assert stats.dilation <= 2
+            assert stats.num_virtual_vertices == cg.num_vertices()
+            # Simulating an O(log n)-round virtual algorithm costs only a
+            # constant factor more on the host.
+            assert embedding.simulation_rounds(10) <= 20
 
     def test_slocal_and_local_mis_agree_on_validity(self):
         hypergraph, _ = colorable_almost_uniform_hypergraph(n=20, m=10, k=2, seed=49)
