@@ -10,11 +10,7 @@ from repro.analysis.phase_stats import (
     phases_needed_at_rate,
     run_summary,
 )
-from repro.analysis.metrics import (
-    approximator_quality_table,
-    conflict_graph_scaling_row,
-    mis_model_comparison,
-)
+from repro.analysis.metrics import approximator_quality_table, mis_model_comparison
 from repro.analysis.records import (
     ExperimentRecord,
     read_records,
@@ -35,7 +31,6 @@ __all__ = [
     "phases_needed_at_rate",
     "run_summary",
     "approximator_quality_table",
-    "conflict_graph_scaling_row",
     "mis_model_comparison",
     "ExperimentRecord",
     "read_records",

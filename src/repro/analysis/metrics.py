@@ -56,43 +56,24 @@ def approximator_quality_table(
 def mis_model_comparison(graph: Graph, seed: int = 0) -> Dict[str, float]:
     """Compare the SLOCAL locality-1 MIS with Luby's LOCAL MIS on one graph.
 
-    Returns the sizes of the two (valid) MIS outputs, the SLOCAL locality
-    (always 1), and the number of LOCAL communication rounds Luby's
-    algorithm used.
+    Returns the sizes of the two (valid) MIS outputs, the locality the
+    SLOCAL engine ran :class:`~repro.slocal.algorithms.SLOCALMIS` at, and
+    the number of LOCAL communication rounds Luby's algorithm used.
     """
     from repro.graphs.independent_sets import is_maximal_independent_set
     from repro.local_model.algorithms import luby_mis
-    from repro.slocal.algorithms import slocal_mis
+    from repro.slocal.algorithms import SLOCALMIS
+    from repro.slocal.engine import SLOCALEngine
 
-    slocal_set = slocal_mis(graph)
+    slocal = SLOCALEngine(graph).run(SLOCALMIS())
+    slocal_set = {v for v, joined in slocal.outputs.items() if joined}
     luby_set, run = luby_mis(graph, seed=seed)
     return {
         "n": float(graph.num_vertices()),
         "slocal_mis_size": float(len(slocal_set)),
-        "slocal_locality": 1.0,
+        "slocal_locality": float(slocal.locality),
         "slocal_valid": 1.0 if is_maximal_independent_set(graph, slocal_set) else 0.0,
         "luby_mis_size": float(len(luby_set)),
         "luby_rounds": float(run.rounds),
         "luby_valid": 1.0 if is_maximal_independent_set(graph, luby_set) else 0.0,
-    }
-
-
-def conflict_graph_scaling_row(hypergraph, k: int) -> Dict[str, float]:
-    """Size accounting of the conflict graph of one hypergraph (E5)."""
-    from repro.core.bounds import (
-        conflict_graph_edge_count_upper_bound,
-        conflict_graph_vertex_count,
-    )
-    from repro.core.conflict_graph import ConflictGraph
-
-    cg = ConflictGraph(hypergraph, k)
-    total = hypergraph.total_edge_size()
-    return {
-        "n": float(hypergraph.num_vertices()),
-        "m": float(hypergraph.num_edges()),
-        "k": float(k),
-        "cg_vertices": float(cg.num_vertices()),
-        "cg_vertices_formula": float(conflict_graph_vertex_count(total, k)),
-        "cg_edges": float(cg.num_edges()),
-        "cg_edges_upper_bound": float(conflict_graph_edge_count_upper_bound(total, k)),
     }

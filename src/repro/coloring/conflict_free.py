@@ -112,18 +112,12 @@ def unhappy_edges(
     return set(hypergraph.edge_ids) - happy
 
 
-def is_conflict_free(
-    hypergraph: Hypergraph,
-    coloring: Dict[Vertex, Color],
-    happy: Optional[Set] = None,
-) -> bool:
+def is_conflict_free(hypergraph: Hypergraph, coloring: Dict[Vertex, Color]) -> bool:
     """Return ``True`` if every hyperedge is happy under ``coloring``.
 
-    The coloring may be partial; only happiness matters.  ``happy``
-    optionally short-circuits the computation with a precomputed
-    :func:`happy_edges` result.
+    The coloring may be partial; only happiness matters.
     """
-    return not unhappy_edges(hypergraph, coloring, happy=happy)
+    return not unhappy_edges(hypergraph, coloring)
 
 
 def verify_conflict_free_coloring(

@@ -113,37 +113,20 @@ def happy_edges(hypergraph: Hypergraph, multicoloring: Multicoloring) -> Set:
     return {e for e in hypergraph.edge_ids if is_edge_happy(hypergraph, multicoloring, e)}
 
 
-def unhappy_edges(
-    hypergraph: Hypergraph,
-    multicoloring: Multicoloring,
-    happy: Optional[Set] = None,
-) -> Set:
-    """Return the ids of edges *not* happy under the multicoloring.
-
-    ``happy`` may carry a precomputed :func:`happy_edges` result; both
-    :func:`is_conflict_free_multicoloring` and
-    :func:`verify_conflict_free_multicoloring` route through this single
-    computation instead of re-censusing every edge per call.
-    """
-    if happy is None:
-        happy = happy_edges(hypergraph, multicoloring)
-    return set(hypergraph.edge_ids) - happy
+def unhappy_edges(hypergraph: Hypergraph, multicoloring: Multicoloring) -> Set:
+    """Return the ids of edges *not* happy under the multicoloring."""
+    return set(hypergraph.edge_ids) - happy_edges(hypergraph, multicoloring)
 
 
-def is_conflict_free_multicoloring(
-    hypergraph: Hypergraph,
-    multicoloring: Multicoloring,
-    happy: Optional[Set] = None,
-) -> bool:
+def is_conflict_free_multicoloring(hypergraph: Hypergraph, multicoloring: Multicoloring) -> bool:
     """Return ``True`` if every hyperedge is happy under the multicoloring."""
-    return not unhappy_edges(hypergraph, multicoloring, happy=happy)
+    return not unhappy_edges(hypergraph, multicoloring)
 
 
 def verify_conflict_free_multicoloring(
     hypergraph: Hypergraph,
     multicoloring: Multicoloring,
     max_total_colors: Optional[int] = None,
-    happy: Optional[Set] = None,
 ) -> None:
     """Raise :class:`ColoringError` unless the multicoloring is conflict-free.
 
@@ -152,9 +135,6 @@ def verify_conflict_free_multicoloring(
     max_total_colors:
         Optional bound on the total number of distinct colors (the
         reduction's budget is ``k·ρ``).
-    happy:
-        Optional precomputed :func:`happy_edges` result, reused instead of
-        re-censusing the edge family.
     """
     foreign = multicoloring.colored_vertices() - hypergraph.vertices
     if foreign:
@@ -166,7 +146,7 @@ def verify_conflict_free_multicoloring(
             f"multicoloring uses {multicoloring.num_colors()} colors, "
             f"exceeding the budget {max_total_colors}"
         )
-    unhappy = unhappy_edges(hypergraph, multicoloring, happy=happy)
+    unhappy = unhappy_edges(hypergraph, multicoloring)
     if unhappy:
         example = next(iter(unhappy))
         raise ColoringError(

@@ -550,21 +550,28 @@ class ConflictGraph:
         return self._blocks.keys() & happy
 
     def triples_of_edge(self, edge_id: EdgeId) -> List[ConflictVertex]:
-        """Return all triples ``(edge_id, ·, ·)``."""
-        return [
-            ConflictVertex(edge_id, v, c)
-            for v in sorted(self.hypergraph.edge(edge_id), key=repr)
-            for c in range(1, self.k + 1)
-        ]
+        """Return the triples ``(edge_id, ·, ·)`` of a surviving hyperedge, in id order.
+
+        Raises
+        ------
+        ReductionError
+            If ``edge_id`` is not a surviving hyperedge.
+        """
+        if edge_id not in self._blocks:
+            raise ReductionError(f"edge not in conflict graph: {edge_id!r}")
+        members, base = self._blocks[edge_id]
+        return list(self._snapshot.labels()[base:base + len(members) * self.k])
 
     def triples_of_vertex(self, vertex: Vertex) -> List[ConflictVertex]:
-        """Return all triples ``(·, vertex, ·)`` of the surviving hyperedges."""
-        edges = [e for e in self.hypergraph.edges_containing(vertex) if e in self._blocks]
-        return [
-            ConflictVertex(e, vertex, c)
-            for e in sorted(edges, key=repr)
-            for c in range(1, self.k + 1)
-        ]
+        """Return the triples ``(·, vertex, ·)`` of the surviving hyperedges, in id order."""
+        k = self.k
+        starts = []
+        for e in self.hypergraph.edges_containing(vertex):
+            if e in self._blocks:
+                members, base = self._blocks[e]
+                starts.append(base + k * members.index(vertex))
+        labels = self._snapshot.labels()
+        return [t for start in sorted(starts) for t in labels[start:start + k]]
 
     def edge_kinds(self, a: ConflictVertex, b: ConflictVertex) -> Set[str]:
         """Classify the relation(s) connecting two triples (empty if non-adjacent)."""

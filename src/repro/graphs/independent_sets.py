@@ -125,9 +125,10 @@ def greedy_min_degree_independent_set(graph: Graph) -> Set[Vertex]:
     ``|I| ≥ n / (Δ + 1)`` and tends to perform much better in practice.
 
     This is the *reference* implementation (kept simple on purpose; it is
-    the oracle the property tests compare against).  The production port,
-    a bucket-queue over a frozen :class:`IndexedGraph` with identical
-    output, is :func:`repro.maxis.greedy.min_degree_greedy`.
+    the oracle the property tests compare against).  The production
+    kernel of the ``greedy-min-degree`` approximator, a bucket-queue over
+    a frozen :class:`IndexedGraph` with identical output, is
+    :func:`repro.graphs.indexed.min_degree_greedy_ids`.
     """
     work = graph.copy()
     selected: Set[Vertex] = set()
@@ -155,7 +156,7 @@ def luby_mis(
     the whole run is deterministic.
 
     This is the *reference* path of the bit-parallel batched kernel
-    :func:`repro.maxis.luby_based.luby_batch_mis`, which packs the coin
+    :func:`repro.maxis.luby_based.luby_batch_mis_ids`, which packs the coin
     flips of many trials into machine-word lanes: trial ``t`` of the batch
     must reproduce ``luby_mis(graph, seed=trial_seed_t)`` bit for bit (the
     differential tests under ``tests/fuzz`` assert exactly that), so the

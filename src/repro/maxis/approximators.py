@@ -18,7 +18,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
 from repro.exceptions import ApproximationError
 from repro.graphs.graph import Graph
 from repro.graphs.independent_sets import verify_independent_ids, verify_independent_set
-from repro.graphs.indexed import IndexedGraph
+from repro.graphs.indexed import IndexedGraph, freeze_sorted
 
 Vertex = Hashable
 
@@ -27,15 +27,18 @@ Vertex = Hashable
 class MaxISApproximator:
     """A named maximum-independent-set approximation algorithm.
 
+    An approximator is defined by exactly one solver: an id kernel
+    (``solve_ids``; every built-in is one) or, for a custom algorithm
+    written against labels, ``solve``.  :meth:`__call__` is the one place
+    that derives a label answer from an id kernel.
+
     Attributes
     ----------
     name:
         Registry key / display name.
     solve:
-        ``solve(graph) -> set_of_vertices``.  Receives a mutable
-        :class:`Graph` (the reduction's rebuild path and every plain
-        caller); built-ins also accept a frozen
-        :class:`~repro.graphs.indexed.IndexedGraph` or alive-mask view.
+        ``solve(graph) -> set_of_vertices`` on a mutable :class:`Graph`,
+        for custom approximators without an id kernel; ``None`` otherwise.
     guarantee:
         Callable mapping a graph to the approximation factor λ the
         algorithm guarantees on that graph (``None`` when no worst-case
@@ -43,31 +46,43 @@ class MaxISApproximator:
     description:
         One-line description used in benchmark tables.
     solve_ids:
-        ``solve_ids(graph) -> iterable of ids``: the same algorithm on a
-        frozen :class:`~repro.graphs.indexed.IndexedGraph` or alive-mask
-        subgraph view interned in ``repr`` order, answering with the ids of
-        an independent set.  It is what ``__call__(graph, ids=True)`` runs,
-        and what the reduction's phase engine calls on the conflict graph,
-        whose ids are laid out in ``repr`` order.  Every built-in sets it
-        and returns, on such a graph, the ids of the labels ``solve``
-        returns on the mutable graph.  ``None`` (the default) keeps a
-        custom approximator on the mutable-:class:`Graph` path.
+        ``solve_ids(graph) -> iterable of ids``: the algorithm on a frozen
+        :class:`~repro.graphs.indexed.IndexedGraph` or alive-mask subgraph
+        view interned in ``repr`` order, answering with the ids of an
+        independent set.  The reduction's phase engine calls it through
+        ``__call__(view, ids=True)`` on the conflict graph, whose ids are
+        laid out in ``repr`` order.  ``None`` keeps a custom approximator
+        on the mutable-:class:`Graph` path.
+
+    Raises
+    ------
+    ApproximationError
+        If both solvers or neither are given.
     """
 
     name: str
-    solve: Callable[[Graph], Set[Vertex]]
+    solve: Optional[Callable[[Graph], Set[Vertex]]] = None
     guarantee: Optional[Callable[[Graph], float]] = None
     description: str = ""
     solve_ids: Optional[Callable[[IndexedGraph], Iterable[int]]] = None
 
+    def __post_init__(self) -> None:
+        if (self.solve is None) == (self.solve_ids is None):
+            raise ApproximationError(
+                f"approximator {self.name!r} needs exactly one of solve and solve_ids"
+            )
+
     def __call__(self, graph, ids: bool = False):
         """Run the approximator and verify that its output is independent.
 
-        By default ``solve`` runs and the answer is a set of vertex labels.
+        By default the answer is a set of vertex labels.  An id kernel
+        runs on ``freeze_sorted(graph)`` (a frozen graph or view passes
+        through) and its ids are checked on masks, then named by their
+        labels; a label-only approximator runs ``solve`` on ``graph``.
         With ``ids=True``, ``graph`` must be an
         :class:`~repro.graphs.indexed.IndexedGraph` or view interned in
-        ``repr`` order; ``solve_ids`` runs and the answer is a list of ids
-        in ascending order, checked on masks without building a label.
+        ``repr`` order, and the answer is the kernel's list of ids in
+        ascending order, built without a label.
 
         Raises
         ------
@@ -77,9 +92,12 @@ class MaxISApproximator:
         ApproximationError
             If the answer is empty although ``graph`` is not.
         """
-        if ids:
-            result = sorted(self.solve_ids(graph))
-            verify_independent_ids(graph, result)
+        if ids or self.solve is None:
+            frozen = freeze_sorted(graph)
+            result = sorted(self.solve_ids(frozen))
+            verify_independent_ids(frozen, result)
+            if not ids:
+                result = {frozen.label(i) for i in result}
         else:
             result = self.solve(graph)
             verify_independent_set(graph, result)
@@ -146,27 +164,25 @@ def capped_oracle(base_name: str, lam: float) -> MaxISApproximator:
     set is independent, so Lemma 2.1(b) still holds per selected triple)
     emulates an oracle that only achieves its worst-case guarantee — the
     regime the paper's analysis is about, with ``ρ = λ·ln(m) + 1`` phases.
-    The kept triples are the first ``⌈|I|/λ⌉`` by ``repr``; ``solve_ids``
-    keeps the ``⌈|I|/λ⌉`` smallest ids, the same triples on a graph
-    interned in ``repr`` order (set only when the base oracle has one).
+    The kept triples are the first ``⌈|I|/λ⌉`` by ``repr``: over a base
+    with an id kernel the capped oracle is an id kernel that keeps the
+    smallest ids, which on a graph interned in ``repr`` order are those
+    triples; over a label-only base it caps ``solve``'s labels.
     The campaign runtime's ``capped:<name>`` oracles and the reduction
     benchmark use it; its name is ``<base_name>@1/<λ>``.
     """
     base = get_approximator(base_name)
 
-    def solve(graph):
-        full = sorted(base.solve(graph), key=repr)
-        target = max(1, math.ceil(len(full) / lam))
-        return set(full[:target])
-
-    def solve_ids(graph) -> List[int]:
-        # Ascending id is repr order on the graphs solve_ids receives.
-        full = sorted(base.solve_ids(graph))
+    def cap(full: List) -> List:
         return full[:max(1, math.ceil(len(full) / lam))]
 
+    if base.solve_ids is None:
+        solve, solve_ids = (lambda graph: set(cap(sorted(base.solve(graph), key=repr)))), None
+    else:
+        solve, solve_ids = None, (lambda graph: cap(sorted(base.solve_ids(graph))))
     return MaxISApproximator(
         name=f"{base_name}@1/{lam:g}",
         solve=solve,
-        solve_ids=None if base.solve_ids is None else solve_ids,
+        solve_ids=solve_ids,
         description=f"{base_name} capped to a 1/{lam:g} fraction (worst-case λ regime).",
     )

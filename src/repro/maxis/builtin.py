@@ -3,8 +3,10 @@
 Importing this module populates the registry in
 :mod:`repro.maxis.approximators`; it is imported lazily by
 :func:`repro.maxis.approximators.get_approximator` so that library users who
-never touch the registry pay nothing.  Each built-in sets ``solve_ids`` to
-the id kernel its label ``solve`` runs on a frozen graph.
+never touch the registry pay nothing.  Each built-in is its id kernel
+(``solve_ids``) alone: :meth:`MaxISApproximator.__call__` derives the label
+answer from it.  The independent reference that checks each kernel is
+listed in DESIGN.md, "One kernel per oracle".
 """
 
 from __future__ import annotations
@@ -16,21 +18,14 @@ from repro.graphs.indexed import (
     min_degree_greedy_ids,
 )
 from repro.maxis.approximators import MaxISApproximator, register_approximator
-from repro.maxis.exact import exact_maximum_independent_set
-from repro.maxis.greedy import first_fit_greedy, min_degree_greedy, turan_guarantee
-from repro.maxis.local_ratio import clique_cover_approximation, clique_cover_ids
-from repro.maxis.luby_based import (
-    best_of_random_mis_ids,
-    luby_based_approximation,
-    luby_batch_best_ids,
-    luby_batch_mis,
-)
+from repro.maxis.greedy import turan_guarantee
+from repro.maxis.local_ratio import clique_cover_ids
+from repro.maxis.luby_based import best_of_random_mis_ids, luby_batch_best_ids
 
 
 register_approximator(
     MaxISApproximator(
         name="exact",
-        solve=lambda g: exact_maximum_independent_set(g, size_limit=None),
         solve_ids=lambda g: iter_bits(maximum_independent_set_mask(g)),
         guarantee=lambda g: 1.0,
         description="Exact branch-and-bound (λ = 1); exponential worst case.",
@@ -40,7 +35,6 @@ register_approximator(
 register_approximator(
     MaxISApproximator(
         name="greedy-min-degree",
-        solve=min_degree_greedy,
         solve_ids=min_degree_greedy_ids,
         guarantee=turan_guarantee,
         description="Minimum-degree greedy; Turán-type (Δ+1)-approximation.",
@@ -50,7 +44,6 @@ register_approximator(
 register_approximator(
     MaxISApproximator(
         name="greedy-first-fit",
-        solve=first_fit_greedy,
         solve_ids=lambda g: first_fit_mis_ids(g, g.vertex_ids()),
         guarantee=turan_guarantee,
         description="First-fit maximal IS along a fixed order; (Δ+1)-approximation.",
@@ -60,7 +53,6 @@ register_approximator(
 register_approximator(
     MaxISApproximator(
         name="luby-best-of-5",
-        solve=lambda g: luby_based_approximation(g, seed=0, trials=5),
         solve_ids=lambda g: best_of_random_mis_ids(g, trials=5, seed=0),
         guarantee=turan_guarantee,
         description="Largest of 5 random-order maximal independent sets.",
@@ -70,7 +62,6 @@ register_approximator(
 register_approximator(
     MaxISApproximator(
         name="luby-batch-of-8",
-        solve=lambda g: luby_batch_mis(g, trials=8, seed=0),
         solve_ids=lambda g: luby_batch_best_ids(g, trials=8, seed=0),
         guarantee=turan_guarantee,
         description="Largest of 8 Luby coin-flip trials, advanced bit-parallel in lanes.",
@@ -80,7 +71,6 @@ register_approximator(
 register_approximator(
     MaxISApproximator(
         name="clique-cover",
-        solve=clique_cover_approximation,
         solve_ids=clique_cover_ids,
         guarantee=turan_guarantee,
         description="One representative per greedy clique-cover class.",

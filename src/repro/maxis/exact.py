@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Set, Union
+from typing import Hashable, Optional, Set
 
 from repro.exceptions import ApproximationError
 from repro.graphs.graph import Graph
-from repro.graphs.independent_sets import maximum_independent_set, verify_independent_set
-from repro.graphs.indexed import IndexedGraph, maximum_independent_set_mask
+from repro.graphs.independent_sets import maximum_independent_set
 
 Vertex = Hashable
 
@@ -19,19 +18,14 @@ DEFAULT_SIZE_LIMIT = 260
 
 
 def exact_maximum_independent_set(
-    graph: Union[Graph, IndexedGraph], size_limit: Optional[int] = DEFAULT_SIZE_LIMIT
+    graph: Graph, size_limit: Optional[int] = DEFAULT_SIZE_LIMIT
 ) -> Set[Vertex]:
     """Return a maximum independent set of ``graph``.
 
     Parameters
     ----------
     graph:
-        The input graph.  An already-frozen
-        :class:`~repro.graphs.indexed.IndexedGraph` (or an alive-mask
-        subgraph view) is solved directly with the bitset branch-and-bound,
-        skipping the freeze; tie-breaking is by interned id, so a
-        ``repr``-sorted frozen input reproduces the mutable-graph path
-        bit for bit.
+        The input graph.
     size_limit:
         Refuse instances with more vertices than this (pass ``None`` to
         disable the guard).
@@ -46,10 +40,6 @@ def exact_maximum_independent_set(
             f"exact solver refused an instance with {graph.num_vertices()} vertices "
             f"(limit {size_limit}); use an approximation algorithm instead"
         )
-    if isinstance(graph, IndexedGraph):
-        best = graph.labels_for_mask(maximum_independent_set_mask(graph))
-        verify_independent_set(graph, best)
-        return best
     return maximum_independent_set(graph)
 
 

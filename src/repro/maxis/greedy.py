@@ -1,4 +1,4 @@
-"""Greedy maximum-independent-set approximation algorithms.
+"""The worst-case guarantee of the greedy maximum-independent-set algorithms.
 
 The minimum-degree greedy algorithm achieves the classical Turán-type
 guarantee ``|I| ≥ n / (Δ + 1) ≥ α(G) / (Δ + 1)``, i.e. it is a
@@ -8,44 +8,18 @@ end-to-end pipeline to terminate; the paper's theorem only needs *some*
 polylogarithmic approximation, which stronger oracles (or the exact solver
 on small instances) provide.
 
-Both algorithms here are the production ports running on a frozen
-:class:`~repro.graphs.indexed.IndexedGraph` (plain :class:`Graph` inputs
-are auto-frozen in ``repr`` order, which reproduces the reference
-implementations in :mod:`repro.graphs.independent_sets` bit-for-bit):
-min-degree greedy runs one bucket-queue loop over the bitset rows that
-recomputes each affected vertex's degree by popcount after a deletion,
-instead of an O(n) min-scan per selection; first-fit uses bitset
-neighborhood tests.  Alive-mask subgraph views
-(:meth:`IndexedGraph.subgraph_view`) are accepted directly — the
-reduction's phase loop passes them to avoid re-freezing per phase — and
-produce exactly what a from-scratch rebuild of the subgraph would.
+The greedy algorithms themselves are the bitset kernels
+:func:`~repro.graphs.indexed.min_degree_greedy_ids` and
+:func:`~repro.graphs.indexed.first_fit_mis_ids`, registered as the
+``greedy-min-degree`` and ``greedy-first-fit`` approximators.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Set, Union
+from typing import Union
 
 from repro.graphs.graph import Graph
-from repro.graphs.indexed import (
-    IndexedGraph,
-    first_fit_mis_ids,
-    freeze_sorted,
-    min_degree_greedy_ids,
-)
-
-Vertex = Hashable
-
-
-def min_degree_greedy(graph: Union[Graph, IndexedGraph]) -> Set[Vertex]:
-    """Return the independent set found by the minimum-degree greedy algorithm."""
-    frozen = freeze_sorted(graph)
-    return {frozen.label(i) for i in min_degree_greedy_ids(frozen)}
-
-
-def first_fit_greedy(graph: Union[Graph, IndexedGraph]) -> Set[Vertex]:
-    """Return the maximal independent set found by first-fit (sorted order) greedy."""
-    frozen = freeze_sorted(graph)
-    return {frozen.label(i) for i in first_fit_mis_ids(frozen, frozen.vertex_ids())}
+from repro.graphs.indexed import IndexedGraph
 
 
 def turan_guarantee(graph: Union[Graph, IndexedGraph]) -> float:

@@ -13,7 +13,7 @@ one triple per hyperedge clique mirrors the structure of Lemma 2.1(a).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Set, Union
+from typing import Dict, Hashable, List, Set
 
 from repro.graphs.graph import Graph
 from repro.graphs.independent_sets import verify_independent_set
@@ -22,44 +22,14 @@ from repro.graphs.indexed import IndexedGraph, iter_bits
 Vertex = Hashable
 
 
-def _greedy_clique_cover_masks(frozen: IndexedGraph) -> List[int]:
-    """Greedy clique cover over a frozen graph, as id-bitsets (internal).
-
-    Visits ids ascending — with a ``repr``-sorted interning (or an
-    alive-mask view of one) this is the same vertex order as the mutable
-    :func:`greedy_clique_cover` — and tests "clique ⊆ N(v)" with a single
-    ``mask & ~row`` per clique.  Raw parent rows are safe for views because
-    cliques only ever contain alive ids.
-    """
-    bitsets = frozen._bitsets
-    cliques: List[int] = []
-    for v in frozen.vertex_ids():
-        nb = bitsets[v]
-        bit = 1 << v
-        for idx, clique in enumerate(cliques):
-            if not clique & ~nb:
-                cliques[idx] = clique | bit
-                break
-        else:
-            cliques.append(bit)
-    return cliques
-
-
-def greedy_clique_cover(graph: Union[Graph, IndexedGraph]) -> List[Set[Vertex]]:
+def greedy_clique_cover(graph: Graph) -> List[Set[Vertex]]:
     """Partition the vertex set into cliques greedily.
 
-    Processes vertices in deterministic order and adds each vertex to the
+    Processes vertices in ``repr`` order and adds each vertex to the
     first existing clique it is fully adjacent to, opening a new clique
     otherwise.  Always returns a partition (every vertex in exactly one
     clique); the number of cliques upper-bounds α(G)'s trivial certificate.
-
-    Frozen :class:`IndexedGraph` inputs (including alive-mask subgraph
-    views) run on the bitset port; vertex order is then the interned id
-    order, which coincides with the ``repr`` order used for mutable graphs
-    whenever the input was frozen with :func:`~repro.graphs.indexed.freeze_sorted`.
     """
-    if isinstance(graph, IndexedGraph):
-        return [graph.labels_for_mask(m) for m in _greedy_clique_cover_masks(graph)]
     cliques: List[Set[Vertex]] = []
     for v in sorted(graph.vertices, key=repr):
         placed = False
@@ -74,18 +44,16 @@ def greedy_clique_cover(graph: Union[Graph, IndexedGraph]) -> List[Set[Vertex]]:
     return cliques
 
 
-def clique_cover_approximation(graph: Union[Graph, IndexedGraph]) -> Set[Vertex]:
+def clique_cover_approximation(graph: Graph) -> Set[Vertex]:
     """Independent set built by picking mutually non-adjacent clique representatives.
 
     Iterates over the cliques of a greedy clique cover and selects, from
     each clique in turn, a vertex not adjacent to the representatives
     chosen so far (if one exists).  The result is a maximal-within-structure
-    independent set of size at least ``(#cliques) / (Δ + 1)``.
+    independent set of size at least ``(#cliques) / (Δ + 1)``.  This
+    label-native version is the reference the ``clique-cover`` kernel
+    :func:`clique_cover_ids` is tested against.
     """
-    if isinstance(graph, IndexedGraph):
-        result = {graph.label(i) for i in clique_cover_ids(graph)}
-        verify_independent_set(graph, result)
-        return result
     representatives: Set[Vertex] = set()
     for clique in greedy_clique_cover(graph):
         for v in sorted(clique, key=repr):
@@ -99,14 +67,27 @@ def clique_cover_approximation(graph: Union[Graph, IndexedGraph]) -> Set[Vertex]
 def clique_cover_ids(graph: IndexedGraph) -> List[int]:
     """The bitset port of :func:`clique_cover_approximation` on a frozen graph or view: ids.
 
-    Cliques are visited in cover order and their members in ascending id,
-    so on a ``repr``-sorted interning this selects the labels the mutable
-    path selects.
+    The cover visits ids ascending and tests "clique ⊆ N(v)" with one
+    ``mask & ~row`` per clique; raw parent rows are safe for views
+    because cliques only ever contain alive ids.  Cliques are then
+    visited in cover order and their members in ascending id, so on a
+    ``repr``-sorted interning this selects the labels the mutable path
+    selects.
     """
     bitsets = graph._bitsets
+    cliques: List[int] = []
+    for v in graph.vertex_ids():
+        nb = bitsets[v]
+        bit = 1 << v
+        for idx, clique in enumerate(cliques):
+            if not clique & ~nb:
+                cliques[idx] = clique | bit
+                break
+        else:
+            cliques.append(bit)
     selected = 0
     chosen: List[int] = []
-    for clique in _greedy_clique_cover_masks(graph):
+    for clique in cliques:
         for v in iter_bits(clique):
             if not bitsets[v] & selected:
                 selected |= 1 << v

@@ -6,35 +6,20 @@ greedy equivalent) several times and keeping the largest set is a simple
 randomized baseline that often does much better than its worst-case bound,
 including on the conflict graphs of the reduction.
 
-Performance: the graph is frozen to a
-:class:`~repro.graphs.indexed.IndexedGraph` once per call (in ``repr``
-order, so results are bit-for-bit identical to the reference first-fit for
-any seed) and every trial is a bitset sweep over a freshly shuffled id
-permutation — repeated trials pay the interning cost only once.
+Both kernels run on a frozen :class:`~repro.graphs.indexed.IndexedGraph`
+or alive-mask view interned in ``repr`` order and answer with ids: every
+random-order trial is a bitset sweep over a freshly shuffled id
+permutation, and the Luby trials advance bit-parallel in lanes.  They are
+the ``luby-best-of-5`` and ``luby-batch-of-8`` approximators.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Hashable, List, Optional, Set, Union
+from typing import List, Optional, Union
 
 from repro.exceptions import ApproximationError
-from repro.graphs.graph import Graph
-from repro.graphs.indexed import (
-    IndexedGraph,
-    first_fit_mis_ids,
-    freeze_sorted,
-    iter_bits,
-    popcount,
-)
-
-Vertex = Hashable
-
-
-def _rng(seed: Optional[Union[int, random.Random]]) -> random.Random:
-    if isinstance(seed, random.Random):
-        return seed
-    return random.Random(seed)
+from repro.graphs.indexed import IndexedGraph, first_fit_mis_ids, iter_bits, popcount
 
 
 def _one_random_trial(frozen: IndexedGraph, rng: random.Random) -> List[int]:
@@ -52,48 +37,25 @@ def _one_random_trial(frozen: IndexedGraph, rng: random.Random) -> List[int]:
     return first_fit_mis_ids(frozen, order)
 
 
-def random_order_mis(
-    graph: Union[Graph, IndexedGraph], seed: Optional[Union[int, random.Random]] = None
-) -> Set[Vertex]:
-    """One maximal independent set computed along a uniformly random order.
-
-    This is the sequential equivalent of one full run of Luby's algorithm:
-    the distribution of the resulting MIS is the same as processing the
-    vertices in random priority order.
-    """
-    rng = _rng(seed)
-    frozen = freeze_sorted(graph)
-    return {frozen.label(i) for i in _one_random_trial(frozen, rng)}
-
-
-def best_of_random_mis(
-    graph: Union[Graph, IndexedGraph],
+def best_of_random_mis_ids(
+    frozen: IndexedGraph,
     trials: int = 10,
     seed: Optional[Union[int, random.Random]] = None,
-) -> Set[Vertex]:
-    """Return the largest of ``trials`` random-order maximal independent sets.
+) -> List[int]:
+    """The largest of ``trials`` random-order maximal independent sets: ids.
+
+    Each trial is one maximal independent set along a uniformly random
+    order, the sequential equivalent of one full run of Luby's algorithm.
+    The first of the largest trials wins.
 
     Raises
     ------
     ApproximationError
         If ``trials`` is not positive.
     """
-    frozen = freeze_sorted(graph)
-    return {frozen.label(i) for i in best_of_random_mis_ids(frozen, trials, seed)}
-
-
-def best_of_random_mis_ids(
-    frozen: IndexedGraph,
-    trials: int = 10,
-    seed: Optional[Union[int, random.Random]] = None,
-) -> List[int]:
-    """The kernel of :func:`best_of_random_mis` on a frozen graph or view: ids.
-
-    The first of the largest trials wins.
-    """
     if trials <= 0:
         raise ApproximationError(f"trials must be positive, got {trials}")
-    rng = _rng(seed)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     best = max((_one_random_trial(frozen, rng) for _ in range(trials)), key=len)
     if len(frozen) > 0 and not best:
         # A maximal independent set of a non-empty graph is never empty;
@@ -102,20 +64,13 @@ def best_of_random_mis_ids(
     return best
 
 
-def luby_based_approximation(
-    graph: Union[Graph, IndexedGraph], seed: Optional[int] = None, trials: int = 5
-) -> Set[Vertex]:
-    """Default Luby-style approximator used by the registry (best of ``trials`` runs)."""
-    return best_of_random_mis(graph, trials=trials, seed=seed)
-
-
 # ----------------------------------------------------------------------
 # bit-parallel batched Luby rounds
 # ----------------------------------------------------------------------
 def luby_trial_seeds(seed: Optional[int], trials: int) -> List[int]:
     """Derive the per-trial seeds of a batched Luby run (shared with tests).
 
-    Trial ``t`` of :func:`luby_batch_mis` behaves exactly like
+    Trial ``t`` of :func:`luby_batch_mis_ids` behaves exactly like
     ``luby_mis(graph, seed=luby_trial_seeds(seed, trials)[t])`` — the
     differential-fuzzing harness asserts this equality per trial.
     """
@@ -192,26 +147,16 @@ def luby_batch_mis_ids(
     return [list(iter_bits(chosen)) for chosen in chosen_v]
 
 
-def luby_batch_mis(
-    graph: Union[Graph, IndexedGraph],
-    trials: int = 8,
-    seed: Optional[int] = None,
-) -> Set[Vertex]:
-    """Largest of ``trials`` bit-parallel Luby MIS trials (first max wins).
-
-    The graph is frozen once in ``repr`` order (views pass through), all
-    trials advance simultaneously through :func:`luby_batch_mis_ids`, and
-    the winner is the first trial of maximum size — the same tie-break as
-    running the scalar reference per trial and keeping the first best.
-    """
-    frozen = freeze_sorted(graph)
-    return {frozen.label(i) for i in luby_batch_best_ids(frozen, trials, seed)}
-
-
 def luby_batch_best_ids(
     graph: IndexedGraph, trials: int = 8, seed: Optional[int] = None
 ) -> List[int]:
-    """The kernel of :func:`luby_batch_mis` on a frozen graph or view: the winning trial's ids."""
+    """Largest of ``trials`` bit-parallel Luby MIS trials: the winning trial's ids.
+
+    All trials advance simultaneously through :func:`luby_batch_mis_ids`,
+    and the winner is the first trial of maximum size — the same
+    tie-break as running the scalar reference per trial and keeping the
+    first best.
+    """
     best = max(luby_batch_mis_ids(graph, trials, seed), key=len)
     if len(graph) > 0 and not best:
         raise ApproximationError("batched Luby sampling produced an empty set")

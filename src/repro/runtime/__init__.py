@@ -29,10 +29,6 @@ stack converges to the serial digest.
 from repro.runtime.aggregate import (
     campaign_digest,
     campaign_records,
-    color_budget_record,
-    done_rows,
-    failed_rows,
-    phase_decay_record,
     summaries_of,
     throughput_record,
 )
@@ -136,9 +132,5 @@ __all__ = [
     "validate_oracle_name",
     "campaign_digest",
     "campaign_records",
-    "color_budget_record",
-    "done_rows",
-    "failed_rows",
-    "phase_decay_record",
     "throughput_record",
 ]

@@ -12,8 +12,8 @@ JSON of the deterministic records — the quantity the parallel executor is
 differentially checked against the serial one on.  Timing lives only in
 ``C3``, which is deliberately excluded from the digest.
 
-Both record builders reduce rows to per-task sufficient statistics
-(:func:`repro.runtime.summary.summarize_row`) and delegate to
+:func:`campaign_records` reduces rows to per-task sufficient statistics
+(:func:`repro.runtime.summary.summarize_row`) and delegates to
 :func:`repro.runtime.summary.records_from_summaries` — the same builder
 the stores' incremental-aggregation path feeds from their persisted
 summary sidecars.  One builder, two feeding paths: the full-row path
@@ -30,40 +30,7 @@ from typing import Any, Dict, Iterable, List, Sequence
 from repro.analysis.records import ExperimentRecord
 from repro.runtime.scheduler import CampaignRunStats
 from repro.runtime.spec import CampaignSpec
-from repro.runtime.summary import records_from_summaries, summarize_row, total_colors_of
-
-
-def _partition(rows: Iterable[Dict[str, Any]]) -> tuple:
-    """Deduplicate by task key (last wins, like the store) and split by status.
-
-    Returns ``(done, failed)``, both sorted by task key; every
-    non-``"done"`` terminal status (``failed``, ``timeout``) lands in the
-    failed partition, so watchdog timeouts never leak into the
-    deterministic records.
-    """
-    latest: Dict[str, Dict[str, Any]] = {}
-    for row in rows:
-        latest[row["task_key"]] = row
-    done = []
-    failed = []
-    for key in sorted(latest):
-        (done if latest[key]["status"] == "done" else failed).append(latest[key])
-    return done, failed
-
-
-def done_rows(rows: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The latest ``"done"`` row per task key, sorted by key."""
-    return _partition(rows)[0]
-
-
-def failed_rows(rows: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The latest rows that are *not* ``"done"``, sorted by task key."""
-    return _partition(rows)[1]
-
-
-#: Retained alias — the canonical implementation lives in
-#: :func:`repro.runtime.summary.total_colors_of`.
-_total_colors = total_colors_of
+from repro.runtime.summary import records_from_summaries, summarize_row
 
 
 def summaries_of(rows: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
@@ -76,21 +43,6 @@ def summaries_of(rows: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
     for row in rows:
         latest[row["task_key"]] = row
     return {key: summarize_row(row) for key, row in latest.items()}
-
-
-def phase_decay_record(spec: CampaignSpec, rows: Iterable[Dict[str, Any]]) -> ExperimentRecord:
-    """Per-oracle phase-decay curves: mean surviving-edge fraction after each phase.
-
-    Tasks that already finished contribute ``0.0`` to later phases, so the
-    curve is a proper mean over the oracle's whole task population; tasks
-    whose instance had no edges (zero executed phases) are excluded.
-    """
-    return records_from_summaries(spec, summaries_of(rows))[0]
-
-
-def color_budget_record(spec: CampaignSpec, rows: Iterable[Dict[str, Any]]) -> ExperimentRecord:
-    """Per-(oracle, k) color budgets: phases and colors used vs. the k·ρ bound."""
-    return records_from_summaries(spec, summaries_of(rows))[1]
 
 
 def campaign_records(spec: CampaignSpec, rows: Iterable[Dict[str, Any]]) -> List[ExperimentRecord]:

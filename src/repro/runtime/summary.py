@@ -125,7 +125,11 @@ def records_from_summaries(
 ) -> List[ExperimentRecord]:
     """Build the deterministic records (C1, C2) from a summary mapping.
 
-    Summaries are processed in sorted-task-key order — the same order the
+    C1 holds per-oracle phase-decay curves, the mean surviving-edge
+    fraction after each phase: tasks that already finished contribute
+    ``0.0`` to later phases, and tasks whose instance had no edges (zero
+    executed phases) are excluded.  C2 holds per-(oracle, k) phases and
+    colors used against the ``k·ρ`` bound.  Summaries are processed in sorted-task-key order — the same order the
     full-row reference path uses — so every float accumulation happens on
     the same values in the same order and the resulting records (hence
     ``campaign_digest``) are byte-identical to the reference's.

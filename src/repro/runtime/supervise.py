@@ -48,11 +48,12 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro.exceptions import CampaignError, SupervisionError
-from repro.runtime.aggregate import campaign_digest, campaign_records
+from repro.runtime.aggregate import campaign_digest
 from repro.runtime.faults import FaultPlan, require_chaos
 from repro.runtime.scheduler import DEFAULT_RETRY_POLICY, RetryPolicy, run_campaign
 from repro.runtime.spec import CampaignSpec, check_shard
-from repro.runtime.store import merge_shards, open_store
+from repro.runtime.store import merge_shards, open_store, status_counts_of
+from repro.runtime.summary import records_from_summaries
 
 # Coordinator metrics: the supervision loop's live view (dispatch churn,
 # restart pressure, shard liveness).  The heartbeat-age gauge is updated
@@ -609,8 +610,8 @@ class ShardCoordinator:
                 if not progressed:
                     time.sleep(self.poll_interval_s)
 
-            records = campaign_records(self.spec, out_store.rows())
-            digest = campaign_digest(records)
+            summaries = out_store.summaries()
+            digest = campaign_digest(records_from_summaries(self.spec, summaries))
             supervise_span.set(digest=digest[:12])
         # The merged directory gets its own registry snapshot, so
         # `repro campaign metrics <out_dir>` covers supervised runs too.
@@ -621,7 +622,7 @@ class ShardCoordinator:
             n_shards=self.n_shards,
             shards=reports,
             digest=digest,
-            status_counts=out_store.status_counts(),
+            status_counts=status_counts_of(summaries),
             wall_time_s=time.monotonic() - started,
         )
         if (

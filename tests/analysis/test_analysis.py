@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     approximator_quality_table,
-    conflict_graph_scaling_row,
     decay_curve,
     effective_lambda,
     format_records,
@@ -27,7 +26,6 @@ from repro.maxis import (
     MaxISApproximator,
     approximators,
     clique_cover_quality,
-    first_fit_greedy,
     get_approximator,
 )
 
@@ -101,11 +99,12 @@ class TestMetrics:
             assert row["slocal_valid"] == 1.0 and row["luby_valid"] == 1.0
             assert row["slocal_locality"] == 1.0
 
-    def test_conflict_graph_scaling_row(self):
-        hypergraph, _ = colorable_almost_uniform_hypergraph(n=15, m=8, k=2, seed=22)
-        row = conflict_graph_scaling_row(hypergraph, k=2)
-        assert row["cg_vertices"] == row["cg_vertices_formula"]
-        assert row["cg_edges"] <= row["cg_edges_upper_bound"]
+    def test_mis_model_comparison_reports_the_engine_locality(self, monkeypatch):
+        from repro.slocal.algorithms import SLOCALMIS
+
+        monkeypatch.setattr(SLOCALMIS, "locality", 2)
+        row = mis_model_comparison(cycle_graph(10), seed=2)
+        assert row["slocal_locality"] == 2.0 and row["slocal_valid"] == 1.0
 
 
 class TestTables:
@@ -121,8 +120,8 @@ class TestTables:
         assert "1.235" in text
         assert format_table(["x"], [[float("-inf")]]).endswith("-inf")
         # An approximator without a guarantee reports λ = nan.
-        get_approximator("exact")  # registers the built-ins first
-        heuristic = MaxISApproximator(name="heuristic-tmp", solve=first_fit_greedy)
+        first_fit = get_approximator("greedy-first-fit")  # registers the built-ins first
+        heuristic = MaxISApproximator(name="heuristic-tmp", solve_ids=first_fit.solve_ids)
         monkeypatch.setitem(approximators._REGISTRY, heuristic.name, heuristic)
         rows = approximator_quality_table(cycle_graph(6), names=[heuristic.name])
         assert format_records(rows).splitlines()[-1].split()[-1] == "nan"

@@ -80,7 +80,7 @@ class TestUnhappyComplementIdentity:
         assert happy & unhappy == set(), f"[seed={seed}]"
         # The precomputed-happy fast path answers identically.
         assert cf.unhappy_edges(h, coloring, happy=happy) == unhappy
-        assert cf.is_conflict_free(h, coloring, happy=happy) == (not unhappy)
+        assert cf.is_conflict_free(h, coloring) == (not unhappy)
         assert cf.happy_edges_incident(h, coloring) == happy
 
     @pytest.mark.parametrize("seed", range(20))
@@ -104,7 +104,4 @@ class TestUnhappyComplementIdentity:
         unhappy = mc.unhappy_edges(h, coloring)
         assert happy | unhappy == set(h.edge_ids), f"[seed={seed}]"
         assert happy & unhappy == set(), f"[seed={seed}]"
-        assert mc.unhappy_edges(h, coloring, happy=happy) == unhappy
-        assert mc.is_conflict_free_multicoloring(h, coloring, happy=happy) == (
-            not unhappy
-        )
+        assert mc.is_conflict_free_multicoloring(h, coloring) == (not unhappy)

@@ -48,6 +48,21 @@ class TestVertexSet:
         assert all(t.edge == 0 for t in cg.triples_of_edge(0))
         assert all(t.vertex == 1 for t in cg.triples_of_vertex(1))
 
+    def test_triples_of_edge_and_vertex_read_the_surviving_blocks_in_id_order(self):
+        # k = 10: each (e, v) block's colors run 1, 10, 2, ..., 9 in id order.
+        cg = ConflictGraph(Hypergraph.from_edge_list([[0, 1], [1, 2]]), k=10)
+        labels = cg.frozen().labels()
+        assert cg.triples_of_edge(1) == [t for t in labels if t.edge == 1]
+        assert cg.triples_of_vertex(1) == [t for t in labels if t.vertex == 1]
+        assert [t.color for t in cg.triples_of_vertex(2)] == sorted(range(1, 11), key=repr)
+        cg.remove_hyperedges([0])
+        with pytest.raises(ReductionError):
+            cg.triples_of_edge(0)
+        alive = list(cg.frozen())
+        assert cg.triples_of_edge(1) == [t for t in alive if t.edge == 1]
+        assert cg.triples_of_vertex(1) == [t for t in alive if t.vertex == 1]
+        assert cg.triples_of_vertex(0) == []
+
     def test_build_conflict_graph_convenience(self, tiny_hypergraph):
         cg = build_conflict_graph(tiny_hypergraph, 2)
         assert isinstance(cg, ConflictGraph)

@@ -100,7 +100,11 @@ class TestEngineEqualsRebuild:
         )
 
     def test_builtins_opt_into_frozen_fast_path(self):
-        assert all(a.solve_ids is not None for a in available_approximators().values())
+        # Every built-in is its id kernel alone; __call__ derives its labels.
+        assert all(
+            a.solve is None and a.solve_ids is not None
+            for a in available_approximators().values()
+        )
 
     @pytest.mark.parametrize("oracle_name", sorted(available_approximators()) + ["capped"])
     def test_run_builds_no_conflict_vertex(self, oracle_name, monkeypatch):

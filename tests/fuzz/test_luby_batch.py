@@ -18,14 +18,15 @@ from repro.graphs.independent_sets import is_maximal_independent_set, luby_mis
 from repro.graphs.indexed import freeze_sorted
 from repro.hypergraph import colorable_almost_uniform_hypergraph
 from repro.core.conflict_graph import ConflictGraph
-from repro.maxis import (
-    get_approximator,
-    luby_batch_mis,
-    luby_batch_mis_ids,
-    luby_trial_seeds,
-)
+from repro.maxis import get_approximator, luby_batch_mis_ids, luby_trial_seeds
+from repro.maxis.luby_based import luby_batch_best_ids
 
 SEED_COUNT = 110
+
+
+def _best_labels(frozen, trials, seed):
+    """Labels of the first largest batched trial on a ``repr``-ordered frozen graph."""
+    return {frozen.label(i) for i in luby_batch_best_ids(frozen, trials, seed)}
 
 
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
@@ -55,7 +56,7 @@ def test_best_of_batch_keeps_first_maximum(seed):
     n = rng.randint(1, 14)
     g = erdos_renyi_graph(n, rng.uniform(0.0, 0.6), seed=rng.randrange(10_000))
     trials = 5
-    best = luby_batch_mis(g, trials=trials, seed=seed)
+    best = _best_labels(freeze_sorted(g), trials=trials, seed=seed)
     scalar_best = set()
     for s in luby_trial_seeds(seed, trials):
         candidate = luby_mis(g, seed=s)
@@ -75,9 +76,9 @@ def test_batch_on_view_matches_dense_rebuild(seed):
     happy = sorted({t.edge for t in first}, key=repr)
     cg.remove_hyperedges(happy[: max(1, len(happy) // 2)])
     view = cg.frozen_sorted()
-    via_view = luby_batch_mis(view, trials=4, seed=seed)
+    via_view = _best_labels(view, trials=4, seed=seed)
     dense = freeze_sorted(view.to_graph())
-    via_dense = luby_batch_mis(dense, trials=4, seed=seed)
+    via_dense = _best_labels(dense, trials=4, seed=seed)
     assert via_view == via_dense, f"[seed={seed}]"
 
 

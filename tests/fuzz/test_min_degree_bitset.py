@@ -20,7 +20,7 @@ from repro.graphs import erdos_renyi_graph
 from repro.graphs.independent_sets import greedy_min_degree_independent_set
 from repro.graphs.indexed import freeze_sorted, min_degree_greedy_ids
 from repro.hypergraph import colorable_almost_uniform_hypergraph
-from repro.maxis import MaxISApproximator, min_degree_greedy
+from repro.maxis import MaxISApproximator
 from repro.runtime.tasks import build_instance
 from tests.fuzz.corpus import make_instance
 
@@ -90,9 +90,7 @@ def test_every_phase_view_of_the_demo_grid_matches_reference(family, n, m, k, se
         views.append(graph.num_vertices())
         return _assert_matches_reference(graph, f"{ctx} phase {len(views)}")
 
-    oracle = MaxISApproximator(
-        name="checked-min-degree", solve=min_degree_greedy, solve_ids=checked
-    )
+    oracle = MaxISApproximator(name="checked-min-degree", solve_ids=checked)
     hypergraph = build_instance(family, n, m, k, epsilon=0.5, seed=seed)
     ConflictFreeMulticoloringViaMaxIS(k=k, approximator=oracle, lam=2.0).run(hypergraph)
     assert views, f"{ctx} the reduction never called the oracle"

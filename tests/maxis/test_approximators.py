@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,30 +14,30 @@ from repro.graphs import (
     complete_graph,
     cycle_graph,
     erdos_renyi_graph,
+    greedy_maximal_independent_set,
     independence_number,
     path_graph,
     star_graph,
     verify_independent_set,
 )
+from repro.graphs.indexed import freeze_sorted
 from repro.maxis import (
     MaxISApproximator,
+    approximators,
     available_approximators,
-    best_of_random_mis,
+    capped_oracle,
     clique_cover_approximation,
     clique_cover_number_upper_bound,
     clique_cover_quality,
     exact_maximum_independent_set,
     exact_via_networkx,
-    first_fit_greedy,
     get_approximator,
     greedy_clique_cover,
-    luby_based_approximation,
-    min_degree_greedy,
-    random_order_mis,
     register_approximator,
     turan_guarantee,
     turan_lower_bound,
 )
+from repro.maxis.luby_based import best_of_random_mis_ids
 
 from tests.conftest import graphs
 
@@ -77,6 +79,22 @@ class TestRegistry:
         heuristic = MaxISApproximator(name="heur-tmp", solve=lambda g: set())
         assert heuristic.guaranteed_lambda(path_graph(2)) is None
 
+    @pytest.mark.parametrize(
+        "solvers",
+        [{}, {"solve": lambda g: set(), "solve_ids": lambda g: []}],
+        ids=["neither", "both"],
+    )
+    def test_exactly_one_solver_is_required(self, solvers):
+        with pytest.raises(ApproximationError, match="exactly one"):
+            MaxISApproximator(name="no-solver-tmp", **solvers)
+
+    def test_label_call_names_the_kernel_ids(self):
+        # Path 0-1-2-3-4: the kernel's ids are repr-order positions.
+        stub = MaxISApproximator(name="ids-tmp", solve_ids=lambda g: [4, 0, 2])
+        assert stub(path_graph(5)) == {0, 2, 4}
+        with pytest.raises(IndependenceError):
+            MaxISApproximator(name="adjacent-tmp", solve_ids=lambda g: [0, 1])(path_graph(5))
+
 
 class TestIdCall:
     """``approximator(view, ids=True)`` checks a stub ``solve_ids`` on masks."""
@@ -86,9 +104,7 @@ class TestIdCall:
         return path_graph(5).freeze(order=range(5)).subgraph_view(0b01111)
 
     def _stub(self, answer):
-        return MaxISApproximator(
-            name="stub-tmp", solve=lambda g: set(), solve_ids=lambda g: list(answer)
-        )
+        return MaxISApproximator(name="stub-tmp", solve_ids=lambda g: list(answer))
 
     def test_answer_is_ascending_ids(self):
         assert self._stub([3, 0])(self._view(), ids=True) == [0, 3]
@@ -107,6 +123,22 @@ class TestIdCall:
     def test_empty_answer_on_empty_view_is_accepted(self):
         empty = path_graph(5).freeze().subgraph_view(0)
         assert self._stub([])(empty, ids=True) == []
+
+
+class TestCappedOracle:
+    def test_over_an_id_kernel_it_is_an_id_kernel(self):
+        capped = capped_oracle("greedy-first-fit", 2.5)
+        assert capped.solve is None and capped.solve_ids is not None
+        g = Graph(vertices=range(10))  # edgeless: first-fit selects all 10
+        assert capped(g) == {0, 1, 2, 3}  # the ceil(10/2.5) smallest in repr order
+
+    def test_over_a_label_only_base_it_caps_labels(self, monkeypatch):
+        get_approximator("exact")  # registers the built-ins first
+        base = MaxISApproximator(name="labels-tmp", solve=lambda g: set(g.vertices))
+        monkeypatch.setitem(approximators._REGISTRY, base.name, base)
+        capped = capped_oracle(base.name, 3)
+        assert capped.solve_ids is None
+        assert capped(Graph(vertices=[10, 2, 30, 4, 5])) == {10, 2}  # first ceil(5/3) by repr
 
 
 class TestExact:
@@ -130,13 +162,14 @@ class TestExact:
 
 class TestGreedy:
     def test_min_degree_greedy_turan_bound(self):
+        min_degree = get_approximator("greedy-min-degree")
         for seed in range(5):
             g = erdos_renyi_graph(25, 0.2, seed=seed)
-            result = min_degree_greedy(g)
+            result = min_degree(g)
             assert len(result) >= turan_lower_bound(g) - 1e-9
 
     def test_first_fit_greedy_is_independent(self, random_graph):
-        verify_independent_set(random_graph, first_fit_greedy(random_graph))
+        verify_independent_set(random_graph, get_approximator("greedy-first-fit")(random_graph))
 
     def test_turan_guarantee_is_delta_plus_one(self, random_graph):
         assert turan_guarantee(random_graph) == random_graph.max_degree() + 1
@@ -146,30 +179,51 @@ class TestGreedy:
     def test_greedy_within_guarantee(self, g):
         if g.num_vertices() == 0:
             return
-        result = min_degree_greedy(g)
+        result = get_approximator("greedy-min-degree")(g)
         alpha = independence_number(g)
         assert len(result) * turan_guarantee(g) >= alpha
+
+
+def _random_order_labels(graph, trials, seed):
+    """Labels of ``best_of_random_mis_ids`` on ``graph`` frozen in ``repr`` order."""
+    frozen = freeze_sorted(graph)
+    return {frozen.label(i) for i in best_of_random_mis_ids(frozen, trials=trials, seed=seed)}
 
 
 class TestLubyBased:
     def test_random_order_mis_is_maximal(self, random_graph):
         from repro.graphs import is_maximal_independent_set
 
-        assert is_maximal_independent_set(random_graph, random_order_mis(random_graph, seed=1))
+        single = _random_order_labels(random_graph, trials=1, seed=1)
+        assert is_maximal_independent_set(random_graph, single)
 
     def test_best_of_trials_not_smaller_than_single_run(self, random_graph):
-        single = random_order_mis(random_graph, seed=0)
-        best = best_of_random_mis(random_graph, trials=8, seed=0)
+        single = _random_order_labels(random_graph, trials=1, seed=0)
+        best = _random_order_labels(random_graph, trials=8, seed=0)
         assert len(best) >= len(single)
 
     def test_trials_must_be_positive(self, random_graph):
         with pytest.raises(ApproximationError):
-            best_of_random_mis(random_graph, trials=0)
+            best_of_random_mis_ids(freeze_sorted(random_graph), trials=0)
 
     def test_luby_based_approximation_deterministic_for_seed(self, random_graph):
-        a = luby_based_approximation(random_graph, seed=5)
-        b = luby_based_approximation(random_graph, seed=5)
+        a = _random_order_labels(random_graph, trials=5, seed=5)
+        b = _random_order_labels(random_graph, trials=5, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_trials_are_first_fit_along_a_shuffled_repr_order(self, seed):
+        """Reference: greedy MIS along the shuffled ``repr`` order, first largest trial."""
+        g = erdos_renyi_graph(random.Random(seed).randint(1, 14), 0.3, seed=seed)
+        rng = random.Random(seed)
+        best = set()
+        for _ in range(5):
+            order = sorted(g.vertices, key=repr)
+            rng.shuffle(order)
+            trial = greedy_maximal_independent_set(g, order=order)
+            if len(trial) > len(best):
+                best = trial
+        assert _random_order_labels(g, trials=5, seed=seed) == best
 
 
 class TestCliqueCover:

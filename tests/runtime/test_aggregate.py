@@ -9,10 +9,7 @@ from repro.runtime import (
     CampaignStore,
     campaign_digest,
     campaign_records,
-    done_rows,
     execute_task,
-    failed_rows,
-    phase_decay_record,
     run_campaign,
     throughput_record,
 )
@@ -72,15 +69,17 @@ class TestRowSelection:
             {"task_key": "c", "status": "failed"},
             {"task_key": "c", "status": "done"},
         ]
-        assert [r["task_key"] for r in done_rows(rows)] == ["b", "c"]
-        assert [r["task_key"] for r in failed_rows(rows)] == ["a"]
+        # The latest row per key counts: "c" is done, so b and c are done and a failed.
+        for record in campaign_records(small_spec(), rows):
+            assert record.metadata["tasks_done"] == 2
+            assert record.metadata["tasks_failed"] == 1
 
 
 class TestRecordContent:
     def test_phase_decay_rows_are_monotone_and_complete(self):
         spec = small_spec()
         rows = completed_rows(spec)
-        record = phase_decay_record(spec, rows)
+        record = campaign_records(spec, rows)[0]
         assert record.experiment == "C1"
         assert record.metadata["tasks_done"] == spec.num_tasks()
         assert record.metadata["tasks_failed"] == 0

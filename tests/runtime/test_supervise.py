@@ -123,6 +123,24 @@ class TestHappyPath:
         assert report.status_counts == {"done": spec.num_tasks()}
         assert report.digest == serial_digest(spec, tmp_path)
 
+    def test_report_reads_summaries_not_rows_of_the_output_store(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        expected = serial_digest(spec, tmp_path)
+        read = []
+        for name in ("rows", "iter_rows"):
+            original = getattr(CampaignStore, name)
+
+            def spy(store, _original=original):
+                read.append(store.directory)
+                return _original(store)
+
+            monkeypatch.setattr(CampaignStore, name, spy)
+        report = coordinator(spec, tmp_path, InlineExecutor()).run()
+        assert report.digest == expected
+        assert report.status_counts == {"done": spec.num_tasks()}
+        assert tmp_path / "out" not in read
+        assert read  # the merge still reads the shard stores
+
     def test_expected_digest_is_enforced(self, tmp_path):
         spec = small_spec()
         with pytest.raises(SupervisionError, match="serial reference"):
