@@ -4,7 +4,6 @@ the phase-based reduction of Theorem 1.1, bounds, and certificates."""
 from repro.core.conflict_graph import (
     ConflictGraph,
     ConflictVertex,
-    build_conflict_graph,
     classify_conflict_edge,
     conflict_vertices,
     legacy_build_graph,
@@ -45,7 +44,6 @@ from repro.core.containment import ClusterwiseMaxISResult, clusterwise_maxis
 __all__ = [
     "ConflictGraph",
     "ConflictVertex",
-    "build_conflict_graph",
     "classify_conflict_edge",
     "conflict_vertices",
     "legacy_build_graph",

@@ -20,8 +20,8 @@ graph ``G_k`` has
 
 Representation
 --------------
-A triple is a :class:`ConflictVertex` named tuple, but
-:class:`ConflictGraph` stores none.  It keeps two *pair arrays* over the
+A triple is a :class:`ConflictVertex` named tuple, but no build stores
+one.  A :class:`ConflictGraphBuild` keeps two *pair arrays* over the
 ``(e, v)`` pairs, ``pair_edge`` and ``pair_vertex``, the colors ``1..k``
 in ``repr`` order, and one bitset row per triple in an immutable
 :class:`~repro.graphs.indexed.IndexedGraph`.  The block of each edge
@@ -37,6 +37,14 @@ while the reduction's phase engine works on ids from the build to the
 phase coloring and builds none.  Every independent-set algorithm in
 :mod:`repro.maxis` applies to the frozen form, or to the mutable
 :class:`repro.graphs.Graph` materialized from it.
+
+Build and run
+-------------
+``G_k`` depends only on ``(H, k)``.  A :class:`ConflictGraphBuild` is
+that immutable part; a :class:`ConflictGraph` is one run's phase state
+over it (its own block dict, alive mask and edge counter), so several
+runs on one instance — one per oracle or λ of a campaign — can start
+from one build without building ``G_k`` again.
 
 Edge counts
 -----------
@@ -66,7 +74,8 @@ frozensets of these never form one; :class:`ConflictGraph` refuses ids
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.coloring.conflict_free import happy_from_incidence
 from repro.exceptions import ReductionError
@@ -155,15 +164,41 @@ def _refuse_ambiguous_reprs(reprs: List[str], what: str) -> None:
             )
 
 
-def _build_structures(hypergraph: Hypergraph, k: int) -> Tuple[
-    List[EdgeId], List[Vertex], List[Color], List[int], Dict[EdgeId, Tuple[List[Vertex], int]], int
-]:
+class ConflictGraphBuild(NamedTuple):
+    """The immutable part of ``G_k``: what every run on one ``(hypergraph, k)`` shares.
+
+    Only :class:`ConflictGraph`'s constructor makes one (the full build);
+    ``ConflictGraph(hypergraph, k, build)`` starts another run from it in
+    O(m).  Nothing a run does writes to it: the block mapping is read-only
+    and each run takes its own copy, and the snapshot's rows are never
+    written (its label table is built once, on first use, for every run).
+    """
+
+    #: The instance the build was made from: a run may start from the
+    #: build only on this very object.
+    hypergraph: Hypergraph
+    #: The palette size.
+    k: int
+    #: The member ``v`` of each ``(e, v)`` pair, in id order.
+    pair_vertex: List[Vertex]
+    #: The colors ``1..k`` in ``repr`` order.
+    colors: List[Color]
+    #: The adjacency rows of every triple, labels built on first use.
+    snapshot: IndexedGraph
+    #: ``edge id -> (sorted members, base index)`` of every edge of ``H``,
+    #: in ``repr`` order: the blocks each run starts from.
+    blocks: Mapping[EdgeId, Tuple[List[Vertex], int]]
+    #: ``|E(G_k)|``.
+    num_edges: int
+
+
+def _build_structures(hypergraph: Hypergraph, k: int) -> ConflictGraphBuild:
     """Build ``G_k``'s adjacency rows from per-vertex color-1 masks.
 
-    Returns ``(pair_edge, pair_vertex, colors, rows, blocks, num_edges)``:
-    the ``(e, v)`` pairs in the ``repr`` order of :func:`conflict_vertices`,
-    the colors ``1..k`` in ``repr`` order, the neighbor *bitset* of each
-    triple, ``edge id -> (sorted members, base index)`` and ``|E(G_k)|``.
+    Returns the :class:`ConflictGraphBuild`: the ``(e, v)`` pairs in the
+    ``repr`` order of :func:`conflict_vertices`, the colors ``1..k`` in
+    ``repr`` order, the neighbor *bitset* of each triple,
+    ``edge id -> (sorted members, base index)`` and ``|E(G_k)|``.
     Triple id ``i`` is ``(pair_edge[i // k], pair_vertex[i // k],
     colors[i % k])``; no triple is built.  Edge ids and member vertices
     whose reprs would make that nested order differ from the sort by
@@ -231,7 +266,13 @@ def _build_structures(hypergraph: Hypergraph, k: int) -> Tuple[
             witness = (around | reach[v]) ^ mine
             rows += [(keep ^ (mine << s)) | (witness << s) for s in shifts]
     num_edges = k * sum(map(popcount, rows[::k])) // 2
-    return pair_edge, pair_vertex, sorted(range(1, k + 1), key=repr), rows, blocks, num_edges
+    colors = sorted(range(1, k + 1), key=repr)
+    snapshot = IndexedGraph._from_bitsets(
+        rows, num_edges, partial(_triple_labels, pair_edge, pair_vertex, colors)
+    )
+    return ConflictGraphBuild(
+        hypergraph, k, pair_vertex, colors, snapshot, MappingProxyType(blocks), num_edges
+    )
 
 
 def _triple_labels(
@@ -240,8 +281,8 @@ def _triple_labels(
     """``V(G_k)`` in id order from the pair arrays: the label factory of the snapshot.
 
     A module-level function bound with :func:`functools.partial`, so the
-    snapshot holds no reference back to its :class:`ConflictGraph` and is
-    freed by reference counting.
+    snapshot holds no reference back to its build and is freed by
+    reference counting.
     """
     # ConflictVertex(e, v, c) without the named tuple constructor's frame.
     make = tuple.__new__
@@ -334,68 +375,89 @@ def legacy_build_graph(hypergraph: Hypergraph, k: int) -> Graph:
 class ConflictGraph:
     """The conflict graph ``G_k`` of conflict-free ``k``-coloring a hypergraph.
 
-    The instance is built once and can then be *maintained* across the
-    phases of the reduction: :meth:`remove_hyperedges` deletes the triples
-    of happy hyperedges (and every conflict edge incident to them) in time
+    One run's view of ``G_k``, *maintained* across the phases of the
+    reduction: :meth:`remove_hyperedges` deletes the triples of happy
+    hyperedges (and every conflict edge incident to them) in time
     proportional to the deleted part, because removing hyperedges never
     creates new conflicts between surviving triples — ``G^{i+1}_k`` is
     exactly the induced subgraph of ``G^i_k`` on the surviving triples.
     It is the reduction engine's only phase state: the surviving edge
     blocks are ``E_i``, which every size and happiness helper reads.
-    Internally the adjacency lives in one immutable
-    :class:`~repro.graphs.indexed.IndexedGraph` snapshot, whose triples are
-    laid out in ``repr`` order (module docstring, "Triple order"), plus an
-    alive bitmask; :meth:`frozen` serves alive-mask subgraph views of it,
-    and the mutable :attr:`graph` is materialized lazily from the current
-    view.  The constructor raises :class:`ReductionError` for edge ids or
-    vertices whose reprs would break that order.
 
-    No triple is stored: the instance keeps the pair arrays of the module
-    docstring ("Representation"), so id ``i`` is the triple
-    ``(pair_edge[i // k], pair_vertex[i // k], colors[i % k])``.  The
-    snapshot builds its :class:`ConflictVertex` label table from them on
-    first use, and :attr:`graph`, :meth:`bucket_structure` and
-    :meth:`host_assignment` read that table.  The edge counter is
-    maintained once per ``(e, v)`` pair (module docstring, "Edge counts"),
-    which requires the alive mask to stay a union of whole edge blocks:
-    mutate only through :meth:`remove_hyperedges`.
+    The graph itself is the immutable :attr:`build` (module docstring,
+    "Build and run"): the adjacency of every triple in one
+    :class:`~repro.graphs.indexed.IndexedGraph` snapshot, laid out in
+    ``repr`` order (module docstring, "Triple order"), the pair arrays and
+    the initial blocks.  The run owns a copy of the block dict, an alive
+    bitmask and the edge counter; :meth:`frozen` serves alive-mask
+    subgraph views of the snapshot, and the mutable :attr:`graph` is
+    materialized lazily from the current view.  Nothing a run does writes
+    to the build, so another run can start from it.
+
+    No triple is stored: id ``i`` is the triple ``(pair_edge[i // k],
+    pair_vertex[i // k], colors[i % k])`` (module docstring,
+    "Representation").  The snapshot builds its :class:`ConflictVertex`
+    label table from the pair arrays on first use, and :attr:`graph`,
+    :meth:`bucket_structure` and :meth:`host_assignment` read that table.
+    The edge counter is maintained once per ``(e, v)`` pair (module
+    docstring, "Edge counts"), which requires the alive mask to stay a
+    union of whole edge blocks: mutate only through
+    :meth:`remove_hyperedges`.
 
     Parameters
     ----------
     hypergraph:
-        The instance ``H`` the graph is built from, kept as
-        :attr:`hypergraph` and never mutated: the helpers read its member
-        sets and incidences restricted to the surviving blocks.
+        The instance ``H``, kept as :attr:`hypergraph` and never mutated:
+        the helpers read its member sets and incidences restricted to the
+        surviving blocks.
     k:
         The palette size.
+    build:
+        A :class:`ConflictGraphBuild` of this same ``hypergraph`` object
+        at this same ``k``, as an earlier run left it in :attr:`build`: the
+        run starts from it in O(m) instead of building ``G_k``.  ``None``
+        (the default) builds it.
+
+    Raises
+    ------
+    ReductionError
+        If ``k`` is not positive, if ``build`` was made from another
+        hypergraph object or at another ``k``, or if edge ids or vertices
+        have reprs that would break the triple order.
 
     Attributes
     ----------
+    build:
+        The :class:`ConflictGraphBuild` this run started from.
     graph:
         The underlying :class:`repro.graphs.Graph` whose vertices are
         :class:`ConflictVertex` triples (lazily materialized; insertion
         order is the ``repr`` order restricted to the surviving edges).
     """
 
-    def __init__(self, hypergraph: Hypergraph, k: int) -> None:
+    def __init__(
+        self, hypergraph: Hypergraph, k: int, build: Optional[ConflictGraphBuild] = None
+    ) -> None:
         if k <= 0:
             raise ReductionError(f"palette size k must be positive, got {k}")
+        if build is None:
+            build = _build_structures(hypergraph, k)
+        elif build.hypergraph is not hypergraph or build.k != k:
+            raise ReductionError(
+                f"a conflict-graph build of another hypergraph or palette (k={build.k}) "
+                f"cannot start a run on this hypergraph at k={k}"
+            )
+        self.build = build
         self.hypergraph = hypergraph
         self.k = k
-        pair_edge, pair_vertex, colors, rows, blocks, num_edges = _build_structures(hypergraph, k)
-        self._pair_vertex = pair_vertex
-        self._colors = colors
-        self._blocks = blocks
-        self._snapshot = IndexedGraph._from_bitsets(
-            rows, num_edges, partial(_triple_labels, pair_edge, pair_vertex, colors)
-        )
-        self._alive = (1 << len(rows)) - 1
+        self._blocks = build.blocks.copy()
+        self._alive = build.snapshot.alive_mask()
         # |E(G_k)| over the surviving triples, maintained under
         # remove_hyperedges in O(deleted part) — num_edges() must not pay a
         # full popcount sweep per phase of the reduction.
-        self._alive_edge_count = num_edges
+        self._alive_edge_count = build.num_edges
         self._graph: Optional[Graph] = None
-        self._frozen_view: Optional["IndexedGraph"] = self._snapshot
+        self._frozen_view: Optional["IndexedGraph"] = build.snapshot
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -440,7 +502,7 @@ class ConflictGraph:
         # Both masks are unions of whole blocks, which permuting the color
         # slots fixes, so the k triples of a pair count alike: count slot 0
         # and multiply by k.
-        bitsets = self._snapshot.bitsets()
+        bitsets = self.build.snapshot.bitsets()
         alive_old = self._alive
         incident = 0
         within = 0
@@ -475,7 +537,7 @@ class ConflictGraph:
         call ``self.graph.freeze()`` instead if you do.
         """
         if self._frozen_view is None:
-            self._frozen_view = self._snapshot.subgraph_view(self._alive)
+            self._frozen_view = self.build.snapshot.subgraph_view(self._alive)
         return self._frozen_view
 
     def frozen_sorted(self) -> "IndexedGraph":
@@ -501,7 +563,7 @@ class ConflictGraph:
         from-scratch rebuild.
         """
         k = self.k
-        triples = self._snapshot.labels()
+        triples = self.build.snapshot.labels()
         structure: Dict[str, Dict] = {"vertex_color": {}, "by_vertex": {}, "edge_blocks": {}}
         for e, (members, base) in self._blocks.items():
             block = list(triples[base:base + len(members) * k])
@@ -560,7 +622,7 @@ class ConflictGraph:
         if edge_id not in self._blocks:
             raise ReductionError(f"edge not in conflict graph: {edge_id!r}")
         members, base = self._blocks[edge_id]
-        return list(self._snapshot.labels()[base:base + len(members) * self.k])
+        return list(self.build.snapshot.labels()[base:base + len(members) * self.k])
 
     def triples_of_vertex(self, vertex: Vertex) -> List[ConflictVertex]:
         """Return the triples ``(·, vertex, ·)`` of the surviving hyperedges, in id order."""
@@ -570,7 +632,7 @@ class ConflictGraph:
             if e in self._blocks:
                 members, base = self._blocks[e]
                 starts.append(base + k * members.index(vertex))
-        labels = self._snapshot.labels()
+        labels = self.build.snapshot.labels()
         return [t for start in sorted(starts) for t in labels[start:start + k]]
 
     def edge_kinds(self, a: ConflictVertex, b: ConflictVertex) -> Set[str]:
@@ -586,8 +648,3 @@ class ConflictGraph:
             f"ConflictGraph(k={self.k}, |V|={self.num_vertices()}, "
             f"|E|={self.num_edges()})"
         )
-
-
-def build_conflict_graph(hypergraph: Hypergraph, k: int) -> ConflictGraph:
-    """Convenience constructor mirroring the paper's ``G_k`` notation."""
-    return ConflictGraph(hypergraph, k)

@@ -110,7 +110,7 @@ def independent_set_to_coloring(
         ids = sorted(items)
         verify_independent_ids(conflict_graph.frozen(), ids)
         k = conflict_graph.k
-        pair_vertex, colors = conflict_graph._pair_vertex, conflict_graph._colors
+        pair_vertex, colors = conflict_graph.build.pair_vertex, conflict_graph.build.colors
         assigned = [(pair_vertex[i // k], colors[i % k]) for i in ids]
     else:
         triples = set(items)

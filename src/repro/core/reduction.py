@@ -29,9 +29,14 @@ never makes two surviving conflict triples adjacent — the pipeline is
 phase-incremental: :meth:`ConflictFreeMulticoloringViaMaxIS.run` builds
 the conflict graph once, on the caller's hypergraph, as bitset rows
 already laid out in the oracle's ``repr`` order; per phase it hands the
-oracle an alive-mask subgraph view and deletes the happy edges' blocks in
-place.  That conflict graph is the only phase state (DESIGN.md, "Phase
-state"): the input is never copied or mutated.
+oracle an alive-mask subgraph view and deletes the happy edges' blocks
+from its own copy of the block dict.  That conflict graph is the only
+phase state (DESIGN.md, "Phase state"): the input is never copied or
+mutated, and neither is the immutable
+:class:`~repro.core.conflict_graph.ConflictGraphBuild` underneath, so a
+run may start from the build an earlier run on the same hypergraph and
+``k`` left in :attr:`~ConflictFreeMulticoloringViaMaxIS.last_build`
+instead of building ``G_k`` again.
 Total work is proportional to what is deleted, not phases × full rebuild.
 With an approximator that has an id kernel (``solve_ids``; every built-in
 does) the engine never builds a triple: the oracle answers
@@ -55,7 +60,7 @@ from repro import obs
 from repro.coloring.conflict_free import happy_edges as single_happy_edges
 from repro.coloring.multicoloring import Multicoloring
 from repro.core.bounds import color_budget, expected_remaining_edges, phase_budget
-from repro.core.conflict_graph import ConflictGraph, ConflictVertex
+from repro.core.conflict_graph import ConflictGraph, ConflictGraphBuild, ConflictVertex
 from repro.core.correspondence import independent_set_to_coloring
 from repro.exceptions import ReductionError
 from repro.graphs.graph import Graph
@@ -256,19 +261,30 @@ class ConflictFreeMulticoloringViaMaxIS:
         #: per-phase happy-edge sets (the ``happy_check_wall_time_s`` key of
         #: ``repro bench reduction``).
         self.last_happy_check_wall_time_s: float = 0.0
+        #: The ``G_k`` build the most recent :meth:`run` started from, given
+        #: or made: another run on the same hypergraph may start from it.
+        self.last_build: Optional[ConflictGraphBuild] = None
 
     # ------------------------------------------------------------------
-    def run(self, hypergraph: Hypergraph) -> ReductionResult:
+    def run(
+        self, hypergraph: Hypergraph, build: Optional[ConflictGraphBuild] = None
+    ) -> ReductionResult:
         """Execute the reduction on ``hypergraph`` and return a :class:`ReductionResult`.
 
         This is the incremental phase engine: the conflict graph of
         ``hypergraph`` is built (and frozen for the oracle) exactly once;
         each phase solves on an alive-mask subgraph view, finds the happy
         edges with :meth:`ConflictGraph.happy_edges` and removes them from
-        the conflict graph alone, so ``hypergraph`` is neither copied nor
-        mutated.  The result is bit-for-bit identical to :meth:`run_rebuild`.
+        the run's own phase state, so neither ``hypergraph`` nor the build
+        is copied or mutated.  ``build``, the :attr:`last_build` of an
+        earlier run on this same hypergraph object at this ``k``, starts
+        the run without building ``G_k`` (:class:`ConflictGraph` raises
+        :class:`ReductionError` for any other build).  The build the run
+        started from is left in :attr:`last_build`.  The result is
+        bit-for-bit identical to :meth:`run_rebuild`, with or without a
+        build.
         """
-        return self._execute(hypergraph, rebuild=False)
+        return self._execute(hypergraph, rebuild=False, build=build)
 
     def run_rebuild(self, hypergraph: Hypergraph) -> ReductionResult:
         """Execute the reduction rebuilding ``H_i`` and ``G^i_k`` from scratch each phase.
@@ -279,19 +295,24 @@ class ConflictFreeMulticoloringViaMaxIS:
         scan.  It is retained as the oracle for equality tests and as the
         baseline the ``repro bench reduction`` benchmark measures the
         incremental engine against; its output is identical to :meth:`run`.
+        It takes no build and leaves none: every ``G^i_k`` it uses is built
+        from scratch, so it never shares state with the engine it checks.
         """
         return self._execute(hypergraph, rebuild=True)
 
     # ------------------------------------------------------------------
-    def _execute(self, hypergraph: Hypergraph, rebuild: bool) -> ReductionResult:
+    def _execute(
+        self, hypergraph: Hypergraph, rebuild: bool, build: Optional[ConflictGraphBuild] = None
+    ) -> ReductionResult:
         """Shared phase loop; ``rebuild`` selects how ``G^{i+1}_k`` is derived.
 
-        Both modes start from ``G_k`` built on ``hypergraph`` itself and
-        read ``|E_i|`` off its surviving blocks.  Incremental mode removes
-        the happy edges from that one :class:`ConflictGraph`; rebuild mode
-        builds ``H_{i+1}`` and its conflict graph afresh (the seed
-        behavior).  Everything else — budgets, caps, strictness, record
-        keeping — is identical by construction.
+        Both modes start from ``G_k`` on ``hypergraph`` itself (incremental
+        mode from ``build`` when one is given) and read ``|E_i|`` off its
+        surviving blocks.  Incremental mode removes the happy edges from
+        that one :class:`ConflictGraph`; rebuild mode builds ``H_{i+1}``
+        and its conflict graph afresh (the seed behavior).  Everything
+        else — budgets, caps, strictness, record keeping — is identical by
+        construction.
         """
         m = hypergraph.num_edges()
         rho = phase_budget(self.lam, m)
@@ -300,7 +321,9 @@ class ConflictFreeMulticoloringViaMaxIS:
 
         multicoloring = Multicoloring()
         phases: List[PhaseRecord] = []
-        conflict_graph = ConflictGraph(hypergraph, self.k)
+        conflict_graph = ConflictGraph(hypergraph, self.k, build)
+        if not rebuild:
+            self.last_build = conflict_graph.build
         self.last_happy_check_wall_time_s = 0.0
 
         phase = 0

@@ -90,9 +90,15 @@ class MaxISApproximator:
             If the answer names a vertex outside ``graph``, repeats one, or
             holds two adjacent vertices.
         ApproximationError
-            If the answer is empty although ``graph`` is not.
+            If the answer is empty although ``graph`` is not, or if
+            ``ids=True`` asks a label-only approximator for ids.
         """
-        if ids or self.solve is None:
+        if ids and self.solve_ids is None:
+            raise ApproximationError(
+                f"approximator {self.name!r} has no id kernel (solve_ids), "
+                "so it cannot answer with ids; call it without ids=True"
+            )
+        if self.solve is None:
             frozen = freeze_sorted(graph)
             result = sorted(self.solve_ids(frozen))
             verify_independent_ids(frozen, result)

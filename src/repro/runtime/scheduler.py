@@ -44,7 +44,7 @@ from repro.exceptions import CampaignError
 from repro.runtime.faults import FaultPlan, require_chaos
 from repro.runtime.spec import CampaignSpec, check_shard, task_shard_index
 from repro.runtime.store import RETRYABLE_STATUSES, open_store
-from repro.runtime.tasks import execute_task
+from repro.runtime.tasks import execute_task, instance_cache_key
 
 # ----------------------------------------------------------------------
 # scheduler metrics (see docs/observability.md for the full catalog)
@@ -322,6 +322,31 @@ def _plan(
     return pending, start_attempts, last_signature, exhausted
 
 
+def _later_uses(payloads: List[dict]) -> List[int]:
+    """For each payload, how many later ones share its ``(instance cache key, k)``.
+
+    Those are the tasks that can start from its ``G_k`` build, so the
+    count tells :func:`~repro.runtime.tasks.execute_task` whether to keep
+    it.  One walk from the back, O(1) per payload.
+    """
+    seen: Dict[Tuple, int] = {}
+    uses: List[int] = []
+    for payload in reversed(payloads):
+        k = payload["k"]
+        key = (
+            instance_cache_key(
+                payload["family"], payload["n"], payload["m"], k,
+                payload["epsilon"], payload["instance_seed"],
+            ),
+            k,
+        )
+        later = seen.get(key, 0)
+        uses.append(later)
+        seen[key] = later + 1
+    uses.reverse()
+    return uses
+
+
 def run_campaign(
     spec: CampaignSpec,
     directory,
@@ -444,8 +469,8 @@ def run_campaign(
         store.summaries(), payloads, retry
     )
 
-    def decorate(payload: dict, attempt: int) -> dict:
-        extra = {"attempt": attempt}
+    def decorate(payload: dict, attempt: int, **extra) -> dict:
+        extra["attempt"] = attempt
         if effective_timeout is not None:
             extra["task_timeout_s"] = effective_timeout
         if chaos is not None:
@@ -535,7 +560,12 @@ def run_campaign(
             else:
                 mode = "serial"
             _M_POOL_DISPATCH.labels(campaign, mode).inc()
-            first_pass = [decorate(p, start_attempts[p["task_key"]]) for p in pending]
+            # The first pass tells each task how many later ones will start
+            # from its G_k build; retry rounds pass no count, so they keep none.
+            first_pass = [
+                decorate(p, start_attempts[p["task_key"]], later_uses=uses)
+                for p, uses in zip(pending, _later_uses(pending))
+            ]
             started_counter.inc(len(first_pass))
             if pool is not None:
                 chunk = chunk_size if chunk_size is not None else _default_chunk_size(

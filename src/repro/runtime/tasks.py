@@ -15,6 +15,19 @@ coordinates the family's generator actually consumes, and the derived
 instance seed — so grid points that differ only in oracle or λ (which
 share an instance seed, see :func:`instance_key`) build their hypergraph
 once per worker and reuse it for every oracle swept over it.
+
+The conflict graph ``G_k`` depends only on the instance and ``k``, so a
+cache entry can also hold the immutable
+:class:`~repro.core.conflict_graph.ConflictGraphBuild` of each ``k`` for
+the tasks still to come.  The key of a build is ``(instance, k)``, not the
+instance alone: an ``interval`` instance ignores ``k`` and serves tasks at
+several ``k``.  The scheduler, which knows the pending list, tells each
+task in its payload's ``later_uses`` how many later tasks of its run share
+its ``(instance cache key, k)``; :func:`execute_task` keeps the run's build
+while that count is positive and drops it when it reaches 0.  A grid that
+sweeps oracles or λ over cached instances thus builds ``G_k`` once per
+``(instance, k)``, while a task whose build nothing else uses frees it
+when its reduction returns.
 """
 
 from __future__ import annotations
@@ -25,9 +38,12 @@ import signal
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
+from repro.core.conflict_graph import ConflictGraphBuild
+from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS, ReductionResult
 from repro.exceptions import CampaignError, ReproError, TaskTimeout
 from repro.hypergraph import (
     Hypergraph,
@@ -95,17 +111,34 @@ def instance_cache_key(
     )
 
 
+@dataclass
+class CachedInstance:
+    """One :class:`InstanceCache` entry: an instance, its digest and the ``G_k`` builds kept for it."""
+
+    hypergraph: Hypergraph
+    #: :func:`instance_digest` of :attr:`hypergraph`, taken once, on the miss.
+    digest: str
+    #: ``k -> ConflictGraphBuild`` of :attr:`hypergraph`, held only while a
+    #: later task of the run will start from it (see :func:`execute_task`).
+    builds: Dict[int, ConflictGraphBuild] = field(default_factory=dict)
+
+
 class InstanceCache:
-    """Per-process memo of generated hypergraph instances and their digests, with hit/miss stats.
+    """Per-process memo of hypergraph instances, their digests and kept ``G_k`` builds, with hit/miss stats.
 
     Reductions never mutate their input (``run`` builds the conflict graph
     on the caller's hypergraph and tracks the surviving edges in it alone),
     so one cached instance can safely serve every task that shares its
     cache key, and its :func:`instance_digest`, taken once on the miss,
-    stays valid for every hit.  The cache is bounded (FIFO eviction) and
-    process-local: pool workers each hold their own copy, and a persistent
+    stays valid for every hit.  No run writes to a conflict-graph build
+    either, so an entry's :attr:`CachedInstance.builds` serve every later
+    task at their ``k``; :func:`execute_task` decides which builds an entry
+    holds, and eviction or :meth:`clear` drops them with their instance.
+    The cache is bounded (FIFO eviction) and process-local: pool workers
+    each hold their own copy, and a persistent
     :class:`~repro.runtime.scheduler.WorkerPool` keeps those worker caches
-    warm across ``run_campaign`` calls.
+    warm across ``run_campaign`` calls.  Eviction also bounds the builds a
+    pool worker keeps for a later task that another worker ran.
     """
 
     def __init__(self, maxsize: int = 64) -> None:
@@ -114,7 +147,7 @@ class InstanceCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[Tuple, Tuple[Hypergraph, str]]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, CachedInstance]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -125,32 +158,25 @@ class InstanceCache:
         self.misses = 0
         self._entries.clear()
 
-    def get_or_build(
-        self, family: str, n: int, m: int, k: int, epsilon: float, seed: int
-    ) -> Tuple[Hypergraph, bool]:
-        """Return ``(instance, cache_hit)``, building and caching on a miss."""
-        hypergraph, _digest, cache_hit = self.entry(family, n, m, k, epsilon, seed)
-        return hypergraph, cache_hit
-
     def entry(
         self, family: str, n: int, m: int, k: int, epsilon: float, seed: int
-    ) -> Tuple[Hypergraph, str, bool]:
-        """Return ``(instance, digest, cache_hit)``; a miss builds, digests and caches."""
+    ) -> Tuple[CachedInstance, bool]:
+        """Return ``(entry, cache_hit)``; a miss builds, digests and caches the instance."""
         key = instance_cache_key(family, n, m, k, epsilon, seed)
         cached = self._entries.get(key)
         if cached is not None:
             self.hits += 1
-            return cached[0], cached[1], True
+            return cached, True
         self.misses += 1
         with obs.span("instance_build", family=family, n=n, m=m):
             hypergraph = build_instance(
                 family=family, n=n, m=m, k=k, epsilon=epsilon, seed=seed
             )
-        digest = instance_digest(hypergraph)
-        self._entries[key] = (hypergraph, digest)
+        cached = CachedInstance(hypergraph, instance_digest(hypergraph))
+        self._entries[key] = cached
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-        return hypergraph, digest, False
+        return cached, False
 
 
 #: The process-level cache :func:`execute_task` builds instances through.
@@ -243,6 +269,27 @@ def watchdog(timeout_s: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _reduce(payload: Dict[str, Any], cached: CachedInstance) -> Tuple[ReductionResult, float]:
+    """Run the task's reduction; return its result and happy-check seconds.
+
+    The run starts from the ``G_k`` build the entry keeps at this ``k``, if
+    any, and the entry keeps the run's build again only while the
+    payload's ``later_uses`` is positive.  The build is taken out of the
+    entry before the run, so a task with no later use leaves none behind
+    whatever its status, and a build nothing keeps is freed when this
+    returns, before the row is serialized.
+    """
+    k = payload["k"]
+    build = cached.builds.pop(k, None)
+    reduction = ConflictFreeMulticoloringViaMaxIS(
+        k=k, approximator=resolve_oracle(payload["oracle"], payload["lam"]), lam=payload["lam"]
+    )
+    result = reduction.run(cached.hypergraph, build)
+    if payload.get("later_uses", 0) > 0:
+        cached.builds[k] = reduction.last_build
+    return result, reduction.last_happy_check_wall_time_s
+
+
 def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one campaign task and return its result row (never raises).
 
@@ -264,6 +311,14 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     or the supervisor cuts it short, and a kill terminates the worker
     process outright — no row is written at all, which is precisely the
     failure the shard coordinator's heartbeats exist to detect.
+
+    The payload's optional ``later_uses`` (the scheduler's count of later
+    tasks of the run that share this task's instance and ``k``) decides
+    only what the instance cache keeps: the reduction starts from the
+    entry's ``G_k`` build when one is kept, and the build is kept for the
+    next task while the count is positive.  A run from a kept build equals
+    a run that builds ``G_k`` itself, so the count changes no row, and it
+    is never written to one.
     """
     start = time.perf_counter()
     attempt = payload.get("attempt", 1)
@@ -279,14 +334,12 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     task_span = obs.span("task", task_key=payload["task_key"], attempt=attempt)
     task_span.__enter__()
     try:
-        from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS
-
         with watchdog(payload.get("task_timeout_s")):
             if payload.get("chaos") is not None:
                 from repro.runtime.faults import inject_fault
 
                 inject_fault(payload["chaos"], payload["task_key"], attempt)
-            hypergraph, digest, cache_hit = INSTANCE_CACHE.entry(
+            cached, cache_hit = INSTANCE_CACHE.entry(
                 family=payload["family"],
                 n=payload["n"],
                 m=payload["m"],
@@ -294,21 +347,18 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                 epsilon=payload["epsilon"],
                 seed=payload["instance_seed"],
             )
-            oracle = resolve_oracle(payload["oracle"], payload["lam"])
-            reduction = ConflictFreeMulticoloringViaMaxIS(
-                k=payload["k"], approximator=oracle, lam=payload["lam"]
-            )
-            result = reduction.run(hypergraph)
+            result, happy_check_wall_time_s = _reduce(payload, cached)
+        hypergraph = cached.hypergraph
         row.update(
             {
                 "status": "done",
                 "n": hypergraph.num_vertices(),
                 "m": hypergraph.num_edges(),
                 "peak_triples": payload["k"] * hypergraph.total_edge_size(),
-                "instance_digest": digest,
+                "instance_digest": cached.digest,
                 "result": reduction_result_to_dict(result),
                 "wall_time_s": time.perf_counter() - start,
-                "happy_check_wall_time_s": reduction.last_happy_check_wall_time_s,
+                "happy_check_wall_time_s": happy_check_wall_time_s,
                 "instance_cache_hit": cache_hit,
             }
         )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConflictGraph, ConflictVertex, build_conflict_graph, conflict_vertices
+from repro.core import ConflictGraph, ConflictVertex, conflict_vertices
 from repro.core.conflict_graph import classify_conflict_edge
 from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS
 from repro.exceptions import ReductionError
@@ -62,10 +62,6 @@ class TestVertexSet:
         assert cg.triples_of_edge(1) == [t for t in alive if t.edge == 1]
         assert cg.triples_of_vertex(1) == [t for t in alive if t.vertex == 1]
         assert cg.triples_of_vertex(0) == []
-
-    def test_build_conflict_graph_convenience(self, tiny_hypergraph):
-        cg = build_conflict_graph(tiny_hypergraph, 2)
-        assert isinstance(cg, ConflictGraph)
 
 
 class TestEdgeRelations:

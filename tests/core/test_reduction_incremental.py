@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from repro.coloring import verify_conflict_free_multicoloring
 import repro.core.conflict_graph as conflict_graph_module
 from repro.core import ConflictFreeMulticoloringViaMaxIS
-from repro.core.conflict_graph import ConflictVertex
+from repro.core.conflict_graph import ConflictGraph, ConflictVertex
+from repro.exceptions import ReductionError
 from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
 from repro.maxis import available_approximators, capped_oracle, get_approximator
 
@@ -166,3 +167,60 @@ class TestEngineEqualsRebuild:
         result = reduction.run(hypergraph)
         _assert_results_identical(result, reduction.run_rebuild(hypergraph))
         verify_conflict_free_multicoloring(hypergraph, result.multicoloring)
+
+
+def _build_state(build):
+    """The rows, blocks (members copied) and edge count of a build, for before/after checks."""
+    blocks = {e: (tuple(members), base) for e, (members, base) in build.blocks.items()}
+    return list(build.snapshot.bitsets()), blocks, build.num_edges
+
+
+class TestSharedBuild:
+    """Runs that start from one kept ``G_k`` build share it and never write to it."""
+
+    def test_oracles_in_turn_on_one_build_leave_it_as_built(self):
+        hypergraph, _ = colorable_almost_uniform_hypergraph(n=40, m=25, k=3, seed=23)
+        build = ConflictGraph(hypergraph, 3).build
+        built = _build_state(build)
+        oracles = (capped_oracle("greedy-first-fit", 4.0), capped_oracle("greedy-min-degree", 4.0))
+        for oracle in oracles:
+            reduction = ConflictFreeMulticoloringViaMaxIS(k=3, approximator=oracle, lam=4.0)
+            shared = reduction.run(hypergraph, build)
+            assert shared.num_phases >= 3  # removals over several phases
+            assert reduction.last_build is build
+            _assert_results_identical(shared, reduction.run_rebuild(hypergraph))
+            assert reduction.last_build is build  # run_rebuild takes and leaves none
+            assert _build_state(build) == built, f"{oracle.name} wrote to the shared build"
+        fresh = ConflictGraph(hypergraph, 3, build)
+        assert (fresh.num_hyperedges(), fresh.num_edges()) == (hypergraph.num_edges(), built[2])
+
+    def test_a_run_leaves_the_build_it_made(self):
+        hypergraph, _ = colorable_almost_uniform_hypergraph(n=18, m=9, k=3, seed=11)
+        reduction = ConflictFreeMulticoloringViaMaxIS(
+            k=3, approximator=get_approximator("greedy-min-degree"), lam=4.0
+        )
+        first = reduction.run(hypergraph)
+        build = reduction.last_build
+        assert build.hypergraph is hypergraph and build.k == 3
+        _assert_results_identical(reduction.run(hypergraph, build), first)
+
+    def test_a_build_of_another_hypergraph_or_k_is_refused(self):
+        hypergraph, _ = colorable_almost_uniform_hypergraph(n=18, m=9, k=3, seed=11)
+        build = ConflictGraph(hypergraph, 3).build
+        with pytest.raises(ReductionError, match="another hypergraph"):
+            ConflictGraph(hypergraph.copy(), 3, build)  # equal, but another object
+        with pytest.raises(ReductionError, match="another hypergraph"):
+            ConflictGraph(hypergraph, 2, build)
+        reduction = ConflictFreeMulticoloringViaMaxIS(
+            k=2, approximator=get_approximator("greedy-first-fit"), lam=4.0
+        )
+        with pytest.raises(ReductionError):
+            reduction.run(hypergraph, build)
+
+    def test_the_build_refuses_writes(self):
+        hypergraph, _ = colorable_almost_uniform_hypergraph(n=18, m=9, k=3, seed=11)
+        build = ConflictGraph(hypergraph, 3).build
+        with pytest.raises(TypeError):
+            build.blocks[0] = ([], 0)
+        with pytest.raises(AttributeError):
+            build.num_edges = 0

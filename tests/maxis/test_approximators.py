@@ -124,6 +124,12 @@ class TestIdCall:
         empty = path_graph(5).freeze().subgraph_view(0)
         assert self._stub([])(empty, ids=True) == []
 
+    def test_label_only_approximator_refuses_an_id_call(self):
+        label_only = MaxISApproximator(name="labels-tmp", solve=lambda g: {0})
+        with pytest.raises(ApproximationError, match="'labels-tmp' has no id kernel"):
+            label_only(self._view(), ids=True)
+        assert label_only(path_graph(5)) == {0}
+
 
 class TestCappedOracle:
     def test_over_an_id_kernel_it_is_an_id_kernel(self):

@@ -5,6 +5,11 @@ a deterministic function of one integer seed (:func:`make_campaign_spec`),
 the seed appears in the pytest id and every assertion message, and a
 failing case is reproduced by ``make_campaign_spec(<seed>)``.
 
+The serial executor shares each ``G_k`` build between the tasks of an
+instance and ``k``, so the reference below it is every task run alone:
+:func:`assert_serial_equals_fresh_tasks` checks the serial rows against
+``execute_task`` on an emptied instance cache, task by task.
+
 The central helper is :func:`assert_shard_exact`: executing a campaign as
 ``n`` sha256-stable shards and fusing the shard stores with
 :func:`merge_shards` must reproduce the serial reference *exactly* —
@@ -35,11 +40,13 @@ import pytest
 
 from repro import obs
 from repro.runtime import (
+    INSTANCE_CACHE,
     CampaignSpec,
     CampaignStore,
     WorkerPool,
     campaign_digest,
     campaign_records,
+    execute_task,
     merge_shards,
     open_store,
     records_from_summaries,
@@ -102,6 +109,27 @@ def _deterministic_rows(store: CampaignStore):
         key: {k: v for k, v in row.items() if k not in NONDETERMINISTIC_ROW_FIELDS}
         for key, row in store.latest_rows().items()
     }
+
+
+def assert_serial_equals_fresh_tasks(spec: CampaignSpec, serial_dir, ctx: str) -> None:
+    """Assert every serial row equals its task run alone, on an emptied instance cache.
+
+    With the cache emptied before each payload, no task shares an instance
+    or a ``G_k`` build with another, so this is the per-task reference the
+    serial executor's sharing must reproduce (timing and cache flags aside).
+    """
+    serial = _deterministic_rows(CampaignStore(serial_dir))
+    try:
+        for payload in spec.task_payloads():
+            INSTANCE_CACHE.clear()
+            fresh = {
+                k: v for k, v in execute_task(payload).items() if k not in NONDETERMINISTIC_ROW_FIELDS
+            }
+            assert serial[payload["task_key"]] == fresh, (
+                f"{ctx} serial row of {payload['task_key']} differs from the task run alone"
+            )
+    finally:
+        INSTANCE_CACHE.clear()
 
 
 def assert_shard_exact(spec: CampaignSpec, n_shards: int, base_dir) -> str:
@@ -175,6 +203,7 @@ def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_
     ctx = f"[campaign-fuzz seed={seed} spec={spec.name} tasks={spec.num_tasks()}]"
 
     reference = assert_shard_exact(spec, n_shards, tmp_path)
+    assert_serial_equals_fresh_tasks(spec, tmp_path / "serial", ctx)
 
     # Warm persistent pool (shared across every fuzzed campaign).
     expect_warm = shared_pool.warm
@@ -252,6 +281,31 @@ def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_
     )
     assert _incremental_digest_of(spec, killed) == reference, (
         f"{ctx} compacted incremental digest diverged"
+    )
+
+
+def test_interval_at_two_ks_matches_fresh_tasks(tmp_path, shared_pool):
+    """One interval instance serves k = 2 and k = 3, but each k gets its own build.
+
+    Every fuzzed spec draws a single k, so this named case covers the
+    instances the cache shares across k.
+    """
+    spec = CampaignSpec(
+        name="campaign-fuzz-interval-two-ks",
+        seed=20190,
+        families=("interval",),
+        sizes=((10, 5), (12, 6)),
+        ks=(2, 3),
+        oracles=("greedy-first-fit", "capped:greedy-first-fit"),
+        lams=(2.0,),
+        replicates=2,
+    )
+    ctx = f"[campaign-fuzz spec={spec.name} tasks={spec.num_tasks()}]"
+    reference = assert_shard_exact(spec, 2, tmp_path)
+    assert_serial_equals_fresh_tasks(spec, tmp_path / "serial", ctx)
+    run_campaign(spec, tmp_path / "pool", pool=shared_pool)
+    assert _digest_of(spec, tmp_path / "pool") == reference, (
+        f"{ctx} warm-pool digest diverged from the serial reference"
     )
 
 

@@ -86,39 +86,39 @@ class TestInstanceKey:
 class TestInstanceCache:
     def test_hit_returns_the_cached_object(self):
         cache = InstanceCache()
-        first, hit1 = cache.get_or_build("colorable", 12, 8, 2, 0.5, seed=42)
-        second, hit2 = cache.get_or_build("colorable", 12, 8, 2, 0.5, seed=42)
+        first, hit1 = cache.entry("colorable", 12, 8, 2, 0.5, seed=42)
+        second, hit2 = cache.entry("colorable", 12, 8, 2, 0.5, seed=42)
         assert (hit1, hit2) == (False, True)
-        assert second is first
+        assert second is first and second.hypergraph is first.hypergraph
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_distinct_coordinates_miss(self):
         cache = InstanceCache()
-        cache.get_or_build("colorable", 12, 8, 2, 0.5, seed=42)
-        _, hit = cache.get_or_build("colorable", 12, 8, 2, 0.5, seed=43)
+        cache.entry("colorable", 12, 8, 2, 0.5, seed=42)
+        _, hit = cache.entry("colorable", 12, 8, 2, 0.5, seed=43)
         assert not hit
-        _, hit = cache.get_or_build("colorable", 12, 8, 3, 0.5, seed=42)
+        _, hit = cache.entry("colorable", 12, 8, 3, 0.5, seed=42)
         assert not hit
 
     def test_interval_hits_across_k(self):
         cache = InstanceCache()
-        first, _ = cache.get_or_build("interval", 10, 5, 2, 0.5, seed=1)
-        second, hit = cache.get_or_build("interval", 10, 5, 3, 0.5, seed=1)
-        assert hit and second is first
+        first, _ = cache.entry("interval", 10, 5, 2, 0.5, seed=1)
+        second, hit = cache.entry("interval", 10, 5, 3, 0.5, seed=1)
+        assert hit and second.hypergraph is first.hypergraph
 
     def test_eviction_is_bounded_fifo(self):
         cache = InstanceCache(maxsize=2)
-        cache.get_or_build("interval", 6, 3, 1, 0.5, seed=1)
-        cache.get_or_build("interval", 6, 3, 1, 0.5, seed=2)
-        cache.get_or_build("interval", 6, 3, 1, 0.5, seed=3)  # evicts seed=1
+        cache.entry("interval", 6, 3, 1, 0.5, seed=1)
+        cache.entry("interval", 6, 3, 1, 0.5, seed=2)
+        cache.entry("interval", 6, 3, 1, 0.5, seed=3)  # evicts seed=1
         assert len(cache) == 2
-        _, hit = cache.get_or_build("interval", 6, 3, 1, 0.5, seed=1)
+        _, hit = cache.entry("interval", 6, 3, 1, 0.5, seed=1)
         assert not hit
 
     def test_clear_resets_entries_and_counters(self):
         cache = InstanceCache()
-        cache.get_or_build("interval", 6, 3, 1, 0.5, seed=1)
-        cache.get_or_build("interval", 6, 3, 1, 0.5, seed=1)
+        cache.entry("interval", 6, 3, 1, 0.5, seed=1)
+        cache.entry("interval", 6, 3, 1, 0.5, seed=1)
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (0, 0)
@@ -129,25 +129,27 @@ class TestInstanceCache:
 
     def test_cached_and_fresh_builds_are_identical(self):
         cache = InstanceCache()
-        cached, _ = cache.get_or_build("colorable", 14, 8, 2, 0.5, seed=42)
+        cached, _ = cache.entry("colorable", 14, 8, 2, 0.5, seed=42)
         fresh = build_instance("colorable", n=14, m=8, k=2, epsilon=0.5, seed=42)
-        assert instance_digest(cached) == instance_digest(fresh)
+        assert cached.digest == instance_digest(cached.hypergraph) == instance_digest(fresh)
 
 
 class TestExecuteTask:
     def test_row_is_pure_except_timing_and_cache_flag(self):
         payload = small_spec().task_payloads()[0]
-        first = {
-            k: v
-            for k, v in execute_task(payload).items()
-            if k not in NONDETERMINISTIC_ROW_FIELDS
-        }
-        second = {
-            k: v
-            for k, v in execute_task(payload).items()
-            if k not in NONDETERMINISTIC_ROW_FIELDS
-        }
-        assert first == second
+        counted = dict(payload, later_uses=2)
+        INSTANCE_CACHE.clear()
+        # Plain, then a positive count (it keeps its G_k build), again (it
+        # starts from the kept build and keeps it), then plain again (it
+        # starts from the kept build and drops it).
+        rows = [
+            {k: v for k, v in execute_task(p).items() if k not in NONDETERMINISTIC_ROW_FIELDS}
+            for p in (payload, counted, counted, payload)
+        ]
+        assert rows[1:] == rows[:1] * 3
+        assert "later_uses" not in rows[1]
+        (entry,) = INSTANCE_CACHE._entries.values()
+        assert entry.builds == {}
 
     def test_second_execution_hits_the_instance_cache(self):
         INSTANCE_CACHE.clear()
