@@ -2,20 +2,18 @@
 
 The analysis of Theorem 1.1 predicts geometric decay of the unhappy-edge
 count: ``|E_{i+1}| ≤ (1 − 1/λ)·|E_i|``.  The helpers here turn a
-:class:`~repro.core.reduction.ReductionResult` into the decay curve, fit
-the observed per-phase removal rate, and compare phase/color counts to the
-theoretical budgets.
+:class:`~repro.core.reduction.ReductionResult` into the decay curve,
+measure the per-phase removal fractions, and compare phase/color counts
+to the theoretical budgets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.bounds import expected_remaining_edges
 from repro.core.reduction import ReductionResult
-from repro.exceptions import ReproError
 
 
 @dataclass(frozen=True)
@@ -98,33 +96,3 @@ def run_summary(result: ReductionResult) -> Dict[str, float]:
         "within_phase_bound": 1.0 if result.within_phase_bound() else 0.0,
         "within_color_bound": 1.0 if result.within_color_bound() else 0.0,
     }
-
-
-def geometric_fit_rate(observed: List[int]) -> float:
-    """Fit a geometric decay rate ``r`` to an observed edge-count series.
-
-    Returns the average of the per-step ratios ``|E_{i+1}| / |E_i|``
-    (ignoring steps that start at zero).  A rate below ``1 − 1/λ`` means
-    the run decayed faster than the theory requires.
-    """
-    if len(observed) < 2:
-        raise ReproError("need at least two points to fit a decay rate")
-    ratios = [
-        observed[i + 1] / observed[i]
-        for i in range(len(observed) - 1)
-        if observed[i] > 0
-    ]
-    if not ratios:
-        return 0.0
-    return sum(ratios) / len(ratios)
-
-
-def phases_needed_at_rate(m: int, rate: float) -> int:
-    """Number of phases needed to drop below one edge at a constant decay ``rate``."""
-    if not 0 <= rate < 1:
-        raise ReproError(f"rate must lie in [0, 1), got {rate}")
-    if m <= 1:
-        return 1 if m == 1 else 0
-    if rate == 0:
-        return 1
-    return math.ceil(math.log(m) / -math.log(rate))

@@ -8,8 +8,9 @@ machine-readable trajectories:
 * ``BENCH_conflict_graph.json`` — wall time of the mask
   :class:`~repro.core.conflict_graph.ConflictGraph` builder next to the
   retained legacy (seed) builder, per workload;
-* ``BENCH_maxis.json`` — wall time of each registered MIS approximator on
-  the conflict graphs of the same workloads plus the plain-graph family;
+* ``BENCH_maxis.json`` — wall time of each MIS approximator in
+  :data:`MAXIS_ALGORITHMS` on the conflict graphs of the same workloads
+  plus the plain-graph family;
 * ``BENCH_reduction.json`` — wall time of the full Theorem 1.1 pipeline
   (``ConflictFreeMulticoloringViaMaxIS.run``, the incremental phase
   engine) next to the retained rebuild-per-phase path
@@ -82,11 +83,11 @@ DEFAULT_SIZES: Tuple[Tuple[int, int], ...] = ((30, 20), (60, 40), (90, 60), (120
 #: The single smallest workload, for smoke runs.
 SMOKE_SIZES: Tuple[Tuple[int, int], ...] = ((30, 20),)
 
-#: MIS algorithms timed by default (registry names).  ``exact`` is omitted:
-#: it is exponential and the conflict graphs here exceed its size guard.
+#: MIS algorithms timed (registry names).  ``exact`` is omitted: it is
+#: exponential, and the conflict graphs here are too large for it.
 #: ``greedy-min-degree`` exercises the popcount-recompute bucket-queue
 #: kernel and ``luby-batch-of-8`` the bit-parallel batched Luby rounds.
-DEFAULT_MAXIS_ALGORITHMS: Tuple[str, ...] = (
+MAXIS_ALGORITHMS: Tuple[str, ...] = (
     "greedy-min-degree",
     "greedy-first-fit",
     "luby-best-of-5",
@@ -145,9 +146,11 @@ def bench_conflict_graph(
     sizes: Sequence[Tuple[int, int]] = DEFAULT_SIZES,
     k: int = 4,
     repeats: int = 3,
-    include_legacy: bool = True,
 ) -> List[Dict[str, object]]:
-    """Time the mask builder (and optionally the legacy one) per workload."""
+    """Time the mask builder against the legacy one per workload.
+
+    Both builders must produce the same graph, or the benchmark aborts.
+    """
     from repro.core.conflict_graph import ConflictGraph, legacy_build_graph
 
     records: List[Dict[str, object]] = []
@@ -168,27 +171,28 @@ def bench_conflict_graph(
             return full
 
         graph_s, _cg2 = _best_time(build_with_graph, repeats)
-        record: Dict[str, object] = {
-            "label": label,
-            "n": hypergraph.num_vertices(),
-            "m": hypergraph.num_edges(),
-            "k": kk,
-            "peak_triples": cg.num_vertices(),
-            "num_edges": cg.num_edges(),
-            "wall_time_s": fast_s,
-            "graph_wall_time_s": graph_s,
-        }
-        if include_legacy:
-            legacy_s, legacy = _best_time(lambda: legacy_build_graph(hypergraph, kk), repeats)
-            if legacy != cg.graph:
-                raise AssertionError(
-                    f"mask and legacy conflict graphs differ on workload {label!r}"
-                )
-            record["legacy_wall_time_s"] = legacy_s
-            # None (not inf) when the timer underflows: json.dumps would emit
-            # the non-standard `Infinity` token and break strict consumers.
-            record["speedup"] = legacy_s / fast_s if fast_s > 0 else None
-        records.append(record)
+        legacy_s, legacy = _best_time(lambda: legacy_build_graph(hypergraph, kk), repeats)
+        if legacy != cg.graph:
+            raise AssertionError(
+                f"mask and legacy conflict graphs differ on workload {label!r}"
+            )
+        records.append(
+            {
+                "label": label,
+                "n": hypergraph.num_vertices(),
+                "m": hypergraph.num_edges(),
+                "k": kk,
+                "peak_triples": cg.num_vertices(),
+                "num_edges": cg.num_edges(),
+                "wall_time_s": fast_s,
+                "graph_wall_time_s": graph_s,
+                "legacy_wall_time_s": legacy_s,
+                # None (not inf) when the timer underflows: json.dumps would
+                # emit the non-standard `Infinity` token and break strict
+                # consumers.
+                "speedup": legacy_s / fast_s if fast_s > 0 else None,
+            }
+        )
     return records
 
 
@@ -196,10 +200,9 @@ def bench_maxis(
     sizes: Sequence[Tuple[int, int]] = DEFAULT_SIZES,
     k: int = 4,
     repeats: int = 3,
-    algorithms: Sequence[str] = DEFAULT_MAXIS_ALGORITHMS,
     include_plain_graphs: bool = True,
 ) -> List[Dict[str, object]]:
-    """Time MIS solves on conflict graphs (and the plain-graph family).
+    """Time the :data:`MAXIS_ALGORITHMS` on conflict graphs (and the plain-graph family).
 
     ``wall_time_s`` times the solver on the mutable graph, which includes
     freezing it in ``repr`` order; ``kernel_wall_time_s`` times the same
@@ -221,7 +224,7 @@ def bench_maxis(
     records: List[Dict[str, object]] = []
     for label, graph, peak_triples in workloads:
         frozen = freeze_sorted(graph)
-        for name in algorithms:
+        for name in MAXIS_ALGORITHMS:
             solver = get_approximator(name)
             wall_s, result = _best_time(lambda: solver(graph), repeats)
             kernel_s, _ = _best_time(lambda: solver(frozen), repeats)
@@ -352,7 +355,6 @@ CAMPAIGN_BENCH_SHARDS = 2
 def bench_campaign(
     smoke: bool = False,
     repeats: int = 3,
-    worker_counts: Optional[Sequence[int]] = None,
 ) -> List[Dict[str, object]]:
     """Time campaign execution: serial vs. pools vs. shards vs. supervision.
 
@@ -396,8 +398,7 @@ def bench_campaign(
     )
 
     spec = _campaign_bench_spec(smoke)
-    if worker_counts is None:
-        worker_counts = CAMPAIGN_WORKER_COUNTS[:1] if smoke else CAMPAIGN_WORKER_COUNTS
+    worker_counts = CAMPAIGN_WORKER_COUNTS[:1] if smoke else CAMPAIGN_WORKER_COUNTS
 
     def summarize(store):
         rows = store.rows()

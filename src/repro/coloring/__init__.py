@@ -9,7 +9,6 @@ from repro.coloring.conflict_free import (
     is_conflict_free,
     is_happy,
     num_colors_used,
-    restrict_coloring,
     unhappy_edges,
     unique_color_vertices,
     verify_conflict_free_coloring,
@@ -17,16 +16,11 @@ from repro.coloring.conflict_free import (
 from repro.coloring.multicoloring import (
     Multicoloring,
     edge_color_census,
-    is_conflict_free_multicoloring,
     is_edge_happy,
     single_coloring_as_multicoloring,
     verify_conflict_free_multicoloring,
 )
-from repro.coloring.greedy import (
-    greedy_conflict_free_coloring,
-    proper_coloring_of_primal_graph,
-    unique_maximum_coloring_bound,
-)
+from repro.coloring.greedy import greedy_conflict_free_coloring
 from repro.coloring.interval import (
     canonical_point_order,
     divide_and_conquer_coloring,
@@ -44,19 +38,15 @@ __all__ = [
     "is_conflict_free",
     "is_happy",
     "num_colors_used",
-    "restrict_coloring",
     "unhappy_edges",
     "unique_color_vertices",
     "verify_conflict_free_coloring",
     "Multicoloring",
     "edge_color_census",
-    "is_conflict_free_multicoloring",
     "is_edge_happy",
     "single_coloring_as_multicoloring",
     "verify_conflict_free_multicoloring",
     "greedy_conflict_free_coloring",
-    "proper_coloring_of_primal_graph",
-    "unique_maximum_coloring_bound",
     "canonical_point_order",
     "divide_and_conquer_coloring",
     "interval_color_bound",

@@ -10,7 +10,7 @@ reduction only some edges are happy and uncolored vertices are denoted by
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional, Set
+from typing import Dict, Hashable, Optional, Set
 
 from repro.exceptions import ColoringError
 from repro.hypergraph.hypergraph import Hypergraph
@@ -174,11 +174,3 @@ def colors_used(coloring: Dict[Vertex, Color]) -> Set[Color]:
 def num_colors_used(coloring: Dict[Vertex, Color]) -> int:
     """Return the number of distinct real colors used."""
     return len(colors_used(coloring))
-
-
-def restrict_coloring(coloring: Dict[Vertex, Color], vertices: Iterable[Vertex]) -> Dict[Vertex, Color]:
-    """Restrict a coloring to ``vertices`` (dropping ``UNCOLORED`` entries)."""
-    keep = set(vertices)
-    return {
-        v: c for v, c in coloring.items() if v in keep and c is not UNCOLORED
-    }

@@ -1,8 +1,8 @@
-"""Centralized baselines for conflict-free coloring.
+"""A centralized baseline for conflict-free coloring.
 
-These are *not* part of the paper's reduction; they serve as reference
-points (how many colors does a direct greedy approach use versus the
-reduction's ``k·ρ`` budget?) and as generators of valid conflict-free
+This is *not* part of the paper's reduction; it serves as a reference
+point (how many colors does a direct greedy approach use versus the
+reduction's ``k·ρ`` budget?) and as a generator of valid conflict-free
 colorings for testing Lemma 2.1(a).
 """
 
@@ -19,23 +19,6 @@ from repro.exceptions import ColoringError
 from repro.hypergraph.hypergraph import Hypergraph
 
 Vertex = Hashable
-
-
-def proper_coloring_of_primal_graph(hypergraph: Hypergraph) -> Dict[Vertex, int]:
-    """Conflict-free coloring obtained from a proper coloring of the primal graph.
-
-    If all vertices of every hyperedge receive pairwise distinct colors then
-    trivially every edge is happy.  The number of colors is at most
-    ``Δ_primal + 1``, where ``Δ_primal`` is the maximum degree of the
-    2-section graph — usually far more colors than necessary, but always
-    correct; used as the "many colors, trivially conflict-free" baseline.
-    """
-    from repro.graphs.coloring import greedy_coloring
-
-    primal = hypergraph.primal_graph()
-    coloring = greedy_coloring(primal)
-    # Colors are shifted to start at 1 to match the paper's {1, …, k} convention.
-    return {v: c + 1 for v, c in coloring.items()}
 
 
 def greedy_conflict_free_coloring(
@@ -101,13 +84,3 @@ def greedy_conflict_free_coloring(
             coloring[v] = color
     verify_conflict_free_coloring(hypergraph, coloring)
     return coloring
-
-
-def unique_maximum_coloring_bound(hypergraph: Hypergraph) -> int:
-    """Crude upper bound on the number of colors any reasonable CF heuristic needs.
-
-    The primal-graph baseline gives ``Δ_primal + 1`` colors, which is an
-    upper bound on the conflict-free chromatic number; exposed for use in
-    benchmark tables.
-    """
-    return hypergraph.primal_graph().max_degree() + 1

@@ -10,7 +10,7 @@ color per vertex, drawn from a phase-private palette.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set
 
 from repro.exceptions import ColoringError
 from repro.hypergraph.hypergraph import Hypergraph
@@ -116,11 +116,6 @@ def happy_edges(hypergraph: Hypergraph, multicoloring: Multicoloring) -> Set:
 def unhappy_edges(hypergraph: Hypergraph, multicoloring: Multicoloring) -> Set:
     """Return the ids of edges *not* happy under the multicoloring."""
     return set(hypergraph.edge_ids) - happy_edges(hypergraph, multicoloring)
-
-
-def is_conflict_free_multicoloring(hypergraph: Hypergraph, multicoloring: Multicoloring) -> bool:
-    """Return ``True`` if every hyperedge is happy under the multicoloring."""
-    return not unhappy_edges(hypergraph, multicoloring)
 
 
 def verify_conflict_free_multicoloring(

@@ -29,8 +29,6 @@ from repro.core.bounds import (
     conflict_graph_vertex_count,
     expected_remaining_edges,
     is_polylog,
-    minimum_lambda_for_phase_count,
-    per_phase_removal_fraction,
     phase_budget,
 )
 from repro.core.certificates import (
@@ -63,8 +61,6 @@ __all__ = [
     "conflict_graph_vertex_count",
     "expected_remaining_edges",
     "is_polylog",
-    "minimum_lambda_for_phase_count",
-    "per_phase_removal_fraction",
     "phase_budget",
     "CertificateReport",
     "check_decay",

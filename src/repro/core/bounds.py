@@ -59,13 +59,6 @@ def expected_remaining_edges(m: int, lam: float, phase: int) -> float:
     return ((1.0 - 1.0 / lam) ** phase) * m
 
 
-def per_phase_removal_fraction(lam: float) -> float:
-    """Return the guaranteed per-phase removal fraction ``1/λ``."""
-    if lam < 1:
-        raise ReductionError(f"approximation factor must be ≥ 1, got {lam}")
-    return 1.0 / lam
-
-
 def conflict_graph_vertex_count(total_edge_size: int, k: int) -> int:
     """Return ``|V(G_k)| = k · Σ_e |e|``."""
     if k <= 0:
@@ -91,22 +84,10 @@ def is_polylog(value: float, n: int, exponent: float = 3.0, constant: float = 8.
     "Polylogarithmic" is an asymptotic notion; for finite instances this
     checks whether the measured quantity stays under a fixed reference
     envelope ``c · log^3`` (the color-budget check of
-    ``tests/test_paper_claims.py`` uses ``c = 32``).
+    ``tests/test_paper_claims.py`` uses ``c = 32``,
+    :meth:`~repro.reductions.framework.ReductionOverhead.is_polylog`
+    ``c = 16``).
     """
     if n < 2:
         return True
     return value <= constant * (math.log2(n) ** exponent)
-
-
-def minimum_lambda_for_phase_count(m: int, phases: int) -> float:
-    """Return the largest λ for which ``phases`` phases provably suffice.
-
-    Inverse of :func:`phase_budget` (up to rounding): solves
-    ``phases ≥ λ·ln(m) + 1``.  Useful when budgeting experiments backwards
-    from a wall-clock constraint.
-    """
-    if phases < 1:
-        raise ReductionError(f"phase count must be at least 1, got {phases}")
-    if m <= 1:
-        return float("inf")
-    return max(1.0, (phases - 1) / math.log(m))

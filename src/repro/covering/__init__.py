@@ -5,7 +5,6 @@ from repro.covering.dominating_set import (
     domination_number,
     exact_minimum_dominating_set,
     greedy_dominating_set,
-    is_dominating_set,
     slocal_dominating_set,
     verify_dominating_set,
 )
@@ -16,8 +15,6 @@ from repro.covering.set_cover import (
     greedy_set_cover,
     harmonic_number,
     hypergraph_vertex_cover_as_set_cover,
-    is_set_cover,
-    logarithmic_reference,
     set_cover_optimum,
     verify_set_cover,
 )
@@ -27,7 +24,6 @@ __all__ = [
     "domination_number",
     "exact_minimum_dominating_set",
     "greedy_dominating_set",
-    "is_dominating_set",
     "slocal_dominating_set",
     "verify_dominating_set",
     "SetCoverInstance",
@@ -36,8 +32,6 @@ __all__ = [
     "greedy_set_cover",
     "harmonic_number",
     "hypergraph_vertex_cover_as_set_cover",
-    "is_set_cover",
-    "logarithmic_reference",
     "set_cover_optimum",
     "verify_set_cover",
 ]

@@ -40,15 +40,6 @@ def verify_dominating_set(graph: Graph, candidate: Iterable[Vertex]) -> None:
             raise VerificationError(f"vertex {v!r} is not dominated")
 
 
-def is_dominating_set(graph: Graph, candidate: Iterable[Vertex]) -> bool:
-    """Boolean wrapper around :func:`verify_dominating_set`."""
-    try:
-        verify_dominating_set(graph, candidate)
-    except VerificationError:
-        return False
-    return True
-
-
 def greedy_dominating_set(graph: Graph) -> Set[Vertex]:
     """Greedy minimum-dominating-set approximation (factor ``ln Δ + 2``).
 

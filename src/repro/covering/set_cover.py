@@ -10,7 +10,6 @@ cover is set cover by incidence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Set
 
@@ -75,15 +74,6 @@ def verify_set_cover(instance: SetCoverInstance, chosen: Iterable[SetId]) -> Non
         raise VerificationError(
             f"{len(missing)} elements uncovered, e.g. {next(iter(missing))!r}"
         )
-
-
-def is_set_cover(instance: SetCoverInstance, chosen: Iterable[SetId]) -> bool:
-    """Boolean wrapper around :func:`verify_set_cover`."""
-    try:
-        verify_set_cover(instance, chosen)
-    except VerificationError:
-        return False
-    return True
 
 
 def greedy_set_cover(instance: SetCoverInstance) -> List[SetId]:
@@ -177,10 +167,3 @@ def harmonic_number(d: int) -> float:
     if d <= 0:
         return 0.0
     return sum(1.0 / i for i in range(1, d + 1))
-
-
-def logarithmic_reference(d: int) -> float:
-    """Return ``ln(d) + 1``, the textbook form of the greedy guarantee."""
-    if d <= 0:
-        return 1.0
-    return math.log(d) + 1.0

@@ -2,33 +2,16 @@
 
 from repro.graphs.graph import Graph
 from repro.graphs.indexed import IndexedGraph
-from repro.graphs.traversal import (
-    ball,
-    ball_subgraph,
-    bfs_distances,
-    connected_components,
-    diameter,
-    eccentricity,
-    is_connected,
-    shortest_path,
-    vertices_within_distance,
-)
+from repro.graphs.traversal import ball, bfs_distances, diameter
 from repro.graphs.generators import (
-    complete_bipartite_graph,
-    complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     erdos_renyi_graph,
     grid_graph,
     path_graph,
-    random_regular_graph,
     random_tree,
-    star_graph,
 )
 from repro.graphs.independent_sets import (
-    all_maximal_independent_sets,
-    approximation_ratio,
     greedy_maximal_independent_set,
     greedy_min_degree_independent_set,
     independence_number,
@@ -38,9 +21,6 @@ from repro.graphs.independent_sets import (
     verify_independent_set,
 )
 from repro.graphs.coloring import (
-    color_classes,
-    coloring_from_classes,
-    defective_edges,
     greedy_coloring,
     is_proper_coloring,
     num_colors,
@@ -51,27 +31,14 @@ __all__ = [
     "Graph",
     "IndexedGraph",
     "ball",
-    "ball_subgraph",
     "bfs_distances",
-    "connected_components",
     "diameter",
-    "eccentricity",
-    "is_connected",
-    "shortest_path",
-    "vertices_within_distance",
-    "complete_bipartite_graph",
-    "complete_graph",
     "cycle_graph",
-    "disjoint_union",
     "empty_graph",
     "erdos_renyi_graph",
     "grid_graph",
     "path_graph",
-    "random_regular_graph",
     "random_tree",
-    "star_graph",
-    "all_maximal_independent_sets",
-    "approximation_ratio",
     "greedy_maximal_independent_set",
     "greedy_min_degree_independent_set",
     "independence_number",
@@ -79,9 +46,6 @@ __all__ = [
     "luby_mis",
     "maximum_independent_set",
     "verify_independent_set",
-    "color_classes",
-    "coloring_from_classes",
-    "defective_edges",
     "greedy_coloring",
     "is_proper_coloring",
     "num_colors",

@@ -8,7 +8,7 @@ simulators implement the distributed variants.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional, Sequence, Set
+from typing import Dict, Hashable, Optional, Sequence, Set
 
 from repro.exceptions import ColoringError, GraphError
 from repro.graphs.graph import Graph
@@ -73,40 +73,3 @@ def greedy_coloring(
             color += 1
         coloring[v] = color
     return coloring
-
-
-def color_classes(coloring: Dict[Vertex, Color]) -> Dict[Color, Set[Vertex]]:
-    """Group vertices by color."""
-    classes: Dict[Color, Set[Vertex]] = {}
-    for v, c in coloring.items():
-        classes.setdefault(c, set()).add(v)
-    return classes
-
-
-def coloring_from_classes(classes: Dict[Color, Iterable[Vertex]]) -> Dict[Vertex, Color]:
-    """Inverse of :func:`color_classes`.
-
-    Raises
-    ------
-    ColoringError
-        If a vertex appears in more than one class.
-    """
-    coloring: Dict[Vertex, Color] = {}
-    for c, vs in classes.items():
-        for v in vs:
-            if v in coloring:
-                raise ColoringError(f"vertex {v!r} appears in classes {coloring[v]!r} and {c!r}")
-            coloring[v] = c
-    return coloring
-
-
-def defective_edges(graph: Graph, coloring: Dict[Vertex, Color]) -> Set[frozenset]:
-    """Return the set of monochromatic edges under a (possibly partial) coloring.
-
-    Uncolored vertices never contribute defective edges.
-    """
-    bad: Set[frozenset] = set()
-    for u, v in graph.edges():
-        if u in coloring and v in coloring and coloring[u] == coloring[v]:
-            bad.add(frozenset((u, v)))
-    return bad

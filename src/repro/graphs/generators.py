@@ -27,15 +27,6 @@ def empty_graph(n: int) -> Graph:
     return Graph(vertices=range(n))
 
 
-def complete_graph(n: int) -> Graph:
-    """Return the complete graph K_n on vertices ``0..n-1``."""
-    g = empty_graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v)
-    return g
-
-
 def path_graph(n: int) -> Graph:
     """Return the path P_n on vertices ``0..n-1``."""
     g = empty_graph(n)
@@ -50,27 +41,6 @@ def cycle_graph(n: int) -> Graph:
         raise GraphError(f"a cycle needs at least 3 vertices, got {n}")
     g = path_graph(n)
     g.add_edge(n - 1, 0)
-    return g
-
-
-def star_graph(n_leaves: int) -> Graph:
-    """Return a star with center ``0`` and leaves ``1..n_leaves``."""
-    if n_leaves < 0:
-        raise GraphError(f"n_leaves must be non-negative, got {n_leaves}")
-    g = empty_graph(n_leaves + 1)
-    for leaf in range(1, n_leaves + 1):
-        g.add_edge(0, leaf)
-    return g
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    """Return K_{a,b} with left part ``('L', i)`` and right part ``('R', j)``."""
-    if a < 0 or b < 0:
-        raise GraphError("part sizes must be non-negative")
-    g = Graph(vertices=[("L", i) for i in range(a)] + [("R", j) for j in range(b)])
-    for i in range(a):
-        for j in range(b):
-            g.add_edge(("L", i), ("R", j))
     return g
 
 
@@ -113,40 +83,6 @@ def erdos_renyi_graph(
     return g
 
 
-def random_regular_graph(
-    n: int, d: int, seed: Optional[Union[int, random.Random]] = None, max_tries: int = 200
-) -> Graph:
-    """Return a random (approximately uniform) ``d``-regular graph.
-
-    Uses the configuration model with restarts; requires ``n*d`` even and
-    ``d < n``.
-    """
-    if d < 0 or n < 0:
-        raise GraphError("n and d must be non-negative")
-    if d >= n and not (n == 0 and d == 0):
-        raise GraphError(f"degree d={d} must be smaller than n={n}")
-    if (n * d) % 2 != 0:
-        raise GraphError("n * d must be even for a d-regular graph to exist")
-    rng = _rng(seed)
-    for _ in range(max_tries):
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
-        g = empty_graph(n)
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or g.has_edge(u, v):
-                ok = False
-                break
-            g.add_edge(u, v)
-        if ok:
-            return g
-    raise GraphError(
-        f"failed to sample a simple {d}-regular graph on {n} vertices "
-        f"after {max_tries} attempts"
-    )
-
-
 def random_tree(n: int, seed: Optional[Union[int, random.Random]] = None) -> Graph:
     """Return a uniformly random labelled tree on ``0..n-1`` (Prüfer sequence)."""
     if n < 0:
@@ -173,14 +109,3 @@ def random_tree(n: int, seed: Optional[Union[int, random.Random]] = None) -> Gra
     last = [v for v in range(n) if degree[v] == 1]
     g.add_edge(last[0], last[1])
     return g
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    """Return the disjoint union; vertices are relabelled ``(index, vertex)``."""
-    result = Graph()
-    for idx, g in enumerate(graphs):
-        for v in g.vertices:
-            result.add_vertex((idx, v))
-        for u, v in g.edges():
-            result.add_edge((idx, u), (idx, v))
-    return result

@@ -9,7 +9,7 @@ reduction live in :mod:`repro.maxis`; they build on the primitives here.
 from __future__ import annotations
 
 import random
-from typing import Hashable, Iterable, List, Optional, Sequence, Set, Union
+from typing import Hashable, Iterable, Optional, Sequence, Set, Union
 
 from repro.exceptions import GraphError, IndependenceError
 from repro.graphs.graph import Graph
@@ -207,57 +207,3 @@ def maximum_independent_set(graph: Graph) -> Set[Vertex]:
 def independence_number(graph: Graph) -> int:
     """Return ``α(G)``, the size of a maximum independent set."""
     return len(maximum_independent_set(graph))
-
-
-def approximation_ratio(graph: Graph, candidate: Iterable[Vertex]) -> float:
-    """Return ``α(G) / |candidate|`` (the λ for which ``candidate`` is a λ-approx).
-
-    Raises
-    ------
-    IndependenceError
-        If ``candidate`` is not an independent set, or is empty while
-        ``α(G) > 0`` (in which case no finite ratio exists).
-    """
-    vset = set(candidate)
-    verify_independent_set(graph, vset)
-    alpha = independence_number(graph)
-    if alpha == 0:
-        return 1.0
-    if not vset:
-        raise IndependenceError("empty candidate cannot approximate a non-empty optimum")
-    return alpha / len(vset)
-
-
-def all_maximal_independent_sets(graph: Graph, limit: Optional[int] = None) -> List[Set[Vertex]]:
-    """Enumerate maximal independent sets (Bron–Kerbosch on the complement).
-
-    Parameters
-    ----------
-    graph:
-        Input graph.
-    limit:
-        Optional cap on the number of sets returned; enumeration stops once
-        the cap is reached.  Useful to keep tests bounded on dense graphs.
-    """
-    comp = graph.complement()
-    results: List[Set[Vertex]] = []
-
-    def bron_kerbosch(r: Set[Vertex], p: Set[Vertex], x: Set[Vertex]) -> bool:
-        """Return False to signal that the limit has been reached."""
-        if limit is not None and len(results) >= limit:
-            return False
-        if not p and not x:
-            results.append(set(r))
-            return True
-        pivot_pool = p | x
-        pivot = max(pivot_pool, key=lambda u: len(comp.neighbors(u) & p))
-        for v in list(p - comp.neighbors(pivot)):
-            if not bron_kerbosch(r | {v}, p & comp.neighbors(v), x & comp.neighbors(v)):
-                return False
-            p = p - {v}
-            x = x | {v}
-        return True
-
-    if graph.num_vertices() > 0:
-        bron_kerbosch(set(), graph.vertices, set())
-    return results

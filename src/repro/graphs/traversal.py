@@ -1,4 +1,4 @@
-"""Breadth-first traversal utilities: distances, balls and components.
+"""Breadth-first traversal utilities: distances, balls and the diameter.
 
 The SLOCAL model is defined in terms of *r-hop neighborhoods* ("balls"),
 so these helpers are the geometric backbone of the simulator in
@@ -8,7 +8,7 @@ so these helpers are the geometric backbone of the simulator in
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Set
+from typing import Dict, Hashable, Optional, Set
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
@@ -60,20 +60,6 @@ def ball(graph: Graph, center: Vertex, radius: int) -> Set[Vertex]:
     return set(bfs_distances(graph, center, radius=radius))
 
 
-def ball_subgraph(graph: Graph, center: Vertex, radius: int) -> Graph:
-    """Return the subgraph induced on the ``radius``-ball around ``center``.
-
-    This is exactly the topological information an SLOCAL algorithm with
-    locality ``radius`` may inspect when processing ``center``.
-    """
-    return graph.subgraph(ball(graph, center, radius))
-
-
-def eccentricity(graph: Graph, vertex: Vertex) -> int:
-    """Return the maximum distance from ``vertex`` to any reachable vertex."""
-    return max(bfs_distances(graph, vertex).values())
-
-
 def diameter(graph: Graph) -> int:
     """Return the diameter of a connected graph.
 
@@ -92,62 +78,3 @@ def diameter(graph: Graph) -> int:
             raise GraphError("diameter of a disconnected graph is undefined")
         best = max(best, max(dist.values()))
     return best
-
-
-def connected_components(graph: Graph) -> List[Set[Vertex]]:
-    """Return the connected components as a list of vertex sets."""
-    remaining = graph.vertices
-    components: List[Set[Vertex]] = []
-    while remaining:
-        start = next(iter(remaining))
-        comp = set(bfs_distances(graph, start))
-        components.append(comp)
-        remaining -= comp
-    return components
-
-
-def is_connected(graph: Graph) -> bool:
-    """Return ``True`` if the graph is connected (empty graphs count as connected)."""
-    if graph.num_vertices() == 0:
-        return True
-    return len(connected_components(graph)) == 1
-
-
-def shortest_path(graph: Graph, source: Vertex, target: Vertex) -> Optional[List[Vertex]]:
-    """Return one shortest path from ``source`` to ``target`` or ``None``.
-
-    The path is returned as a list of vertices including both endpoints.
-    """
-    if source not in graph:
-        raise GraphError(f"source vertex {source!r} not in graph")
-    if target not in graph:
-        raise GraphError(f"target vertex {target!r} not in graph")
-    if source == target:
-        return [source]
-    parents: Dict[Vertex, Vertex] = {}
-    queue = deque([source])
-    seen = {source}
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v in seen:
-                continue
-            parents[v] = u
-            if v == target:
-                path = [v]
-                while path[-1] != source:
-                    path.append(parents[path[-1]])
-                return list(reversed(path))
-            seen.add(v)
-            queue.append(v)
-    return None
-
-
-def vertices_within_distance(
-    graph: Graph, centers: Iterable[Vertex], radius: int
-) -> Set[Vertex]:
-    """Return the union of ``radius``-balls around every vertex in ``centers``."""
-    result: Set[Vertex] = set()
-    for c in centers:
-        result |= ball(graph, c, radius)
-    return result

@@ -1,35 +1,17 @@
-"""Hypergraph substrate: data structure, generators, operations, validation, IO."""
+"""Hypergraph substrate: data structure, generators, edge removal, IO."""
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.generators import (
     almost_uniform_hypergraph,
     colorable_almost_uniform_hypergraph,
-    graph_as_hypergraph,
     interval_hypergraph,
     random_interval_hypergraph,
     sunflower_hypergraph,
     uniform_random_hypergraph,
 )
-from repro.hypergraph.operations import (
-    disjoint_union,
-    dual_hypergraph,
-    edge_intersection_graph,
-    induced_subhypergraph,
-    remove_happy_edges,
-)
-from repro.hypergraph.validation import (
-    almost_uniformity_parameters,
-    has_polynomially_many_edges,
-    is_almost_uniform,
-    is_uniform,
-    validate_hypergraph,
-)
+from repro.hypergraph.operations import remove_happy_edges
 from repro.hypergraph.io import (
-    hypergraph_from_dict,
-    hypergraph_from_edge_lines,
-    hypergraph_from_json,
     hypergraph_to_dict,
-    hypergraph_to_edge_lines,
     hypergraph_to_json,
     reduction_result_from_dict,
     reduction_result_to_dict,
@@ -39,26 +21,12 @@ __all__ = [
     "Hypergraph",
     "almost_uniform_hypergraph",
     "colorable_almost_uniform_hypergraph",
-    "graph_as_hypergraph",
     "interval_hypergraph",
     "random_interval_hypergraph",
     "sunflower_hypergraph",
     "uniform_random_hypergraph",
-    "disjoint_union",
-    "dual_hypergraph",
-    "edge_intersection_graph",
-    "induced_subhypergraph",
     "remove_happy_edges",
-    "almost_uniformity_parameters",
-    "has_polynomially_many_edges",
-    "is_almost_uniform",
-    "is_uniform",
-    "validate_hypergraph",
-    "hypergraph_from_dict",
-    "hypergraph_from_edge_lines",
-    "hypergraph_from_json",
     "hypergraph_to_dict",
-    "hypergraph_to_edge_lines",
     "hypergraph_to_json",
     "reduction_result_from_dict",
     "reduction_result_to_dict",

@@ -200,14 +200,6 @@ def random_interval_hypergraph(
     return interval_hypergraph(points, intervals)
 
 
-def graph_as_hypergraph(graph) -> Hypergraph:
-    """View a simple graph as a 2-uniform hypergraph (edges become hyperedges)."""
-    h = Hypergraph(vertices=graph.vertices)
-    for i, (u, v) in enumerate(sorted(graph.edges(), key=repr)):
-        h.add_edge([u, v], edge_id=i)
-    return h
-
-
 def sunflower_hypergraph(n_petals: int, petal_size: int, core_size: int = 1) -> Hypergraph:
     """Return a sunflower: every pair of hyperedges intersects exactly in the core.
 

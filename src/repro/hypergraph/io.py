@@ -1,17 +1,19 @@
-"""(De)serialization of hypergraphs (and reduction results) to JSON-friendly data.
+"""JSON forms of hypergraphs and reduction results.
 
-Besides the hypergraph exchange format, this module round-trips
+:func:`hypergraph_to_json` is the canonical text of a hypergraph: the
+campaign runtime hashes it into each task's instance digest
+(:mod:`repro.runtime.tasks`).  This module also round-trips
 :class:`~repro.core.reduction.ReductionResult` — the campaign runtime's
 artifact store (:mod:`repro.runtime.store`) persists one such summary per
-task, so the helpers live here next to the other (de)serializers.
+task.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from repro.exceptions import HypergraphError, ReproError
+from repro.exceptions import ReproError
 from repro.hypergraph.hypergraph import Hypergraph
 
 
@@ -19,8 +21,8 @@ def hypergraph_to_dict(hypergraph: Hypergraph) -> Dict[str, object]:
     """Serialize a hypergraph whose vertices and edge ids are JSON-representable.
 
     The format is ``{"vertices": [...], "edges": [[edge_id, [members...]], ...]}``.
-    Vertices and edge ids must round-trip through JSON (ints, strings, …);
-    tuples are not supported by this exchange format.
+    Vertices and edge ids must be JSON-representable (ints, strings, …);
+    tuples are written as lists.
     """
     return {
         "vertices": sorted(hypergraph.vertices, key=repr),
@@ -28,35 +30,9 @@ def hypergraph_to_dict(hypergraph: Hypergraph) -> Dict[str, object]:
     }
 
 
-def hypergraph_from_dict(data: Dict[str, object]) -> Hypergraph:
-    """Inverse of :func:`hypergraph_to_dict`."""
-    if "edges" not in data:
-        raise HypergraphError("missing 'edges' key")
-    h = Hypergraph(vertices=data.get("vertices", ()))
-    for item in data["edges"]:
-        if len(item) != 2:
-            raise HypergraphError(f"edge entry must be [edge_id, members], got {item!r}")
-        edge_id, members = item
-        h.add_edge(members, edge_id=edge_id)
-    return h
-
-
 def hypergraph_to_json(hypergraph: Hypergraph) -> str:
     """Serialize to a JSON string."""
     return json.dumps(hypergraph_to_dict(hypergraph), sort_keys=True)
-
-
-def hypergraph_from_json(text: str) -> Hypergraph:
-    """Inverse of :func:`hypergraph_to_json`."""
-    return hypergraph_from_dict(json.loads(text))
-
-
-def hypergraph_to_edge_lines(hypergraph: Hypergraph) -> List[str]:
-    """Render one whitespace-separated line per hyperedge (vertices as ``str``).
-
-    Edge ids are not preserved; the line index becomes the edge id on parse.
-    """
-    return [" ".join(str(v) for v in sorted(members, key=repr)) for _, members in hypergraph.edges()]
 
 
 def _encode_atom(value):
@@ -165,26 +141,3 @@ def reduction_result_from_dict(data: Dict[str, Any]):
         phase_bound=data["phase_bound"],
         color_bound=data["color_bound"],
     )
-
-
-def hypergraph_from_edge_lines(lines) -> Hypergraph:
-    """Parse the format produced by :func:`hypergraph_to_edge_lines`.
-
-    Vertex tokens are parsed as ints when possible and kept as strings
-    otherwise.  Blank lines are skipped.
-    """
-    def parse_token(token: str):
-        try:
-            return int(token)
-        except ValueError:
-            return token
-
-    h = Hypergraph()
-    next_id = 0
-    for line in lines:
-        tokens = line.split()
-        if not tokens:
-            continue
-        h.add_edge([parse_token(t) for t in tokens], edge_id=next_id)
-        next_id += 1
-    return h

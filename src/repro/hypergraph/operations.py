@@ -1,13 +1,12 @@
-"""Structural operations on hypergraphs (restriction, traces, duals, unions)."""
+"""The per-phase edge removal of the rebuild reference path."""
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Set
+from typing import Hashable, Iterable
 
 from repro.exceptions import HypergraphError
 from repro.hypergraph.hypergraph import Hypergraph
 
-Vertex = Hashable
 EdgeId = Hashable
 
 
@@ -23,60 +22,3 @@ def remove_happy_edges(hypergraph: Hypergraph, happy_edges: Iterable[EdgeId]) ->
         raise HypergraphError(f"unknown edge ids: {sorted(unknown, key=repr)!r}")
     keep = [e for e in hypergraph.edge_ids if e not in happy]
     return hypergraph.restrict_to_edges(keep)
-
-
-def induced_subhypergraph(hypergraph: Hypergraph, vertices: Iterable[Vertex]) -> Hypergraph:
-    """Return the trace of ``H`` on ``vertices``: edges are intersected with the set.
-
-    Edges whose intersection is empty disappear; edge ids are preserved.
-    """
-    keep: Set[Vertex] = {v for v in vertices if hypergraph.has_vertex(v)}
-    h = Hypergraph(vertices=keep)
-    for e, members in hypergraph.edges():
-        trace = members & keep
-        if trace:
-            h.add_edge(trace, edge_id=e)
-    return h
-
-
-def dual_hypergraph(hypergraph: Hypergraph) -> Hypergraph:
-    """Return the dual hypergraph: vertices become edges and vice versa.
-
-    The dual's vertices are the original edge ids; for every original vertex
-    ``v`` with non-zero degree the dual has a hyperedge (with id ``v``)
-    consisting of the edges containing ``v``.
-    """
-    dual = Hypergraph(vertices=hypergraph.edge_ids)
-    for v in sorted(hypergraph.vertices, key=repr):
-        incident = hypergraph.edges_containing(v)
-        if incident:
-            dual.add_edge(incident, edge_id=v)
-    return dual
-
-
-def disjoint_union(*hypergraphs: Hypergraph) -> Hypergraph:
-    """Return the disjoint union; vertices and edge ids are prefixed with the index."""
-    result = Hypergraph()
-    for idx, h in enumerate(hypergraphs):
-        for v in sorted(h.vertices, key=repr):
-            result.add_vertex((idx, v))
-        for e, members in h.edges():
-            result.add_edge({(idx, v) for v in members}, edge_id=(idx, e))
-    return result
-
-
-def edge_intersection_graph(hypergraph: Hypergraph):
-    """Return the line (intersection) graph of the hypergraph.
-
-    Vertices are edge ids; two edge ids are adjacent iff the hyperedges
-    share at least one vertex.
-    """
-    from repro.graphs.graph import Graph
-
-    g = Graph(vertices=hypergraph.edge_ids)
-    edge_ids = hypergraph.edge_ids
-    for i, e in enumerate(edge_ids):
-        for f in edge_ids[i + 1:]:
-            if hypergraph.edge(e) & hypergraph.edge(f):
-                g.add_edge(e, f)
-    return g

@@ -8,14 +8,9 @@ from repro.maxis.approximators import (
     get_approximator,
     register_approximator,
 )
-from repro.maxis.exact import exact_maximum_independent_set, exact_via_networkx
-from repro.maxis.greedy import turan_guarantee, turan_lower_bound
-from repro.maxis.local_ratio import (
-    clique_cover_approximation,
-    clique_cover_number_upper_bound,
-    clique_cover_quality,
-    greedy_clique_cover,
-)
+from repro.maxis.exact import exact_via_networkx
+from repro.maxis.greedy import turan_guarantee
+from repro.maxis.local_ratio import clique_cover_approximation, greedy_clique_cover
 from repro.maxis.luby_based import luby_batch_mis_ids, luby_trial_seeds
 from repro.maxis.verification import (
     ApproximationReport,
@@ -29,13 +24,9 @@ __all__ = [
     "capped_oracle",
     "get_approximator",
     "register_approximator",
-    "exact_maximum_independent_set",
     "exact_via_networkx",
     "turan_guarantee",
-    "turan_lower_bound",
     "clique_cover_approximation",
-    "clique_cover_number_upper_bound",
-    "clique_cover_quality",
     "greedy_clique_cover",
     "luby_batch_mis_ids",
     "luby_trial_seeds",

@@ -29,8 +29,3 @@ def turan_guarantee(graph: Union[Graph, IndexedGraph]) -> float:
     ``α(G) ≤ n``, hence ``α(G) / |I| ≤ Δ + 1``.
     """
     return float(graph.max_degree() + 1)
-
-
-def turan_lower_bound(graph: Graph) -> float:
-    """Return the Turán lower bound ``Σ_v 1/(deg(v)+1)`` on ``α(G)``."""
-    return sum(1.0 / (graph.degree(v) + 1) for v in graph.vertices)

@@ -13,7 +13,7 @@ one triple per hyperedge clique mirrors the structure of Lemma 2.1(a).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Set
+from typing import Hashable, List, Set
 
 from repro.graphs.graph import Graph
 from repro.graphs.independent_sets import verify_independent_set
@@ -94,25 +94,3 @@ def clique_cover_ids(graph: IndexedGraph) -> List[int]:
                 chosen.append(v)
                 break
     return chosen
-
-
-def clique_cover_number_upper_bound(graph: Graph) -> int:
-    """Return the size of the greedy clique cover (an upper bound on α(G))."""
-    return len(greedy_clique_cover(graph))
-
-
-def clique_cover_quality(graph: Graph) -> Dict[str, float]:
-    """Return diagnostics of the clique-cover approximation on ``graph``.
-
-    Keys: ``cliques`` (cover size), ``selected`` (independent-set size) and
-    ``certified_ratio`` (cover size / selected size — an *upper bound* on
-    the true approximation factor, available without solving MaxIS exactly).
-    """
-    cliques = greedy_clique_cover(graph)
-    selected = clique_cover_approximation(graph)
-    ratio = float(len(cliques)) / len(selected) if selected else float("inf")
-    return {
-        "cliques": float(len(cliques)),
-        "selected": float(len(selected)),
-        "certified_ratio": ratio,
-    }

@@ -16,16 +16,10 @@ from repro.reductions.problems import (
     VERTEX_COLORING,
     cf_multicoloring_to_maxis_reduction,
     polylog_lambda,
-    recommended_color_budget,
-    theoretical_oracle_calls,
 )
 from repro.reductions.registry import (
     CompletenessFact,
     CompletenessStatus,
-    all_facts,
-    complete_problems,
-    fact_for,
-    facts_by_status,
     summary_table,
 )
 
@@ -43,13 +37,7 @@ __all__ = [
     "VERTEX_COLORING",
     "cf_multicoloring_to_maxis_reduction",
     "polylog_lambda",
-    "recommended_color_budget",
-    "theoretical_oracle_calls",
     "CompletenessFact",
     "CompletenessStatus",
-    "all_facts",
-    "complete_problems",
-    "fact_for",
-    "facts_by_status",
     "summary_table",
 ]

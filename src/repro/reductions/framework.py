@@ -20,10 +20,10 @@ concrete instances for the problems mentioned in the paper live in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.bounds import is_polylog
 from repro.exceptions import ReductionError, VerificationError
 
 
@@ -78,16 +78,15 @@ class ReductionOverhead:
     instance_blowup: float = 1.0
 
     def is_polylog(self, n: int, exponent: float = 3.0, constant: float = 16.0) -> bool:
-        """Whether every overhead component fits under ``c·log(n)^exponent``.
+        """Whether every overhead component fits under ``c·log2(n)^exponent``.
 
         The instance blow-up is allowed to be polynomial (local reductions
         may construct polynomially larger virtual graphs); only the number
         of oracle calls and the locality factor must stay polylogarithmic.
         """
-        if n < 2:
-            return True
-        envelope = constant * (math.log2(n) ** exponent)
-        return self.oracle_calls <= envelope and self.locality_factor <= envelope
+        return is_polylog(self.oracle_calls, n, exponent, constant) and is_polylog(
+            self.locality_factor, n, exponent, constant
+        )
 
 
 @dataclass

@@ -20,12 +20,11 @@ import math
 from typing import Any, Callable, Dict, Set, Tuple
 
 from repro.coloring.multicoloring import verify_conflict_free_multicoloring
-from repro.core.bounds import phase_budget
 from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS
 from repro.exceptions import IndependenceError, ReductionError, VerificationError
 from repro.graphs.coloring import verify_proper_coloring
 from repro.graphs.graph import Graph
-from repro.graphs.independent_sets import is_maximal_independent_set, verify_independent_set
+from repro.graphs.independent_sets import is_maximal_independent_set
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.maxis.verification import require_approximation
 from repro.reductions.framework import (
@@ -203,21 +202,12 @@ def cf_multicoloring_to_maxis_reduction(k: int, lam: float) -> LocalReduction:
     )
 
 
-def theoretical_oracle_calls(lam: float, m: int) -> int:
-    """Upper bound on the oracle calls the reduction makes: one per phase, ``≤ ρ``."""
-    return phase_budget(lam, m)
-
-
-def recommended_color_budget(k: int, lam: float, m: int) -> int:
-    """The ``k·ρ`` color budget to pass as part of a CF-multicoloring instance."""
-    return k * phase_budget(lam, m)
-
-
 def polylog_lambda(n: int, exponent: float = 2.0) -> float:
     """A concrete polylogarithmic approximation factor ``max(1, log2(n)^exponent)``.
 
-    Used by examples and benchmarks to instantiate "polylogarithmic MaxIS
-    approximation" for finite n.
+    Instantiates "polylogarithmic MaxIS approximation" for finite n: the E6
+    claim test holds every oracle's ratio on a conflict graph ``G_k`` to
+    ``polylog_lambda(|V(G_k)|)``.
     """
     if n < 2:
         return 1.0

@@ -2,16 +2,17 @@
 
 The paper situates its result in a landscape of known facts about the
 class P-SLOCAL.  This registry records those facts (with their sources) in
-a machine-readable form so that examples and documentation can query them,
-and so the library has one authoritative statement of *which* result is
-reproduced here (``maxis-approx`` completeness, Theorem 1.1).
+a machine-readable form that the CLI and the examples print
+(:func:`summary_table`), and so the library has one authoritative
+statement of *which* result is reproduced here (``maxis-approx``
+completeness, Theorem 1.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class CompletenessStatus(Enum):
@@ -94,29 +95,6 @@ _FACTS: List[CompletenessFact] = [
         ),
     ),
 ]
-
-
-def all_facts() -> List[CompletenessFact]:
-    """Return every recorded fact (a copy)."""
-    return list(_FACTS)
-
-
-def facts_by_status(status: CompletenessStatus) -> List[CompletenessFact]:
-    """Return every fact with the given status."""
-    return [f for f in _FACTS if f.status is status]
-
-
-def fact_for(problem: str) -> Optional[CompletenessFact]:
-    """Return the recorded fact for ``problem`` (or ``None``)."""
-    for f in _FACTS:
-        if f.problem == problem:
-            return f
-    return None
-
-
-def complete_problems() -> List[str]:
-    """Return the names of all problems recorded as P-SLOCAL-complete."""
-    return [f.problem for f in facts_by_status(CompletenessStatus.COMPLETE)]
 
 
 def summary_table() -> List[Dict[str, str]]:

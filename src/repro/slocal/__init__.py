@@ -15,11 +15,8 @@ from repro.slocal.algorithms import (
     SLOCALDistanceColoring,
     SLOCALGreedyColoring,
     SLOCALMIS,
-    SLOCALRuling,
-    slocal_distance_coloring,
     slocal_greedy_coloring,
     slocal_mis,
-    slocal_ruling_set,
 )
 from repro.slocal.hypergraph_algorithms import (
     slocal_primal_conflict_free_coloring,
@@ -42,11 +39,8 @@ __all__ = [
     "SLOCALDistanceColoring",
     "SLOCALGreedyColoring",
     "SLOCALMIS",
-    "SLOCALRuling",
-    "slocal_distance_coloring",
     "slocal_greedy_coloring",
     "slocal_mis",
-    "slocal_ruling_set",
     "slocal_primal_conflict_free_coloring",
     "slocal_unique_witness_coloring",
 ]

@@ -5,7 +5,7 @@
   and join the set if no already-processed neighbor has joined.
 * :class:`SLOCALGreedyColoring` — the locality-1 greedy (Δ+1)-coloring.
 * :class:`SLOCALDistanceColoring` — greedy coloring of the distance-r power
-  graph with locality r (used by the network-decomposition substrate).
+  graph with locality r.
 * :func:`slocal_mis`, :func:`slocal_greedy_coloring` — convenience wrappers
   returning plain Python structures.
 """
@@ -62,10 +62,11 @@ class SLOCALGreedyColoring(SLOCALAlgorithm):
 class SLOCALDistanceColoring(SLOCALAlgorithm):
     """Greedy coloring of the distance-``d`` power graph, with locality ``d``.
 
-    Two nodes within hop distance ``d`` receive different colors.  Used as
-    the clustering primitive of the network-decomposition substrate: the
+    Two nodes within hop distance ``d`` receive different colors.  The
     color classes of a distance-(2r+1) coloring can be grown into clusters
-    of radius r that form a proper cluster coloring.
+    of radius r that form a proper cluster coloring; the
+    network-decomposition substrate (:mod:`repro.decomposition`) carves
+    its clusters from balls instead.
     """
 
     name = "slocal-distance-coloring"
@@ -87,28 +88,6 @@ class SLOCALDistanceColoring(SLOCALAlgorithm):
         return color
 
 
-class SLOCALRuling(SLOCALAlgorithm):
-    """Compute a (2, r)-ruling-set-style dominating set with locality ``r``.
-
-    A node joins iff no already-processed node within distance ``r`` has
-    joined.  For ``r = 1`` this coincides with :class:`SLOCALMIS`.
-    """
-
-    name = "slocal-ruling-set"
-
-    def __init__(self, radius: int = 1) -> None:
-        if radius < 1:
-            raise ValueError(f"radius must be at least 1, got {radius}")
-        self.radius = radius
-        self.locality = radius
-
-    def process(self, view: LocalView, state: NodeState) -> bool:
-        for u in view.vertices:
-            if u != view.center and view.is_processed(u) and view.output_of(u) is True:
-                return False
-        return True
-
-
 # ----------------------------------------------------------------------
 # Convenience wrappers
 # ----------------------------------------------------------------------
@@ -124,19 +103,3 @@ def slocal_greedy_coloring(
     """Run :class:`SLOCALGreedyColoring` and return the coloring."""
     result = SLOCALEngine(graph).run(SLOCALGreedyColoring(), order=order)
     return dict(result.outputs)
-
-
-def slocal_distance_coloring(
-    graph: Graph, distance: int, order: Optional[Sequence[Vertex]] = None
-) -> Dict[Vertex, int]:
-    """Run :class:`SLOCALDistanceColoring` and return the coloring."""
-    result = SLOCALEngine(graph).run(SLOCALDistanceColoring(distance), order=order)
-    return dict(result.outputs)
-
-
-def slocal_ruling_set(
-    graph: Graph, radius: int = 1, order: Optional[Sequence[Vertex]] = None
-) -> Set[Vertex]:
-    """Run :class:`SLOCALRuling` and return the selected vertex set."""
-    result = SLOCALEngine(graph).run(SLOCALRuling(radius), order=order)
-    return {v for v, joined in result.outputs.items() if joined}

@@ -11,7 +11,7 @@ is how the engine measures/validates the locality of an algorithm.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Set
+from typing import Any, Hashable, Set
 
 from repro.exceptions import LocalityViolation
 from repro.graphs.graph import Graph

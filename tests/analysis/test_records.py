@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.analysis.records import (
-    ExperimentRecord,
-    read_records,
-    record_model_gap,
-    record_oracle_quality,
-    record_phase_decay,
-    write_records,
-)
+from repro.analysis.records import ExperimentRecord, write_records
 from repro.exceptions import ReproError
-from repro.graphs import cycle_graph, erdos_renyi_graph
-from repro.hypergraph import colorable_almost_uniform_hypergraph
-from repro.maxis import get_approximator
 
 
 class TestRecordModel:
@@ -44,36 +36,5 @@ class TestRecordModel:
         ]
         path = tmp_path / "records.json"
         write_records(records, str(path))
-        back = read_records(str(path))
+        back = [ExperimentRecord.from_dict(item) for item in json.loads(path.read_text())]
         assert back == records
-
-    def test_read_rejects_non_list_documents(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"not": "a list"}')
-        with pytest.raises(ReproError):
-            read_records(str(path))
-
-
-class TestRunners:
-    def test_record_phase_decay(self):
-        hypergraph, _ = colorable_almost_uniform_hypergraph(n=20, m=12, k=2, seed=91)
-        record = record_phase_decay(
-            hypergraph, k=2, approximator=get_approximator("greedy-min-degree"), lam=4.0,
-            label="unit-test",
-        )
-        assert record.experiment == "E3"
-        assert record.metadata["m"] == 12
-        assert record.rows
-        assert record.rows[-1]["edges_after"] == 0
-        # JSON-serializable end to end.
-        ExperimentRecord.from_json(record.to_json())
-
-    def test_record_oracle_quality(self):
-        graph = erdos_renyi_graph(14, 0.3, seed=92)
-        record = record_oracle_quality(graph, names=["exact", "greedy-min-degree"])
-        assert {row["approximator"] for row in record.rows} == {"exact", "greedy-min-degree"}
-
-    def test_record_model_gap(self):
-        record = record_model_gap([("cycle", cycle_graph(12))], seed=5)
-        assert record.rows[0]["graph"] == "cycle"
-        assert record.rows[0]["slocal_valid"] == 1.0

@@ -12,8 +12,6 @@ from repro.coloring import (
     interval_conflict_free_coloring,
     is_interval_hypergraph,
     num_colors_used,
-    proper_coloring_of_primal_graph,
-    unique_maximum_coloring_bound,
     verify_conflict_free_coloring,
 )
 from repro.coloring.interval import canonical_point_order, divide_and_conquer_coloring
@@ -26,22 +24,6 @@ from repro.hypergraph import (
 )
 
 from tests.conftest import hypergraphs
-
-
-class TestPrimalBaseline:
-    def test_primal_coloring_is_conflict_free(self, small_hypergraph):
-        coloring = proper_coloring_of_primal_graph(small_hypergraph)
-        verify_conflict_free_coloring(small_hypergraph, coloring, require_total=True)
-
-    def test_primal_coloring_respects_bound(self, small_hypergraph):
-        coloring = proper_coloring_of_primal_graph(small_hypergraph)
-        assert num_colors_used(coloring) <= unique_maximum_coloring_bound(small_hypergraph)
-
-    @given(hypergraphs())
-    @settings(max_examples=25, deadline=None)
-    def test_primal_coloring_property(self, h):
-        coloring = proper_coloring_of_primal_graph(h)
-        verify_conflict_free_coloring(h, coloring)
 
 
 class TestGreedyCF:

@@ -14,7 +14,6 @@ from repro.coloring import (
     is_conflict_free,
     is_happy,
     num_colors_used,
-    restrict_coloring,
     unhappy_edges,
     unique_color_vertices,
     verify_conflict_free_coloring,
@@ -96,10 +95,6 @@ class TestHelpers:
     def test_colors_used_ignores_uncolored(self):
         assert colors_used({0: 1, 1: UNCOLORED, 2: 2}) == {1, 2}
         assert num_colors_used({0: 1, 1: 1}) == 1
-
-    def test_restrict_coloring(self):
-        restricted = restrict_coloring({0: 1, 1: 2, 2: UNCOLORED}, {1, 2})
-        assert restricted == {1: 2}
 
 
 class TestPlantedColoringsProperty:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.coloring import conflict_free as cf
 from repro.coloring import multicoloring as mc
+from repro.exceptions import ColoringError
 from repro.hypergraph import Hypergraph, uniform_random_hypergraph
 
 
@@ -35,7 +36,6 @@ class TestEmptyHypergraph:
         empty = mc.Multicoloring()
         assert mc.happy_edges(h, empty) == set()
         assert mc.unhappy_edges(h, empty) == set()
-        assert mc.is_conflict_free_multicoloring(h, empty)
         mc.verify_conflict_free_multicoloring(h, empty, max_total_colors=0)
 
 
@@ -54,7 +54,8 @@ class TestSingleVertexEdges:
         # Edge "b" sees color 1 twice; the singletons each see it once.
         assert mc.happy_edges(h, coloring) == {"a", "c"}
         assert mc.unhappy_edges(h, coloring) == {"b"}
-        assert not mc.is_conflict_free_multicoloring(h, coloring)
+        with pytest.raises(ColoringError):
+            mc.verify_conflict_free_multicoloring(h, coloring)
         coloring.add_color(1, 2)
         assert mc.happy_edges(h, coloring) == {"a", "b", "c"}
         mc.verify_conflict_free_multicoloring(h, coloring)
@@ -104,4 +105,8 @@ class TestUnhappyComplementIdentity:
         unhappy = mc.unhappy_edges(h, coloring)
         assert happy | unhappy == set(h.edge_ids), f"[seed={seed}]"
         assert happy & unhappy == set(), f"[seed={seed}]"
-        assert mc.is_conflict_free_multicoloring(h, coloring) == (not unhappy)
+        if unhappy:
+            with pytest.raises(ColoringError):
+                mc.verify_conflict_free_multicoloring(h, coloring)
+        else:
+            mc.verify_conflict_free_multicoloring(h, coloring)

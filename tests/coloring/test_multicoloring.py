@@ -7,7 +7,6 @@ import pytest
 from repro.coloring import (
     Multicoloring,
     edge_color_census,
-    is_conflict_free_multicoloring,
     is_edge_happy,
     single_coloring_as_multicoloring,
     verify_conflict_free_multicoloring,
@@ -62,7 +61,7 @@ class TestHappiness:
         assert is_edge_happy(pair_hypergraph, mc, 0)
         # Edge 1 = {1,2,3}: 'r' once (vertex 1) -> happy.
         assert is_edge_happy(pair_hypergraph, mc, 1)
-        assert is_conflict_free_multicoloring(pair_hypergraph, mc)
+        verify_conflict_free_multicoloring(pair_hypergraph, mc)
 
     def test_census_counts_multicolor_vertices_once_per_color(self, pair_hypergraph):
         mc = Multicoloring({1: ["r", "g"], 2: ["r"]})
@@ -72,7 +71,8 @@ class TestHappiness:
     def test_all_shared_colors_is_unhappy(self, pair_hypergraph):
         mc = Multicoloring({0: ["r"], 1: ["r"], 2: ["r"], 3: ["r"]})
         assert not is_edge_happy(pair_hypergraph, mc, 0)
-        assert not is_conflict_free_multicoloring(pair_hypergraph, mc)
+        with pytest.raises(ColoringError):
+            verify_conflict_free_multicoloring(pair_hypergraph, mc)
 
 
 class TestVerification:

@@ -1,15 +1,97 @@
-"""Shared fixtures and hypothesis strategies for the test suite."""
+"""Shared fixtures, graph builders and hypothesis strategies for the test suite."""
 
 from __future__ import annotations
 
 import random
+from typing import List, Set
 
 import pytest
 from hypothesis import strategies as st
 
 from repro.bench import hypergraph_family
-from repro.graphs import Graph, erdos_renyi_graph
+from repro.exceptions import GraphError
+from repro.graphs import Graph, bfs_distances, empty_graph, erdos_renyi_graph
 from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
+
+
+# ----------------------------------------------------------------------
+# Graph and hypergraph helpers (only the tests use them)
+# ----------------------------------------------------------------------
+def complete_graph(n: int) -> Graph:
+    """Return the complete graph K_n on vertices ``0..n-1``."""
+    g = empty_graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            g.add_edge(u, v)
+    return g
+
+
+def star_graph(n_leaves: int) -> Graph:
+    """Return a star with center ``0`` and leaves ``1..n_leaves``."""
+    if n_leaves < 0:
+        raise GraphError(f"n_leaves must be non-negative, got {n_leaves}")
+    g = empty_graph(n_leaves + 1)
+    for leaf in range(1, n_leaves + 1):
+        g.add_edge(0, leaf)
+    return g
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    """Return K_{a,b} with left part ``('L', i)`` and right part ``('R', j)``."""
+    if a < 0 or b < 0:
+        raise GraphError("part sizes must be non-negative")
+    g = Graph(vertices=[("L", i) for i in range(a)] + [("R", j) for j in range(b)])
+    for i in range(a):
+        for j in range(b):
+            g.add_edge(("L", i), ("R", j))
+    return g
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """Return the disjoint union; vertices are relabelled ``(index, vertex)``."""
+    result = Graph()
+    for idx, g in enumerate(graphs):
+        for v in g.vertices:
+            result.add_vertex((idx, v))
+        for u, v in g.edges():
+            result.add_edge((idx, u), (idx, v))
+    return result
+
+
+def connected_components(graph: Graph) -> List[Set]:
+    """Return the connected components as a list of vertex sets."""
+    remaining = graph.vertices
+    components: List[Set] = []
+    while remaining:
+        start = next(iter(remaining))
+        comp = set(bfs_distances(graph, start))
+        components.append(comp)
+        remaining -= comp
+    return components
+
+
+def is_connected(graph: Graph) -> bool:
+    """Return ``True`` if the graph is connected (empty graphs count as connected)."""
+    if graph.num_vertices() == 0:
+        return True
+    return len(connected_components(graph)) == 1
+
+
+def assert_consistent_hypergraph(h: Hypergraph) -> None:
+    """Every edge is a non-empty set of vertices, and the incidence index agrees with the edges."""
+    vertices = h.vertices
+    for e, members in h.edges():
+        assert members and members <= vertices, e
+    for v in vertices:
+        assert h.edges_containing(v) == {e for e, members in h.edges() if v in members}, v
+
+
+def graph_as_hypergraph(graph) -> Hypergraph:
+    """View a simple graph as a 2-uniform hypergraph (edges become hyperedges)."""
+    h = Hypergraph(vertices=graph.vertices)
+    for i, (u, v) in enumerate(sorted(graph.edges(), key=repr)):
+        h.add_edge([u, v], edge_id=i)
+    return h
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,6 @@ from repro.core import (
     conflict_graph_vertex_count,
     expected_remaining_edges,
     is_polylog,
-    minimum_lambda_for_phase_count,
-    per_phase_removal_fraction,
     phase_budget,
 )
 from repro.exceptions import ReductionError
@@ -76,11 +74,6 @@ class TestDecayHelpers:
         assert values == sorted(values, reverse=True)
         assert values[0] == 100
 
-    def test_per_phase_removal_fraction(self):
-        assert per_phase_removal_fraction(4.0) == 0.25
-        with pytest.raises(ReductionError):
-            per_phase_removal_fraction(0.9)
-
     def test_expected_remaining_invalid_inputs(self):
         with pytest.raises(ReductionError):
             expected_remaining_edges(10, 0.5, 1)
@@ -88,17 +81,6 @@ class TestDecayHelpers:
             expected_remaining_edges(10, 2.0, -1)
         with pytest.raises(ReductionError):
             expected_remaining_edges(-1, 2.0, 1)
-
-    def test_minimum_lambda_inverts_phase_budget(self):
-        m = 200
-        lam = minimum_lambda_for_phase_count(m, phases=30)
-        assert phase_budget(lam, m) <= 31  # ceiling slack of one phase
-
-    def test_minimum_lambda_edge_cases(self):
-        assert minimum_lambda_for_phase_count(1, 5) == float("inf")
-        assert minimum_lambda_for_phase_count(100, 1) == 1.0
-        with pytest.raises(ReductionError):
-            minimum_lambda_for_phase_count(10, 0)
 
 
 class TestConflictGraphSizeBounds:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coloring import is_conflict_free_multicoloring, verify_conflict_free_multicoloring
+from repro.coloring import verify_conflict_free_multicoloring
 from repro.core import (
     ConflictFreeMulticoloringViaMaxIS,
     phase_budget,
@@ -63,7 +63,7 @@ class TestBasicRuns:
         weak = solve_conflict_free_multicoloring(
             hypergraph, k=3, approximator=_weak_oracle(0.3), lam=4.0
         )
-        assert is_conflict_free_multicoloring(hypergraph, weak.multicoloring)
+        verify_conflict_free_multicoloring(hypergraph, weak.multicoloring)
         assert weak.num_phases >= strong.num_phases
         assert weak.total_colors >= strong.total_colors
 

@@ -13,29 +13,19 @@ from repro.covering import (
     domination_number,
     exact_minimum_dominating_set,
     greedy_dominating_set,
-    is_dominating_set,
     slocal_dominating_set,
     verify_dominating_set,
 )
 from repro.exceptions import GraphError, VerificationError
-from repro.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    erdos_renyi_graph,
-    grid_graph,
-    path_graph,
-    star_graph,
-)
+from repro.graphs import Graph, cycle_graph, erdos_renyi_graph, grid_graph, path_graph
 
-from tests.conftest import graphs
+from tests.conftest import complete_graph, graphs, star_graph
 
 
 class TestVerification:
     def test_accepts_valid_dominating_set(self):
         g = star_graph(5)
         verify_dominating_set(g, {0})
-        assert is_dominating_set(g, {0})
 
     def test_rejects_non_dominating_set(self):
         g = path_graph(5)

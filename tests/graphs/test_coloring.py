@@ -7,20 +7,15 @@ from hypothesis import given, settings
 
 from repro.exceptions import ColoringError, GraphError
 from repro.graphs import (
-    color_classes,
-    coloring_from_classes,
-    complete_graph,
     cycle_graph,
-    defective_edges,
     greedy_coloring,
     is_proper_coloring,
     num_colors,
     path_graph,
-    star_graph,
     verify_proper_coloring,
 )
 
-from tests.conftest import graphs
+from tests.conftest import complete_graph, graphs, star_graph
 
 
 class TestVerification:
@@ -77,21 +72,3 @@ class TestGreedy:
         if g.num_vertices():
             assert num_colors(coloring) <= g.max_degree() + 1
 
-
-class TestClassesAndDefects:
-    def test_color_classes_round_trip(self):
-        coloring = {0: 0, 1: 1, 2: 0}
-        assert coloring_from_classes(color_classes(coloring)) == coloring
-
-    def test_coloring_from_overlapping_classes_raises(self):
-        with pytest.raises(ColoringError):
-            coloring_from_classes({0: [1, 2], 1: [2]})
-
-    def test_defective_edges_counts_monochromatic_only(self):
-        g = path_graph(4)
-        bad = defective_edges(g, {0: 1, 1: 1, 2: 2, 3: 2})
-        assert bad == {frozenset({0, 1}), frozenset({2, 3})}
-
-    def test_defective_edges_ignores_uncolored(self):
-        g = path_graph(3)
-        assert defective_edges(g, {0: 1}) == set()

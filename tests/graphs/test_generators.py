@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graphs import (
-    complete_bipartite_graph,
-    complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     erdos_renyi_graph,
     grid_graph,
-    is_connected,
     path_graph,
-    random_regular_graph,
     random_tree,
+)
+
+from tests.conftest import (
+    complete_bipartite_graph,
+    complete_graph,
+    disjoint_union,
+    is_connected,
     star_graph,
 )
 
@@ -82,18 +84,6 @@ class TestRandomGenerators:
         rng = random.Random(7)
         g = erdos_renyi_graph(10, 0.5, seed=rng)
         assert g.num_vertices() == 10
-
-    def test_random_regular_graph_degrees(self):
-        g = random_regular_graph(12, 3, seed=5)
-        assert all(g.degree(v) == 3 for v in g.vertices)
-
-    def test_random_regular_parity_check(self):
-        with pytest.raises(GraphError):
-            random_regular_graph(5, 3)
-
-    def test_random_regular_degree_too_large(self):
-        with pytest.raises(GraphError):
-            random_regular_graph(4, 4)
 
     def test_random_tree_is_tree(self):
         g = random_tree(15, seed=3)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.graphs import Graph, complete_graph, erdos_renyi_graph
+from repro.graphs import Graph, erdos_renyi_graph
 
-from tests.conftest import graphs
+from tests.conftest import complete_graph, graphs
 
 
 class TestConstruction:

@@ -8,10 +8,6 @@ from hypothesis import given, settings
 from repro.exceptions import GraphError, IndependenceError
 from repro.graphs import (
     Graph,
-    all_maximal_independent_sets,
-    approximation_ratio,
-    complete_bipartite_graph,
-    complete_graph,
     cycle_graph,
     empty_graph,
     greedy_maximal_independent_set,
@@ -20,12 +16,11 @@ from repro.graphs import (
     is_maximal_independent_set,
     maximum_independent_set,
     path_graph,
-    star_graph,
     verify_independent_set,
 )
 from repro.maxis.exact import exact_via_networkx
 
-from tests.conftest import graphs
+from tests.conftest import complete_bipartite_graph, complete_graph, graphs, star_graph
 
 
 class TestVerification:
@@ -111,44 +106,3 @@ class TestExact:
         greedy = greedy_min_degree_independent_set(g) if g.num_vertices() else set()
         assert independence_number(g) >= len(greedy)
 
-
-class TestApproximationRatio:
-    def test_perfect_ratio(self):
-        g = path_graph(5)
-        assert approximation_ratio(g, {0, 2, 4}) == 1.0
-
-    def test_ratio_of_suboptimal_set(self):
-        g = star_graph(4)
-        assert approximation_ratio(g, {0}) == 4.0
-
-    def test_empty_candidate_on_nonempty_graph_raises(self):
-        with pytest.raises(IndependenceError):
-            approximation_ratio(path_graph(3), set())
-
-    def test_empty_graph_ratio_is_one(self):
-        assert approximation_ratio(Graph(), set()) == 1.0
-
-
-class TestEnumeration:
-    def test_all_maximal_independent_sets_of_path(self):
-        g = path_graph(3)
-        sets = all_maximal_independent_sets(g)
-        assert {frozenset(s) for s in sets} == {frozenset({0, 2}), frozenset({1})}
-
-    def test_limit_caps_enumeration(self):
-        g = complete_bipartite_graph(4, 4)
-        sets = all_maximal_independent_sets(g, limit=1)
-        assert len(sets) == 1
-
-    def test_every_enumerated_set_is_maximal(self, random_graph):
-        for s in all_maximal_independent_sets(random_graph, limit=20):
-            assert is_maximal_independent_set(random_graph, s)
-
-    @given(graphs(max_n=9))
-    @settings(max_examples=20, deadline=None)
-    def test_maximum_is_among_maximal(self, g):
-        if g.num_vertices() == 0:
-            return
-        alpha = independence_number(g)
-        sets = all_maximal_independent_sets(g)
-        assert max(len(s) for s in sets) == alpha

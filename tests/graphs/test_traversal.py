@@ -1,4 +1,4 @@
-"""Tests for BFS distances, balls, components and shortest paths."""
+"""Tests for BFS distances, balls, the diameter and the components helper."""
 
 from __future__ import annotations
 
@@ -6,25 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.exceptions import GraphError
-from repro.graphs import (
-    Graph,
-    ball,
-    ball_subgraph,
-    bfs_distances,
-    complete_graph,
-    connected_components,
-    cycle_graph,
-    diameter,
-    eccentricity,
-    grid_graph,
-    is_connected,
-    path_graph,
-    shortest_path,
-    star_graph,
-    vertices_within_distance,
-)
+from repro.graphs import Graph, ball, bfs_distances, cycle_graph, diameter, grid_graph, path_graph
 
-from tests.conftest import graphs
+from tests.conftest import complete_graph, connected_components, graphs, is_connected, star_graph
 
 
 class TestBFS:
@@ -61,23 +45,10 @@ class TestBalls:
         with pytest.raises(GraphError):
             ball(path_graph(3), 0, -1)
 
-    def test_ball_subgraph_contains_only_ball_edges(self):
-        g = path_graph(6)
-        sub = ball_subgraph(g, 2, 1)
-        assert sub.vertices == {1, 2, 3}
-        assert sub.num_edges() == 2
-
-    def test_vertices_within_distance_union(self):
-        g = path_graph(7)
-        assert vertices_within_distance(g, [0, 6], 1) == {0, 1, 5, 6}
-
 
 class TestGlobalMeasures:
-    def test_eccentricity_and_diameter_of_path(self):
-        g = path_graph(5)
-        assert eccentricity(g, 0) == 4
-        assert eccentricity(g, 2) == 2
-        assert diameter(g) == 4
+    def test_diameter_of_path(self):
+        assert diameter(path_graph(5)) == 4
 
     def test_diameter_of_complete_graph(self):
         assert diameter(complete_graph(4)) == 1
@@ -105,25 +76,6 @@ class TestComponents:
         assert is_connected(path_graph(4))
         assert is_connected(Graph())
         assert not is_connected(Graph(vertices=[0, 1]))
-
-
-class TestShortestPath:
-    def test_path_endpoints_and_length(self):
-        g = cycle_graph(6)
-        path = shortest_path(g, 0, 3)
-        assert path[0] == 0 and path[-1] == 3
-        assert len(path) == 4
-
-    def test_same_source_and_target(self):
-        assert shortest_path(path_graph(3), 1, 1) == [1]
-
-    def test_unreachable_target_returns_none(self):
-        g = Graph(vertices=[0, 1])
-        assert shortest_path(g, 0, 1) is None
-
-    def test_missing_endpoint_raises(self):
-        with pytest.raises(GraphError):
-            shortest_path(path_graph(2), 0, 9)
 
 
 class TestProperties:
@@ -154,18 +106,3 @@ class TestProperties:
             total += len(comp)
         assert union == g.vertices
         assert total == g.num_vertices()
-
-    @given(graphs())
-    @settings(max_examples=30, deadline=None)
-    def test_shortest_path_length_matches_bfs(self, g):
-        verts = sorted(g.vertices, key=repr)
-        if len(verts) < 2:
-            return
-        source, target = verts[0], verts[-1]
-        dist = bfs_distances(g, source)
-        path = shortest_path(g, source, target)
-        if target in dist:
-            assert path is not None
-            assert len(path) - 1 == dist[target]
-        else:
-            assert path is None

@@ -12,14 +12,13 @@ from repro.graphs import cycle_graph
 from repro.hypergraph import (
     almost_uniform_hypergraph,
     colorable_almost_uniform_hypergraph,
-    graph_as_hypergraph,
     interval_hypergraph,
-    is_almost_uniform,
     random_interval_hypergraph,
     sunflower_hypergraph,
     uniform_random_hypergraph,
-    validate_hypergraph,
 )
+
+from tests.conftest import assert_consistent_hypergraph, graph_as_hypergraph
 
 
 class TestUniformRandom:
@@ -48,7 +47,7 @@ class TestAlmostUniform:
         h = almost_uniform_hypergraph(30, 20, k=4, epsilon=0.5, seed=2)
         for e in h.edge_ids:
             assert 4 <= h.edge_size(e) <= 6
-        assert is_almost_uniform(h, 0.5)
+        assert h.rank() <= 1.5 * h.min_edge_size()
 
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(HypergraphError):
@@ -68,7 +67,7 @@ class TestColorableAlmostUniform:
 
     def test_edge_sizes_respect_band(self):
         h, _ = colorable_almost_uniform_hypergraph(40, 25, k=4, epsilon=0.5, seed=3)
-        assert is_almost_uniform(h, 0.5)
+        assert h.rank() <= 1.5 * h.min_edge_size()
 
     def test_single_color_case(self):
         # With k = 1 every vertex has color 1, so only singleton edges can be happy.
@@ -89,7 +88,7 @@ class TestColorableAlmostUniform:
     def test_planted_coloring_property(self, k, m, seed):
         n = 4 * k + 2
         h, planted = colorable_almost_uniform_hypergraph(n, m, k=k, epsilon=1.0, seed=seed)
-        validate_hypergraph(h)
+        assert_consistent_hypergraph(h)
         verify_conflict_free_coloring(h, planted, k=k, require_total=True)
         assert h.num_edges() == m
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.exceptions import HypergraphError
-from repro.hypergraph import Hypergraph, validate_hypergraph
+from repro.hypergraph import Hypergraph
 
-from tests.conftest import hypergraphs
+from tests.conftest import assert_consistent_hypergraph, hypergraphs
 
 
 class TestConstruction:
@@ -135,15 +135,15 @@ class TestDerived:
         assert primal.has_edge(1, 4)
         assert not primal.has_edge(2, 4)
 
-    def test_validate_hypergraph_passes_for_generated(self, small_hypergraph):
-        validate_hypergraph(small_hypergraph)
+    def test_edge_list_hypergraph_is_consistent(self, small_hypergraph):
+        assert_consistent_hypergraph(small_hypergraph)
 
 
 class TestProperties:
     @given(hypergraphs())
     @settings(max_examples=40, deadline=None)
     def test_incidence_consistency(self, h):
-        validate_hypergraph(h)
+        assert_consistent_hypergraph(h)
         assert h.total_edge_size() == sum(h.vertex_degree(v) for v in h.vertices)
 
     @given(hypergraphs())

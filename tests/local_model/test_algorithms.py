@@ -11,7 +11,6 @@ from repro.core import ConflictGraph
 from repro.exceptions import ModelError
 from repro.graphs import (
     Graph,
-    complete_graph,
     cycle_graph,
     erdos_renyi_graph,
     is_maximal_independent_set,
@@ -27,7 +26,7 @@ from repro.local_model import (
     run_simulated,
 )
 
-from tests.conftest import graphs
+from tests.conftest import complete_graph, graphs
 
 
 class TestLubyMIS:

@@ -15,7 +15,6 @@ from repro.graphs import (
     is_proper_coloring,
     num_colors,
     path_graph,
-    star_graph,
 )
 from repro.local_model import (
     ColorReductionColoring,
@@ -26,6 +25,8 @@ from repro.local_model import (
     luby_mis,
     randomized_coloring,
 )
+
+from tests.conftest import star_graph
 
 
 class TestColeVishkinRoundsNeeded:

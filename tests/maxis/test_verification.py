@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ApproximationError, IndependenceError
-from repro.graphs import Graph, complete_graph, path_graph, star_graph
+from repro.graphs import Graph, path_graph
 from repro.maxis import ApproximationReport, check_approximation, require_approximation
+
+from tests.conftest import complete_graph, star_graph
 
 
 class TestCheckApproximation:

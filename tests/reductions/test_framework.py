@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import color_budget, phase_budget
 from repro.exceptions import ReductionError, VerificationError
-from repro.graphs import path_graph, star_graph
+from repro.graphs import path_graph
 from repro.hypergraph import colorable_almost_uniform_hypergraph
 from repro.maxis import get_approximator
 from repro.reductions import (
@@ -18,16 +19,13 @@ from repro.reductions import (
     ReductionOverhead,
     ReductionRun,
     VERTEX_COLORING,
-    all_facts,
     cf_multicoloring_to_maxis_reduction,
-    complete_problems,
-    fact_for,
-    facts_by_status,
     polylog_lambda,
-    recommended_color_budget,
+    registry,
     summary_table,
-    theoretical_oracle_calls,
 )
+
+from tests.conftest import star_graph
 
 
 class TestProblems:
@@ -74,11 +72,11 @@ class TestPaperReduction:
         hypergraph, _ = colorable_almost_uniform_hypergraph(n=20, m=12, k=3, seed=5)
         lam = 6.0
         reduction = cf_multicoloring_to_maxis_reduction(k=3, lam=lam)
-        budget = recommended_color_budget(3, lam, hypergraph.num_edges())
+        budget = color_budget(3, lam, hypergraph.num_edges())
         run = reduction.apply((hypergraph, budget), self._oracle())
         assert isinstance(run, ReductionRun)
         assert run.overhead.oracle_calls >= 1
-        assert run.overhead.oracle_calls <= theoretical_oracle_calls(lam, hypergraph.num_edges())
+        assert run.overhead.oracle_calls <= phase_budget(lam, hypergraph.num_edges())
         assert run.details["total_colors"] <= budget
 
     def test_reduction_verifies_solution_against_source_problem(self):
@@ -92,7 +90,7 @@ class TestPaperReduction:
         hypergraph, _ = colorable_almost_uniform_hypergraph(n=30, m=15, k=3, seed=7)
         lam = polylog_lambda(hypergraph.num_vertices())
         reduction = cf_multicoloring_to_maxis_reduction(k=3, lam=lam)
-        budget = recommended_color_budget(3, lam, hypergraph.num_edges())
+        budget = color_budget(3, lam, hypergraph.num_edges())
         run = reduction.apply((hypergraph, budget), self._oracle())
         assert run.overhead.is_polylog(hypergraph.num_vertices())
         assert run.overhead.locality_factor == 2.0
@@ -143,28 +141,23 @@ class TestComposition:
 
 
 class TestRegistry:
+    @staticmethod
+    def _rows():
+        return {row["problem"]: row for row in summary_table()}
+
     def test_maxis_approx_is_recorded_complete_with_paper_source(self):
-        fact = fact_for("maxis-approx")
-        assert fact is not None
-        assert fact.status is CompletenessStatus.COMPLETE
-        assert fact.source == "Maus19"
+        row = self._rows()["maxis-approx"]
+        assert row["status"] == CompletenessStatus.COMPLETE.value
+        assert row["source"] == "Maus19"
 
     def test_mis_is_recorded_open_for_completeness_but_member(self):
-        fact = fact_for("mis")
-        assert fact.status is CompletenessStatus.MEMBER
+        assert self._rows()["mis"]["status"] == CompletenessStatus.MEMBER.value
 
     def test_complete_problems_contains_known_entries(self):
-        complete = set(complete_problems())
+        complete = {p for p, row in self._rows().items() if row["status"] == "complete"}
         assert {"network-decomposition", "conflict-free-multicoloring", "maxis-approx"} <= complete
-
-    def test_unknown_problem_returns_none(self):
-        assert fact_for("nonexistent-problem") is None
 
     def test_summary_table_shape(self):
         rows = summary_table()
-        assert len(rows) == len(all_facts())
+        assert len(rows) == len(registry._FACTS)
         assert all({"problem", "status", "source", "note"} <= set(r) for r in rows)
-
-    def test_facts_by_status_partitions(self):
-        total = sum(len(facts_by_status(s)) for s in CompletenessStatus)
-        assert total == len(all_facts())

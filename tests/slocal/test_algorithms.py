@@ -8,27 +8,26 @@ from hypothesis import strategies as st
 
 from repro.graphs import (
     bfs_distances,
-    complete_graph,
     cycle_graph,
-    erdos_renyi_graph,
     is_maximal_independent_set,
     is_proper_coloring,
     num_colors,
     path_graph,
-    star_graph,
 )
 from repro.slocal import (
     SLOCALDistanceColoring,
     SLOCALEngine,
     SLOCALMIS,
     adversarial_orders,
-    slocal_distance_coloring,
     slocal_greedy_coloring,
     slocal_mis,
-    slocal_ruling_set,
 )
 
-from tests.conftest import graphs
+from tests.conftest import complete_graph, graphs, star_graph
+
+
+def _distance_coloring(graph, distance):
+    return dict(SLOCALEngine(graph).run(SLOCALDistanceColoring(distance)).outputs)
 
 
 class TestSLOCALMIS:
@@ -90,7 +89,7 @@ class TestSLOCALColoring:
 class TestDistanceColoring:
     def test_distance_two_coloring_separates_close_vertices(self):
         g = path_graph(7)
-        coloring = slocal_distance_coloring(g, distance=2)
+        coloring = _distance_coloring(g, distance=2)
         for u in g.vertices:
             dist = bfs_distances(g, u, radius=2)
             for v, d in dist.items():
@@ -106,34 +105,9 @@ class TestDistanceColoring:
 
     def test_cycle_distance_coloring(self):
         g = cycle_graph(9)
-        coloring = slocal_distance_coloring(g, distance=2)
+        coloring = _distance_coloring(g, distance=2)
         # Distance-2 coloring of a cycle needs at least 3 colors.
         assert len(set(coloring.values())) >= 3
-
-
-class TestRulingSet:
-    def test_radius_one_matches_mis_semantics(self, random_graph):
-        ruling = slocal_ruling_set(random_graph, radius=1)
-        assert is_maximal_independent_set(random_graph, ruling)
-
-    def test_radius_two_members_are_far_apart(self):
-        g = path_graph(10)
-        ruling = slocal_ruling_set(g, radius=2)
-        members = sorted(ruling)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                assert abs(u - v) > 2
-
-    def test_radius_two_dominates_at_distance_two(self):
-        g = erdos_renyi_graph(25, 0.15, seed=8)
-        ruling = slocal_ruling_set(g, radius=2)
-        for v in g.vertices:
-            ball2 = set(bfs_distances(g, v, radius=2))
-            assert ball2 & ruling, f"vertex {v} is not dominated within distance 2"
-
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            slocal_ruling_set(path_graph(3), radius=0)
 
 
 class TestEngineIntegration:

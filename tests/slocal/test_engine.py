@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import LocalityViolation, ModelError
-from repro.graphs import Graph, cycle_graph, path_graph, star_graph
+from repro.graphs import Graph, cycle_graph, path_graph
 from repro.slocal import (
     LocalView,
     NodeState,
@@ -22,7 +22,7 @@ from repro.slocal import (
     validate_order,
 )
 
-from tests.conftest import graphs
+from tests.conftest import graphs, star_graph
 
 
 class TestStateMap:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -97,10 +99,11 @@ class TestCampaignCLI:
         assert digest in report_output
         assert records_path.is_file()
 
-        from repro.analysis import read_records
+        from repro.analysis import ExperimentRecord
 
-        experiments = [record.experiment for record in read_records(str(records_path))]
-        assert experiments == ["C1", "C2"]
+        with open(records_path, encoding="utf-8") as handle:
+            records = [ExperimentRecord.from_dict(item) for item in json.load(handle)]
+        assert [record.experiment for record in records] == ["C1", "C2"]
 
     def test_run_with_workers_matches_serial_digest(self, spec_path, tmp_path, capsys):
         assert main(

@@ -27,16 +27,21 @@ from repro.coloring import (
     verify_conflict_free_multicoloring,
 )
 from repro.coloring.interval import canonical_point_order
-from repro.core import ConflictGraph, phase_budget, verify_lemma_21a, verify_lemma_21b
+from repro.core import (
+    ConflictGraph,
+    color_budget,
+    phase_budget,
+    verify_lemma_21a,
+    verify_lemma_21b,
+)
 from repro.graphs import is_maximal_independent_set
-from repro.hypergraph import graph_as_hypergraph, random_interval_hypergraph
+from repro.hypergraph import random_interval_hypergraph
 from repro.local_model import VirtualGraphEmbedding, luby_mis
 from repro.maxis import available_approximators
-from repro.reductions import (
-    cf_multicoloring_to_maxis_reduction,
-    recommended_color_budget,
-)
+from repro.reductions import cf_multicoloring_to_maxis_reduction
 from repro.slocal import slocal_mis
+
+from tests.conftest import graph_as_hypergraph
 
 
 class TestFullPipelinePerOracle:
@@ -178,7 +183,7 @@ class TestFrameworkIntegration:
         hypergraph, _ = colorable_almost_uniform_hypergraph(n=24, m=13, k=3, seed=53)
         lam = 6.0
         reduction = cf_multicoloring_to_maxis_reduction(k=3, lam=lam)
-        budget = recommended_color_budget(3, lam, hypergraph.num_edges())
+        budget = color_budget(3, lam, hypergraph.num_edges())
         oracle = lambda instance: get_approximator("greedy-min-degree")(instance[0])  # noqa: E731
         run = reduction.apply((hypergraph, budget), oracle)
         assert isinstance(run.solution, Multicoloring)
