@@ -16,6 +16,7 @@ from repro.coloring import (
 )
 from repro.coloring.interval import canonical_point_order, divide_and_conquer_coloring
 from repro.exceptions import ColoringError
+from repro.graphs import greedy_coloring
 from repro.hypergraph import (
     Hypergraph,
     random_interval_hypergraph,
@@ -24,6 +25,26 @@ from repro.hypergraph import (
 )
 
 from tests.conftest import hypergraphs
+
+
+def _primal_coloring(h):
+    """A proper coloring of the primal graph on colors 1, 2, …: no edge repeats a color."""
+    return {v: c + 1 for v, c in greedy_coloring(h.primal_graph()).items()}
+
+
+class TestPrimalBaseline:
+    def test_primal_coloring_is_conflict_free(self, small_hypergraph):
+        coloring = _primal_coloring(small_hypergraph)
+        verify_conflict_free_coloring(small_hypergraph, coloring, require_total=True)
+
+    def test_primal_coloring_respects_bound(self, small_hypergraph):
+        coloring = _primal_coloring(small_hypergraph)
+        assert num_colors_used(coloring) <= small_hypergraph.primal_graph().max_degree() + 1
+
+    @given(hypergraphs())
+    @settings(max_examples=25, deadline=None)
+    def test_primal_coloring_property(self, h):
+        verify_conflict_free_coloring(h, _primal_coloring(h))
 
 
 class TestGreedyCF:

@@ -36,6 +36,22 @@ class TestPhaseBudget:
         assert phase_budget(4.0, 100) >= phase_budget(2.0, 100)
         assert phase_budget(2.0, 1000) >= phase_budget(2.0, 10)
 
+    @pytest.mark.parametrize(
+        "lam, m, rho",
+        [
+            (1.0, 2, 2),  # an exact oracle is still allotted ⌈ln m⌉ + 1 phases
+            (1.0, 10, 4),
+            (1.0, 1000, 8),
+            (2.0, 10, 6),
+            (4.0, 100, 20),
+            (1.5, 1, 1),
+            (3.0, 0, 1),
+        ],
+    )
+    def test_closed_form_values(self, lam, m, rho):
+        assert phase_budget(lam, m) == rho
+        assert color_budget(3, lam, m) == 3 * rho
+
     def test_invalid_inputs(self):
         with pytest.raises(ReductionError):
             phase_budget(0.5, 10)

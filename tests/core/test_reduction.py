@@ -198,6 +198,55 @@ class TestCertificates:
         with pytest.raises(VerificationError):
             verify_reduction_result(hypergraph, result)
 
+    @staticmethod
+    def _multi_phase_run(hypergraph):
+        result = solve_conflict_free_multicoloring(
+            hypergraph, k=3, approximator=_weak_oracle(0.3), lam=4.0
+        )
+        assert result.num_phases > 2
+        return result
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (
+                lambda ps: setattr(ps[1], "edges_before", ps[1].edges_before + 1),
+                "previous phase left",
+            ),
+            (lambda ps: setattr(ps[0], "edges_after", ps[0].edges_after - 1), "does not equal"),
+            (
+                lambda ps: setattr(ps[0], "independent_set_size", len(ps[0].happy_edges) + 1),
+                r"Lemma 2\.1\(b\) violated",
+            ),
+            (lambda ps: ps.pop(), "final phase leaves 1 unhappy edges"),
+        ],
+        ids=["chain-break", "edges-after", "lemma-2.1b", "unfinished"],
+    )
+    def test_certificate_rejects_tampered_phase_accounting(
+        self, colorable_instance, tamper, message
+    ):
+        hypergraph, _ = colorable_instance
+        result = self._multi_phase_run(hypergraph)
+        tamper(result.phases)
+        with pytest.raises(VerificationError, match=message):
+            verify_reduction_result(hypergraph, result)
+
+    def test_color_budget_overrun_is_reported_not_raised(self, colorable_instance):
+        hypergraph, _ = colorable_instance
+        result = self._multi_phase_run(hypergraph)
+        result.color_bound = result.total_colors - 1
+        report = verify_reduction_result(hypergraph, result)
+        assert not report.within_color_budget
+        assert [issue for issue in report.issues if "exceeding the budget" in issue]
+
+    def test_phase_overrun_is_reported_not_raised(self, colorable_instance):
+        hypergraph, _ = colorable_instance
+        result = self._multi_phase_run(hypergraph)
+        result.phase_bound = result.num_phases - 1
+        report = verify_reduction_result(hypergraph, result)
+        assert not report.within_phase_budget
+        assert report.all_ok
+
 
 class TestProperties:
     @given(colorable_hypergraphs(max_n=16, max_m=8, max_k=3),

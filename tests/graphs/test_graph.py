@@ -93,6 +93,19 @@ class TestQueries:
         with pytest.raises(GraphError):
             small_graph.degree(99)
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda g: g.adjacent("missing"),
+            lambda g: g.neighbors_iter("missing"),
+            lambda g: g.is_clique({0, "missing"}),
+        ],
+        ids=["adjacent", "neighbors_iter", "is_clique"],
+    )
+    def test_more_queries_reject_missing_vertices(self, small_graph, query):
+        with pytest.raises(GraphError):
+            query(small_graph)
+
     def test_edges_iterates_each_edge_once(self, small_graph):
         edges = list(small_graph.edges())
         assert len(edges) == small_graph.num_edges() == 7
@@ -109,6 +122,9 @@ class TestQueries:
         assert a == b
         b.add_vertex(3)
         assert a != b
+
+    def test_comparison_with_other_types_is_unequal(self):
+        assert Graph(vertices=[1, 2]) != {1: set(), 2: set()}
 
 
 class TestDerivedGraphs:

@@ -97,6 +97,21 @@ class TestProperties:
 
     @given(graphs())
     @settings(max_examples=30, deadline=None)
+    def test_bfs_distances_are_shortest_path_lengths(self, g):
+        # With the triangle step above, a neighbor one step closer for every
+        # reached vertex and a reached set closed under neighbors pin the
+        # distances down to the shortest-path lengths.
+        for source in sorted(g.vertices, key=repr)[:2]:
+            dist = bfs_distances(g, source)
+            assert dist[source] == 0
+            for v, d in dist.items():
+                assert g.neighbors(v) <= set(dist)
+                if v != source:
+                    assert any(dist[u] == d - 1 for u in g.neighbors(v))
+            assert bfs_distances(g, source, radius=1) == {v: d for v, d in dist.items() if d <= 1}
+
+    @given(graphs())
+    @settings(max_examples=30, deadline=None)
     def test_components_cover_all_vertices_exactly_once(self, g):
         comps = connected_components(g)
         union = set()

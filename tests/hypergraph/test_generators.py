@@ -79,6 +79,11 @@ class TestColorableAlmostUniform:
         with pytest.raises(HypergraphError):
             colorable_almost_uniform_hypergraph(3, 2, k=4, epsilon=0.5)
 
+    @pytest.mark.parametrize("k, epsilon", [(2, 0.0), (2, 1.5), (0, 0.5), (-1, 1.0)])
+    def test_invalid_parameters_rejected(self, k, epsilon):
+        with pytest.raises(HypergraphError):
+            colorable_almost_uniform_hypergraph(10, 5, k=k, epsilon=epsilon)
+
     @given(
         st.integers(min_value=2, max_value=4),
         st.integers(min_value=1, max_value=12),

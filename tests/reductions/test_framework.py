@@ -5,19 +5,24 @@ from __future__ import annotations
 import pytest
 
 from repro.core import color_budget, phase_budget
-from repro.exceptions import ReductionError, VerificationError
-from repro.graphs import path_graph
+from repro.covering import SetCoverInstance
+from repro.decomposition import ball_carving_decomposition
+from repro.exceptions import ReductionError, ReproError, VerificationError
+from repro.graphs import Graph, path_graph
 from repro.hypergraph import colorable_almost_uniform_hypergraph
 from repro.maxis import get_approximator
 from repro.reductions import (
     CF_MULTICOLORING,
     CompletenessStatus,
+    DOMINATING_SET_APPROXIMATION,
     LocalReduction,
     MAXIS_APPROXIMATION,
     MIS,
+    NETWORK_DECOMPOSITION,
     Problem,
     ReductionOverhead,
     ReductionRun,
+    SET_COVER,
     VERTEX_COLORING,
     cf_multicoloring_to_maxis_reduction,
     polylog_lambda,
@@ -26,6 +31,17 @@ from repro.reductions import (
 )
 
 from tests.conftest import star_graph
+
+
+def _three_set_cover() -> SetCoverInstance:
+    instance = SetCoverInstance()
+    for set_id, members in (("a", {1, 2}), ("b", {3, 4}), ("c", {2, 3})):
+        instance.add_set(set_id, members)
+    return instance
+
+
+#: Ball carving at radius 1 cuts P6 into three 2-vertex clusters on two colors.
+_PATH6_DECOMPOSITION = ball_carving_decomposition(path_graph(6), 1)
 
 
 class TestProblems:
@@ -53,6 +69,40 @@ class TestProblems:
         assert CF_MULTICOLORING.is_valid((hypergraph, 2), mc)
         assert not CF_MULTICOLORING.is_valid((hypergraph, 1), mc)
 
+    @pytest.mark.parametrize(
+        "problem, instance, solution, valid",
+        [
+            (VERTEX_COLORING, Graph(vertices=[0, 1]), {0: 0, 1: 1}, False),
+            (DOMINATING_SET_APPROXIMATION, (star_graph(4), 1.0), {0}, True),
+            (DOMINATING_SET_APPROXIMATION, (star_graph(4), 1.0), {1, 2, 3, 4}, False),
+            (DOMINATING_SET_APPROXIMATION, (star_graph(4), 4.0), {1, 2, 3, 4}, True),
+            (DOMINATING_SET_APPROXIMATION, (star_graph(4), 4.0), {1}, False),
+            (SET_COVER, _three_set_cover(), ["a", "b"], True),
+            (SET_COVER, _three_set_cover(), ["a", "c"], False),
+            (NETWORK_DECOMPOSITION, (path_graph(6), 2, 1), _PATH6_DECOMPOSITION, True),
+            (NETWORK_DECOMPOSITION, (path_graph(6), 1, 1), _PATH6_DECOMPOSITION, False),
+            (NETWORK_DECOMPOSITION, (path_graph(6), 2, 0), _PATH6_DECOMPOSITION, False),
+        ],
+        ids=[
+            "coloring-above-delta-plus-one",
+            "dominating-optimal",
+            "dominating-over-factor",
+            "dominating-within-factor",
+            "dominating-misses-vertices",
+            "set-cover",
+            "set-cover-misses-element",
+            "decomposition",
+            "decomposition-too-many-colors",
+            "decomposition-too-wide",
+        ],
+    )
+    def test_problem_verifiers(self, problem, instance, solution, valid):
+        if valid:
+            problem.verify(instance, solution)
+        else:
+            with pytest.raises(ReproError):
+                problem.verify(instance, solution)
+
 
 class TestOverhead:
     def test_polylog_check(self):
@@ -61,6 +111,22 @@ class TestOverhead:
 
     def test_small_n_is_always_fine(self):
         assert ReductionOverhead(oracle_calls=999).is_polylog(1)
+
+    @pytest.mark.parametrize(
+        "oracle_calls, locality_factor, n, expected",
+        [
+            (16, 1.0, 2, True),  # envelope 16 * log2(2)^3 = 16
+            (17, 1.0, 2, False),
+            (1, 16.0, 2, True),
+            (1, 16.5, 2, False),
+            (16_000, 1.0, 1024, True),  # envelope 16 * 10^3
+            (16_001, 1.0, 1024, False),
+            (10**9, 10.0**9, 0, True),
+        ],
+    )
+    def test_polylog_envelope_boundary(self, oracle_calls, locality_factor, n, expected):
+        overhead = ReductionOverhead(oracle_calls=oracle_calls, locality_factor=locality_factor)
+        assert overhead.is_polylog(n) is expected
 
 
 class TestPaperReduction:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.analysis.records import ExperimentRecord
 from repro.runtime import (
     CampaignStore,
     campaign_digest,
     campaign_records,
     execute_task,
+    format_duration,
     run_campaign,
     throughput_record,
 )
@@ -168,3 +171,22 @@ class TestRecordContent:
         records = campaign_records(spec, [])
         assert all(record.rows == [] for record in records)
         assert campaign_digest(records) == campaign_digest(campaign_records(spec, []))
+
+
+class TestFormatDuration:
+    @pytest.mark.parametrize(
+        "seconds, text",
+        [
+            (float("nan"), "nan"),
+            (0, "0s"),
+            (417e-6, "417µs"),
+            (0.062, "62ms"),
+            (3.14159, "3.14s"),
+            (59.5, "59.5s"),
+            (123, "2m03s"),
+            (3840, "1h04m"),
+            (-0.25, "-250ms"),
+        ],
+    )
+    def test_units_follow_the_magnitude(self, seconds, text):
+        assert format_duration(seconds) == text

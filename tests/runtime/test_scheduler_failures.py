@@ -169,6 +169,33 @@ class TestRetryRounds:
             assert row["attempt"] == 1
 
 
+class TestRetryPolicyValidation:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"max_attempts": 0},
+            {"max_attempts": True},
+            {"max_attempts": 2.0},
+            {"base_delay_s": -0.1},
+            {"base_delay_s": "1"},
+            {"backoff": 0.5},
+            {"backoff": "2"},
+        ],
+    )
+    def test_malformed_policy_rejected(self, overrides):
+        with pytest.raises(CampaignError):
+            RetryPolicy(**overrides)
+
+    def test_round_delays_grow_geometrically(self):
+        policy = RetryPolicy(base_delay_s=0.5, backoff=3.0)
+        assert [policy.round_delay_s(r) for r in (1, 2, 3)] == [0.5, 1.5, 4.5]
+
+    def test_non_policy_retry_is_refused_before_the_store_opens(self, tmp_path):
+        with pytest.raises(CampaignError):
+            run_campaign(small_spec(), tmp_path / "out", retry=3)
+        assert not (tmp_path / "out").exists()
+
+
 class TestPoolFailures:
     def test_worker_bug_propagates_and_store_survives(self, tmp_path, monkeypatch):
         spec = small_spec()

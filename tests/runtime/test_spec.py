@@ -142,11 +142,30 @@ class TestValidation:
             {"replicates": 0},
             {"epsilon": 0.0},
             {"epsilon": 1.5},
+            {"seed": True},
+            {"sizes": (5,)},  # an entry that is not a pair at all
+            {"sizes": ((12, -1),)},
+            {"sizes": ((True, 5),)},
+            {"ks": (True,)},
+            {"lams": (True,)},
+            {"replicates": True},
+            {"task_timeout_s": 0},
+            {"task_timeout_s": -1.5},
+            {"task_timeout_s": True},
+            {"task_timeout_s": "5"},
+            {"durability": "bogus"},
         ],
     )
     def test_malformed_spec_rejected(self, overrides):
         with pytest.raises(CampaignError):
             small_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides", [{"task_timeout_s": 2.5}, {"task_timeout_s": 3}, {"durability": "fsync"}]
+    )
+    def test_optional_fields_round_trip(self, overrides):
+        spec = small_spec(**overrides)
+        assert CampaignSpec.from_json(spec.to_json()) == spec
 
     def test_from_dict_missing_field_rejected(self):
         data = small_spec().to_dict()
