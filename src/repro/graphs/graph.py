@@ -108,11 +108,6 @@ class Graph:
             self._adj[v] = set()
             self._degree_hist[0] = self._degree_hist.get(0, 0) + 1
 
-    def add_vertices(self, vertices: Iterable[Vertex]) -> None:
-        """Add every vertex in ``vertices``."""
-        for v in vertices:
-            self.add_vertex(v)
-
     def add_edge(self, u: Vertex, v: Vertex) -> None:
         """Add the undirected edge ``{u, v}``; endpoints are auto-added.
 

@@ -55,16 +55,12 @@ from repro.exceptions import GraphError
 
 Vertex = Hashable
 
-try:  # Python >= 3.10
-    _popcount = int.bit_count
+try:  # Python >= 3.10: the method itself, no Python frame per call
+    popcount = int.bit_count
 except AttributeError:  # pragma: no cover - 3.9 fallback
-    def _popcount(x: int) -> int:
+    def popcount(x: int) -> int:
+        """Return the number of set bits of ``x``."""
         return bin(x).count("1")
-
-
-def popcount(x: int) -> int:
-    """Return the number of set bits of ``x``."""
-    return _popcount(x)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -229,11 +225,11 @@ class IndexedGraph:
 
     def degree(self, i: int) -> int:
         """Return the degree of id ``i``."""
-        return _popcount(self.neighbor_bitset(i))
+        return popcount(self.neighbor_bitset(i))
 
     def degrees(self) -> List[int]:
         """Return the degree of every vertex, indexed by id."""
-        return [_popcount(b) for b in self._bitsets]
+        return [popcount(b) for b in self._bitsets]
 
     def max_degree(self) -> int:
         """Return Δ (0 for the empty graph)."""
@@ -260,8 +256,11 @@ class IndexedGraph:
 
         For a full graph this is simply ``range(n)``; for an
         :class:`IndexedSubgraph` view it is the ascending list of alive
-        ids.  Kernels and wrappers iterate this instead of ``range(n)`` so
-        they work on both without branching.
+        ids, built on first use.  Kernels that visit every id (the
+        shuffled random-order trials, the Luby lanes, the clique cover)
+        iterate this so they work on both without branching; first-fit
+        and the exact solver walk :meth:`alive_mask` instead and never
+        list the ids.
         """
         return range(len(self._bitsets))
 
@@ -339,7 +338,7 @@ class IndexedSubgraph(IndexedGraph):
         self._parent = parent
         self._alive = alive
         # Shared, *raw* rows: kernels that pre-filter by id (first-fit
-        # along an alive order, branch-and-bound on an active mask) read
+        # on its candidate mask, branch-and-bound on an active mask) read
         # these directly and never see a dead contribution.
         self._bitsets = parent._bitsets
         self._num_edges = parent._num_edges
@@ -379,14 +378,14 @@ class IndexedSubgraph(IndexedGraph):
 
     # -- induced-subgraph queries --------------------------------------
     def num_vertices(self) -> int:
-        return _popcount(self._alive)
+        return popcount(self._alive)
 
     def num_edges(self) -> int:
         if self._alive_edges is None:
             alive = self._alive
             bitsets = self._bitsets
             self._alive_edges = (
-                sum(_popcount(bitsets[i] & alive) for i in self.vertex_ids()) // 2
+                sum(popcount(bitsets[i] & alive) for i in self.vertex_ids()) // 2
             )
         return self._alive_edges
 
@@ -404,7 +403,7 @@ class IndexedSubgraph(IndexedGraph):
         alive = self._alive
         bitsets = self._bitsets
         return [
-            _popcount(row & alive) if (alive >> i) & 1 else 0
+            popcount(row & alive) if (alive >> i) & 1 else 0
             for i, row in enumerate(bitsets)
         ]
 
@@ -412,7 +411,7 @@ class IndexedSubgraph(IndexedGraph):
         alive = self._alive
         bitsets = self._bitsets
         return max(
-            (_popcount(bitsets[i] & alive) for i in self.vertex_ids()), default=0
+            (popcount(bitsets[i] & alive) for i in self.vertex_ids()), default=0
         )
 
     def neighbor_bitset(self, i: int) -> int:
@@ -448,7 +447,7 @@ class IndexedSubgraph(IndexedGraph):
         return self._materialize_graph(self.vertex_ids(), self._alive)
 
     def __len__(self) -> int:
-        return _popcount(self._alive)
+        return popcount(self._alive)
 
     def __iter__(self) -> Iterator[Vertex]:
         labels = self.labels()
@@ -489,10 +488,14 @@ def freeze_sorted(graph) -> "IndexedGraph":
 # bitset independent-set kernels
 # ----------------------------------------------------------------------
 def first_fit_mis_ids(graph: IndexedGraph, order: Iterable[int]) -> List[int]:
-    """Greedy maximal IS along ``order`` (ids); returns chosen ids in order.
+    """Greedy maximal IS along an explicit ``order`` (ids); returns chosen ids in order.
 
     The bitset formulation of the locality-1 SLOCAL algorithm: a vertex
-    joins iff none of its already-processed neighbors joined.
+    joins iff none of its already-processed neighbors joined.  It tests
+    one row per id of ``order``; along ascending ids
+    :func:`ascending_first_fit_ids` picks the same ids without visiting
+    the rest, so this form serves the shuffled orders of the random-order
+    trials.
 
     Views work unchanged: with ``order`` drawn from the view's alive ids
     (:meth:`IndexedGraph.vertex_ids`) the raw parent rows are safe because
@@ -505,6 +508,27 @@ def first_fit_mis_ids(graph: IndexedGraph, order: Iterable[int]) -> List[int]:
         if not (bitsets[i] & selected_mask):
             selected_mask |= 1 << i
             chosen.append(i)
+    return chosen
+
+
+def ascending_first_fit_ids(graph: IndexedGraph) -> List[int]:
+    """First-fit maximal IS along ascending ids, walked on the candidate mask.
+
+    Returns ``first_fit_mis_ids(graph, graph.vertex_ids())``, ascending:
+    the lowest candidate joins, and it and its neighbors leave the
+    candidates.  Only a pick costs row operations, so the walk is O(picks)
+    big-int operations and never lists the alive ids.  On a view the raw
+    parent rows are safe because the candidate mask only ever holds alive
+    ids.
+    """
+    bitsets = graph._bitsets
+    candidates = graph.alive_mask()
+    chosen: List[int] = []
+    while candidates:
+        low = candidates & -candidates
+        i = low.bit_length() - 1
+        chosen.append(i)
+        candidates &= ~(low | bitsets[i])
     return chosen
 
 
@@ -529,7 +553,7 @@ def min_degree_greedy_ids(graph: IndexedGraph) -> List[int]:
     ids = list(iter_bits(alive))
     deg = [0] * len(bitsets)
     for i in ids:
-        deg[i] = _popcount(bitsets[i] & alive)
+        deg[i] = popcount(bitsets[i] & alive)
     buckets: List[Set[int]] = [set() for _ in range(max(deg) + 1)]
     for i in ids:
         buckets[deg[i]].add(i)
@@ -555,7 +579,7 @@ def min_degree_greedy_ids(graph: IndexedGraph) -> List[int]:
             low = affected & -affected
             w = low.bit_length() - 1
             affected ^= low
-            d = _popcount(bitsets[w] & alive)
+            d = popcount(bitsets[w] & alive)
             if d != deg[w]:
                 buckets[deg[w]].discard(w)
                 buckets[d].add(w)
@@ -595,7 +619,7 @@ def maximum_independent_set_mask(graph: IndexedGraph) -> int:
             low = m & -m
             i = low.bit_length() - 1
             nb = adj[i] & active
-            d = _popcount(nb)
+            d = popcount(nb)
             if d == 0:
                 result = solve(active ^ low) | low
                 memo[active] = result
@@ -611,7 +635,7 @@ def maximum_independent_set_mask(graph: IndexedGraph) -> int:
         bit = 1 << best_i
         with_v = solve(active & ~(bit | adj[best_i])) | bit
         without_v = solve(active ^ bit)
-        result = with_v if _popcount(with_v) >= _popcount(without_v) else without_v
+        result = with_v if popcount(with_v) >= popcount(without_v) else without_v
         memo[active] = result
         return result
 

@@ -122,8 +122,6 @@ def colorable_almost_uniform_hypergraph(
         raise HypergraphError(
             f"(1+epsilon)*k = {max_size} exceeds the number of vertices {n}"
         )
-    if n < k:
-        raise HypergraphError(f"need at least k={k} vertices, got {n}")
     rng = _rng(seed)
     # Plant the coloring: make sure every color class is non-empty so that
     # any color can serve as the unique color of an edge.

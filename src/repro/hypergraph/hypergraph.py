@@ -95,11 +95,6 @@ class Hypergraph:
             self._vertices.add(v)
             self._incidence[v] = set()
 
-    def add_vertices(self, vertices: Iterable[Vertex]) -> None:
-        """Add every vertex in ``vertices``."""
-        for v in vertices:
-            self.add_vertex(v)
-
     def add_edge(self, members: Iterable[Vertex], edge_id: Optional[EdgeId] = None) -> EdgeId:
         """Add a hyperedge with vertex set ``members`` and return its id.
 
@@ -320,14 +315,6 @@ class Hypergraph:
                     if not g.has_edge(u, v):
                         g.add_edge(u, v)
         return g
-
-    def to_dict(self) -> Dict[str, object]:
-        """Serialize to a JSON-friendly dictionary."""
-        return {
-            "vertices": sorted(self._vertices, key=repr),
-            "edges": {repr(e): sorted(members, key=repr) for e, members in self._edges.items()},
-            "edge_ids": [e for e in self.edge_ids],
-        }
 
     @classmethod
     def from_edge_list(cls, edge_list: Iterable[Iterable[Vertex]]) -> "Hypergraph":

@@ -5,14 +5,16 @@ Importing this module populates the registry in
 :func:`repro.maxis.approximators.get_approximator` so that library users who
 never touch the registry pay nothing.  Each built-in is its id kernel
 (``solve_ids``) alone: :meth:`MaxISApproximator.__call__` derives the label
-answer from it.  The independent reference that checks each kernel is
-listed in DESIGN.md, "One kernel per oracle".
+answer from it.  ``greedy-first-fit`` is the candidate-mask walk
+:func:`~repro.graphs.indexed.ascending_first_fit_ids`, O(picks) per call
+rather than O(alive ids).  The independent reference that checks each
+kernel is listed in DESIGN.md, "One kernel per oracle".
 """
 
 from __future__ import annotations
 
 from repro.graphs.indexed import (
-    first_fit_mis_ids,
+    ascending_first_fit_ids,
     iter_bits,
     maximum_independent_set_mask,
     min_degree_greedy_ids,
@@ -44,7 +46,7 @@ register_approximator(
 register_approximator(
     MaxISApproximator(
         name="greedy-first-fit",
-        solve_ids=lambda g: first_fit_mis_ids(g, g.vertex_ids()),
+        solve_ids=ascending_first_fit_ids,
         guarantee=turan_guarantee,
         description="First-fit maximal IS along a fixed order; (Δ+1)-approximation.",
     )

@@ -10,7 +10,7 @@ on small instances) provide.
 
 The greedy algorithms themselves are the bitset kernels
 :func:`~repro.graphs.indexed.min_degree_greedy_ids` and
-:func:`~repro.graphs.indexed.first_fit_mis_ids`, registered as the
+:func:`~repro.graphs.indexed.ascending_first_fit_ids`, registered as the
 ``greedy-min-degree`` and ``greedy-first-fit`` approximators.
 """
 

@@ -21,10 +21,12 @@ import repro.core.conflict_graph as conflict_graph_module
 from repro.core import ConflictFreeMulticoloringViaMaxIS
 from repro.core.conflict_graph import ConflictGraph, ConflictVertex
 from repro.exceptions import ReductionError
+from repro.graphs.indexed import IndexedGraph, IndexedSubgraph
 from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
 from repro.maxis import available_approximators, capped_oracle, get_approximator
 
 from tests.conftest import colorable_hypergraphs
+from tests.fuzz.corpus import make_instance
 
 
 def _assert_results_identical(a, b):
@@ -126,6 +128,28 @@ class TestEngineEqualsRebuild:
             patch.setattr(ConflictVertex, "__new__", refuse)
             result = reduction.run(hypergraph)
         _assert_results_identical(result, reduction.run_rebuild(hypergraph))
+
+    @pytest.mark.parametrize("oracle_name", ["greedy-first-fit", "capped"])
+    def test_first_fit_runs_list_no_alive_ids(self, oracle_name, monkeypatch):
+        """First-fit walks the candidate mask: no phase of a run lists the ids of G_k."""
+        if oracle_name == "capped":
+            approximator = capped_oracle("greedy-first-fit", 4)
+        else:
+            approximator = get_approximator(oracle_name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a first-fit run listed the vertex ids")
+
+        for seed in range(24):
+            instance = make_instance(seed)
+            reduction = ConflictFreeMulticoloringViaMaxIS(
+                k=instance.k, approximator=approximator, lam=4.0
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(IndexedGraph, "vertex_ids", refuse)
+                patch.setattr(IndexedSubgraph, "vertex_ids", refuse)
+                result = reduction.run(instance.hypergraph)
+            _assert_results_identical(result, reduction.run_rebuild(instance.hypergraph))
 
     def test_capped_oracle_honours_fractional_lambda(self):
         from repro.graphs import Graph
