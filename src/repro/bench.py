@@ -85,8 +85,8 @@ SMOKE_SIZES: Tuple[Tuple[int, int], ...] = ((30, 20),)
 
 #: MIS algorithms timed (registry names).  ``exact`` is omitted: it is
 #: exponential, and the conflict graphs here are too large for it.
-#: ``greedy-min-degree`` exercises the popcount-recompute bucket-queue
-#: kernel and ``luby-batch-of-8`` the bit-parallel batched Luby rounds.
+#: ``greedy-min-degree`` exercises the kernel on bit-sliced residual
+#: degrees and ``luby-batch-of-8`` the bit-parallel batched Luby rounds.
 MAXIS_ALGORITHMS: Tuple[str, ...] = (
     "greedy-min-degree",
     "greedy-first-fit",

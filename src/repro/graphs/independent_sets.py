@@ -126,8 +126,9 @@ def greedy_min_degree_independent_set(graph: Graph) -> Set[Vertex]:
 
     This is the *reference* implementation (kept simple on purpose; it is
     the oracle the property tests compare against).  The production
-    kernel of the ``greedy-min-degree`` approximator, a bucket-queue over
-    a frozen :class:`IndexedGraph` with identical output, is
+    kernel of the ``greedy-min-degree`` approximator, which keeps the
+    residual degrees of a frozen :class:`IndexedGraph` in bit planes and
+    has identical output, is
     :func:`repro.graphs.indexed.min_degree_greedy_ids`.
     """
     work = graph.copy()

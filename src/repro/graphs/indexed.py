@@ -49,6 +49,8 @@ anything.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
@@ -532,61 +534,98 @@ def ascending_first_fit_ids(graph: IndexedGraph) -> List[int]:
     return chosen
 
 
+#: ``bytes.translate`` tables: ``_BIT_DIGITS[b]`` maps byte ``x`` to the
+#: ASCII digit of bit ``b`` of ``x``.
+_BIT_DIGITS = tuple(bytes(48 | (x >> b) & 1 for x in range(256)) for b in range(8))
+
+
+def bit_planes(words: bytes, width: int, byteorder: str, count: int) -> List[int]:
+    """Bit-slice the unsigned ``width``-byte words packed in ``words``.
+
+    Returns ``count`` big-int planes: bit ``i`` of plane ``j`` is bit ``j``
+    of word ``i``, the words read in ``byteorder`` (``"little"`` or
+    ``"big"``).  A plane is one slice of a byte lane, one
+    ``bytes.translate`` to ASCII digits and one base-2 parse, all in C.
+    """
+    if not words:
+        return [0] * count
+    planes = []
+    for j in range(count):
+        lane, bit = divmod(j, 8)
+        start = lane if byteorder == "little" else width - 1 - lane
+        planes.append(int(words[start::width].translate(_BIT_DIGITS[bit])[::-1], 2))
+    return planes
+
+
 def min_degree_greedy_ids(graph: IndexedGraph) -> List[int]:
-    """Minimum-degree greedy IS via a bucket queue; ties break to smallest id.
+    """Minimum-degree greedy IS on bit-sliced residual degrees; ties break to smallest id.
 
     Repeatedly takes an alive vertex ``v`` of minimum residual degree and
-    deletes ``N[v]``.  The rows of the deleted vertices are ORed and masked
-    with ``alive``; each vertex of that union gets its degree recomputed
-    once by popcount and changes bucket only if it changed, so bucket moves
-    scale with the affected vertices, not with the removed conflict edges.
-    With labels interned in ``sorted(..., key=repr)`` order this reproduces the
-    reference tie-breaking ``(degree, repr)`` exactly.
+    deletes ``N[v]``.  Residual degrees live in ``⌈log2(Δ+1)⌉`` big-int
+    planes over the ids (:func:`bit_planes`; degrees at dead ids are
+    don't-care).  A pick narrows the alive mask plane by plane, top plane
+    first, to the minimum-degree ids and takes the lowest.  A removal adds
+    the rows of ``N(v)``, restricted to the survivors, into carry-save
+    count planes and subtracts those counts from the degree planes, so
+    each row is added once per call, when its vertex leaves, and a pick
+    costs O(|N[v]|·log|N[v]| + log Δ) big-int operations.  Every select
+    and every subtraction is masked by ``alive``.  With labels interned in
+    ``sorted(..., key=repr)`` order this reproduces the reference
+    tie-breaking ``(degree, repr)`` exactly.
 
     On an :class:`IndexedSubgraph` view the selection runs on the induced
-    subgraph and returns parent ids, as a rebuild of the subgraph would.
+    subgraph and returns parent ids, ascending, as a rebuild of the
+    subgraph would.
     """
     bitsets = graph._bitsets  # raw rows; a view shares its parent's
     alive = graph.alive_mask()
-    if not alive:
-        return []
-    ids = list(iter_bits(alive))
-    deg = [0] * len(bitsets)
-    for i in ids:
-        deg[i] = popcount(bitsets[i] & alive)
-    buckets: List[Set[int]] = [set() for _ in range(max(deg) + 1)]
-    for i in ids:
-        buckets[deg[i]].add(i)
-    min_deg = 0
+    degrees = array("Q", map(popcount, map(alive.__and__, bitsets)))
+    planes = bit_planes(
+        degrees.tobytes(), degrees.itemsize, sys.byteorder,
+        max(degrees, default=0).bit_length(),
+    )
     chosen: List[int] = []
     while alive:
-        while not buckets[min_deg]:
-            min_deg += 1
-        v = min(buckets[min_deg])
+        candidates = alive
+        for plane in reversed(planes):
+            zeros = candidates & ~plane
+            if zeros:
+                candidates = zeros
+        low = candidates & -candidates
+        v = low.bit_length() - 1
         chosen.append(v)
-        buckets[min_deg].discard(v)
         dead = bitsets[v] & alive
-        alive &= ~(dead | (1 << v))
-        affected = 0
+        alive &= ~(dead | low)
+        # Carry-save: counts[j] holds bit j of each survivor's number of
+        # neighbors in N(v), that is, of the drop in its degree.
+        counts: List[int] = []
         while dead:
             low = dead & -dead
-            u = low.bit_length() - 1
             dead ^= low
-            buckets[deg[u]].discard(u)
-            affected |= bitsets[u]
-        affected &= alive
-        while affected:
-            low = affected & -affected
-            w = low.bit_length() - 1
-            affected ^= low
-            d = popcount(bitsets[w] & alive)
-            if d != deg[w]:
-                buckets[deg[w]].discard(w)
-                buckets[d].add(w)
-                deg[w] = d
-                if d < min_deg:
-                    min_deg = d
-    return sorted(chosen)
+            row = bitsets[low.bit_length() - 1] & alive
+            j = 0
+            while row:
+                if j == len(counts):
+                    counts.append(row)
+                    break
+                plane = counts[j]
+                counts[j] = plane ^ row
+                row &= plane
+                j += 1
+        # planes -= counts; counts, hence borrows, hold survivors only.
+        borrow = 0
+        for j, count in enumerate(counts):
+            plane = planes[j]
+            planes[j] = plane ^ count ^ borrow
+            borrow = (~plane & (count | borrow)) | (count & borrow)
+        j = len(counts)
+        while borrow:
+            plane = planes[j]
+            planes[j] = plane ^ borrow
+            borrow &= ~plane
+            j += 1
+    chosen.sort()
+    return chosen
 
 
 def maximum_independent_set_mask(graph: IndexedGraph) -> int:

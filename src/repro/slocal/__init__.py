@@ -12,15 +12,10 @@ from repro.slocal.orderings import (
     validate_order,
 )
 from repro.slocal.algorithms import (
-    SLOCALDistanceColoring,
     SLOCALGreedyColoring,
     SLOCALMIS,
     slocal_greedy_coloring,
     slocal_mis,
-)
-from repro.slocal.hypergraph_algorithms import (
-    slocal_primal_conflict_free_coloring,
-    slocal_unique_witness_coloring,
 )
 
 __all__ = [
@@ -36,11 +31,8 @@ __all__ = [
     "random_order",
     "sorted_order",
     "validate_order",
-    "SLOCALDistanceColoring",
     "SLOCALGreedyColoring",
     "SLOCALMIS",
     "slocal_greedy_coloring",
     "slocal_mis",
-    "slocal_primal_conflict_free_coloring",
-    "slocal_unique_witness_coloring",
 ]

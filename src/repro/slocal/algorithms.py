@@ -4,8 +4,6 @@
   paper describes verbatim: iterate through the nodes in an arbitrary order
   and join the set if no already-processed neighbor has joined.
 * :class:`SLOCALGreedyColoring` — the locality-1 greedy (Δ+1)-coloring.
-* :class:`SLOCALDistanceColoring` — greedy coloring of the distance-r power
-  graph with locality r.
 * :func:`slocal_mis`, :func:`slocal_greedy_coloring` — convenience wrappers
   returning plain Python structures.
 """
@@ -52,35 +50,6 @@ class SLOCALGreedyColoring(SLOCALAlgorithm):
         used: Set[int] = set()
         for u in view.neighbors(view.center):
             if view.is_processed(u):
-                used.add(view.output_of(u))
-        color = 0
-        while color in used:
-            color += 1
-        return color
-
-
-class SLOCALDistanceColoring(SLOCALAlgorithm):
-    """Greedy coloring of the distance-``d`` power graph, with locality ``d``.
-
-    Two nodes within hop distance ``d`` receive different colors.  The
-    color classes of a distance-(2r+1) coloring can be grown into clusters
-    of radius r that form a proper cluster coloring; the
-    network-decomposition substrate (:mod:`repro.decomposition`) carves
-    its clusters from balls instead.
-    """
-
-    name = "slocal-distance-coloring"
-
-    def __init__(self, distance: int) -> None:
-        if distance < 1:
-            raise ValueError(f"distance must be at least 1, got {distance}")
-        self.distance = distance
-        self.locality = distance
-
-    def process(self, view: LocalView, state: NodeState) -> int:
-        used: Set[int] = set()
-        for u in view.vertices:
-            if u != view.center and view.is_processed(u):
                 used.add(view.output_of(u))
         color = 0
         while color in used:

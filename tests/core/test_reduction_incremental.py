@@ -21,6 +21,7 @@ import repro.core.conflict_graph as conflict_graph_module
 from repro.core import ConflictFreeMulticoloringViaMaxIS
 from repro.core.conflict_graph import ConflictGraph, ConflictVertex
 from repro.exceptions import ReductionError
+import repro.graphs.indexed as indexed_module
 from repro.graphs.indexed import IndexedGraph, IndexedSubgraph
 from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
 from repro.maxis import available_approximators, capped_oracle, get_approximator
@@ -129,16 +130,24 @@ class TestEngineEqualsRebuild:
             result = reduction.run(hypergraph)
         _assert_results_identical(result, reduction.run_rebuild(hypergraph))
 
-    @pytest.mark.parametrize("oracle_name", ["greedy-first-fit", "capped"])
-    def test_first_fit_runs_list_no_alive_ids(self, oracle_name, monkeypatch):
-        """First-fit walks the candidate mask: no phase of a run lists the ids of G_k."""
-        if oracle_name == "capped":
-            approximator = capped_oracle("greedy-first-fit", 4)
+    @pytest.mark.parametrize(
+        "oracle_name",
+        [
+            "greedy-first-fit",
+            "capped:greedy-first-fit",
+            "greedy-min-degree",
+            "capped:greedy-min-degree",
+        ],
+    )
+    def test_mask_kernel_runs_list_no_alive_ids(self, oracle_name, monkeypatch):
+        """First-fit and min-degree work on masks: no phase of a run lists the ids of G_k."""
+        if oracle_name.startswith("capped:"):
+            approximator = capped_oracle(oracle_name[len("capped:"):], 4)
         else:
             approximator = get_approximator(oracle_name)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a first-fit run listed the vertex ids")
+            raise AssertionError(f"a {oracle_name} run listed the vertex ids")
 
         for seed in range(24):
             instance = make_instance(seed)
@@ -148,6 +157,7 @@ class TestEngineEqualsRebuild:
             with monkeypatch.context() as patch:
                 patch.setattr(IndexedGraph, "vertex_ids", refuse)
                 patch.setattr(IndexedSubgraph, "vertex_ids", refuse)
+                patch.setattr(indexed_module, "iter_bits", refuse)
                 result = reduction.run(instance.hypergraph)
             _assert_results_identical(result, reduction.run_rebuild(instance.hypergraph))
 

@@ -1,21 +1,16 @@
-"""Tests for the concrete SLOCAL algorithms (MIS, greedy coloring, distance coloring)."""
+"""Tests for the concrete SLOCAL algorithms (MIS, greedy coloring)."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
-    bfs_distances,
-    cycle_graph,
     is_maximal_independent_set,
     is_proper_coloring,
     num_colors,
-    path_graph,
 )
 from repro.slocal import (
-    SLOCALDistanceColoring,
     SLOCALEngine,
     SLOCALMIS,
     adversarial_orders,
@@ -24,10 +19,6 @@ from repro.slocal import (
 )
 
 from tests.conftest import complete_graph, graphs, star_graph
-
-
-def _distance_coloring(graph, distance):
-    return dict(SLOCALEngine(graph).run(SLOCALDistanceColoring(distance)).outputs)
 
 
 class TestSLOCALMIS:
@@ -84,30 +75,6 @@ class TestSLOCALColoring:
         assert is_proper_coloring(g, coloring)
         if g.num_vertices():
             assert num_colors(coloring) <= g.max_degree() + 1
-
-
-class TestDistanceColoring:
-    def test_distance_two_coloring_separates_close_vertices(self):
-        g = path_graph(7)
-        coloring = _distance_coloring(g, distance=2)
-        for u in g.vertices:
-            dist = bfs_distances(g, u, radius=2)
-            for v, d in dist.items():
-                if v != u and d <= 2:
-                    assert coloring[u] != coloring[v]
-
-    def test_distance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SLOCALDistanceColoring(0)
-
-    def test_locality_matches_distance(self):
-        assert SLOCALDistanceColoring(3).locality == 3
-
-    def test_cycle_distance_coloring(self):
-        g = cycle_graph(9)
-        coloring = _distance_coloring(g, distance=2)
-        # Distance-2 coloring of a cycle needs at least 3 colors.
-        assert len(set(coloring.values())) >= 3
 
 
 class TestEngineIntegration:
