@@ -15,8 +15,10 @@ per-label-set *children* on their hot paths.  Two read surfaces exist:
 Design constraints, in order:
 
 * **Hot-path cost.**  A counter ``inc`` is one lock acquire and one
-  float add.  Callers are expected to resolve ``family.labels(...)``
-  once (module level or run start) and reuse the child.
+  float add.  Callers of a labeled family are expected to resolve
+  ``family.labels(...)`` once (module level or run start) and reuse the
+  child.  A label-less family keeps its one child, so ``family.inc()``
+  skips the label tuple, the family lock and the lookup.
 * **Thread safety.**  CPython's ``+=`` on an attribute is *not* atomic
   (it is a read, an add and a write, and the GIL can switch threads
   between them), so every child guards its state with a lock.
@@ -219,7 +221,9 @@ class MetricFamily:
     and friends) and hand out children via :meth:`labels`.  A family
     declared without label names has exactly one child, reachable as
     ``family.labels()`` — or directly: the family proxies ``inc`` /
-    ``set`` / ``dec`` / ``observe`` / ``value`` to it for convenience.
+    ``set`` / ``dec`` / ``observe`` / ``value`` to it.  The family keeps
+    that child once :meth:`labels` first creates it, so the proxies skip
+    the label tuple, the lock and the lookup from then on.
     """
 
     def __init__(
@@ -239,6 +243,8 @@ class MetricFamily:
         self._max_label_sets = max_label_sets
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], _Child] = {}
+        # The one child of a label-less family, once labels() created it.
+        self._child: Optional[_Child] = None
 
     def _make_child(self) -> _Child:
         if self.type == "histogram":
@@ -264,6 +270,8 @@ class MetricFamily:
                     )
                 child = self._make_child()
                 self._children[key] = child
+                if not key:
+                    self._child = child
             return child
 
     def children(self) -> List[Tuple[Tuple[str, ...], _Child]]:
@@ -271,22 +279,22 @@ class MetricFamily:
         with self._lock:
             return sorted(self._children.items())
 
-    # Convenience proxies for label-less families -----------------------
+    # Proxies for label-less families: the kept child, else labels() ----
     def inc(self, amount: float = 1.0) -> None:
-        self.labels().inc(amount)
+        (self._child or self.labels()).inc(amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        self.labels().dec(amount)
+        (self._child or self.labels()).dec(amount)
 
     def set(self, value: float) -> None:
-        self.labels().set(value)
+        (self._child or self.labels()).set(value)
 
     def observe(self, value: float) -> None:
-        self.labels().observe(value)
+        (self._child or self.labels()).observe(value)
 
     @property
     def value(self) -> float:
-        return self.labels().value
+        return (self._child or self.labels()).value
 
 
 class MetricsRegistry:

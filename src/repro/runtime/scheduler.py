@@ -536,6 +536,9 @@ def run_campaign(
 
     start = time.perf_counter()
     with contextlib.ExitStack() as scope:
+        # The store holds its append handle from the first row on; this
+        # closes it however the run ends.
+        scope.callback(store.close)
         if trace:
             scope.enter_context(
                 obs.tracing(Path(directory) / obs.TRACE_FILENAME)

@@ -45,9 +45,10 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro import obs
 from repro.exceptions import CampaignError
@@ -179,6 +180,11 @@ class CampaignStore:
     ``"flush"`` (default) flushes each row so a process kill loses at
     most one line; ``"fsync"`` additionally fsyncs so a machine crash
     loses at most one line.
+
+    The store holds one append handle on ``results.jsonl`` from its first
+    write until :meth:`close`, so a run opens the log once, not once per
+    row; a write after :meth:`close` opens it again.  A store dropped
+    without :meth:`close` closes the handle when it is collected.
     """
 
     def __init__(self, directory, durability: str = "flush") -> None:
@@ -187,7 +193,15 @@ class CampaignStore:
                 f"durability must be one of {DURABILITY_LEVELS}, got {durability!r}"
             )
         self.directory = Path(directory)
+        self.spec_path = self.directory / SPEC_FILENAME
+        self.results_path = self.directory / RESULTS_FILENAME
+        self.aggregates_path = self.directory / AGGREGATES_FILENAME
         self.durability = durability
+        # The append handle, the (st_ino, st_dev) of the file it writes,
+        # and the finalizer that closes it; all None while no handle is open.
+        self._handle: Optional[BinaryIO] = None
+        self._handle_id: Optional[Tuple[int, int]] = None
+        self._closer: Optional[weakref.finalize] = None
         # Byte size of results.jsonl after our last write, or None when we
         # have not looked yet.  While the size matches, the file still ends
         # with the newline we wrote, so append can skip the tail check; any
@@ -202,18 +216,6 @@ class CampaignStore:
         self._covered: Optional[int] = None
         self._sidecar_length = 0
         self._unsaved: Dict[str, Dict[str, Any]] = {}
-
-    @property
-    def spec_path(self) -> Path:
-        return self.directory / SPEC_FILENAME
-
-    @property
-    def results_path(self) -> Path:
-        return self.directory / RESULTS_FILENAME
-
-    @property
-    def aggregates_path(self) -> Path:
-        return self.directory / AGGREGATES_FILENAME
 
     # ------------------------------------------------------------------
     # spec identity
@@ -287,27 +289,57 @@ class CampaignStore:
             tail = handle.read()
         return None if b"\n" in tail else tail
 
+    def _append_handle(self) -> BinaryIO:
+        """The held append handle, opened again unless ``results_path`` still names its file.
+
+        Another store's :meth:`compact` renames a new log into place; the
+        old file's handle would write rows nobody reads again.
+        """
+        if self._handle is not None:
+            try:
+                stat = os.stat(self.results_path)
+                moved = (stat.st_ino, stat.st_dev) != self._handle_id
+            except FileNotFoundError:
+                moved = True
+            if not moved:
+                return self._handle
+            self.close()
+        self.directory.mkdir(parents=True, exist_ok=True)
+        handle = open(self.results_path, "ab")
+        stat = os.fstat(handle.fileno())
+        self._handle, self._handle_id = handle, (stat.st_ino, stat.st_dev)
+        self._closer = weakref.finalize(self, handle.close)
+        return handle
+
+    def close(self) -> None:
+        """Close the append handle, if one is open; a later write opens it again."""
+        closer = self._closer
+        self._closer = self._handle = self._handle_id = None
+        if closer is not None:
+            closer()
+
     def _write_lines(self, rows: List[Dict[str, Any]]) -> None:
         """Append ``rows``, folding their summaries while the log is as this store left it.
 
-        One stat call per append: while the file size still matches what
-        we last wrote, our own trailing newline is necessarily intact, and
-        any external change (kill truncation, test tampering) shows up as a
+        One ``stat`` of ``results_path`` and one ``fstat`` of the held
+        handle per append: while the file size still matches what we last
+        wrote, our own trailing newline is necessarily intact, and any
+        external change (kill truncation, test tampering) shows up as a
         size mismatch that re-triggers the tail check.  A folding store
         also folds the torn tail this write terminates, if that row parsed.
+        A failed write closes the handle, so no half-written buffer
+        outlives it.
         """
         payload = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("utf-8")
-        size = self._results_size()
+        handle = self._append_handle()
+        size = os.fstat(handle.fileno()).st_size
         torn: Optional[bytes] = b""
         if self._covered is not None and size != self._covered:
             torn = self._torn_tail(size)
             if torn is None:
                 self._covered, self._unsaved = None, {}
-        needs_newline = False
-        if size != self._known_size:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            needs_newline = self._needs_tail_newline()
-        with open(self.results_path, "ab") as handle:
+        needs_newline = size != self._known_size and self._needs_tail_newline()
+        try:
             if needs_newline:
                 handle.write(b"\n")
             handle.write(payload)
@@ -316,6 +348,9 @@ class CampaignStore:
                 os.fsync(handle.fileno())
                 _M_FSYNCS.inc()
             self._known_size = handle.tell()
+        except BaseException:
+            self.close()
+            raise
         _M_ROWS_APPENDED.inc(len(rows))
         _M_FLUSHES.inc()
         if self._covered is not None:
@@ -578,6 +613,7 @@ class CampaignStore:
             os.fsync(handle.fileno())
         # The old sidecar's cursors do not describe the compacted log.
         self.aggregates_path.unlink(missing_ok=True)
+        self.close()
         os.replace(tmp, self.results_path)
         bytes_after = os.path.getsize(self.results_path)
         self._known_size = bytes_after
@@ -658,4 +694,5 @@ def merge_shards(destination, shard_dirs, durability: Optional[str] = None) -> C
     for store in stores:
         merged.append_many(store.rows())
     merged.checkpoint()
+    merged.close()
     return merged

@@ -173,6 +173,51 @@ class TestLabels:
         assert family.labels("3").value == 1
 
 
+class TestLabelLessChild:
+    """A label-less family keeps its one child: the proxies skip ``labels()`` after first use."""
+
+    def test_proxies_work_once_labels_refuses(self, monkeypatch):
+        registry = MetricsRegistry()
+        counter = registry.counter("c_total", "help")
+        gauge = registry.gauge("g", "help")
+        histogram = registry.histogram("h", "help", buckets=(1.0,))
+        counter.inc()
+        gauge.set(1)
+        histogram.observe(0.5)
+
+        def refuse(*values):
+            raise AssertionError("labels() resolved a label-less child again")
+
+        for family in (counter, gauge, histogram):
+            monkeypatch.setattr(family, "labels", refuse)
+        counter.inc(2)
+        gauge.inc(5)
+        gauge.dec(2)
+        gauge.set(gauge.value * 2)
+        histogram.observe(3.0)
+        assert counter.value == 3
+        assert gauge.value == 8
+        monkeypatch.undo()
+        assert histogram.labels().bucket_counts() == [1, 1]
+        assert [values for values, _ in counter.children()] == [()]
+
+    def test_a_labeled_family_still_refuses_the_proxies(self):
+        registry = MetricsRegistry()
+        family = registry.counter("c_total", "help", labels=("status",))
+        family.labels("done").inc()
+        for proxy in (family.inc, family.dec, family.set, family.observe):
+            with pytest.raises(ObsError, match="takes 1 label"):
+                proxy(1)
+        with pytest.raises(ObsError, match="takes 1 label"):
+            family.value
+
+    def test_an_untouched_family_renders_no_sample(self):
+        registry = MetricsRegistry()
+        registry.counter("c_total", "help")
+        assert registry.snapshot()["metrics"][0]["samples"] == []
+        assert registry.render_prometheus() == "# HELP c_total help\n# TYPE c_total counter\n"
+
+
 class TestConcurrency:
     def test_concurrent_increments_from_a_thread_pool_are_lossless(self):
         registry = MetricsRegistry()

@@ -884,3 +884,142 @@ class TestRetryExhaustion:
     def test_max_attempts_must_be_positive(self, tmp_path):
         with pytest.raises(CampaignError, match="max_attempts"):
             CampaignStore(tmp_path).retry_exhausted_keys(0)
+
+
+class TestAppendHandle:
+    """A store opens results.jsonl for appending once, and follows a compaction's new log."""
+
+    def _appending_opens(self, monkeypatch) -> list:
+        """Spy on the store module's ``open``: the handles it opened to append to the log."""
+        handles = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            if "a" in mode and Path(file).name == store_module.RESULTS_FILENAME:
+                handles.append(handle)
+            return handle
+
+        monkeypatch.setattr(store_module, "open", spy, raising=False)
+        return handles
+
+    def test_a_serial_run_opens_the_log_once(self, tmp_path, monkeypatch):
+        handles = self._appending_opens(monkeypatch)
+        spec = small_spec()
+        stats = run_campaign(spec, tmp_path, workers=0)
+        assert stats.executed == spec.num_tasks() == 16
+        assert len(handles) == 1
+        assert handles[0].closed
+        assert len(CampaignStore(tmp_path).rows()) == 16
+
+    def test_each_merge_opens_the_log_once(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        shard_dirs = [tmp_path / f"shard{index}" for index in range(2)]
+        for index, shard_dir in enumerate(shard_dirs):
+            run_campaign(spec, shard_dir, shard=(index, 2))
+        handles = self._appending_opens(monkeypatch)
+        merged = merge_shards(tmp_path / "merged", shard_dirs)
+        assert len(handles) == 1 and handles[0].closed
+        assert len(merged.rows()) == spec.num_tasks()
+        merged = merge_shards(tmp_path / "merged", shard_dirs)
+        assert len(handles) == 2 and handles[1].closed
+        assert len(merged.rows()) == 2 * spec.num_tasks()
+
+    def test_an_append_after_another_store_compacts_lands_in_the_compacted_log(self, tmp_path):
+        writer = CampaignStore(tmp_path)
+        writer.append(row("a", status="failed"))
+        writer.append(row("a"))
+        assert CampaignStore(tmp_path).compact().rows_dropped == 1
+        writer.append(row("b"))
+        assert [(r["task_key"], r["status"]) for r in CampaignStore(tmp_path).rows()] == [
+            ("a", "done"),
+            ("b", "done"),
+        ]
+
+    def test_an_append_after_its_own_compaction_lands_in_the_compacted_log(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append(row("a", status="failed"))
+        store.append(row("a"))
+        store.compact()
+        store.append(row("b"))
+        assert [(r["task_key"], r["status"]) for r in CampaignStore(tmp_path).rows()] == [
+            ("a", "done"),
+            ("b", "done"),
+        ]
+        assert CampaignStore(tmp_path).completed_keys() == {"a", "b"}
+
+    def test_an_append_after_the_log_was_deleted_starts_a_new_log(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append(row("a"))
+        store.results_path.unlink()
+        store.append(row("b"))
+        assert [r["task_key"] for r in CampaignStore(tmp_path).rows()] == ["b"]
+
+    @pytest.mark.parametrize("raise_at", [None, 3])
+    def test_run_campaign_closes_the_store_once(self, tmp_path, monkeypatch, raise_at):
+        import repro.runtime.scheduler as scheduler
+
+        handles = self._appending_opens(monkeypatch)
+        closed = []
+        real_close = CampaignStore.close
+        monkeypatch.setattr(
+            CampaignStore, "close", lambda store: (closed.append(store), real_close(store))[1]
+        )
+        calls = []
+        real_execute = scheduler.execute_task
+
+        def execute(payload):
+            calls.append(payload["task_key"])
+            if len(calls) == raise_at:
+                raise RuntimeError("not a ReproError")
+            return real_execute(payload)
+
+        monkeypatch.setattr(scheduler, "execute_task", execute)
+        if raise_at is None:
+            run_campaign(small_spec(), tmp_path, workers=0)
+        else:
+            with pytest.raises(RuntimeError, match="not a ReproError"):
+                run_campaign(small_spec(), tmp_path, workers=0)
+        assert len(closed) == 1
+        assert len(handles) == 1 and handles[0].closed
+        expected = small_spec().num_tasks() if raise_at is None else raise_at - 1
+        assert len(CampaignStore(tmp_path).rows()) == expected
+
+    def test_a_dropped_store_closes_its_handle(self, tmp_path, monkeypatch):
+        handles = self._appending_opens(monkeypatch)
+        store = CampaignStore(tmp_path)
+        store.append(row("a"))
+        assert not handles[0].closed
+        del store
+        assert handles[0].closed
+
+    def test_a_failed_write_closes_the_handle_and_the_next_append_reopens(
+        self, tmp_path, monkeypatch
+    ):
+        handles = self._appending_opens(monkeypatch)
+        store = CampaignStore(tmp_path, durability="fsync")
+        store.append(row("a"))
+
+        def broken(fd):
+            raise OSError("the disk went away")
+
+        monkeypatch.setattr(store_module.os, "fsync", broken)
+        with pytest.raises(OSError, match="disk"):
+            store.append(row("b"))
+        assert handles[0].closed
+        monkeypatch.undo()
+        handles = self._appending_opens(monkeypatch)
+        store.append(row("c"))
+        store.close()
+        assert len(handles) == 1 and handles[0].closed
+        # "b" was flushed before its fsync failed, so the log holds it too.
+        assert [r["task_key"] for r in store.rows()] == ["a", "b", "c"]
+
+    def test_a_closed_store_appends_again(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.close()  # nothing open yet: a no-op
+        store.append(row("a"))
+        store.close()
+        store.close()
+        store.append(row("b"))
+        store.close()
+        assert [r["task_key"] for r in store.rows()] == ["a", "b"]
