@@ -15,9 +15,9 @@ BENCH_SMOKE_DIR := .bench-smoke
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Line-coverage gate over src/repro/{core,maxis,graphs,runtime,obs}
-# (fail-under floor lives in scripts/coverage.py; uses pytest-cov when
-# installed, stdlib trace otherwise).  Runs the full test suite itself.
+# Line-coverage gate over all of src/repro (fail-under floor lives in
+# scripts/coverage.py; uses pytest-cov when installed, stdlib trace
+# otherwise).  Runs the full test suite itself.
 coverage:
 	$(PYTHON) scripts/coverage.py
 

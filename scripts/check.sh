@@ -11,8 +11,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 PYTHON="${PYTHON:-python}"
 
 # The coverage gate runs the full suite itself (propagating pytest's exit
-# code) and then enforces the line-coverage floor over
-# src/repro/{core,maxis,graphs,runtime,obs} — so tests run once, not twice.
+# code) and then enforces the line-coverage floor over all of src/repro —
+# so tests run once, not twice.
 echo "== tier-1 tests + coverage gate =="
 $PYTHON scripts/coverage.py
 

@@ -1,11 +1,9 @@
 #!/usr/bin/env python
-"""Line-coverage gate for the core packages, with a dependency-free fallback.
+"""Line-coverage gate for the whole library, with a dependency-free fallback.
 
-Measures line coverage of ``src/repro/core``, ``src/repro/maxis``,
-``src/repro/graphs``, ``src/repro/runtime`` and ``src/repro/obs`` under
-the full test suite
-and fails when the aggregate drops below ``FAIL_UNDER`` percent (the
-floor measured when the gate was introduced — raise it when coverage
+Measures line coverage of every module under ``src/repro`` under the full
+test suite and fails when the aggregate drops below ``FAIL_UNDER`` percent
+(the floor measured when the gate was introduced — raise it when coverage
 improves, never lower it to make a regression pass).
 
 Two measurement backends:
@@ -32,13 +30,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 #: Packages whose line coverage is gated (paths under src/).
-TARGET_PACKAGES = (
-    "repro/core",
-    "repro/maxis",
-    "repro/graphs",
-    "repro/runtime",
-    "repro/obs",
-)
+TARGET_PACKAGES = ("repro",)
 
 #: Aggregate fail-under floor in percent: the stdlib backend measured
 #: 93.6% (core 91.6 / maxis 94.5 / graphs 94.8) when the gate was
@@ -48,7 +40,9 @@ TARGET_PACKAGES = (
 #: the measured aggregate to 95.3% (floor 94).  PR 5's shard/worker-pool/
 #: instance-cache runtime plus its campaign fuzz harness measured 95.6%
 #: (runtime 98.9%) — the floor ratchets up to 95.  PR 8 added
-#: src/repro/obs (98.8% at introduction; aggregate 96.1%).
+#: src/repro/obs (98.8% at introduction; aggregate 96.1%).  The gate then
+#: widened from those five packages to all of src/repro, which read 96.9%
+#: on the stdlib backend; the floor stays 95.
 #: pytest-cov counts lines slightly differently; the common floor is
 #: conservative for both backends.
 FAIL_UNDER = 95

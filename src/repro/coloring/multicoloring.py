@@ -72,10 +72,6 @@ class Multicoloring:
         """Return the total number of distinct colors used."""
         return len(self.all_colors())
 
-    def max_colors_per_vertex(self) -> int:
-        """Return the largest number of colors any single vertex holds."""
-        return max((len(cs) for cs in self._colors.values()), default=0)
-
     def as_dict(self) -> Dict[Vertex, FrozenSet[Color]]:
         """Return an immutable snapshot of the assignment."""
         return {v: frozenset(cs) for v, cs in self._colors.items()}

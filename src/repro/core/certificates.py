@@ -49,11 +49,6 @@ class CertificateReport:
     decay_respected: bool
     issues: List[str]
 
-    @property
-    def all_ok(self) -> bool:
-        """Whether every checked property holds."""
-        return not self.issues
-
 
 def check_phase_accounting(result: ReductionResult) -> List[str]:
     """Return a list of per-phase bookkeeping inconsistencies (empty when clean)."""

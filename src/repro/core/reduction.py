@@ -38,12 +38,13 @@ run may start from the build an earlier run on the same hypergraph and
 ``k`` left in :attr:`~ConflictFreeMulticoloringViaMaxIS.last_build`
 instead of building ``G_k`` again.
 Total work is proportional to what is deleted, not phases × full rebuild.
-With an approximator that has an id kernel (``solve_ids``; every built-in
-does) the engine never builds a triple: the oracle answers
+With a :class:`~repro.maxis.MaxISApproximator` (an id kernel,
+``solve_ids``) the engine never builds a triple: the oracle answers
 ``approximator(view, ids=True)`` with triple ids checked on masks, and
 :func:`~repro.core.correspondence.independent_set_to_coloring` reads the
-phase coloring off them as ``pair_vertex[i // k] ↦ colors[i % k]``.  Other
-approximators and plain callables get the mutable ``Graph`` of labels.
+phase coloring off them as ``pair_vertex[i // k] ↦ colors[i % k]``.  A
+plain callable, the form a custom label algorithm takes, gets the mutable
+``Graph`` of labels.
 The from-scratch path is retained as
 :meth:`ConflictFreeMulticoloringViaMaxIS.run_rebuild`; it produces
 bit-for-bit identical results and serves as the test oracle and the
@@ -249,13 +250,10 @@ class ConflictFreeMulticoloringViaMaxIS:
         self.oracle = _default_oracle(approximator)
         self.max_phases = max_phases
         self.strict = strict
-        # Approximators with an id kernel (every built-in) answer the
-        # engine's alive-mask views with ids; plain callables and
-        # Graph-only approximators keep receiving the mutable Graph.
+        # An approximator (an id kernel) answers the engine's alive-mask
+        # views with ids; a plain callable receives the mutable Graph.
         self._id_oracle: Optional[MaxISApproximator] = (
-            approximator
-            if isinstance(approximator, MaxISApproximator) and approximator.solve_ids is not None
-            else None
+            approximator if isinstance(approximator, MaxISApproximator) else None
         )
         #: Wall seconds the most recent run/run_rebuild spent computing the
         #: per-phase happy-edge sets (the ``happy_check_wall_time_s`` key of
@@ -377,10 +375,10 @@ class ConflictFreeMulticoloringViaMaxIS:
         the oracle the mutable graph (the seed behavior) and finds the
         happy edges by a full scan of ``H_i`` — the equality oracle for
         :meth:`ConflictGraph.happy_edges`, the engine's incidence-driven
-        check; the engine asks approximators with an id kernel for the ids
-        of an independent set of the ``repr``-sorted frozen view, the
-        triples the mutable path selects, and colors from the ids without
-        building a triple.
+        check; the engine asks an approximator for the ids of an
+        independent set of the ``repr``-sorted frozen view, the triples the
+        mutable path selects, and colors from the ids without building a
+        triple.
         """
         edges_before = conflict_graph.num_hyperedges()
         if rebuild or self._id_oracle is None:

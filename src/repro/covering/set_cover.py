@@ -51,15 +51,6 @@ class SetCoverInstance:
             covered |= members
         return self.universe <= covered
 
-    def max_set_size(self) -> int:
-        """Return the largest set size (0 for empty families)."""
-        return max((len(s) for s in self.sets.values()), default=0)
-
-    def greedy_guarantee(self) -> float:
-        """The classical harmonic approximation factor ``H(max set size)``."""
-        d = self.max_set_size()
-        return sum(1.0 / i for i in range(1, d + 1)) if d else 1.0
-
 
 def verify_set_cover(instance: SetCoverInstance, chosen: Iterable[SetId]) -> None:
     """Raise :class:`VerificationError` unless ``chosen`` covers the universe."""

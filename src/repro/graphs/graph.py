@@ -7,9 +7,8 @@ instead of building everything directly on :mod:`networkx`:
   queries and stable vertex identity semantics (vertices may be arbitrary
   hashable objects such as the ``(edge, vertex, color)`` triples of the
   conflict graph);
-* conversion helpers (:meth:`Graph.to_networkx`,
-  :meth:`Graph.from_networkx`) are provided so users can move freely
-  between the two representations.
+* :meth:`Graph.to_networkx` converts to :mod:`networkx` where a
+  reference algorithm needs it.
 
 Vertices may be any hashable object.  Self-loops are rejected because none
 of the problems studied in the paper are defined on graphs with loops, and
@@ -130,11 +129,6 @@ class Graph:
         self._degree_changed(len(nbrs_u) - 1, len(nbrs_u))
         self._degree_changed(len(nbrs_v) - 1, len(nbrs_v))
 
-    def add_edges(self, edges: Iterable[Edge]) -> None:
-        """Add every edge in ``edges``."""
-        for u, v in edges:
-            self.add_edge(u, v)
-
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove the edge ``{u, v}``.
 
@@ -171,10 +165,6 @@ class Graph:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def has_vertex(self, v: Vertex) -> bool:
-        """Return ``True`` if ``v`` is a vertex of the graph."""
-        return v in self._adj
-
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """Return ``True`` if the edge ``{u, v}`` is present."""
         return u in self._adj and v in self._adj[u]
@@ -206,18 +196,6 @@ class Graph:
         if v not in self._adj:
             raise GraphError(f"vertex {v!r} not in graph")
         return self._adj[v]
-
-    def neighbors_iter(self, v: Vertex) -> Iterator[Vertex]:
-        """Iterate over the neighbors of ``v`` without copying the set.
-
-        Raises
-        ------
-        GraphError
-            If the vertex is not present.
-        """
-        if v not in self._adj:
-            raise GraphError(f"vertex {v!r} not in graph")
-        return iter(self._adj[v])
 
     def degree(self, v: Vertex) -> int:
         """Return the degree of ``v``."""
@@ -335,35 +313,6 @@ class Graph:
                     g.add_edge(u, v)
         return g
 
-    def is_independent_set(self, vertices: Iterable[Vertex]) -> bool:
-        """Return ``True`` if ``vertices`` is an independent set.
-
-        Every vertex must be present in the graph; otherwise a
-        :class:`GraphError` is raised, because silently accepting foreign
-        vertices would make the check meaningless.
-        """
-        vs = list(vertices)
-        for v in vs:
-            if v not in self._adj:
-                raise GraphError(f"vertex {v!r} not in graph")
-        vset = set(vs)
-        for v in vset:
-            if self._adj[v] & vset:
-                return False
-        return True
-
-    def is_clique(self, vertices: Iterable[Vertex]) -> bool:
-        """Return ``True`` if ``vertices`` induces a complete subgraph."""
-        vs = [v for v in vertices]
-        for v in vs:
-            if v not in self._adj:
-                raise GraphError(f"vertex {v!r} not in graph")
-        vset = set(vs)
-        for v in vset:
-            if (vset - {v}) - self._adj[v]:
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # interop
     # ------------------------------------------------------------------
@@ -388,28 +337,4 @@ class Graph:
         g = nx.Graph()
         g.add_nodes_from(self._adj)
         g.add_edges_from(self.edges())
-        return g
-
-    @classmethod
-    def from_networkx(cls, nx_graph) -> "Graph":
-        """Build a :class:`Graph` from a :class:`networkx.Graph`."""
-        g = cls(vertices=nx_graph.nodes())
-        for u, v in nx_graph.edges():
-            if u != v:
-                g.add_edge(u, v)
-        return g
-
-    def to_dict(self) -> Dict[str, list]:
-        """Serialize to a JSON-friendly ``{"vertices": [...], "edges": [...]}``."""
-        return {
-            "vertices": sorted(self._adj, key=repr),
-            "edges": sorted(([u, v] for u, v in self.edges()), key=repr),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, list]) -> "Graph":
-        """Inverse of :meth:`to_dict`."""
-        g = cls(vertices=data.get("vertices", ()))
-        for u, v in data.get("edges", ()):
-            g.add_edge(u, v)
         return g

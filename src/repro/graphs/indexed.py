@@ -295,13 +295,6 @@ class IndexedGraph:
         labels = self.labels()
         return {labels[i] for i in iter_bits(mask)}
 
-    def mask_of(self, vertices: Iterable[Vertex]) -> int:
-        """Translate an iterable of labels into a bitset over ids."""
-        mask = 0
-        for v in vertices:
-            mask |= 1 << self.index_of(v)
-        return mask
-
     def __len__(self) -> int:
         return len(self._bitsets)
 

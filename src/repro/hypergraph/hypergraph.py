@@ -49,9 +49,8 @@ class Hypergraph:
         self._incidence: Dict[Vertex, Set[EdgeId]] = {}
         self._next_auto_id = 0
         # Incremental bookkeeping: the sorted edge-id list is cached until the
-        # edge *family* changes (shrinking an edge in place keeps it valid),
-        # Σ|e| is a running counter, and the edge-size histogram serves
-        # rank()/min_edge_size() without scanning the edge family.
+        # edge family changes, Σ|e| is a running counter, and the edge-size
+        # histogram serves rank() without scanning the edge family.
         self._edge_ids_cache: Optional[List[EdgeId]] = None
         self._total_edge_size: int = 0
         self._size_hist: Dict[int, int] = {}
@@ -73,7 +72,7 @@ class Hypergraph:
     # incremental bookkeeping
     # ------------------------------------------------------------------
     def _size_added(self, size: int) -> None:
-        """Record a new (or regrown) edge of ``size`` members."""
+        """Record a new edge of ``size`` members."""
         self._total_edge_size += size
         self._size_hist[size] = self._size_hist.get(size, 0) + 1
 
@@ -145,31 +144,6 @@ class Hypergraph:
         for e in list(edge_ids):
             self.remove_edge(e)
 
-    def remove_vertex(self, v: Vertex) -> None:
-        """Remove vertex ``v`` from the vertex set and from every edge.
-
-        Incident edges are shrunk in place (their ids, and the incidence
-        sets of their other members, are untouched); edges that would
-        become empty are removed entirely.
-
-        Raises
-        ------
-        HypergraphError
-            If the vertex is not present.
-        """
-        if v not in self._vertices:
-            raise HypergraphError(f"vertex {v!r} not in hypergraph")
-        for e in list(self._incidence[v]):
-            shrunk = self._edges[e] - {v}
-            if shrunk:
-                self._edges[e] = shrunk
-                self._size_dropped(len(shrunk) + 1)
-                self._size_added(len(shrunk))
-            else:
-                self.remove_edge(e)
-        self._vertices.discard(v)
-        del self._incidence[v]
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -220,10 +194,6 @@ class Hypergraph:
             raise HypergraphError(f"vertex {v!r} not in hypergraph")
         return set(self._incidence[v])
 
-    def vertex_degree(self, v: Vertex) -> int:
-        """Return the number of hyperedges containing ``v``."""
-        return len(self.edges_containing(v))
-
     def num_vertices(self) -> int:
         """Return ``|V|``."""
         return len(self._vertices)
@@ -241,16 +211,6 @@ class Hypergraph:
         if not self._size_hist:
             return 0
         return max(self._size_hist)
-
-    def min_edge_size(self) -> int:
-        """Return the minimum hyperedge size (0 for edgeless hypergraphs).
-
-        Served from the incrementally maintained size histogram, like
-        :meth:`rank`.
-        """
-        if not self._size_hist:
-            return 0
-        return min(self._size_hist)
 
     def total_edge_size(self) -> int:
         """Return ``Σ_e |e|`` — the number of incidences (O(1), counter-maintained)."""
@@ -315,11 +275,3 @@ class Hypergraph:
                     if not g.has_edge(u, v):
                         g.add_edge(u, v)
         return g
-
-    @classmethod
-    def from_edge_list(cls, edge_list: Iterable[Iterable[Vertex]]) -> "Hypergraph":
-        """Build a hypergraph from a bare list of member iterables (ids are 0,1,2,…)."""
-        h = cls()
-        for i, members in enumerate(edge_list):
-            h.add_edge(members, edge_id=i)
-        return h

@@ -53,10 +53,6 @@ class Inbox:
         msg = self.messages.get(neighbor)
         return msg.payload if msg is not None else default
 
-    def senders(self):
-        """Return the neighbors that sent a message."""
-        return set(self.messages)
-
     def payloads(self):
         """Return all received payloads (unordered)."""
         return [m.payload for m in self.messages.values()]

@@ -19,7 +19,7 @@ simulation overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, Optional
 
 from repro.exceptions import ModelError
 from repro.graphs.graph import Graph
@@ -83,10 +83,6 @@ class VirtualGraphEmbedding:
         self.host_graph = host_graph
         self.virtual_graph = virtual_graph
         self.host_of = dict(host_of)
-
-    def hosted_by(self, host: Vertex) -> List[VirtualVertex]:
-        """Return the virtual vertices hosted by physical node ``host``."""
-        return [vv for vv, h in self.host_of.items() if h == host]
 
     def congestion(self) -> Dict[Vertex, int]:
         """Return, per physical node, the number of virtual vertices it hosts."""

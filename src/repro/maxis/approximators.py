@@ -13,72 +13,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.exceptions import ApproximationError
 from repro.graphs.graph import Graph
-from repro.graphs.independent_sets import verify_independent_ids, verify_independent_set
+from repro.graphs.independent_sets import verify_independent_ids
 from repro.graphs.indexed import IndexedGraph, freeze_sorted
-
-Vertex = Hashable
 
 
 @dataclass(frozen=True)
 class MaxISApproximator:
-    """A named maximum-independent-set approximation algorithm.
+    """A named maximum-independent-set approximation algorithm: one id kernel.
 
-    An approximator is defined by exactly one solver: an id kernel
-    (``solve_ids``; every built-in is one) or, for a custom algorithm
-    written against labels, ``solve``.  :meth:`__call__` is the one place
-    that derives a label answer from an id kernel.
+    Every approximator is an id kernel, ``solve_ids``, and :meth:`__call__`
+    is the one place that derives a label answer from it.  A custom
+    algorithm written against labels needs no approximator: the reduction
+    engine takes any plain callable from a mutable :class:`Graph` to an
+    independent set of its vertices as its oracle.
 
     Attributes
     ----------
     name:
         Registry key / display name.
-    solve:
-        ``solve(graph) -> set_of_vertices`` on a mutable :class:`Graph`,
-        for custom approximators without an id kernel; ``None`` otherwise.
-    guarantee:
-        Callable mapping a graph to the approximation factor λ the
-        algorithm guarantees on that graph (``None`` when no worst-case
-        guarantee is claimed — e.g. purely heuristic baselines).
-    description:
-        One-line description used in benchmark tables.
     solve_ids:
         ``solve_ids(graph) -> iterable of ids``: the algorithm on a frozen
         :class:`~repro.graphs.indexed.IndexedGraph` or alive-mask subgraph
         view interned in ``repr`` order, answering with the ids of an
         independent set.  The reduction's phase engine calls it through
         ``__call__(view, ids=True)`` on the conflict graph, whose ids are
-        laid out in ``repr`` order.  ``None`` keeps a custom approximator
-        on the mutable-:class:`Graph` path.
-
-    Raises
-    ------
-    ApproximationError
-        If both solvers or neither are given.
+        laid out in ``repr`` order.
+    guarantee:
+        Callable mapping a graph to the approximation factor λ the
+        algorithm guarantees on that graph (``None`` when no worst-case
+        guarantee is claimed — e.g. purely heuristic baselines).
+    description:
+        One-line description used in benchmark tables.
     """
 
     name: str
-    solve: Optional[Callable[[Graph], Set[Vertex]]] = None
+    solve_ids: Callable[[IndexedGraph], Iterable[int]]
     guarantee: Optional[Callable[[Graph], float]] = None
     description: str = ""
-    solve_ids: Optional[Callable[[IndexedGraph], Iterable[int]]] = None
-
-    def __post_init__(self) -> None:
-        if (self.solve is None) == (self.solve_ids is None):
-            raise ApproximationError(
-                f"approximator {self.name!r} needs exactly one of solve and solve_ids"
-            )
 
     def __call__(self, graph, ids: bool = False):
-        """Run the approximator and verify that its output is independent.
+        """Run the kernel and verify that its output is independent.
 
-        By default the answer is a set of vertex labels.  An id kernel
-        runs on ``freeze_sorted(graph)`` (a frozen graph or view passes
-        through) and its ids are checked on masks, then named by their
-        labels; a label-only approximator runs ``solve`` on ``graph``.
+        The kernel runs on ``freeze_sorted(graph)`` (a frozen graph or view
+        passes through) and its ids are checked on masks.  By default they
+        are named by their labels and the answer is a set of vertices.
         With ``ids=True``, ``graph`` must be an
         :class:`~repro.graphs.indexed.IndexedGraph` or view interned in
         ``repr`` order, and the answer is the kernel's list of ids in
@@ -90,40 +72,17 @@ class MaxISApproximator:
             If the answer names a vertex outside ``graph``, repeats one, or
             holds two adjacent vertices.
         ApproximationError
-            If the answer is empty although ``graph`` is not, or if
-            ``ids=True`` asks a label-only approximator for ids.
+            If the answer is empty although ``graph`` is not.
         """
-        if ids and self.solve_ids is None:
-            raise ApproximationError(
-                f"approximator {self.name!r} has no id kernel (solve_ids), "
-                "so it cannot answer with ids; call it without ids=True"
-            )
-        if self.solve is None:
-            frozen = freeze_sorted(graph)
-            result = sorted(self.solve_ids(frozen))
-            verify_independent_ids(frozen, result)
-            if not ids:
-                result = {frozen.label(i) for i in result}
-        else:
-            result = self.solve(graph)
-            verify_independent_set(graph, result)
+        frozen = freeze_sorted(graph)
+        result = sorted(self.solve_ids(frozen))
+        verify_independent_ids(frozen, result)
         if graph.num_vertices() > 0 and not result:
             raise ApproximationError(
                 f"approximator {self.name!r} returned an empty set on a non-empty graph; "
                 "no finite approximation factor can hold"
             )
-        return result if ids else set(result)
-
-    def guaranteed_lambda(self, graph: Graph) -> Optional[float]:
-        """Return the guaranteed approximation factor on ``graph`` (or ``None``)."""
-        if self.guarantee is None:
-            return None
-        value = self.guarantee(graph)
-        if value < 1:
-            raise ApproximationError(
-                f"approximator {self.name!r} claims an approximation factor {value} < 1"
-            )
-        return value
+        return result if ids else {frozen.label(i) for i in result}
 
 
 _REGISTRY: Dict[str, MaxISApproximator] = {}
@@ -170,25 +129,19 @@ def capped_oracle(base_name: str, lam: float) -> MaxISApproximator:
     set is independent, so Lemma 2.1(b) still holds per selected triple)
     emulates an oracle that only achieves its worst-case guarantee — the
     regime the paper's analysis is about, with ``ρ = λ·ln(m) + 1`` phases.
-    The kept triples are the first ``⌈|I|/λ⌉`` by ``repr``: over a base
-    with an id kernel the capped oracle is an id kernel that keeps the
-    smallest ids, which on a graph interned in ``repr`` order are those
-    triples; over a label-only base it caps ``solve``'s labels.
+    The kept triples are the first ``⌈|I|/λ⌉`` by ``repr``: the capped
+    oracle is an id kernel that keeps the base kernel's smallest ids, which
+    on a graph interned in ``repr`` order are those triples.
     The campaign runtime's ``capped:<name>`` oracles and the reduction
     benchmark use it; its name is ``<base_name>@1/<λ>``.
     """
     base = get_approximator(base_name)
 
-    def cap(full: List) -> List:
+    def cap(full: List[int]) -> List[int]:
         return full[:max(1, math.ceil(len(full) / lam))]
 
-    if base.solve_ids is None:
-        solve, solve_ids = (lambda graph: set(cap(sorted(base.solve(graph), key=repr)))), None
-    else:
-        solve, solve_ids = None, (lambda graph: cap(sorted(base.solve_ids(graph))))
     return MaxISApproximator(
         name=f"{base_name}@1/{lam:g}",
-        solve=solve,
-        solve_ids=solve_ids,
+        solve_ids=lambda graph: cap(sorted(base.solve_ids(graph))),
         description=f"{base_name} capped to a 1/{lam:g} fraction (worst-case λ regime).",
     )

@@ -4,13 +4,14 @@ The registry is the live, queryable view of a run: runtime subsystems
 register metric *families* once at import time and update cheap
 per-label-set *children* on their hot paths.  Two read surfaces exist:
 
-* :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
+* :meth:`MetricsRegistry.snapshot` — a JSON-safe dict of every family,
+  persisted by ``run_campaign`` as ``metrics.json`` next to the store so
+  ``repro campaign metrics <dir>`` can render a finished run post-hoc;
+* :func:`render_snapshot` — a snapshot in the Prometheus text
   exposition format (``# HELP`` / ``# TYPE`` headers, one
   ``name{label="value"} value`` sample per line, histograms as
-  cumulative ``_bucket`` series plus ``_sum`` / ``_count``);
-* :meth:`MetricsRegistry.snapshot` — a JSON-safe dict of the same data,
-  persisted by ``run_campaign`` as ``metrics.json`` next to the store so
-  ``repro campaign metrics <dir>`` can render a finished run post-hoc.
+  cumulative ``_bucket`` series plus ``_sum`` / ``_count``), so
+  ``render_snapshot(registry.snapshot())`` renders a live registry.
 
 Design constraints, in order:
 
@@ -413,10 +414,6 @@ class MetricsRegistry:
                 }
             )
         return {"version": SNAPSHOT_VERSION, "metrics": metrics}
-
-    def render_prometheus(self) -> str:
-        """The registry in the Prometheus text exposition format."""
-        return render_snapshot(self.snapshot())
 
     def write_snapshot(self, path) -> Path:
         """Persist :meth:`snapshot` to ``path`` atomically (temp + rename)."""

@@ -11,8 +11,8 @@ on:
   calls / virtual-graph size).
 
 This module keeps those notions executable: a :class:`Problem` bundles a
-validity checker, a :class:`LocalReduction` bundles the transformation
-together with explicit overhead accounting, and reductions compose.  The
+validity checker and a :class:`LocalReduction` bundles the transformation
+together with explicit overhead accounting.  The
 concrete instances for the problems mentioned in the paper live in
 :mod:`repro.reductions.problems`; completeness facts are recorded in
 :mod:`repro.reductions.registry`.
@@ -21,7 +21,7 @@ concrete instances for the problems mentioned in the paper live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.bounds import is_polylog
 from repro.exceptions import ReductionError, VerificationError
@@ -47,14 +47,6 @@ class Problem:
     name: str
     description: str
     verify: Callable[[Any, Any], None]
-
-    def is_valid(self, instance: Any, solution: Any) -> bool:
-        """Boolean convenience wrapper around :attr:`verify`."""
-        try:
-            self.verify(instance, solution)
-        except Exception:
-            return False
-        return True
 
 
 @dataclass
@@ -140,49 +132,3 @@ class LocalReduction:
                     f"reduction {self.name!r} produced an invalid solution: {exc}"
                 ) from exc
         return run
-
-    def compose(self, inner: "LocalReduction") -> "LocalReduction":
-        """Compose two reductions: ``self: B ≤ A`` after ``inner: A ≤ A'`` gives ``B ≤ A'``.
-
-        The composed overhead multiplies locality factors and instance
-        blow-ups and multiplies oracle-call counts (each outer oracle call
-        triggers one full inner run) — the same bookkeeping the formal
-        definition of local reductions uses to argue that polylog composes
-        with polylog.
-        """
-        if self.target.name != inner.source.name:
-            raise ReductionError(
-                f"cannot compose: {self.name!r} targets {self.target.name!r} but "
-                f"{inner.name!r} starts from {inner.source.name!r}"
-            )
-        outer = self
-
-        def run(instance: Any, oracle: Callable[[Any], Any]) -> ReductionRun:
-            inner_overheads: List[ReductionOverhead] = []
-
-            def composed_oracle(sub_instance: Any) -> Any:
-                inner_run = inner.apply(sub_instance, oracle)
-                inner_overheads.append(inner_run.overhead)
-                return inner_run.solution
-
-            outer_run = outer.apply(instance, composed_oracle)
-            total_inner_calls = sum(o.oracle_calls for o in inner_overheads)
-            max_inner_locality = max((o.locality_factor for o in inner_overheads), default=1.0)
-            max_inner_blowup = max((o.instance_blowup for o in inner_overheads), default=1.0)
-            combined = ReductionOverhead(
-                oracle_calls=total_inner_calls,
-                locality_factor=outer_run.overhead.locality_factor * max_inner_locality,
-                instance_blowup=outer_run.overhead.instance_blowup * max_inner_blowup,
-            )
-            return ReductionRun(
-                solution=outer_run.solution,
-                overhead=combined,
-                details={"outer": outer_run.details, "inner_runs": len(inner_overheads)},
-            )
-
-        return LocalReduction(
-            source=outer.source,
-            target=inner.target,
-            run=run,
-            name=f"{outer.name} ∘ {inner.name}",
-        )

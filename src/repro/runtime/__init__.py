@@ -53,7 +53,6 @@ from repro.runtime.store import (
     CampaignStore,
     CompactionStats,
     cache_counts_of,
-    completed_of,
     merge_shards,
     open_store,
     retry_exhausted_of,
@@ -94,7 +93,6 @@ __all__ = [
     "RETRYABLE_STATUSES",
     "merge_shards",
     "open_store",
-    "completed_of",
     "status_counts_of",
     "cache_counts_of",
     "retry_exhausted_of",

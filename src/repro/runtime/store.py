@@ -35,10 +35,10 @@ Three scale features sit on top of the log:
 A resumed run reads :meth:`~CampaignStore.summaries` and executes only the
 tasks whose latest entry is not ``"done"`` — failed and timed-out rows are
 retried up to the retry policy's attempt budget
-(:meth:`~CampaignStore.retry_exhausted_keys` names the rows that used it
-up), and a re-completed key supersedes older rows (last write wins).  The
-query views (:meth:`~CampaignStore.completed_keys`,
-:meth:`~CampaignStore.status_counts`, …) answer from the same summaries.
+(:func:`retry_exhausted_of` names the rows that used it up), and a
+re-completed key supersedes older rows (last write wins).  The query
+views (:func:`status_counts_of`, :func:`cache_counts_of`, …) answer from
+the same summaries.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ _DECODER = json.JSONDecoder()
 # carry "status" / "attempt" / "instance_cache_hit"), so a CLI command
 # can read the store once and derive every view from that single read.
 
-def completed_of(latest: Mapping[str, Mapping[str, Any]]) -> Set[str]:
-    """Task keys whose latest entry is ``"done"`` — the resume skip-set."""
-    return {key for key, entry in latest.items() if entry["status"] == "done"}
-
-
 def status_counts_of(latest: Mapping[str, Mapping[str, Any]]) -> Dict[str, int]:
     """Count latest entries per status (``done`` / ``failed`` / ``timeout`` / …)."""
     counts: Dict[str, int] = {}
@@ -116,7 +111,15 @@ def status_counts_of(latest: Mapping[str, Mapping[str, Any]]) -> Dict[str, int]:
 def retry_exhausted_of(
     latest: Mapping[str, Mapping[str, Any]], max_attempts: int
 ) -> Set[str]:
-    """Task keys whose latest entry burned the whole retry budget."""
+    """Task keys whose latest entry burned the whole retry budget.
+
+    A key qualifies when its latest entry is a retryable failure
+    (``failed`` or ``timeout``) whose ``attempt`` counter — the number of
+    consecutive executions that died with the *same* error signature — has
+    reached ``max_attempts``.  The scheduler skips these on resume
+    (re-running them would deterministically fail the same way again) and
+    ``repro campaign status`` warns about them.
+    """
     if max_attempts < 1:
         raise CampaignError(f"max_attempts must be >= 1, got {max_attempts}")
     return {
@@ -417,29 +420,9 @@ class CampaignStore:
             latest[row["task_key"]] = row
         return latest
 
-    def completed_keys(self) -> Set[str]:
-        """Task keys whose latest row is ``"done"`` — the resume skip-set."""
-        return completed_of(self.summaries())
-
     def status_counts(self) -> Dict[str, int]:
         """Count latest rows per status (``done`` / ``failed`` / ``timeout`` / …)."""
         return status_counts_of(self.summaries())
-
-    def retry_exhausted_keys(self, max_attempts: int) -> Set[str]:
-        """Task keys whose latest row burned the whole retry budget.
-
-        A key qualifies when its latest row is a retryable failure
-        (``failed`` or ``timeout``) whose ``attempt`` counter — the
-        number of consecutive executions that died with the *same* error
-        signature — has reached ``max_attempts``.  The scheduler skips
-        these on resume (re-running them would deterministically fail the
-        same way again) and ``repro campaign status`` warns about them.
-        """
-        return retry_exhausted_of(self.summaries(), max_attempts)
-
-    def cache_counts(self) -> Dict[str, int]:
-        """Instance-cache hits/misses over the latest rows (status reporting)."""
-        return cache_counts_of(self.summaries())
 
     # ------------------------------------------------------------------
     # incremental aggregation

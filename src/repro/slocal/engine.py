@@ -88,10 +88,6 @@ class SLOCALResult:
     order: List[Vertex]
     ball_sizes: Dict[Vertex, int] = field(default_factory=dict)
 
-    def max_ball_size(self) -> int:
-        """Return the largest inspected ball (0 for empty graphs)."""
-        return max(self.ball_sizes.values(), default=0)
-
 
 class SLOCALEngine:
     """Executes SLOCAL algorithms on a network graph."""
@@ -157,12 +153,3 @@ class SLOCALEngine:
             order=order_list,
             ball_sizes=ball_sizes,
         )
-
-    def run_over_orders(
-        self,
-        algorithm,
-        orders: Sequence[Sequence[Vertex]],
-        locality: Optional[int] = None,
-    ) -> List[SLOCALResult]:
-        """Run the algorithm once per order in ``orders`` (fresh state each time)."""
-        return [self.run(algorithm, order=o, locality=locality) for o in orders]

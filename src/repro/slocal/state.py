@@ -9,7 +9,7 @@ processed yet so that the engine can enforce the model's sequencing rules.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable
 
 from repro.exceptions import ModelError
 
@@ -48,10 +48,6 @@ class NodeState:
         """Return the stored keys."""
         return self._store.keys()
 
-    def as_dict(self) -> Dict[str, Any]:
-        """Return a copy of the key/value store."""
-        return dict(self._store)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         status = "processed" if self.processed else "pending"
         return f"NodeState({self.vertex!r}, {status}, output={self.output!r})"
@@ -77,11 +73,3 @@ class StateMap:
     def outputs(self) -> Dict[Vertex, Any]:
         """Return the mapping ``vertex -> output`` over all processed nodes."""
         return {v: s.output for v, s in self._states.items() if s.processed}
-
-    def processed_vertices(self) -> set:
-        """Return the set of already processed vertices."""
-        return {v for v, s in self._states.items() if s.processed}
-
-    def get_output(self, vertex: Vertex) -> Optional[Any]:
-        """Return the output of ``vertex`` (``None`` if unprocessed)."""
-        return self[vertex].output

@@ -37,7 +37,6 @@ class LocalView:
     """
 
     def __init__(self, graph: Graph, state: StateMap, center: Vertex, radius: int) -> None:
-        self._graph = graph
         self._state = state
         self.center = center
         self.radius = radius
@@ -66,33 +65,6 @@ class LocalView:
         self._check_visible(vertex)
         return self._subgraph.neighbors(vertex)
 
-    def degree_in_view(self, vertex: Vertex) -> int:
-        """Degree of ``vertex`` restricted to the view."""
-        self._check_visible(vertex)
-        return self._subgraph.degree(vertex)
-
-    def true_degree(self, vertex: Vertex) -> int:
-        """The true degree of ``vertex`` in the whole graph.
-
-        Only available for vertices at distance ≤ ``radius - 1`` from the
-        center (their full neighborhood lies inside the ball); for boundary
-        vertices the true degree is not locally determined and requesting it
-        raises :class:`LocalityViolation`.  The center's own true degree is
-        always available when ``radius ≥ 1``.
-        """
-        self._check_visible(vertex)
-        if self.radius == 0 and vertex == self.center:
-            raise LocalityViolation(
-                "a radius-0 view cannot see any neighbors, so no degree is available"
-            )
-        full_neighbors = self._graph.neighbors(vertex)
-        if not full_neighbors <= self._ball:
-            raise LocalityViolation(
-                f"the full neighborhood of {vertex!r} is not contained in the "
-                f"{self.radius}-ball around {self.center!r}"
-            )
-        return len(full_neighbors)
-
     # ------------------------------------------------------------------
     # state access
     # ------------------------------------------------------------------
@@ -105,15 +77,6 @@ class LocalView:
         """The output of an already-processed visible vertex."""
         self._check_visible(vertex)
         return self._state[vertex].output
-
-    def read_state(self, vertex: Vertex, key: str, default: Any = None) -> Any:
-        """Read a key from the persistent state of a visible vertex."""
-        self._check_visible(vertex)
-        return self._state[vertex].read(key, default)
-
-    def processed_vertices(self) -> Set[Vertex]:
-        """The visible vertices that have already been processed."""
-        return {v for v in self._ball if self._state[v].processed}
 
     # ------------------------------------------------------------------
     # internals

@@ -88,13 +88,13 @@ class TestIntervalColoring:
         assert num_colors_used(coloring) <= interval_color_bound(30)
 
     def test_non_interval_hypergraph_rejected(self):
-        h = Hypergraph.from_edge_list([[0, 2]])  # skips point 1 -> not contiguous
+        h = Hypergraph(edges=[[0, 2]])  # skips point 1 -> not contiguous
         h.add_vertex(1)
         with pytest.raises(ColoringError):
             interval_conflict_free_coloring(h, [0, 1, 2])
 
     def test_is_interval_hypergraph_predicate(self):
-        h = Hypergraph.from_edge_list([[0, 1], [1, 2, 3]])
+        h = Hypergraph(edges=[[0, 1], [1, 2, 3]])
         assert is_interval_hypergraph(h, [0, 1, 2, 3])
         assert not is_interval_hypergraph(h, [0, 2, 1, 3])
 

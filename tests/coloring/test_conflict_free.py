@@ -27,7 +27,7 @@ from tests.conftest import colorable_hypergraphs
 @pytest.fixture
 def triangle_hypergraph() -> Hypergraph:
     """Three vertices, one hyperedge containing all of them."""
-    return Hypergraph.from_edge_list([[0, 1, 2]])
+    return Hypergraph(edges=[[0, 1, 2]])
 
 
 class TestHappiness:
@@ -55,7 +55,7 @@ class TestHappiness:
         assert not happy & unhappy
 
     def test_singleton_edge_happy_once_colored(self):
-        h = Hypergraph.from_edge_list([[7]])
+        h = Hypergraph(edges=[[7]])
         assert not is_happy(h, {}, 0)
         assert is_happy(h, {7: 3}, 0)
 

@@ -86,6 +86,19 @@ def assert_consistent_hypergraph(h: Hypergraph) -> None:
         assert h.edges_containing(v) == {e for e, members in h.edges() if v in members}, v
 
 
+def completed_of(latest) -> Set[str]:
+    """Task keys whose latest entry (a row or a summary) is ``"done"``."""
+    return {key for key, entry in latest.items() if entry["status"] == "done"}
+
+
+def mask_of(graph, vertices) -> int:
+    """The bitset over ``graph``'s ids of the labels ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << graph.index_of(v)
+    return mask
+
+
 def graph_as_hypergraph(graph) -> Hypergraph:
     """View a simple graph as a 2-uniform hypergraph (edges become hyperedges)."""
     h = Hypergraph(vertices=graph.vertices)
@@ -100,9 +113,7 @@ def graph_as_hypergraph(graph) -> Hypergraph:
 @pytest.fixture
 def small_graph() -> Graph:
     """A fixed 6-vertex graph with a known structure (two triangles joined by an edge)."""
-    g = Graph()
-    g.add_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-    return g
+    return Graph(edges=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
 
 
 @pytest.fixture
@@ -114,7 +125,7 @@ def random_graph() -> Graph:
 @pytest.fixture
 def small_hypergraph() -> Hypergraph:
     """A fixed 5-vertex hypergraph with 4 edges."""
-    return Hypergraph.from_edge_list([[0, 1, 2], [2, 3], [1, 3, 4], [0, 4]])
+    return Hypergraph(edges=[[0, 1, 2], [2, 3], [1, 3, 4], [0, 4]])
 
 
 @pytest.fixture

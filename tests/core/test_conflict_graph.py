@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConflictGraph, ConflictVertex, conflict_vertices
+from repro.core import ConflictGraph, ConflictVertex, conflict_vertices, legacy_build_graph
 from repro.core.conflict_graph import classify_conflict_edge
 from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS
 from repro.exceptions import ReductionError
@@ -19,7 +21,7 @@ from tests.conftest import hypergraphs
 @pytest.fixture
 def tiny_hypergraph() -> Hypergraph:
     """Two overlapping edges: e0 = {0, 1}, e1 = {1, 2}."""
-    return Hypergraph.from_edge_list([[0, 1], [1, 2]])
+    return Hypergraph(edges=[[0, 1], [1, 2]])
 
 
 class TestVertexSet:
@@ -41,6 +43,10 @@ class TestVertexSet:
         with pytest.raises(ReductionError):
             conflict_vertices(tiny_hypergraph, 0)
 
+    def test_legacy_builder_rejects_an_empty_palette(self, tiny_hypergraph):
+        with pytest.raises(ReductionError, match="palette size"):
+            legacy_build_graph(tiny_hypergraph, 0)
+
     def test_triples_of_edge_and_vertex(self, tiny_hypergraph):
         cg = ConflictGraph(tiny_hypergraph, k=2)
         assert len(cg.triples_of_edge(0)) == 2 * 2
@@ -50,7 +56,7 @@ class TestVertexSet:
 
     def test_triples_of_edge_and_vertex_read_the_surviving_blocks_in_id_order(self):
         # k = 10: each (e, v) block's colors run 1, 10, 2, ..., 9 in id order.
-        cg = ConflictGraph(Hypergraph.from_edge_list([[0, 1], [1, 2]]), k=10)
+        cg = ConflictGraph(Hypergraph(edges=[[0, 1], [1, 2]]), k=10)
         labels = cg.frozen().labels()
         assert cg.triples_of_edge(1) == [t for t in labels if t.edge == 1]
         assert cg.triples_of_vertex(1) == [t for t in labels if t.vertex == 1]
@@ -88,7 +94,7 @@ class TestEdgeRelations:
     def test_e_edge_makes_each_hyperedge_a_clique(self, tiny_hypergraph):
         cg = ConflictGraph(tiny_hypergraph, k=2)
         triples = cg.triples_of_edge(0)
-        assert cg.graph.is_clique(triples)
+        assert all(cg.graph.has_edge(u, v) for u, v in combinations(triples, 2))
 
     def test_e_color_joins_same_color_across_shared_edge(self, tiny_hypergraph):
         cg = ConflictGraph(tiny_hypergraph, k=2)
@@ -110,7 +116,7 @@ class TestEdgeRelations:
     def test_e_color_requires_witnessing_edge_among_the_two(self):
         # Vertices 0 and 2 never share a hyperedge; their same-color triples
         # must not be adjacent even though both share edges with vertex 1.
-        h = Hypergraph.from_edge_list([[0, 1], [1, 2]])
+        h = Hypergraph(edges=[[0, 1], [1, 2]])
         cg = ConflictGraph(h, k=1)
         a = ConflictVertex(0, 0, 1)
         b = ConflictVertex(1, 2, 1)

@@ -87,7 +87,7 @@ def test_builder_is_deterministic_across_rebuilds():
 
 
 def test_frozen_view_is_cached_and_consistent():
-    h = Hypergraph.from_edge_list([[0, 1, 2], [2, 3], [1, 3, 4]])
+    h = Hypergraph(edges=[[0, 1, 2], [2, 3], [1, 3, 4]])
     cg = ConflictGraph(h, 2)
     frozen = cg.frozen()
     assert frozen is cg.frozen()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.correspondence as correspondence
 from repro.core import (
     ConflictGraph,
     ConflictVertex,
@@ -52,13 +53,13 @@ class TestLemma21a:
             assert planted[t.vertex] == t.color
 
     def test_non_conflict_free_coloring_rejected_in_strict_mode(self):
-        h = Hypergraph.from_edge_list([[0, 1]])
+        h = Hypergraph(edges=[[0, 1]])
         cg = ConflictGraph(h, 1)
         with pytest.raises(ColoringError):
             coloring_to_independent_set(cg, {0: 1, 1: 1})
 
     def test_partial_mode_skips_unhappy_edges(self):
-        h = Hypergraph.from_edge_list([[0, 1], [2, 3]])
+        h = Hypergraph(edges=[[0, 1], [2, 3]])
         cg = ConflictGraph(h, 1)
         witness = coloring_to_independent_set(
             cg, {0: 1, 1: 1, 2: 1}, require_conflict_free=False
@@ -66,7 +67,7 @@ class TestLemma21a:
         assert {t.edge for t in witness} == {1}
 
     def test_out_of_palette_color_rejected(self):
-        h = Hypergraph.from_edge_list([[0, 1]])
+        h = Hypergraph(edges=[[0, 1]])
         cg = ConflictGraph(h, 1)
         with pytest.raises(ColoringError):
             coloring_to_independent_set(cg, {0: 5, 1: 1})
@@ -146,6 +147,46 @@ class TestLemma21b:
         independent_set = get_approximator(approximator_name)(cg.graph)
         happy = verify_lemma_21b(cg, independent_set)
         assert len(happy) >= len(independent_set)
+
+
+class TestCorrectnessGuards:
+    """The Lemma 2.1 checks fire when a patched step breaks what the lemma proves."""
+
+    def test_two_colors_on_one_vertex_is_an_e_vertex_violation(self, instance, monkeypatch):
+        _, _, cg = instance
+        e = cg.hypergraph.edge_ids[0]
+        v = min(cg.hypergraph.edge(e), key=repr)
+        monkeypatch.setattr(correspondence, "verify_independent_set", lambda graph, triples: None)
+        with pytest.raises(ReductionError, match="E_vertex"):
+            independent_set_to_coloring(cg, {ConflictVertex(e, v, 1), ConflictVertex(e, v, 2)})
+
+    def test_lemma_21a_witness_must_have_size_m(self, instance, monkeypatch):
+        _, planted, cg = instance
+        build = correspondence.coloring_to_independent_set
+
+        def one_short(*args, **kwargs):
+            witness = build(*args, **kwargs)
+            witness.remove(min(witness, key=repr))
+            return witness
+
+        monkeypatch.setattr(correspondence, "coloring_to_independent_set", one_short)
+        with pytest.raises(ReductionError, match=r"Lemma 2.1\(a\) violated"):
+            verify_lemma_21a(cg, planted)
+
+    def test_lemma_21b_needs_as_many_happy_edges_as_triples(self, instance, monkeypatch):
+        _, planted, cg = instance
+        witness = coloring_to_independent_set(cg, planted)
+        monkeypatch.setattr(correspondence, "happy_edges_of_independent_set", lambda graph, triples: set())
+        with pytest.raises(ReductionError, match=r"Lemma 2.1\(b\) violated"):
+            verify_lemma_21b(cg, witness)
+
+    def test_lemma_21b_selected_edges_must_be_happy(self, instance, monkeypatch):
+        hypergraph, planted, cg = instance
+        witness = {t for t in coloring_to_independent_set(cg, planted) if t.edge in hypergraph.edge_ids[:4]}
+        others = set(hypergraph.edge_ids[4:])
+        monkeypatch.setattr(correspondence, "happy_edges_of_independent_set", lambda graph, triples: others)
+        with pytest.raises(ReductionError, match="witness property violated"):
+            verify_lemma_21b(cg, witness)
 
 
 class TestRoundTrip:

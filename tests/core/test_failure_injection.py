@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ConflictFreeMulticoloringViaMaxIS, ConflictVertex
+from repro.core import ConflictFreeMulticoloringViaMaxIS, ConflictGraph, ConflictVertex
 from repro.exceptions import IndependenceError, ReductionError, ReproError
-from repro.hypergraph import colorable_almost_uniform_hypergraph
+from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
 from repro.maxis import get_approximator
 
 
@@ -76,6 +76,22 @@ class TestMisbehavingOracles:
         )
         with pytest.raises(RuntimeError):
             weak_first_phase.run(instance)
+
+
+class TestEngineGuards:
+    def test_fewer_happy_edges_than_triples_violates_lemma_21b(self, monkeypatch):
+        # Vertex-disjoint edges: each selected triple makes exactly its own edge happy.
+        hypergraph = Hypergraph(edges=[[0, 1], [2, 3], [4, 5]])
+        happy_edges = ConflictGraph.happy_edges
+
+        def drop_one(self, coloring):
+            happy = happy_edges(self, coloring)
+            happy.discard(min(happy, key=repr))
+            return happy
+
+        monkeypatch.setattr(ConflictGraph, "happy_edges", drop_one)
+        with pytest.raises(ReductionError, match=r"Lemma 2.1\(b\) is violated"):
+            _reduction(get_approximator("greedy-first-fit")).run(hypergraph)
 
 
 class TestHonestOracleStillWorks:

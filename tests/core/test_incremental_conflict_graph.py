@@ -104,7 +104,7 @@ def test_incremental_deletions_match_rebuilds(k):
 
 
 def test_remove_unknown_edge_is_rejected_and_state_preserved():
-    h = Hypergraph.from_edge_list([[0, 1], [1, 2]])
+    h = Hypergraph(edges=[[0, 1], [1, 2]])
     cg = ConflictGraph(h, 2)
     before = cg.bucket_structure()
     with pytest.raises(ReductionError):
@@ -114,7 +114,7 @@ def test_remove_unknown_edge_is_rejected_and_state_preserved():
 
 
 def test_remove_with_duplicate_ids_behaves_like_single_removal():
-    h = Hypergraph.from_edge_list([[0, 1, 2], [2, 3], [1, 3]])
+    h = Hypergraph(edges=[[0, 1, 2], [2, 3], [1, 3]])
     cg = ConflictGraph(h, 2)
     cg.remove_hyperedges([1, 1, 1])
     h.remove_edge(1)
@@ -123,7 +123,7 @@ def test_remove_with_duplicate_ids_behaves_like_single_removal():
 
 
 def test_remove_all_edges_empties_the_graph():
-    h = Hypergraph.from_edge_list([[0, 1, 2], [2, 3]])
+    h = Hypergraph(edges=[[0, 1, 2], [2, 3]])
     cg = ConflictGraph(h, 3)
     cg.remove_hyperedges([0, 1])
     h.remove_edges([0, 1])
@@ -142,7 +142,7 @@ def test_frozen_sorted_view_tracks_deletions(k):
     """frozen_sorted() after deletions == freeze_sorted of a fresh rebuild."""
     from repro.graphs.indexed import freeze_sorted
 
-    h = Hypergraph.from_edge_list([[0, 1, 2], [2, 3], [1, 3, 4], [0, 4]])
+    h = Hypergraph(edges=[[0, 1, 2], [2, 3], [1, 3, 4], [0, 4]])
     cg = ConflictGraph(h, k)
     cg.frozen_sorted()  # materialize before deleting: masks must track
     cg.remove_hyperedges([1, 3])
@@ -160,7 +160,7 @@ def test_frozen_sorted_view_tracks_deletions(k):
 
 @pytest.mark.parametrize("k", [2, 10])
 def test_frozen_sorted_created_after_deletions(k):
-    h = Hypergraph.from_edge_list([[0, 1, 2], [2, 3], [1, 3, 4]])
+    h = Hypergraph(edges=[[0, 1, 2], [2, 3], [1, 3, 4]])
     cg = ConflictGraph(h, k)
     cg.remove_hyperedges([0])
     h.remove_edges([0])

@@ -173,7 +173,7 @@ class TestCertificates:
         assert report.conflict_free
         assert report.within_color_budget
         assert report.within_phase_budget
-        assert report.all_ok
+        assert report.issues == []
 
     def test_decay_check_flags_slow_phases(self, colorable_instance):
         hypergraph, _ = colorable_instance
@@ -245,7 +245,7 @@ class TestCertificates:
         result.phase_bound = result.num_phases - 1
         report = verify_reduction_result(hypergraph, result)
         assert not report.within_phase_budget
-        assert report.all_ok
+        assert report.issues == []
 
 
 class TestProperties:

@@ -86,29 +86,23 @@ class TestEngineEqualsRebuild:
         _assert_results_identical(result, reduction.run_rebuild(hypergraph))
 
     def test_graph_only_approximator_works_by_default(self):
-        # solve_ids defaults to None: a custom approximator written against
-        # the pre-incremental mutable-Graph contract (``.vertices`` does not
-        # exist on a frozen view) must keep working unchanged.
-        from repro.maxis import MaxISApproximator
-
+        # A custom algorithm written against the mutable-Graph contract
+        # (``.vertices`` does not exist on a frozen view) is a plain callable.
         hypergraph, _ = colorable_almost_uniform_hypergraph(n=16, m=8, k=2, seed=17)
 
         def graph_only_solve(graph):
             return {min(graph.vertices, key=repr)}
 
-        oracle = MaxISApproximator(name="graph-only-tmp", solve=graph_only_solve)
-        assert oracle.solve_ids is None
-        reduction = ConflictFreeMulticoloringViaMaxIS(k=2, approximator=oracle, lam=8.0)
+        reduction = ConflictFreeMulticoloringViaMaxIS(k=2, approximator=graph_only_solve, lam=8.0)
         _assert_results_identical(
             reduction.run(hypergraph), reduction.run_rebuild(hypergraph)
         )
 
     def test_builtins_opt_into_frozen_fast_path(self):
-        # Every built-in is its id kernel alone; __call__ derives its labels.
-        assert all(
-            a.solve is None and a.solve_ids is not None
-            for a in available_approximators().values()
-        )
+        # Every built-in is an id kernel, so the engine asks it for ids.
+        for a in available_approximators().values():
+            reduction = ConflictFreeMulticoloringViaMaxIS(k=2, approximator=a, lam=2.0)
+            assert reduction._id_oracle is a
 
     @pytest.mark.parametrize("oracle_name", sorted(available_approximators()) + ["capped"])
     def test_run_builds_no_conflict_vertex(self, oracle_name, monkeypatch):

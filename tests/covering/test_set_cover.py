@@ -44,17 +44,13 @@ class TestInstanceModel:
         with pytest.raises(VerificationError):
             simple_instance.add_set("a", {9})
 
-    def test_coverable_and_max_size(self, simple_instance):
+    def test_coverable(self, simple_instance):
         assert simple_instance.coverable()
-        assert simple_instance.max_set_size() == 3
 
     def test_uncoverable_instance_detected(self):
         instance = SetCoverInstance(universe={1, 2, 99})
         instance.add_set("a", {1, 2})
         assert not instance.coverable()
-
-    def test_greedy_guarantee_is_harmonic(self, simple_instance):
-        assert simple_instance.greedy_guarantee() == pytest.approx(harmonic_number(3))
 
 
 class TestVerification:
@@ -94,7 +90,8 @@ class TestGreedyAndExact:
     def test_greedy_within_harmonic_factor(self, simple_instance):
         greedy = greedy_set_cover(simple_instance)
         optimum = set_cover_optimum(simple_instance)
-        assert len(greedy) <= harmonic_number(simple_instance.max_set_size()) * optimum + 1e-9
+        max_set_size = max(len(s) for s in simple_instance.sets.values())
+        assert len(greedy) <= harmonic_number(max_set_size) * optimum + 1e-9
 
     def test_harmonic_number(self):
         assert harmonic_number(0) == 0.0
@@ -136,7 +133,7 @@ class TestBridges:
         assert set_cover_optimum(instance) == domination_number(g)
 
     def test_hypergraph_vertex_cover_bridge(self):
-        h = Hypergraph.from_edge_list([[0, 1], [1, 2], [2, 3]])
+        h = Hypergraph(edges=[[0, 1], [1, 2], [2, 3]])
         instance = hypergraph_vertex_cover_as_set_cover(h)
         assert instance.universe == set(h.edge_ids)
         cover = greedy_set_cover(instance)

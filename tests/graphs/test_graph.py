@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import GraphError
-from repro.graphs import Graph, erdos_renyi_graph
+from repro.exceptions import GraphError, IndependenceError
+from repro.graphs import Graph, erdos_renyi_graph, verify_independent_set
 
 from tests.conftest import complete_graph, graphs
 
@@ -28,7 +28,7 @@ class TestConstruction:
     def test_add_edge_adds_missing_endpoints(self):
         g = Graph()
         g.add_edge(1, 2)
-        assert g.has_vertex(1) and g.has_vertex(2)
+        assert 1 in g and 2 in g
         assert g.has_edge(1, 2) and g.has_edge(2, 1)
 
     def test_add_edge_rejects_self_loops(self):
@@ -55,7 +55,7 @@ class TestRemoval:
         g = Graph(edges=[(1, 2), (2, 3)])
         g.remove_edge(1, 2)
         assert not g.has_edge(1, 2)
-        assert g.has_vertex(1)
+        assert 1 in g
 
     def test_remove_missing_edge_raises(self):
         g = Graph(edges=[(1, 2)])
@@ -65,7 +65,7 @@ class TestRemoval:
     def test_remove_vertex_removes_incident_edges(self):
         g = Graph(edges=[(1, 2), (2, 3), (1, 3)])
         g.remove_vertex(2)
-        assert not g.has_vertex(2)
+        assert 2 not in g
         assert g.num_edges() == 1
         assert g.has_edge(1, 3)
 
@@ -97,10 +97,9 @@ class TestQueries:
         "query",
         [
             lambda g: g.adjacent("missing"),
-            lambda g: g.neighbors_iter("missing"),
-            lambda g: g.is_clique({0, "missing"}),
+            lambda g: g.remove_edge(0, "missing"),
         ],
-        ids=["adjacent", "neighbors_iter", "is_clique"],
+        ids=["adjacent", "remove_edge"],
     )
     def test_more_queries_reject_missing_vertices(self, small_graph, query):
         with pytest.raises(GraphError):
@@ -149,26 +148,22 @@ class TestDerivedGraphs:
         assert comp.num_edges() == 0
         assert comp.num_vertices() == 5
 
-    def test_is_independent_set_and_clique(self, small_graph):
-        assert small_graph.is_independent_set({0, 4})
-        assert not small_graph.is_independent_set({0, 1})
-        assert small_graph.is_clique({3, 4, 5})
-        assert not small_graph.is_clique({0, 1, 3})
-
-    def test_is_independent_set_rejects_foreign_vertices(self, small_graph):
-        with pytest.raises(GraphError):
-            small_graph.is_independent_set({0, "nope"})
+    def test_independent_sets_and_cliques(self, small_graph):
+        verify_independent_set(small_graph, {0, 4})
+        with pytest.raises(IndependenceError):
+            verify_independent_set(small_graph, {0, 1})
+        # A clique is an independent set of the complement.
+        complement = small_graph.complement()
+        verify_independent_set(complement, {3, 4, 5})
+        with pytest.raises(IndependenceError):
+            verify_independent_set(complement, {0, 1, 3})
 
 
 class TestInterop:
-    def test_networkx_round_trip(self, random_graph):
+    def test_to_networkx_keeps_vertices_and_edges(self, random_graph):
         nx_graph = random_graph.to_networkx()
-        back = Graph.from_networkx(nx_graph)
-        assert back == random_graph
-
-    def test_dict_round_trip(self, small_graph):
-        back = Graph.from_dict(small_graph.to_dict())
-        assert back == small_graph
+        assert set(nx_graph.nodes()) == random_graph.vertices
+        assert Graph(vertices=nx_graph.nodes(), edges=nx_graph.edges()) == random_graph
 
 
 class TestProperties:

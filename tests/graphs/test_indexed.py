@@ -25,7 +25,7 @@ from repro.graphs.indexed import (
 )
 from repro.maxis.exact import exact_via_networkx
 
-from tests.conftest import graphs
+from tests.conftest import graphs, mask_of
 
 
 class TestInterning:
@@ -88,7 +88,7 @@ class TestStructure:
     def test_mask_round_trip(self, random_graph):
         frozen = random_graph.freeze()
         subset = set(list(random_graph.vertices)[::2])
-        assert frozen.labels_for_mask(frozen.mask_of(subset)) == subset
+        assert frozen.labels_for_mask(mask_of(frozen, subset)) == subset
 
     def test_rejects_self_loops_and_bad_ids(self):
         with pytest.raises(GraphError):
@@ -97,6 +97,18 @@ class TestStructure:
             IndexedGraph(["a", "b"], [[5], []])
         with pytest.raises(GraphError):
             IndexedGraph(["a", "a"], [[], []])
+
+    @pytest.mark.parametrize(
+        "labels, rows, message",
+        [
+            (["a", "b"], [[1]], "length mismatch"),
+            (["a", "b", "c"], [[1], [], []], "not symmetric"),
+        ],
+        ids=["length-mismatch", "asymmetric"],
+    )
+    def test_rejects_malformed_rows(self, labels, rows, message):
+        with pytest.raises(GraphError, match=message):
+            IndexedGraph(labels, rows)
 
     @given(graphs(max_n=12))
     @settings(max_examples=30, deadline=None)

@@ -23,6 +23,8 @@ from repro.graphs.indexed import (
 )
 from repro.exceptions import IndependenceError
 
+from tests.conftest import mask_of
+
 
 def _random_graph(rng: random.Random, n: int) -> Graph:
     g = Graph(vertices=range(n))
@@ -53,7 +55,7 @@ class TestViewQueries:
 
     def test_masked_sizes_degrees_and_neighbors(self, diamond):
         g, frozen = diamond
-        alive = frozen.mask_of([0, 1, 3, 4])  # drop vertex 2
+        alive = mask_of(frozen, [0, 1, 3, 4])  # drop vertex 2
         view = frozen.subgraph_view(alive)
         assert view.num_vertices() == len(view) == 4
         assert view.num_edges() == 3  # (0,1), (0,3), (3,4)
@@ -68,7 +70,7 @@ class TestViewQueries:
 
     def test_dead_ids_are_rejected(self, diamond):
         _, frozen = diamond
-        view = frozen.subgraph_view(frozen.mask_of([0, 1, 3, 4]))
+        view = frozen.subgraph_view(mask_of(frozen, [0, 1, 3, 4]))
         dead = frozen.index_of(2)
         assert 2 not in view
         with pytest.raises(GraphError):
@@ -81,22 +83,47 @@ class TestViewQueries:
 
     def test_view_composition_intersects_masks(self, diamond):
         _, frozen = diamond
-        a = frozen.subgraph_view(frozen.mask_of([0, 1, 2, 3]))
-        b = a.subgraph_view(frozen.mask_of([1, 2, 3, 4]))
+        a = frozen.subgraph_view(mask_of(frozen, [0, 1, 2, 3]))
+        b = a.subgraph_view(mask_of(frozen, [1, 2, 3, 4]))
         assert isinstance(b, IndexedSubgraph)
         assert b.parent is frozen
         assert sorted(b) == [1, 2, 3]
         assert b.subgraph_view(b.alive_mask()) is b
 
+    def test_a_view_built_on_a_view_restricts_the_base_graph(self, diamond):
+        _, frozen = diamond
+        a = frozen.subgraph_view(mask_of(frozen, [0, 1, 2, 3]))
+        b = IndexedSubgraph(a, mask_of(frozen, [1, 2, 3, 4]))
+        assert b.parent is frozen
+        assert sorted(b) == [1, 2, 3]
+
+    def test_out_of_range_mask_on_a_view_rejected(self, diamond):
+        _, frozen = diamond
+        view = frozen.subgraph_view(mask_of(frozen, [0, 1, 3, 4]))
+        with pytest.raises(GraphError):
+            view.subgraph_view(1 << frozen.num_vertices())
+
+    def test_masked_bitsets_and_edges(self, diamond):
+        _, frozen = diamond
+        view = frozen.subgraph_view(mask_of(frozen, [0, 1, 3, 4]))
+        dead = frozen.index_of(2)
+        rows = view.bitsets()
+        assert rows[dead] == 0
+        for i in view.vertex_ids():
+            assert rows[i] == view.neighbor_bitset(i)
+            for j in view.vertex_ids():
+                assert view.has_edge(i, j) == frozen.has_edge(i, j)
+        assert not view.has_edge(frozen.index_of(1), dead)
+
     def test_to_graph_matches_mutable_subgraph(self, diamond):
         g, frozen = diamond
         keep = [0, 2, 3, 4]
-        view = frozen.subgraph_view(frozen.mask_of(keep))
+        view = frozen.subgraph_view(mask_of(frozen, keep))
         assert view.to_graph() == g.subgraph(keep)
 
     def test_verify_independent_set_on_views(self, diamond):
         _, frozen = diamond
-        view = frozen.subgraph_view(frozen.mask_of([0, 1, 3, 4]))
+        view = frozen.subgraph_view(mask_of(frozen, [0, 1, 3, 4]))
         verify_independent_set(view, {1, 4})
         with pytest.raises(IndependenceError):
             verify_independent_set(view, {0, 1})
@@ -118,7 +145,7 @@ class TestKernelsOnViews:
     def test_first_fit_and_min_degree_match_dense_rebuild(self):
         for trial, g, keep in self._cases():
             frozen = freeze_sorted(g)
-            view = frozen.subgraph_view(frozen.mask_of(keep))
+            view = frozen.subgraph_view(mask_of(frozen, keep))
             dense = freeze_sorted(g.subgraph(keep))
             ff_view = {view.label(i) for i in first_fit_mis_ids(view, view.vertex_ids())}
             ff_dense = {
@@ -132,7 +159,7 @@ class TestKernelsOnViews:
     def test_exact_solver_matches_dense_rebuild(self):
         for trial, g, keep in self._cases():
             frozen = freeze_sorted(g)
-            view = frozen.subgraph_view(frozen.mask_of(keep))
+            view = frozen.subgraph_view(mask_of(frozen, keep))
             dense = freeze_sorted(g.subgraph(keep))
             best_view = view.labels_for_mask(maximum_independent_set_mask(view))
             best_dense = dense.labels_for_mask(maximum_independent_set_mask(dense))
@@ -144,7 +171,7 @@ class TestKernelsOnViews:
         solvers = available_approximators()
         for trial, g, keep in self._cases():
             frozen = freeze_sorted(g)
-            view = frozen.subgraph_view(frozen.mask_of(keep))
+            view = frozen.subgraph_view(mask_of(frozen, keep))
             sub = g.subgraph(keep)
             for name, solver in solvers.items():
                 assert solver(view) == solver(sub), (

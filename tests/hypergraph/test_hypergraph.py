@@ -27,8 +27,8 @@ class TestConstruction:
         h = Hypergraph(edges=[[1, 2], [3]])
         assert h.num_edges() == 2
 
-    def test_from_edge_list_uses_sequential_ids(self):
-        h = Hypergraph.from_edge_list([[0, 1], [1, 2], [2, 3]])
+    def test_bare_edge_lists_get_sequential_ids(self):
+        h = Hypergraph(edges=[[0, 1], [1, 2], [2, 3]])
         assert h.edge_ids == [0, 1, 2]
 
     def test_empty_edge_rejected(self):
@@ -67,34 +67,17 @@ class TestRemoval:
         small_hypergraph.remove_edges([0, 1])
         assert small_hypergraph.num_edges() == 2
 
-    def test_remove_vertex_shrinks_edges(self):
-        h = Hypergraph.from_edge_list([[0, 1, 2], [0, 3]])
-        h.remove_vertex(0)
-        assert h.edge(0) == frozenset({1, 2})
-        assert h.edge(1) == frozenset({3})
-
-    def test_remove_vertex_drops_emptied_edges(self):
-        h = Hypergraph.from_edge_list([[0], [0, 1]])
-        h.remove_vertex(0)
-        assert h.num_edges() == 1
-        assert h.edge(1) == frozenset({1})
-
-    def test_remove_missing_vertex_raises(self, small_hypergraph):
-        with pytest.raises(HypergraphError):
-            small_hypergraph.remove_vertex(99)
-
 
 class TestQueries:
     def test_sizes(self, small_hypergraph):
         assert small_hypergraph.num_vertices() == 5
         assert small_hypergraph.num_edges() == 4
         assert small_hypergraph.rank() == 3
-        assert small_hypergraph.min_edge_size() == 2
         assert small_hypergraph.total_edge_size() == 3 + 2 + 3 + 2
 
     def test_edges_containing_and_degree(self, small_hypergraph):
         assert small_hypergraph.edges_containing(2) == {0, 1}
-        assert small_hypergraph.vertex_degree(0) == 2
+        assert len(small_hypergraph.edges_containing(0)) == 2
 
     def test_edges_containing_missing_vertex_raises(self, small_hypergraph):
         with pytest.raises(HypergraphError):
@@ -106,7 +89,6 @@ class TestQueries:
     def test_rank_of_edgeless_hypergraph(self):
         h = Hypergraph(vertices=[1, 2])
         assert h.rank() == 0
-        assert h.min_edge_size() == 0
 
     def test_equality_and_copy(self, small_hypergraph):
         clone = small_hypergraph.copy()
@@ -144,7 +126,7 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_incidence_consistency(self, h):
         assert_consistent_hypergraph(h)
-        assert h.total_edge_size() == sum(h.vertex_degree(v) for v in h.vertices)
+        assert h.total_edge_size() == sum(len(h.edges_containing(v)) for v in h.vertices)
 
     @given(hypergraphs())
     @settings(max_examples=40, deadline=None)

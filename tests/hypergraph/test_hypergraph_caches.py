@@ -2,11 +2,9 @@
 
 ``Hypergraph`` caches the ``repr``-sorted edge-id list (invalidated when
 the edge family changes) and maintains ``Σ|e|`` plus an edge-size
-histogram so that ``total_edge_size()``/``rank()``/``min_edge_size()``
-never rescan the edge family.  These tests drive random mutation
-sequences — including the in-place edge shrinking of ``remove_vertex`` —
-and compare every cached value against a naive recount after every single
-operation, so any bookkeeping drift is pinned to the exact mutation that
+histogram so that ``total_edge_size()`` and ``rank()`` never rescan the
+edge family.  These tests drive random mutation sequences and compare
+every cached value against a naive recount after every single operation, so any bookkeeping drift is pinned to the exact mutation that
 caused it (mirroring ``tests/graphs/test_graph_caches.py``).
 """
 
@@ -34,58 +32,47 @@ def _assert_caches_consistent(h: Hypergraph) -> None:
     assert h.edge_ids == _naive_edge_ids(h)
     assert h.total_edge_size() == sum(sizes)
     assert h.rank() == max(sizes, default=0)
-    assert h.min_edge_size() == min(sizes, default=0)
 
 
 class TestIncrementalCounters:
     def test_fresh_hypergraphs(self):
         _assert_caches_consistent(Hypergraph())
         _assert_caches_consistent(Hypergraph(vertices=[1, 2, 3]))
-        _assert_caches_consistent(Hypergraph.from_edge_list([[0, 1], [1, 2, 3]]))
+        _assert_caches_consistent(Hypergraph(edges=[[0, 1], [1, 2, 3]]))
 
     def test_add_and_remove_edge(self):
-        h = Hypergraph.from_edge_list([[0, 1, 2]])
+        h = Hypergraph(edges=[[0, 1, 2]])
         h.add_edge([2, 3], edge_id="x")
         _assert_caches_consistent(h)
         h.remove_edge(0)
         _assert_caches_consistent(h)
-        assert h.rank() == 2 and h.min_edge_size() == 2
+        assert h.rank() == 2
 
     def test_remove_edges_bulk(self):
-        h = Hypergraph.from_edge_list([[0, 1], [1, 2], [2, 3, 4]])
+        h = Hypergraph(edges=[[0, 1], [1, 2], [2, 3, 4]])
         h.remove_edges([0, 2])
         _assert_caches_consistent(h)
         assert h.edge_ids == [1]
 
     def test_edge_ids_returns_a_fresh_list(self):
-        h = Hypergraph.from_edge_list([[0, 1], [1, 2]])
+        h = Hypergraph(edges=[[0, 1], [1, 2]])
         ids = h.edge_ids
         ids.append("garbage")
         assert h.edge_ids == [0, 1]
 
     def test_failed_remove_leaves_caches_intact(self):
-        h = Hypergraph.from_edge_list([[0, 1]])
+        h = Hypergraph(edges=[[0, 1]])
         h.edge_ids  # warm the cache
         with pytest.raises(HypergraphError):
             h.remove_edge("missing")
         _assert_caches_consistent(h)
 
-    def test_remove_vertex_shrinks_edges_in_place(self):
-        h = Hypergraph.from_edge_list([[0, 1, 2], [0, 3], [0]])
-        h.remove_vertex(0)
-        # Edge 2 became empty and disappeared; 0 and 1 kept their ids.
-        assert h.edge_ids == [0, 1]
-        assert h.edge(0) == {1, 2}
-        assert h.edge(1) == {3}
-        assert not h.has_vertex(0)
-        assert h.edges_containing(3) == {1}
-        _assert_caches_consistent(h)
-
-    def test_remove_vertex_keeps_incidence_of_other_members(self):
-        h = Hypergraph.from_edge_list([[0, 1, 2], [1, 2]])
-        h.remove_vertex(0)
-        assert h.edges_containing(1) == {0, 1}
-        assert h.edges_containing(2) == {0, 1}
+    def test_removing_a_vertexs_edges_keeps_incidence_of_other_members(self):
+        h = Hypergraph(edges=[[0, 1, 2], [1, 2], [2, 3]])
+        h.remove_edges(h.edges_containing(0))
+        assert h.edge_ids == [1, 2]
+        assert h.edges_containing(0) == set()
+        assert h.edges_containing(2) == {1, 2}
         _assert_caches_consistent(h)
 
     def test_random_mutation_sequence(self):
@@ -108,7 +95,7 @@ class TestIncrementalCounters:
             elif op < 0.9:
                 verts = sorted(h.vertices, key=repr)
                 if verts:
-                    h.remove_vertex(verts[rng.randrange(len(verts))])
+                    h.remove_edges(h.edges_containing(verts[rng.randrange(len(verts))]))
             else:
                 h.add_vertex(rng.randrange(16))
             _assert_caches_consistent(h)
@@ -127,7 +114,7 @@ class TestIncrementalCounters:
             elif choice < 0.6:
                 verts = sorted(h.vertices, key=repr)
                 if verts:
-                    h.remove_vertex(verts[rng.randrange(len(verts))])
+                    h.remove_edges(h.edges_containing(verts[rng.randrange(len(verts))]))
             else:
                 h.add_edge([rng.randrange(14) for _ in range(rng.randint(1, 3))])
             _assert_caches_consistent(h)

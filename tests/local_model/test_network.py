@@ -64,7 +64,6 @@ class TestMessagePrimitives:
         inbox = Inbox(messages={1: msg})
         assert inbox.from_neighbor(1) == 42
         assert inbox.from_neighbor(9, default="none") == "none"
-        assert inbox.senders() == {1}
         assert inbox.payloads() == [42]
         assert len(inbox) == 1
 

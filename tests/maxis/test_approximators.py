@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,6 @@ from repro.graphs import (
 from repro.graphs.indexed import freeze_sorted
 from repro.maxis import (
     MaxISApproximator,
-    approximators,
     available_approximators,
     capped_oracle,
     clique_cover_approximation,
@@ -32,7 +33,7 @@ from repro.maxis import (
     register_approximator,
     turan_guarantee,
 )
-from repro.maxis.luby_based import best_of_random_mis_ids
+from repro.maxis.luby_based import best_of_random_mis_ids, luby_batch_mis_ids
 
 from tests.conftest import complete_graph, graphs, star_graph
 
@@ -50,38 +51,29 @@ class TestRegistry:
         get_approximator("exact")  # ensure builtins are loaded
         with pytest.raises(ApproximationError):
             register_approximator(
-                MaxISApproximator(name="exact", solve=lambda g: set())
+                MaxISApproximator(name="exact", solve_ids=lambda g: [])
             )
 
     def test_call_verifies_independence(self):
-        bad = MaxISApproximator(name="bad-tmp", solve=lambda g: set(g.vertices))
-        with pytest.raises(Exception):
+        bad = MaxISApproximator(name="bad-tmp", solve_ids=lambda g: g.vertex_ids())
+        with pytest.raises(IndependenceError):
             bad(path_graph(3))
 
     def test_call_rejects_empty_output_on_nonempty_graph(self):
-        lazy = MaxISApproximator(name="lazy-tmp", solve=lambda g: set())
+        lazy = MaxISApproximator(name="lazy-tmp", solve_ids=lambda g: [])
         with pytest.raises(ApproximationError):
             lazy(path_graph(3))
 
-    def test_guarantee_below_one_rejected(self):
-        broken = MaxISApproximator(
-            name="broken-tmp", solve=lambda g: {next(iter(g.vertices))}, guarantee=lambda g: 0.5
-        )
-        with pytest.raises(ApproximationError):
-            broken.guaranteed_lambda(path_graph(3))
-
-    def test_guarantee_none_when_not_declared(self):
-        heuristic = MaxISApproximator(name="heur-tmp", solve=lambda g: set())
-        assert heuristic.guaranteed_lambda(path_graph(2)) is None
-
-    @pytest.mark.parametrize(
-        "solvers",
-        [{}, {"solve": lambda g: set(), "solve_ids": lambda g: []}],
-        ids=["neither", "both"],
-    )
-    def test_exactly_one_solver_is_required(self, solvers):
-        with pytest.raises(ApproximationError, match="exactly one"):
-            MaxISApproximator(name="no-solver-tmp", **solvers)
+    def test_an_approximator_is_its_id_kernel(self):
+        assert [f.name for f in fields(MaxISApproximator)] == [
+            "name",
+            "solve_ids",
+            "guarantee",
+            "description",
+        ]
+        with pytest.raises(TypeError):
+            MaxISApproximator(name="no-kernel-tmp")
+        assert MaxISApproximator(name="heur-tmp", solve_ids=lambda g: []).guarantee is None
 
     def test_label_call_names_the_kernel_ids(self):
         # Path 0-1-2-3-4: the kernel's ids are repr-order positions.
@@ -119,27 +111,13 @@ class TestIdCall:
         empty = path_graph(5).freeze().subgraph_view(0)
         assert self._stub([])(empty, ids=True) == []
 
-    def test_label_only_approximator_refuses_an_id_call(self):
-        label_only = MaxISApproximator(name="labels-tmp", solve=lambda g: {0})
-        with pytest.raises(ApproximationError, match="'labels-tmp' has no id kernel"):
-            label_only(self._view(), ids=True)
-        assert label_only(path_graph(5)) == {0}
-
 
 class TestCappedOracle:
-    def test_over_an_id_kernel_it_is_an_id_kernel(self):
+    def test_it_keeps_the_smallest_ids_of_its_base_kernel(self):
         capped = capped_oracle("greedy-first-fit", 2.5)
-        assert capped.solve is None and capped.solve_ids is not None
         g = Graph(vertices=range(10))  # edgeless: first-fit selects all 10
         assert capped(g) == {0, 1, 2, 3}  # the ceil(10/2.5) smallest in repr order
-
-    def test_over_a_label_only_base_it_caps_labels(self, monkeypatch):
-        get_approximator("exact")  # registers the built-ins first
-        base = MaxISApproximator(name="labels-tmp", solve=lambda g: set(g.vertices))
-        monkeypatch.setitem(approximators._REGISTRY, base.name, base)
-        capped = capped_oracle(base.name, 3)
-        assert capped.solve_ids is None
-        assert capped(Graph(vertices=[10, 2, 30, 4, 5])) == {10, 2}  # first ceil(5/3) by repr
+        assert capped(g.freeze(), ids=True) == [0, 1, 2, 3]
 
 
 class TestExact:
@@ -198,6 +176,10 @@ class TestLubyBased:
         with pytest.raises(ApproximationError):
             best_of_random_mis_ids(freeze_sorted(random_graph), trials=0)
 
+    def test_batched_trials_must_be_positive(self, random_graph):
+        with pytest.raises(ApproximationError, match="trials must be positive"):
+            luby_batch_mis_ids(freeze_sorted(random_graph), 0, seed=0)
+
     def test_luby_based_approximation_deterministic_for_seed(self, random_graph):
         a = _random_order_labels(random_graph, trials=5, seed=5)
         b = _random_order_labels(random_graph, trials=5, seed=5)
@@ -224,7 +206,7 @@ class TestCliqueCover:
         union = set()
         total = 0
         for clique in cliques:
-            assert random_graph.is_clique(clique)
+            assert all(random_graph.has_edge(u, v) for u, v in combinations(clique, 2))
             union |= clique
             total += len(clique)
         assert union == random_graph.vertices
@@ -259,7 +241,8 @@ class TestRegisteredQuality:
         for n, p, seed in cases:
             g = erdos_renyi_graph(n, p, seed=seed)
             result = approximator(g)
-            lam = approximator.guaranteed_lambda(g)
+            lam = approximator.guarantee(g)
+            assert lam >= 1
             assert len(result) * lam >= independence_number(g)
 
     def test_exact_approximator_is_optimal(self):

@@ -31,7 +31,7 @@ def golden_registry() -> MetricsRegistry:
     Regenerate the golden file after an intentional format change with::
 
         PYTHONPATH=src python -c "from tests.obs.test_metrics import *; \
-            GOLDEN_PATH.write_text(golden_registry().render_prometheus())"
+            GOLDEN_PATH.write_text(render_snapshot(golden_registry().snapshot()))"
     """
     registry = MetricsRegistry()
     tasks = registry.counter(
@@ -93,7 +93,7 @@ class TestHistogram:
         histogram = registry.histogram("h", "help", buckets=(1.0, 2.0))
         for value in (0.5, 1.5, 99.0):
             histogram.observe(value)
-        text = registry.render_prometheus()
+        text = render_snapshot(registry.snapshot())
         assert 'h_bucket{le="1"} 1' in text
         assert 'h_bucket{le="2"} 2' in text
         assert 'h_bucket{le="+Inf"} 3' in text
@@ -156,6 +156,10 @@ class TestLabels:
         with pytest.raises(ObsError, match="takes 2 label"):
             family.labels("only-one")
 
+    def test_cardinality_bound_must_admit_a_label_set(self):
+        with pytest.raises(ObsError, match="max_label_sets must be >= 1"):
+            MetricsRegistry(max_label_sets=0)
+
     def test_cardinality_bound_is_enforced(self):
         registry = MetricsRegistry(max_label_sets=3)
         family = registry.counter("c_total", "help", labels=("key",))
@@ -215,7 +219,7 @@ class TestLabelLessChild:
         registry = MetricsRegistry()
         registry.counter("c_total", "help")
         assert registry.snapshot()["metrics"][0]["samples"] == []
-        assert registry.render_prometheus() == "# HELP c_total help\n# TYPE c_total counter\n"
+        assert render_snapshot(registry.snapshot()) == "# HELP c_total help\n# TYPE c_total counter\n"
 
 
 class TestConcurrency:
@@ -243,14 +247,14 @@ class TestConcurrency:
 
 class TestRendering:
     def test_prometheus_text_matches_the_golden_file(self):
-        assert golden_registry().render_prometheus() == GOLDEN_PATH.read_text(
+        assert render_snapshot(golden_registry().snapshot()) == GOLDEN_PATH.read_text(
             encoding="utf-8"
         )
 
     def test_two_identical_registries_render_identically(self):
         assert (
-            golden_registry().render_prometheus()
-            == golden_registry().render_prometheus()
+            render_snapshot(golden_registry().snapshot())
+            == render_snapshot(golden_registry().snapshot())
         )
 
     def test_format_value(self):
@@ -262,7 +266,7 @@ class TestRendering:
         assert format_value(float("nan")) == "NaN"
 
     def test_empty_registry_renders_empty(self):
-        assert MetricsRegistry().render_prometheus() == ""
+        assert render_snapshot(MetricsRegistry().snapshot()) == ""
 
 
 class TestSnapshotPersistence:
@@ -270,7 +274,7 @@ class TestSnapshotPersistence:
         registry = golden_registry()
         path = registry.write_snapshot(tmp_path / "metrics.json")
         snapshot = load_snapshot(path)
-        assert render_snapshot(snapshot) == registry.render_prometheus()
+        assert render_snapshot(snapshot) == render_snapshot(registry.snapshot())
 
     def test_load_snapshot_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "metrics.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.coloring import Multicoloring
 from repro.core import color_budget, phase_budget
 from repro.covering import SetCoverInstance
 from repro.decomposition import ball_carving_decomposition
@@ -40,38 +41,27 @@ def _three_set_cover() -> SetCoverInstance:
     return instance
 
 
+#: A planted conflict-free 2-coloring, as a multicoloring with one color per vertex.
+_CF_HYPERGRAPH, _planted = colorable_almost_uniform_hypergraph(n=12, m=6, k=2, seed=2)
+_CF_PLANTED = Multicoloring({v: [c] for v, c in _planted.items()})
+
 #: Ball carving at radius 1 cuts P6 into three 2-vertex clusters on two colors.
 _PATH6_DECOMPOSITION = ball_carving_decomposition(path_graph(6), 1)
 
 
 class TestProblems:
-    def test_mis_problem_verifier(self):
-        g = path_graph(4)
-        assert MIS.is_valid(g, {0, 2})
-        assert not MIS.is_valid(g, {0, 1})
-        assert not MIS.is_valid(g, {1})  # not maximal
-
-    def test_coloring_problem_verifier(self):
-        g = star_graph(3)
-        assert VERTEX_COLORING.is_valid(g, {0: 0, 1: 1, 2: 1, 3: 1})
-        assert not VERTEX_COLORING.is_valid(g, {0: 0, 1: 0, 2: 1, 3: 1})
-
-    def test_maxis_approx_problem_verifier(self):
-        g = star_graph(5)
-        assert MAXIS_APPROXIMATION.is_valid((g, 1.0), set(range(1, 6)))
-        assert not MAXIS_APPROXIMATION.is_valid((g, 2.0), {0})
-
-    def test_cf_multicoloring_problem_verifier(self):
-        from repro.coloring import Multicoloring
-
-        hypergraph, planted = colorable_almost_uniform_hypergraph(n=12, m=6, k=2, seed=2)
-        mc = Multicoloring({v: [c] for v, c in planted.items()})
-        assert CF_MULTICOLORING.is_valid((hypergraph, 2), mc)
-        assert not CF_MULTICOLORING.is_valid((hypergraph, 1), mc)
-
     @pytest.mark.parametrize(
         "problem, instance, solution, valid",
         [
+            (MIS, path_graph(4), {0, 2}, True),
+            (MIS, path_graph(4), {0, 1}, False),
+            (MIS, path_graph(4), {1}, False),
+            (VERTEX_COLORING, star_graph(3), {0: 0, 1: 1, 2: 1, 3: 1}, True),
+            (VERTEX_COLORING, star_graph(3), {0: 0, 1: 0, 2: 1, 3: 1}, False),
+            (MAXIS_APPROXIMATION, (star_graph(5), 1.0), set(range(1, 6)), True),
+            (MAXIS_APPROXIMATION, (star_graph(5), 2.0), {0}, False),
+            (CF_MULTICOLORING, (_CF_HYPERGRAPH, 2), _CF_PLANTED, True),
+            (CF_MULTICOLORING, (_CF_HYPERGRAPH, 1), _CF_PLANTED, False),
             (VERTEX_COLORING, Graph(vertices=[0, 1]), {0: 0, 1: 1}, False),
             (DOMINATING_SET_APPROXIMATION, (star_graph(4), 1.0), {0}, True),
             (DOMINATING_SET_APPROXIMATION, (star_graph(4), 1.0), {1, 2, 3, 4}, False),
@@ -84,6 +74,15 @@ class TestProblems:
             (NETWORK_DECOMPOSITION, (path_graph(6), 2, 0), _PATH6_DECOMPOSITION, False),
         ],
         ids=[
+            "mis",
+            "mis-adjacent",
+            "mis-not-maximal",
+            "coloring",
+            "coloring-improper",
+            "maxis-optimal",
+            "maxis-over-factor",
+            "cf-multicoloring",
+            "cf-multicoloring-over-palette",
             "coloring-above-delta-plus-one",
             "dominating-optimal",
             "dominating-over-factor",
@@ -172,33 +171,7 @@ class TestPaperReduction:
         assert polylog_lambda(1024) == pytest.approx(100.0)
 
 
-class TestComposition:
-    def test_compose_type_mismatch_rejected(self):
-        trivial = Problem(name="trivial", description="", verify=lambda i, s: None)
-        a = LocalReduction(MIS, VERTEX_COLORING, lambda i, o: ReductionRun(None, ReductionOverhead()))
-        b = LocalReduction(MIS, trivial, lambda i, o: ReductionRun(None, ReductionOverhead()))
-        with pytest.raises(ReductionError):
-            a.compose(b)
-
-    def test_compose_multiplies_overheads(self):
-        identity = Problem(name="identity", description="", verify=lambda i, s: None)
-
-        def outer_run(instance, oracle):
-            oracle(instance)  # first call
-            solution = oracle(instance)  # second call
-            return ReductionRun(solution, ReductionOverhead(oracle_calls=2, locality_factor=3.0))
-
-        def inner_run(instance, oracle):
-            return ReductionRun(oracle(instance), ReductionOverhead(oracle_calls=1, locality_factor=2.0))
-
-        outer = LocalReduction(identity, identity, outer_run, name="outer")
-        inner = LocalReduction(identity, identity, inner_run, name="inner")
-        composed = outer.compose(inner)
-        run = composed.apply("instance", lambda x: x)
-        assert run.overhead.oracle_calls == 2       # two inner runs, one call each
-        assert run.overhead.locality_factor == 6.0  # 3 × 2
-        assert run.details["inner_runs"] == 2
-
+class TestLocalReduction:
     def test_reduction_must_return_reduction_run(self):
         identity = Problem(name="identity2", description="", verify=lambda i, s: None)
         broken = LocalReduction(identity, identity, lambda i, o: "not-a-run")

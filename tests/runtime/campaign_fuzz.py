@@ -54,6 +54,7 @@ from repro.runtime import (
     task_shard_index,
 )
 
+from tests.conftest import completed_of
 from tests.runtime.test_tasks import NONDETERMINISTIC_ROW_FIELDS
 
 #: Seeded specs the differential sweep runs (acceptance floor: 50).
@@ -233,7 +234,7 @@ def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_
         "".join(lines[:cut]) + '{"task_key": "killed-mid-', encoding="utf-8"
     )
     killed_store = CampaignStore(killed)
-    survivors = len(killed_store.completed_keys())
+    survivors = len(completed_of(killed_store.summaries()))
     resumed = run_campaign(spec, killed, workers=0)
     assert resumed.skipped == survivors, (
         f"{ctx} resume after cut={cut} skipped {resumed.skipped}, "

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from repro.analysis.records import ExperimentRecord
+from repro.analysis.records import ExperimentRecord, write_records
 from repro.runtime import (
     CampaignStore,
     campaign_digest,
@@ -119,11 +120,13 @@ class TestRecordContent:
             assert record.metadata["tasks_failed"] == 1
             assert record.metadata["tasks_done"] == spec.num_tasks()
 
-    def test_records_round_trip_through_experiment_record_json(self):
+    def test_records_round_trip_through_experiment_record_json(self, tmp_path):
         spec = small_spec()
-        for record in campaign_records(spec, completed_rows(spec)):
-            restored = ExperimentRecord.from_json(record.to_json())
-            assert restored.to_dict() == record.to_dict()
+        records = campaign_records(spec, completed_rows(spec))
+        path = tmp_path / "records.json"
+        write_records(records, str(path))
+        restored = [ExperimentRecord(**item) for item in json.loads(path.read_text())]
+        assert [r.to_dict() for r in restored] == [r.to_dict() for r in records]
 
     def test_throughput_record_reports_rates(self):
         spec = small_spec()

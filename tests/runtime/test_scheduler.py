@@ -18,6 +18,7 @@ from repro.runtime import (
     CampaignStore,
     WorkerPool,
     campaign_digest,
+    cache_counts_of,
     campaign_records,
     execute_task,
     records_from_summaries,
@@ -26,6 +27,7 @@ from repro.runtime import (
     task_shard_index,
 )
 
+from tests.conftest import completed_of
 from tests.runtime.test_spec import small_spec
 from tests.runtime.test_store import deltas_of
 from tests.runtime.test_tasks import NONDETERMINISTIC_ROW_FIELDS
@@ -73,7 +75,7 @@ class TestSerialExecutor:
         assert stats.workers == 1
         assert stats.tasks_per_s > 0
         store = CampaignStore(tmp_path)
-        assert store.completed_keys() == {p["task_key"] for p in spec.task_payloads()}
+        assert completed_of(store.summaries()) == {p["task_key"] for p in spec.task_payloads()}
 
     def test_rerun_skips_everything(self, tmp_path):
         spec = small_spec()
@@ -147,7 +149,7 @@ class TestResume:
         lines = store.results_path.read_text().splitlines(keepends=True)
         # Simulate a kill: drop two completed rows and leave half a line.
         store.results_path.write_text("".join(lines[:-2]) + '{"task_key": "par')
-        assert len(store.completed_keys()) == spec.num_tasks() - 2
+        assert len(completed_of(store.summaries())) == spec.num_tasks() - 2
 
         resumed = run_campaign(spec, tmp_path / "killed", workers=0)
         assert resumed.skipped == spec.num_tasks() - 2
@@ -426,7 +428,7 @@ class TestShardedRuns:
         for index in range(3):
             stats = run_campaign(spec, tmp_path / f"shard{index}", shard=(index, 3))
             assert stats.shard == (index, 3)
-            shard_keys = CampaignStore(tmp_path / f"shard{index}").completed_keys()
+            shard_keys = completed_of(CampaignStore(tmp_path / f"shard{index}").summaries())
             assert stats.executed == len(shard_keys)
             assert all(task_shard_index(k, 3) == index for k in shard_keys)
             keys.extend(shard_keys)
@@ -459,7 +461,7 @@ class TestCacheStats:
         assert stats.cache_hits + stats.cache_misses == spec.num_tasks()
         assert stats.cache_hits == spec.num_tasks() // 2
         assert stats.cache_hit_ratio == 0.5
-        counts = CampaignStore(tmp_path).cache_counts()
+        counts = cache_counts_of(CampaignStore(tmp_path).summaries())
         assert counts == {
             "cache_hits": stats.cache_hits,
             "cache_misses": stats.cache_misses,

@@ -22,8 +22,10 @@ from repro.runtime import (
     run_campaign,
     watchdog,
 )
+from repro.runtime.faults import CHAOS_ENV_VAR, FaultPlan
 from repro.runtime.tasks import INSTANCE_CACHE
 
+from tests.conftest import completed_of
 from tests.runtime.test_spec import small_spec
 
 
@@ -195,6 +197,12 @@ class TestRetryPolicyValidation:
             run_campaign(small_spec(), tmp_path / "out", retry=3)
         assert not (tmp_path / "out").exists()
 
+    def test_chaos_needs_the_serial_executor(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CHAOS_ENV_VAR, "1")
+        with pytest.raises(CampaignError, match="serial executor"):
+            run_campaign(small_spec(), tmp_path / "out", workers=2, chaos=FaultPlan(p_fail=0.5))
+        assert not (tmp_path / "out").exists()
+
 
 class TestPoolFailures:
     def test_worker_bug_propagates_and_store_survives(self, tmp_path, monkeypatch):
@@ -240,7 +248,7 @@ class TestPoolFailures:
             run_campaign(spec, tmp_path, pool=pool, shard=(1, 2))
         merged = run_campaign(spec, tmp_path, workers=0)
         assert merged.failed == 0
-        assert len(CampaignStore(tmp_path).completed_keys()) == spec.num_tasks()
+        assert len(completed_of(CampaignStore(tmp_path).summaries())) == spec.num_tasks()
 
 
 class TestKeyboardInterrupt:

@@ -16,7 +16,6 @@ from repro.runtime import (
     cache_counts_of,
     campaign_digest,
     campaign_records,
-    completed_of,
     merge_shards,
     open_store,
     records_from_summaries,
@@ -29,6 +28,7 @@ from repro.runtime import (
 import repro.runtime.store as store_module
 from repro.runtime.store import BaseCampaignStore
 
+from tests.conftest import completed_of
 from tests.runtime.test_spec import small_spec
 
 
@@ -91,7 +91,7 @@ class TestRows:
         store.append(row("b", status="failed", error="boom"))
         rows = store.rows()
         assert [r["task_key"] for r in rows] == ["a", "b"]
-        assert store.completed_keys() == {"a"}
+        assert completed_of(store.summaries()) == {"a"}
         assert store.status_counts() == {"done": 1, "failed": 1}
 
     def test_append_requires_key_and_status(self, tmp_path):
@@ -127,7 +127,7 @@ class TestRows:
         store = CampaignStore(tmp_path)
         store.append(row("a", status="failed"))
         store.append(row("a"))
-        assert store.completed_keys() == {"a"}
+        assert completed_of(store.summaries()) == {"a"}
         assert store.status_counts() == {"done": 1}
 
     def test_truncated_tail_line_is_skipped(self, tmp_path):
@@ -138,7 +138,7 @@ class TestRows:
         # Simulate a kill mid-write: the final line is half a JSON object.
         store.results_path.write_text(text[: len(text) - 10])
         assert [r["task_key"] for r in store.rows()] == ["a"]
-        assert store.completed_keys() == {"a"}
+        assert completed_of(store.summaries()) == {"a"}
 
     def test_append_after_truncated_tail_starts_fresh_line(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -146,7 +146,7 @@ class TestRows:
         text = store.results_path.read_text()
         store.results_path.write_text(text + '{"task_key": "partial')
         store.append(row("b"))
-        assert store.completed_keys() == {"a", "b"}
+        assert completed_of(store.summaries()) == {"a", "b"}
 
     def test_garbage_and_blank_lines_are_skipped(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -163,10 +163,10 @@ class TestRows:
         store = CampaignStore(tmp_path)
         assert store.rows() == []
         assert store.latest_rows() == {}
-        assert store.completed_keys() == set()
+        assert completed_of(store.summaries()) == set()
         assert store.status_counts() == {}
-        assert store.cache_counts() == {"cache_hits": 0, "cache_misses": 0}
-        assert store.retry_exhausted_keys(3) == set()
+        assert cache_counts_of(store.summaries()) == {"cache_hits": 0, "cache_misses": 0}
+        assert retry_exhausted_of(store.summaries(), 3) == set()
         assert store.summaries() == {}
         assert list(tmp_path.iterdir()) == []  # queries never create files
 
@@ -204,7 +204,7 @@ class TestRows:
         latest = store.latest_rows()
         assert latest["b"]["status"] == "done"
         assert latest["b"]["attempt"] == 2
-        assert store.completed_keys() == {"a", "b"}
+        assert completed_of(store.summaries()) == {"a", "b"}
 
     def test_cache_counts_over_latest_rows(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -213,7 +213,7 @@ class TestRows:
         store.append(row("c", status="failed"))  # no flag: counts nowhere
         # A rewrite of "a" flips its flag; only the latest row counts.
         store.append(row("a", instance_cache_hit=True))
-        assert store.cache_counts() == {"cache_hits": 2, "cache_misses": 0}
+        assert cache_counts_of(store.summaries()) == {"cache_hits": 2, "cache_misses": 0}
 
 
 class TestOpenStore:
@@ -261,7 +261,7 @@ class TestMergeShards:
         second.append(row("b"))
         merged = merge_shards(tmp_path / "merged", [first.directory, second.directory])
         assert merged.load_spec().digest() == spec.digest()
-        assert merged.completed_keys() == {"a", "b"}
+        assert completed_of(merged.summaries()) == {"a", "b"}
 
     def test_merge_overlapping_shards_is_last_write_wins(self, tmp_path):
         spec = small_spec()
@@ -317,7 +317,7 @@ class TestMergeShards:
         dest.initialize(spec)
         dest.append(row("a"))
         merged = merge_shards(tmp_path / "merged", [shard.directory])
-        assert merged.completed_keys() == {"a", "b"}
+        assert completed_of(merged.summaries()) == {"a", "b"}
 
     def test_merge_terminates_truncated_destination_tail(self, tmp_path):
         spec = small_spec()
@@ -331,7 +331,7 @@ class TestMergeShards:
         dest.results_path.write_text(text + '{"task_key": "half')
         merged = merge_shards(tmp_path / "merged", [shard.directory])
         # The shard row starts on a fresh line, not glued to the dead tail.
-        assert merged.completed_keys() == {"a", "b"}
+        assert completed_of(merged.summaries()) == {"a", "b"}
 
     def test_merge_skips_truncated_shard_tails(self, tmp_path):
         spec = small_spec()
@@ -341,7 +341,7 @@ class TestMergeShards:
         text = shard.results_path.read_text()
         shard.results_path.write_text(text + '{"task_key": "half')
         merged = merge_shards(tmp_path / "merged", [shard.directory])
-        assert merged.completed_keys() == {"a"}
+        assert completed_of(merged.summaries()) == {"a"}
         # The merged file itself is clean JSONL: every line parses.
         for line in merged.results_path.read_text().splitlines():
             json.loads(line)
@@ -434,7 +434,7 @@ class TestTailCheckCache:
         CampaignStore(tmp_path).append(row("a"))
         CampaignStore(tmp_path).append(row("b"))
         assert len(calls) == 2  # the cache is per instance, never global state
-        assert CampaignStore(tmp_path).completed_keys() == {"a", "b"}
+        assert completed_of(CampaignStore(tmp_path).summaries()) == {"a", "b"}
 
     def test_external_truncation_invalidates_the_cache(self, tmp_path, monkeypatch):
         calls = self._spy(monkeypatch)
@@ -448,7 +448,7 @@ class TestTailCheckCache:
         store.results_path.write_text(text + '{"task_key": "partial')
         store.append(row("c"))
         assert len(calls) == 2
-        assert store.completed_keys() == {"a", "b", "c"}
+        assert completed_of(store.summaries()) == {"a", "b", "c"}
 
 
 class TestMergeDurability:
@@ -483,7 +483,7 @@ class TestMergeDurability:
         # One batched fsync per shard plus one for the aggregate sidecar —
         # not zero (the bug) and not one-per-row (the slow path).
         assert len(synced) == len(shard_dirs) + 1
-        assert merged.completed_keys() == {"task-0", "task-1"}
+        assert completed_of(merged.summaries()) == {"task-0", "task-1"}
 
     def test_flush_spec_never_pays_the_fsync(self, tmp_path, monkeypatch):
         shard_dirs = self._shards(tmp_path, small_spec())
@@ -550,7 +550,7 @@ class TestCompaction:
         for line in store.results_path.read_text().splitlines():
             json.loads(line)
         store.append(row("c"))
-        assert store.completed_keys() == {"a", "b", "c"}
+        assert completed_of(store.summaries()) == {"a", "b", "c"}
 
     def test_compact_leaves_no_temp_file(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -625,6 +625,18 @@ class TestIncrementalAggregates:
         for garbage in ("not json", '{"version": 999}', '{"version": 1, "byte_offset": -1, "summaries": {}}'):
             store.aggregates_path.write_text(garbage)
             assert store.summaries() == summaries_of(store.rows())
+
+    @pytest.mark.parametrize("damage", ["non-ascii bytes", "a directory"])
+    def test_unreadable_sidecar_falls_back_to_the_rows(self, tmp_path, damage):
+        store = CampaignStore(tmp_path)
+        store.append(row("a"))
+        store.append(row("b", status="failed", attempt=2, error="boom"))
+        if damage == "a directory":
+            store.aggregates_path.mkdir()
+        else:
+            store.aggregates_path.write_bytes(b"\xff\xfe garbled")
+        fresh = CampaignStore(tmp_path)
+        assert fresh.summaries() == summaries_of(fresh.rows())
 
     def test_truncation_below_the_cursor_triggers_a_rebuild(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -867,8 +879,8 @@ class TestRetryExhaustion:
         store.append(row("spent-failure", status="failed", attempt=3))
         store.append(row("spent-timeout", status="timeout", attempt=4))
         store.append(row("legacy-failure", status="failed"))  # no attempt field
-        assert store.retry_exhausted_keys(3) == {"spent-failure", "spent-timeout"}
-        assert store.retry_exhausted_keys(1) == {
+        assert retry_exhausted_of(store.summaries(), 3) == {"spent-failure", "spent-timeout"}
+        assert retry_exhausted_of(store.summaries(), 1) == {
             "fresh-failure",
             "spent-failure",
             "spent-timeout",
@@ -879,11 +891,11 @@ class TestRetryExhaustion:
         store = CampaignStore(tmp_path)
         store.append(row("a", status="failed", attempt=3))
         store.append(row("a"))  # later success supersedes the exhaustion
-        assert store.retry_exhausted_keys(3) == set()
+        assert retry_exhausted_of(store.summaries(), 3) == set()
 
     def test_max_attempts_must_be_positive(self, tmp_path):
         with pytest.raises(CampaignError, match="max_attempts"):
-            CampaignStore(tmp_path).retry_exhausted_keys(0)
+            retry_exhausted_of(CampaignStore(tmp_path).summaries(), 0)
 
 
 class TestAppendHandle:
@@ -945,7 +957,7 @@ class TestAppendHandle:
             ("a", "done"),
             ("b", "done"),
         ]
-        assert CampaignStore(tmp_path).completed_keys() == {"a", "b"}
+        assert completed_of(CampaignStore(tmp_path).summaries()) == {"a", "b"}
 
     def test_an_append_after_the_log_was_deleted_starts_a_new_log(self, tmp_path):
         store = CampaignStore(tmp_path)

@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import main
 
+from tests.conftest import completed_of
+
 
 class TestCLI:
     def test_registry_command(self, capsys):
@@ -102,7 +104,7 @@ class TestCampaignCLI:
         from repro.analysis import ExperimentRecord
 
         with open(records_path, encoding="utf-8") as handle:
-            records = [ExperimentRecord.from_dict(item) for item in json.load(handle)]
+            records = [ExperimentRecord(**item) for item in json.load(handle)]
         assert [record.experiment for record in records] == ["C1", "C2"]
 
     def test_run_with_workers_matches_serial_digest(self, spec_path, tmp_path, capsys):
@@ -222,7 +224,7 @@ class TestCampaignShardCLI:
         from repro.runtime import CampaignSpec, CampaignStore
 
         spec = CampaignSpec.from_dict(self.SPEC)
-        done = len(CampaignStore(out).completed_keys())
+        done = len(completed_of(CampaignStore(out).summaries()))
         assert 0 < done < spec.num_tasks()
         assert f"shard 0/2 ({done} tasks)" in run_output
         assert str(spec.num_tasks() - done) in status_output
