@@ -12,9 +12,11 @@ Two measurement backends:
   enforced via ``--cov-fail-under``.
 * otherwise the stdlib :mod:`trace` module (no third-party dependency;
   roughly 5× slower than an untraced run).  Executable line numbers come
-  from :func:`trace._find_executable_linenos`, and *every* module file in
-  the target packages counts — files the suite never imports contribute
-  zero hit lines.
+  from :func:`trace._find_executable_linenos`, less line 0 and the
+  ``# pragma: no cover`` blocks that pytest-cov excludes too
+  (:func:`executable_lines`), and *every* module file in the target
+  packages counts — files the suite never imports contribute zero hit
+  lines.
 
 Usage: ``python scripts/coverage.py`` (from the repository root; run by
 ``make coverage`` and ``scripts/check.sh``).
@@ -22,7 +24,9 @@ Usage: ``python scripts/coverage.py`` (from the repository root; run by
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -42,10 +46,18 @@ TARGET_PACKAGES = ("repro",)
 #: (runtime 98.9%) — the floor ratchets up to 95.  PR 8 added
 #: src/repro/obs (98.8% at introduction; aggregate 96.1%).  The gate then
 #: widened from those five packages to all of src/repro, which read 96.9%
-#: on the stdlib backend; the floor stays 95.
+#: on the stdlib backend; the floor stays 95.  The stdlib count then
+#: dropped line 0 of every module and the ``# pragma: no cover`` blocks,
+#: as pytest-cov does: the same run read 6714/6819 = 98.5% instead of
+#: 6729/6944 = 96.9%, and the floor rose to 96 so the correction does not
+#: loosen the gate.
 #: pytest-cov counts lines slightly differently; the common floor is
 #: conservative for both backends.
-FAIL_UNDER = 95
+FAIL_UNDER = 96
+
+#: The exclusion marker: its line, and the whole block a marked line opens
+#: (a ``def``, an ``if``, an ``except`` clause), are not counted.
+NO_COVER = re.compile(r"#\s*pragma:\s*no\s*cover")
 
 
 def _have_pytest_cov() -> bool:
@@ -75,6 +87,26 @@ def _run_with_pytest_cov() -> int:
         "PYTHONPATH"
     ) else str(SRC)
     return subprocess.call(args, cwd=REPO_ROOT, env=env)
+
+
+def executable_lines(path: Path) -> set:
+    """The line numbers of ``path`` the stdlib backend counts.
+
+    :func:`trace._find_executable_linenos` also reports line 0, where a
+    module's code object starts on Python 3.11 and which no run can hit,
+    and the lines under ``# pragma: no cover``; both are dropped.
+    """
+    import trace
+
+    text = path.read_text(encoding="utf-8")
+    marked = {
+        number for number, line in enumerate(text.splitlines(), start=1) if NO_COVER.search(line)
+    }
+    excluded = set(marked)
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.stmt, ast.ExceptHandler)) and node.lineno in marked:
+            excluded.update(range(node.lineno, node.end_lineno + 1))
+    return set(trace._find_executable_linenos(str(path))) - excluded - {0}
 
 
 def _target_files():
@@ -111,7 +143,7 @@ def _run_with_stdlib_trace() -> int:
     per_package = {pkg: [0, 0] for pkg in TARGET_PACKAGES}
     total_executable = total_hit = 0
     for pkg, path in _target_files():
-        executable = set(trace._find_executable_linenos(str(path)))
+        executable = executable_lines(path)
         hits = hit_lines.get(os.path.realpath(str(path)), set())
         per_package[pkg][0] += len(executable & hits)
         per_package[pkg][1] += len(executable)

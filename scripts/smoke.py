@@ -63,7 +63,7 @@ N_SHARDS = 2
 #: Seed 15 of this plan shape puts two hangs in shard 0 (before any kill)
 #: and two kills in shard 1 on the first dispatch — both recovery paths
 #: fire on every run, deterministically.
-CHAOS_PLAN = FaultPlan(p_kill=0.25, p_hang=0.25, seed=15, max_salt=1, hang_s=60.0)
+CHAOS_PLAN = FaultPlan(p_kill=0.25, p_hang=0.25, seed=15, max_salt=1)
 
 #: Metric families the traced run's ``metrics.json`` must populate.
 REQUIRED_FAMILIES = (

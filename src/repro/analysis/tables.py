@@ -11,9 +11,12 @@ from typing import Dict, Iterable, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
+#: Digits after the point of a non-integral float cell.
+PRECISION = 3
 
-def format_cell(value: Cell, precision: int = 3) -> str:
-    """Render a single cell: floats get fixed precision, everything else ``str``.
+
+def format_cell(value: Cell) -> str:
+    """Render a single cell: floats get :data:`PRECISION` digits, everything else ``str``.
 
     Integral floats print as integers; ``nan`` and ``±inf`` print as
     ``nan``, ``inf`` and ``-inf``.
@@ -23,13 +26,13 @@ def format_cell(value: Cell, precision: int = 3) -> str:
     if isinstance(value, float):
         if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
             return str(int(value))
-        return f"{value:.{precision}f}"
+        return f"{value:.{PRECISION}f}"
     return str(value)
 
 
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[Cell]], precision: int = 3) -> str:
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[Cell]]) -> str:
     """Render an aligned plain-text table with a header rule."""
-    rendered_rows: List[List[str]] = [[format_cell(c, precision) for c in row] for row in rows]
+    rendered_rows: List[List[str]] = [[format_cell(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in rendered_rows:
         for i, cell in enumerate(row):
@@ -43,11 +46,11 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Cell]], precisi
     return "\n".join([header_line, rule] + body)
 
 
-def format_records(records: Sequence[Dict[str, Cell]], precision: int = 3) -> str:
+def format_records(records: Sequence[Dict[str, Cell]]) -> str:
     """Render a list of homogeneous dictionaries as a table (keys become headers)."""
     if not records:
         return "(no rows)"
     headers = list(records[0].keys())
     rows = [[record.get(h, "") for h in headers] for record in records]
-    return format_table(headers, rows, precision=precision)
+    return format_table(headers, rows)
 

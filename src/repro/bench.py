@@ -83,6 +83,9 @@ DEFAULT_SIZES: Tuple[Tuple[int, int], ...] = ((30, 20), (60, 40), (90, 60), (120
 #: The single smallest workload, for smoke runs.
 SMOKE_SIZES: Tuple[Tuple[int, int], ...] = ((30, 20),)
 
+#: Edge sizes of :func:`hypergraph_family` lie in ``[k, (1 + ε)·k]``.
+FAMILY_EPSILON = 0.5
+
 #: MIS algorithms timed (registry names).  ``exact`` is omitted: it is
 #: exponential, and the conflict graphs here are too large for it.
 #: ``greedy-min-degree`` exercises the kernel on bit-sliced residual
@@ -98,16 +101,14 @@ MAXIS_ALGORITHMS: Tuple[str, ...] = (
 # ----------------------------------------------------------------------
 # workload families (shared with the paper-claim tests)
 # ----------------------------------------------------------------------
-def hypergraph_family(
-    sizes: Sequence[Tuple[int, int]] = DEFAULT_SIZES, k: int = 4, epsilon: float = 0.5
-):
+def hypergraph_family(sizes: Sequence[Tuple[int, int]] = DEFAULT_SIZES, k: int = 4):
     """Return ``[(label, hypergraph, planted, k)]`` for a sweep of instance sizes."""
     from repro.hypergraph import colorable_almost_uniform_hypergraph
 
     family = []
     for idx, (n, m) in enumerate(sizes):
         hypergraph, planted = colorable_almost_uniform_hypergraph(
-            n=n, m=m, k=k, epsilon=epsilon, seed=100 + idx
+            n=n, m=m, k=k, epsilon=FAMILY_EPSILON, seed=100 + idx
         )
         family.append((f"n={n},m={m}", hypergraph, planted, k))
     return family
@@ -251,7 +252,6 @@ def bench_reduction(
     sizes: Sequence[Tuple[int, int]] = DEFAULT_SIZES,
     k: int = 4,
     repeats: int = 3,
-    lam: float = REDUCTION_LAM,
 ) -> List[Dict[str, object]]:
     """Time the end-to-end reduction: incremental engine vs. rebuild-per-phase.
 
@@ -266,7 +266,7 @@ def bench_reduction(
     from repro.maxis import capped_oracle, get_approximator
 
     oracles = [
-        (f"first-fit@1/{lam:g}", capped_oracle("greedy-first-fit", lam)),
+        (f"first-fit@1/{REDUCTION_LAM:g}", capped_oracle("greedy-first-fit", REDUCTION_LAM)),
         ("first-fit", get_approximator("greedy-first-fit")),
     ]
     records: List[Dict[str, object]] = []
@@ -274,7 +274,7 @@ def bench_reduction(
         peak_triples = kk * hypergraph.total_edge_size()
         for oracle_label, oracle in oracles:
             reduction = ConflictFreeMulticoloringViaMaxIS(
-                k=kk, approximator=oracle, lam=lam
+                k=kk, approximator=oracle, lam=REDUCTION_LAM
             )
             fast_s, result = _best_time(lambda: reduction.run(hypergraph), repeats)
             # Incidence-driven happy-check seconds of the last incremental
@@ -301,7 +301,7 @@ def bench_reduction(
                     "m": hypergraph.num_edges(),
                     "k": kk,
                     "oracle": oracle_label,
-                    "lam": lam,
+                    "lam": REDUCTION_LAM,
                     "peak_triples": peak_triples,
                     "num_phases": result.num_phases,
                     "total_colors": result.total_colors,

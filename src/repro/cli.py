@@ -28,6 +28,7 @@ runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
@@ -91,7 +92,11 @@ def _add_fault_tolerance_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
-    """Fault-injection flags (refused unless REPRO_CHAOS=1)."""
+    """Fault-injection flags (refused unless REPRO_CHAOS=1).
+
+    Only ``campaign run`` adds ``--chaos-salt``: the supervise coordinator
+    salts every dispatch itself.
+    """
     parser.add_argument(
         "--chaos",
         default=None,
@@ -102,12 +107,6 @@ def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument("--chaos-seed", type=int, default=0, help="fault decision seed")
-    parser.add_argument(
-        "--chaos-salt",
-        type=int,
-        default=0,
-        help="dispatch salt (bumped per re-dispatch by the coordinator)",
-    )
     parser.add_argument(
         "--chaos-max-salt",
         type=int,
@@ -131,18 +130,9 @@ def _fault_plan(args: argparse.Namespace):
 
     if args.chaos is None:
         return None
-    plan = FaultPlan.parse(args.chaos, seed=args.chaos_seed, salt=args.chaos_salt)
-    if args.chaos_max_salt is not None:
-        plan = FaultPlan(
-            p_kill=plan.p_kill,
-            p_hang=plan.p_hang,
-            p_fail=plan.p_fail,
-            seed=plan.seed,
-            salt=plan.salt,
-            hang_s=plan.hang_s,
-            max_salt=args.chaos_max_salt,
-        )
-    return plan
+    # supervise has no --chaos-salt: its coordinator re-salts every dispatch.
+    plan = FaultPlan.parse(args.chaos, seed=args.chaos_seed, salt=getattr(args, "chaos_salt", 0))
+    return dataclasses.replace(plan, max_salt=args.chaos_max_salt)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -255,6 +245,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_chaos_args(campaign_run)
+    campaign_run.add_argument(
+        "--chaos-salt",
+        type=int,
+        default=0,
+        help="dispatch salt (bumped per re-dispatch by the coordinator)",
+    )
 
     campaign_supervise = campaign_sub.add_parser(
         "supervise",

@@ -221,26 +221,15 @@ class ConflictFreeMulticoloringViaMaxIS:
         The approximation factor λ assumed when computing the phase budget
         ``ρ``.  If the oracle actually achieves a better factor the
         reduction simply finishes earlier.
-    max_phases:
-        Hard safety cap on the number of phases (defaults to
-        ``max(ρ, m)``, which always suffices because every phase removes at
-        least one edge).
-    strict:
-        When ``True``, exceeding the theoretical phase budget ``ρ`` raises
-        :class:`ReductionError` instead of silently continuing.  Use this
-        when the premise (the hypergraph admits a CF ``k``-coloring and the
-        oracle honours λ) is supposed to hold and a violation indicates a
-        bug.
+
+    The phase loop needs no cap: every phase removes at least one edge
+    (an empty oracle answer, or fewer happy edges than selected triples,
+    raises :class:`ReductionError`), so at most ``m`` phases run.  A run
+    past ``ρ`` is reported by :meth:`ReductionResult.within_phase_bound`,
+    not raised.
     """
 
-    def __init__(
-        self,
-        k: int,
-        approximator,
-        lam: float,
-        max_phases: Optional[int] = None,
-        strict: bool = False,
-    ) -> None:
+    def __init__(self, k: int, approximator, lam: float) -> None:
         if k <= 0:
             raise ReductionError(f"palette size k must be positive, got {k}")
         if lam < 1:
@@ -248,8 +237,6 @@ class ConflictFreeMulticoloringViaMaxIS:
         self.k = k
         self.lam = lam
         self.oracle = _default_oracle(approximator)
-        self.max_phases = max_phases
-        self.strict = strict
         # An approximator (an id kernel) answers the engine's alive-mask
         # views with ids; a plain callable receives the mutable Graph.
         self._id_oracle: Optional[MaxISApproximator] = (
@@ -309,14 +296,9 @@ class ConflictFreeMulticoloringViaMaxIS:
         surviving blocks.  Incremental mode removes the happy edges from
         that one :class:`ConflictGraph`; rebuild mode builds ``H_{i+1}``
         and its conflict graph afresh (the seed behavior).  Everything
-        else — budgets, caps, strictness, record keeping — is identical by
-        construction.
+        else — budgets and record keeping — is identical by construction.
         """
         m = hypergraph.num_edges()
-        rho = phase_budget(self.lam, m)
-        budget = color_budget(self.k, self.lam, m)
-        cap = self.max_phases if self.max_phases is not None else max(rho, m, 1)
-
         multicoloring = Multicoloring()
         phases: List[PhaseRecord] = []
         conflict_graph = ConflictGraph(hypergraph, self.k, build)
@@ -327,15 +309,6 @@ class ConflictFreeMulticoloringViaMaxIS:
         phase = 0
         while conflict_graph.num_hyperedges() > 0:
             phase += 1
-            if phase > cap:
-                raise ReductionError(
-                    f"reduction did not finish within {cap} phases; "
-                    f"{conflict_graph.num_hyperedges()} edges remain unhappy"
-                )
-            if self.strict and phase > rho:
-                raise ReductionError(
-                    f"strict mode: phase {phase} exceeds the theoretical budget ρ = {rho}"
-                )
             phase_start = time.perf_counter()
             with obs.span("phase", phase=phase, edges=conflict_graph.num_hyperedges()):
                 record = self._run_phase(conflict_graph, phase, multicoloring, rebuild=rebuild)
@@ -356,8 +329,8 @@ class ConflictFreeMulticoloringViaMaxIS:
             phases=phases,
             k=self.k,
             lam=self.lam,
-            phase_bound=rho,
-            color_bound=budget,
+            phase_bound=phase_budget(self.lam, m),
+            color_bound=color_budget(self.k, self.lam, m),
         )
 
     # ------------------------------------------------------------------
@@ -429,10 +402,7 @@ def solve_conflict_free_multicoloring(
     k: int,
     approximator,
     lam: float,
-    strict: bool = False,
 ) -> ReductionResult:
     """One-call convenience wrapper around :class:`ConflictFreeMulticoloringViaMaxIS`."""
-    reduction = ConflictFreeMulticoloringViaMaxIS(
-        k=k, approximator=approximator, lam=lam, strict=strict
-    )
+    reduction = ConflictFreeMulticoloringViaMaxIS(k=k, approximator=approximator, lam=lam)
     return reduction.run(hypergraph)

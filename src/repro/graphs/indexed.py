@@ -341,11 +341,6 @@ class IndexedSubgraph(IndexedGraph):
         self._alive_edges: Optional[int] = None
 
     # -- structure shared with the parent ------------------------------
-    @property
-    def parent(self) -> IndexedGraph:
-        """The full graph this view restricts."""
-        return self._parent
-
     def labels(self) -> Tuple[Vertex, ...]:
         return self._parent.labels()
 

@@ -49,11 +49,9 @@ class Hypergraph:
         self._incidence: Dict[Vertex, Set[EdgeId]] = {}
         self._next_auto_id = 0
         # Incremental bookkeeping: the sorted edge-id list is cached until the
-        # edge family changes, Σ|e| is a running counter, and the edge-size
-        # histogram serves rank() without scanning the edge family.
+        # edge family changes, and Σ|e| is a running counter.
         self._edge_ids_cache: Optional[List[EdgeId]] = None
         self._total_edge_size: int = 0
-        self._size_hist: Dict[int, int] = {}
         for v in vertices:
             self.add_vertex(v)
         for item in edges:
@@ -67,23 +65,6 @@ class Hypergraph:
                 self.add_edge(members, edge_id=edge_id)
             else:
                 self.add_edge(item)
-
-    # ------------------------------------------------------------------
-    # incremental bookkeeping
-    # ------------------------------------------------------------------
-    def _size_added(self, size: int) -> None:
-        """Record a new edge of ``size`` members."""
-        self._total_edge_size += size
-        self._size_hist[size] = self._size_hist.get(size, 0) + 1
-
-    def _size_dropped(self, size: int) -> None:
-        """Forget one edge that had ``size`` members."""
-        self._total_edge_size -= size
-        count = self._size_hist[size] - 1
-        if count:
-            self._size_hist[size] = count
-        else:
-            del self._size_hist[size]
 
     # ------------------------------------------------------------------
     # construction
@@ -119,7 +100,7 @@ class Hypergraph:
         self._edges[edge_id] = member_set
         for v in member_set:
             self._incidence[v].add(edge_id)
-        self._size_added(len(member_set))
+        self._total_edge_size += len(member_set)
         self._edge_ids_cache = None
         return edge_id
 
@@ -135,7 +116,7 @@ class Hypergraph:
             raise HypergraphError(f"edge id {edge_id!r} not in hypergraph")
         for v in self._edges[edge_id]:
             self._incidence[v].discard(edge_id)
-        self._size_dropped(len(self._edges[edge_id]))
+        self._total_edge_size -= len(self._edges[edge_id])
         del self._edges[edge_id]
         self._edge_ids_cache = None
 
@@ -201,16 +182,6 @@ class Hypergraph:
     def num_edges(self) -> int:
         """Return ``m = |E|``."""
         return len(self._edges)
-
-    def rank(self) -> int:
-        """Return the maximum hyperedge size (0 for edgeless hypergraphs).
-
-        Served from the incrementally maintained size histogram: O(number
-        of distinct edge sizes), not O(m).
-        """
-        if not self._size_hist:
-            return 0
-        return max(self._size_hist)
 
     def total_edge_size(self) -> int:
         """Return ``Σ_e |e|`` — the number of incidences (O(1), counter-maintained)."""

@@ -16,11 +16,7 @@ from repro.local_model.deterministic import (
     cole_vishkin_rounds_needed,
     color_reduction,
 )
-from repro.local_model.virtual_graphs import (
-    EmbeddingStats,
-    VirtualGraphEmbedding,
-    run_simulated,
-)
+from repro.local_model.virtual_graphs import VirtualGraphEmbedding, run_simulated
 
 __all__ = [
     "Inbox",
@@ -38,7 +34,6 @@ __all__ = [
     "cole_vishkin_ring",
     "cole_vishkin_rounds_needed",
     "color_reduction",
-    "EmbeddingStats",
     "VirtualGraphEmbedding",
     "run_simulated",
 ]

@@ -53,9 +53,5 @@ class Inbox:
         msg = self.messages.get(neighbor)
         return msg.payload if msg is not None else default
 
-    def payloads(self):
-        """Return all received payloads (unordered)."""
-        return [m.payload for m in self.messages.values()]
-
     def __len__(self) -> int:
         return len(self.messages)

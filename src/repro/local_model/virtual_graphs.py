@@ -11,14 +11,12 @@ on ``G_k`` can be executed by the hosts with only a constant-factor
 blow-up in the radius.
 
 :class:`VirtualGraphEmbedding` makes this argument executable: it records
-the host assignment, verifies the dilation bound, and computes the
-congestion (number of virtual nodes per host) so benchmarks can report the
-simulation overhead.
+the host assignment, measures the dilation and verifies its bound, and
+converts virtual rounds into host rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
 from repro.exceptions import ModelError
@@ -27,27 +25,6 @@ from repro.graphs.traversal import bfs_distances
 
 Vertex = Hashable
 VirtualVertex = Hashable
-
-
-@dataclass
-class EmbeddingStats:
-    """Summary statistics of a virtual-graph embedding.
-
-    Attributes
-    ----------
-    num_virtual_vertices / num_virtual_edges:
-        Size of the virtual graph.
-    max_congestion:
-        Largest number of virtual vertices hosted by one physical node.
-    dilation:
-        Maximum host-graph distance between the endpoints of a virtual edge
-        (the simulation radius blow-up factor).
-    """
-
-    num_virtual_vertices: int
-    num_virtual_edges: int
-    max_congestion: int
-    dilation: int
 
 
 class VirtualGraphEmbedding:
@@ -84,13 +61,6 @@ class VirtualGraphEmbedding:
         self.virtual_graph = virtual_graph
         self.host_of = dict(host_of)
 
-    def congestion(self) -> Dict[Vertex, int]:
-        """Return, per physical node, the number of virtual vertices it hosts."""
-        counts: Dict[Vertex, int] = {v: 0 for v in self.host_graph.vertices}
-        for host in self.host_of.values():
-            counts[host] += 1
-        return counts
-
     def dilation(self) -> int:
         """Return the maximum host distance spanned by any virtual edge.
 
@@ -114,16 +84,6 @@ class VirtualGraphEmbedding:
                 )
             worst = max(worst, dist)
         return worst
-
-    def stats(self) -> EmbeddingStats:
-        """Return the summary statistics of the embedding."""
-        congestion = self.congestion()
-        return EmbeddingStats(
-            num_virtual_vertices=self.virtual_graph.num_vertices(),
-            num_virtual_edges=self.virtual_graph.num_edges(),
-            max_congestion=max(congestion.values(), default=0),
-            dilation=self.dilation(),
-        )
 
     def simulation_rounds(self, virtual_rounds: int) -> int:
         """Rounds needed on the host to simulate ``virtual_rounds`` rounds on the virtual graph.

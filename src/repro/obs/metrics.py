@@ -27,7 +27,7 @@ Design constraints, in order:
   label values, so two registries holding the same values render
   byte-identical text — which is what the golden-file test pins.
 * **Bounded cardinality.**  Each family refuses more than
-  ``max_label_sets`` distinct label combinations (:class:`ObsError`),
+  :data:`MAX_LABEL_SETS` distinct label combinations (:class:`ObsError`),
   so a bug interpolating unbounded strings into a label cannot grow the
   registry without limit.
 
@@ -52,6 +52,9 @@ SNAPSHOT_VERSION = 1
 
 #: Filename of the snapshot ``run_campaign`` persists next to the store.
 METRICS_FILENAME = "metrics.json"
+
+#: Distinct label-value tuples one family accepts before it refuses more.
+MAX_LABEL_SETS = 1000
 
 #: Default histogram buckets, tuned for task/phase durations in seconds:
 #: sub-millisecond phases up to minute-scale tasks.
@@ -233,7 +236,6 @@ class MetricFamily:
         help_text: str,
         metric_type: str,
         label_names: Tuple[str, ...],
-        max_label_sets: int,
         buckets: Optional[Tuple[float, ...]] = None,
     ) -> None:
         self.name = name
@@ -241,7 +243,6 @@ class MetricFamily:
         self.type = metric_type
         self.label_names = label_names
         self.buckets = buckets
-        self._max_label_sets = max_label_sets
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], _Child] = {}
         # The one child of a label-less family, once labels() created it.
@@ -263,10 +264,10 @@ class MetricFamily:
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                if len(self._children) >= self._max_label_sets:
+                if len(self._children) >= MAX_LABEL_SETS:
                     raise ObsError(
                         f"metric {self.name!r} exceeded its cardinality bound of "
-                        f"{self._max_label_sets} label sets; refusing {key!r} "
+                        f"{MAX_LABEL_SETS} label sets; refusing {key!r} "
                         f"(is an unbounded string interpolated into a label?)"
                     )
                 child = self._make_child()
@@ -308,10 +309,7 @@ class MetricsRegistry:
     :class:`ObsError`.
     """
 
-    def __init__(self, max_label_sets: int = 1000) -> None:
-        if max_label_sets < 1:
-            raise ObsError(f"max_label_sets must be >= 1, got {max_label_sets!r}")
-        self.max_label_sets = max_label_sets
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, MetricFamily] = {}
 
@@ -351,7 +349,6 @@ class MetricsRegistry:
                 help_text,
                 metric_type,
                 label_names,
-                self.max_label_sets,
                 buckets=bucket_tuple if metric_type == "histogram" else None,
             )
             self._families[name] = family

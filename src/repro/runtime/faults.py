@@ -7,11 +7,11 @@ suffer while executing one task:
   flushing anything: the moral equivalent of ``kill -9`` or a machine
   reboot mid-row.  Only the shard coordinator's heartbeat/restart logic
   can recover from this.
-* **hang** — the task blocks for :attr:`FaultPlan.hang_s` seconds,
-  simulating a wedged oracle.  The per-task watchdog
-  (``task_timeout_s``) turns this into a ``status="timeout"`` row; with
-  no watchdog the shard's heartbeat goes stale and the coordinator kills
-  and re-dispatches the worker.
+* **hang** — the task blocks for :data:`HANG_S` seconds, simulating a
+  wedged oracle.  The per-task watchdog (``task_timeout_s``) turns this
+  into a ``status="timeout"`` row; with no watchdog the shard's
+  heartbeat goes stale and the coordinator kills and re-dispatches the
+  worker.
 * **fail** — a synthetic :class:`~repro.exceptions.FaultInjectionError`
   is raised, which :func:`repro.runtime.tasks.execute_task` records as an
   ordinary ``status="failed"`` row, to be retried under the bounded
@@ -34,6 +34,7 @@ raises unless the :data:`CHAOS_ENV_VAR` environment variable is set to
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import time
@@ -51,6 +52,11 @@ KILL_EXIT_CODE = 137
 
 #: The three fault modes, in the order the decision thresholds stack.
 FAULT_MODES = ("kill", "hang", "fail")
+
+#: How long an injected hang sleeps.  Deliberately enormous: a hang is
+#: only survivable because the watchdog, the heartbeat deadline or the
+#: coordinator's wall-clock bound cuts it short.
+HANG_S = 3600.0
 
 
 def chaos_enabled() -> bool:
@@ -84,10 +90,6 @@ class FaultPlan:
         Dispatch salt.  The coordinator bumps it on every re-dispatch of
         a shard so a restarted worker draws fresh decisions instead of
         dying on the same task forever.
-    hang_s:
-        How long an injected hang sleeps.  Deliberately enormous by
-        default: a hang is only survivable because the watchdog or the
-        heartbeat deadline cuts it short.
     max_salt:
         When set, faults are injected only while ``salt < max_salt`` —
         e.g. ``max_salt=1`` faults the first dispatch of every shard and
@@ -100,7 +102,6 @@ class FaultPlan:
     p_fail: float = 0.0
     seed: int = 0
     salt: int = 0
-    hang_s: float = 3600.0
     max_salt: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -117,8 +118,6 @@ class FaultPlan:
             raise CampaignError(f"fault seed must be an int, got {self.seed!r}")
         if not isinstance(self.salt, int) or isinstance(self.salt, bool) or self.salt < 0:
             raise CampaignError(f"fault salt must be a non-negative int, got {self.salt!r}")
-        if not isinstance(self.hang_s, (int, float)) or self.hang_s <= 0:
-            raise CampaignError(f"hang_s must be positive, got {self.hang_s!r}")
 
     # ------------------------------------------------------------------
     # parsing / payload round trip
@@ -139,27 +138,11 @@ class FaultPlan:
 
     def with_salt(self, salt: int) -> "FaultPlan":
         """The same plan re-salted (used per dispatch by the coordinator)."""
-        return FaultPlan(
-            p_kill=self.p_kill,
-            p_hang=self.p_hang,
-            p_fail=self.p_fail,
-            seed=self.seed,
-            salt=salt,
-            hang_s=self.hang_s,
-            max_salt=self.max_salt,
-        )
+        return dataclasses.replace(self, salt=salt)
 
     def to_payload(self) -> Dict[str, Any]:
         """Plain-dict form carried inside task payloads (pickles cheaply)."""
-        return {
-            "p_kill": self.p_kill,
-            "p_hang": self.p_hang,
-            "p_fail": self.p_fail,
-            "seed": self.seed,
-            "salt": self.salt,
-            "hang_s": self.hang_s,
-            "max_salt": self.max_salt,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_payload(cls, data: Dict[str, Any]) -> "FaultPlan":
@@ -212,14 +195,15 @@ def inject_fault(plan: Dict[str, Any], task_key: str, attempt: int) -> None:
     Called by :func:`repro.runtime.tasks.execute_task` from the payload's
     ``chaos`` dict.  A *kill* terminates the process immediately (no
     flush, no exception — the row is simply never written); a *hang*
-    sleeps until the watchdog or the supervisor intervenes; a *fail*
-    raises :class:`~repro.exceptions.FaultInjectionError`.
+    sleeps :data:`HANG_S` unless the watchdog or the supervisor
+    intervenes first; a *fail* raises
+    :class:`~repro.exceptions.FaultInjectionError`.
     """
     mode = FaultPlan.from_payload(plan).decide(task_key, attempt)
     if mode == "kill":
         os._exit(KILL_EXIT_CODE)
     elif mode == "hang":
-        time.sleep(plan.get("hang_s", 3600.0))
+        time.sleep(HANG_S)
     elif mode == "fail":
         # The message must not mention the attempt: retries of the same
         # injected failure need an identical error signature, or the

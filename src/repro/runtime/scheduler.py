@@ -100,6 +100,10 @@ _M_TASKS_PER_S = obs.gauge(
 )
 
 
+#: Growth factor of the pause between in-run retry rounds.
+RETRY_BACKOFF = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry budget for failed/timed-out rows.
@@ -110,13 +114,12 @@ class RetryPolicy:
     counter, so a deterministic failure is re-executed a bounded number
     of times total, ever, instead of on every resume.  A failure with a
     *different* error signature resets the counter (it is a new problem).
-    ``base_delay_s`` and ``backoff`` shape the pause before each in-run
-    retry round: round ``r`` sleeps ``base_delay_s * backoff**(r-1)``.
+    ``base_delay_s`` is the pause before the first in-run retry round;
+    round ``r`` sleeps ``base_delay_s * RETRY_BACKOFF**(r-1)``.
     """
 
     max_attempts: int = 3
     base_delay_s: float = 0.0
-    backoff: float = 2.0
 
     def __post_init__(self) -> None:
         if (
@@ -131,14 +134,10 @@ class RetryPolicy:
             raise CampaignError(
                 f"RetryPolicy.base_delay_s must be >= 0, got {self.base_delay_s!r}"
             )
-        if not isinstance(self.backoff, (int, float)) or self.backoff < 1:
-            raise CampaignError(
-                f"RetryPolicy.backoff must be >= 1, got {self.backoff!r}"
-            )
 
     def round_delay_s(self, round_number: int) -> float:
         """Exponential-backoff pause before in-run retry round ``round_number`` (1-based)."""
-        return self.base_delay_s * self.backoff ** (round_number - 1)
+        return self.base_delay_s * RETRY_BACKOFF ** (round_number - 1)
 
 
 #: The default policy of :func:`run_campaign`: three attempts per error

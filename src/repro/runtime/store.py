@@ -420,10 +420,6 @@ class CampaignStore:
             latest[row["task_key"]] = row
         return latest
 
-    def status_counts(self) -> Dict[str, int]:
-        """Count latest rows per status (``done`` / ``failed`` / ``timeout`` / …)."""
-        return status_counts_of(self.summaries())
-
     # ------------------------------------------------------------------
     # incremental aggregation
     # ------------------------------------------------------------------

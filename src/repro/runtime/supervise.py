@@ -91,6 +91,15 @@ HEARTBEAT_FILENAME = "heartbeat"
 #: Worker stdout/stderr capture inside each shard directory.
 WORKER_LOG_FILENAME = "worker.log"
 
+#: Growth factor of the pause between a shard's re-dispatches.
+RESTART_BACKOFF = 2.0
+
+#: Largest relative stretch of a re-dispatch pause by seeded noise.
+RESTART_JITTER = 0.25
+
+#: Seed of every coordinator's jitter draws.
+JITTER_SEED = 0
+
 
 @dataclass(frozen=True)
 class ShardLaunch:
@@ -153,10 +162,6 @@ class _ProcessHandle(ShardHandle):
         self._process = process
         self._log_handle = log_handle
 
-    @property
-    def pid(self) -> int:
-        return self._process.pid
-
     def poll(self) -> Optional[int]:
         code = self._process.poll()
         if code is not None and self._log_handle is not None:
@@ -178,18 +183,15 @@ class LocalProcessExecutor(ShardExecutor):
 
     The worker is the *serial* executor (``--workers 0``) so an injected
     kill or a watchdog timeout has exactly one victim, and the subprocess
-    inherits this interpreter plus a ``PYTHONPATH`` that resolves the
+    runs this interpreter with a ``PYTHONPATH`` that resolves the
     installed ``repro`` package — no installation step needed.  Worker
     stdout/stderr land in ``<shard_dir>/worker.log`` for post-mortems.
     """
 
-    def __init__(self, python: Optional[str] = None) -> None:
-        self.python = python or sys.executable
-
     def command(self, launch: ShardLaunch) -> List[str]:
         """The subprocess argv for one shard dispatch (exposed for tests)."""
         argv = [
-            self.python,
+            sys.executable,
             "-m",
             "repro",
             "campaign",
@@ -358,10 +360,10 @@ class ShardCoordinator:
         Must comfortably exceed the slowest single task.
     max_restarts:
         Crash re-dispatches allowed per shard before it is poisoned.
-    base_backoff_s, backoff, jitter, rng_seed:
-        Re-dispatch ``r`` waits ``base_backoff_s * backoff**(r-1)``
-        stretched by up to ``jitter`` relative seeded noise, so a crashing
-        fleet does not stampede.
+    base_backoff_s:
+        Re-dispatch ``r`` waits ``base_backoff_s * RESTART_BACKOFF**(r-1)``
+        stretched by up to ``RESTART_JITTER`` relative seeded noise, so a
+        crashing fleet does not stampede.
     task_timeout_s, retry, durability:
         Forwarded to every shard worker (see :func:`run_campaign`).
     chaos:
@@ -396,9 +398,6 @@ class ShardCoordinator:
         heartbeat_timeout_s: float = 30.0,
         max_restarts: int = 3,
         base_backoff_s: float = 0.05,
-        backoff: float = 2.0,
-        jitter: float = 0.25,
-        rng_seed: int = 0,
         poll_interval_s: float = 0.02,
         task_timeout_s: Optional[float] = None,
         retry: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
@@ -418,11 +417,8 @@ class ShardCoordinator:
             raise CampaignError(
                 f"max_restarts must be a non-negative int, got {max_restarts!r}"
             )
-        if base_backoff_s < 0 or backoff < 1 or not 0 <= jitter <= 1:
-            raise CampaignError(
-                f"invalid backoff shape: base_backoff_s={base_backoff_s!r} "
-                f"backoff={backoff!r} jitter={jitter!r}"
-            )
+        if base_backoff_s < 0:
+            raise CampaignError(f"base_backoff_s must be >= 0, got {base_backoff_s!r}")
         if poll_interval_s <= 0:
             raise CampaignError(
                 f"poll_interval_s must be positive, got {poll_interval_s!r}"
@@ -440,8 +436,6 @@ class ShardCoordinator:
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.max_restarts = max_restarts
         self.base_backoff_s = base_backoff_s
-        self.backoff = backoff
-        self.jitter = jitter
         self.poll_interval_s = poll_interval_s
         self.task_timeout_s = task_timeout_s
         self.retry = retry
@@ -451,7 +445,7 @@ class ShardCoordinator:
         self.max_wall_clock_s = max_wall_clock_s
         self.expected_digest = expected_digest
         self.trace = trace
-        self._rng = random.Random(rng_seed)
+        self._rng = random.Random(JITTER_SEED)
 
     # ------------------------------------------------------------------
     # shard plumbing
@@ -476,8 +470,8 @@ class ShardCoordinator:
 
     def _backoff_delay(self, restart_number: int) -> float:
         """Pause before re-dispatch ``restart_number`` (1-based), jittered."""
-        base = self.base_backoff_s * self.backoff ** (restart_number - 1)
-        return base * (1.0 + self.jitter * self._rng.random())
+        base = self.base_backoff_s * RESTART_BACKOFF ** (restart_number - 1)
+        return base * (1.0 + RESTART_JITTER * self._rng.random())
 
     def _heartbeat_age(self, index: int, dispatched_at: float) -> float:
         """Seconds since the shard last showed life (beat or dispatch)."""

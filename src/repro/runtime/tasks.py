@@ -123,6 +123,10 @@ class CachedInstance:
     builds: Dict[int, ConflictGraphBuild] = field(default_factory=dict)
 
 
+#: Instances one :class:`InstanceCache` holds before it evicts the oldest.
+INSTANCE_CACHE_SIZE = 64
+
+
 class InstanceCache:
     """Per-process memo of hypergraph instances, their digests and kept ``G_k`` builds, with hit/miss stats.
 
@@ -134,17 +138,14 @@ class InstanceCache:
     either, so an entry's :attr:`CachedInstance.builds` serve every later
     task at their ``k``; :func:`execute_task` decides which builds an entry
     holds, and eviction or :meth:`clear` drops them with their instance.
-    The cache is bounded (FIFO eviction) and process-local: pool workers
-    each hold their own copy, and a persistent
-    :class:`~repro.runtime.scheduler.WorkerPool` keeps those worker caches
-    warm across ``run_campaign`` calls.  Eviction also bounds the builds a
+    The cache is bounded (FIFO eviction past :data:`INSTANCE_CACHE_SIZE`
+    entries) and process-local: pool workers each hold their own copy, and
+    a persistent :class:`~repro.runtime.scheduler.WorkerPool` keeps those
+    worker caches warm across ``run_campaign`` calls.  Eviction also bounds the builds a
     pool worker keeps for a later task that another worker ran.
     """
 
-    def __init__(self, maxsize: int = 64) -> None:
-        if maxsize < 1:
-            raise CampaignError(f"instance cache maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[Tuple, CachedInstance]" = OrderedDict()
@@ -174,7 +175,7 @@ class InstanceCache:
             )
         cached = CachedInstance(hypergraph, instance_digest(hypergraph))
         self._entries[key] = cached
-        if len(self._entries) > self.maxsize:
+        if len(self._entries) > INSTANCE_CACHE_SIZE:
             self._entries.popitem(last=False)
         return cached, False
 

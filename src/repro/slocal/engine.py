@@ -3,9 +3,8 @@
 An SLOCAL algorithm with locality ``r`` processes the nodes of the network
 graph one by one, in an arbitrary order.  When node ``v`` is processed it
 may inspect the current state of its ``r``-hop neighborhood (topology,
-identifiers, previously written state and outputs) and must then fix its
-own output; it may additionally write auxiliary state readable by nodes
-processed later.  The class :class:`SLOCALEngine` executes such algorithms
+identifiers, and the outputs fixed so far) and must then fix its own
+output, which may carry any auxiliary state for nodes processed later.  The class :class:`SLOCALEngine` executes such algorithms
 and accounts for the locality actually used.
 
 An algorithm is given either as

@@ -2,9 +2,11 @@
 
 In the SLOCAL model a node, when processed, may write information into its
 own state; nodes processed later can read that state (within their
-locality radius).  :class:`NodeState` models this as a small key/value
-store plus the node's final output, and records whether the node has been
-processed yet so that the engine can enforce the model's sequencing rules.
+locality radius).  :class:`NodeState` holds the node's final output, which
+may be any object and so carries whatever later nodes read through
+:meth:`~repro.slocal.view.LocalView.output_of`, and records whether the
+node has been processed yet so that the engine can enforce the model's
+sequencing rules.
 """
 
 from __future__ import annotations
@@ -34,19 +36,6 @@ class NodeState:
         self.vertex = vertex
         self.processed = False
         self.output: Any = None
-        self._store: Dict[str, Any] = {}
-
-    def write(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` in this node's state."""
-        self._store[key] = value
-
-    def read(self, key: str, default: Any = None) -> Any:
-        """Read the value stored under ``key`` (or ``default``)."""
-        return self._store.get(key, default)
-
-    def keys(self):
-        """Return the stored keys."""
-        return self._store.keys()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         status = "processed" if self.processed else "pending"

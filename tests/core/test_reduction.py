@@ -144,23 +144,22 @@ class TestParameterValidation:
         with pytest.raises(ReductionError):
             reduction.run(hypergraph)
 
-    def test_max_phases_cap_enforced(self, colorable_instance):
-        hypergraph, _ = colorable_instance
-        reduction = ConflictFreeMulticoloringViaMaxIS(
-            k=3, approximator=_weak_oracle(0.05), lam=1.0, max_phases=1
-        )
-        with pytest.raises(ReductionError):
-            reduction.run(hypergraph)
-
-    def test_strict_mode_raises_when_budget_exceeded(self, colorable_instance):
+    @pytest.mark.parametrize("path", ["run", "run_rebuild"])
+    def test_phase_loop_is_bounded_by_m_and_reports_a_rho_overrun(
+        self, colorable_instance, path
+    ):
         hypergraph, _ = colorable_instance
         # λ = 1 allocates very few phases; the deliberately weak oracle cannot
-        # keep that pace, so strict mode must flag the violation.
+        # keep that pace.  Every phase still removes an edge, so the loop
+        # ends within m phases, and the ρ overrun is reported, not raised.
         reduction = ConflictFreeMulticoloringViaMaxIS(
-            k=3, approximator=_weak_oracle(0.05), lam=1.0, strict=True
+            k=3, approximator=_weak_oracle(0.05), lam=1.0
         )
-        with pytest.raises(ReductionError):
-            reduction.run(hypergraph)
+        result = getattr(reduction, path)(hypergraph)
+        assert result.phase_bound < result.num_phases <= hypergraph.num_edges()
+        assert not result.within_phase_bound()
+        report = verify_reduction_result(hypergraph, result)
+        assert report.conflict_free and not report.within_phase_budget
 
 
 class TestCertificates:

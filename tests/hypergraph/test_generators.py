@@ -47,7 +47,8 @@ class TestAlmostUniform:
         h = almost_uniform_hypergraph(30, 20, k=4, epsilon=0.5, seed=2)
         for e in h.edge_ids:
             assert 4 <= h.edge_size(e) <= 6
-        assert h.rank() <= 1.5 * min(h.edge_size(e) for e in h.edge_ids)
+        sizes = [h.edge_size(e) for e in h.edge_ids]
+        assert max(sizes) <= 1.5 * min(sizes)
 
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(HypergraphError):
@@ -67,7 +68,8 @@ class TestColorableAlmostUniform:
 
     def test_edge_sizes_respect_band(self):
         h, _ = colorable_almost_uniform_hypergraph(40, 25, k=4, epsilon=0.5, seed=3)
-        assert h.rank() <= 1.5 * min(h.edge_size(e) for e in h.edge_ids)
+        sizes = [h.edge_size(e) for e in h.edge_ids]
+        assert max(sizes) <= 1.5 * min(sizes)
 
     def test_single_color_case(self):
         # With k = 1 every vertex has color 1, so only singleton edges can be happy.

@@ -72,7 +72,6 @@ class TestQueries:
     def test_sizes(self, small_hypergraph):
         assert small_hypergraph.num_vertices() == 5
         assert small_hypergraph.num_edges() == 4
-        assert small_hypergraph.rank() == 3
         assert small_hypergraph.total_edge_size() == 3 + 2 + 3 + 2
 
     def test_edges_containing_and_degree(self, small_hypergraph):
@@ -85,10 +84,6 @@ class TestQueries:
 
     def test_neighbors(self, small_hypergraph):
         assert small_hypergraph.neighbors(0) == {1, 2, 4}
-
-    def test_rank_of_edgeless_hypergraph(self):
-        h = Hypergraph(vertices=[1, 2])
-        assert h.rank() == 0
 
     def test_equality_and_copy(self, small_hypergraph):
         clone = small_hypergraph.copy()

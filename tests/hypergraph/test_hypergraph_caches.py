@@ -1,9 +1,8 @@
 """Regression tests: cached ``edge_ids`` and incremental size counters.
 
 ``Hypergraph`` caches the ``repr``-sorted edge-id list (invalidated when
-the edge family changes) and maintains ``Σ|e|`` plus an edge-size
-histogram so that ``total_edge_size()`` and ``rank()`` never rescan the
-edge family.  These tests drive random mutation sequences and compare
+the edge family changes) and maintains ``Σ|e|`` so that
+``total_edge_size()`` never rescans the edge family.  These tests drive random mutation sequences and compare
 every cached value against a naive recount after every single operation, so any bookkeeping drift is pinned to the exact mutation that
 caused it (mirroring ``tests/graphs/test_graph_caches.py``).
 """
@@ -31,7 +30,6 @@ def _assert_caches_consistent(h: Hypergraph) -> None:
     assert h.edge_ids == sorted(h.edge_ids, key=repr)
     assert h.edge_ids == _naive_edge_ids(h)
     assert h.total_edge_size() == sum(sizes)
-    assert h.rank() == max(sizes, default=0)
 
 
 class TestIncrementalCounters:
@@ -46,7 +44,7 @@ class TestIncrementalCounters:
         _assert_caches_consistent(h)
         h.remove_edge(0)
         _assert_caches_consistent(h)
-        assert h.rank() == 2
+        assert h.total_edge_size() == 2
 
     def test_remove_edges_bulk(self):
         h = Hypergraph(edges=[[0, 1], [1, 2], [2, 3, 4]])

@@ -156,12 +156,9 @@ class TestLabels:
         with pytest.raises(ObsError, match="takes 2 label"):
             family.labels("only-one")
 
-    def test_cardinality_bound_must_admit_a_label_set(self):
-        with pytest.raises(ObsError, match="max_label_sets must be >= 1"):
-            MetricsRegistry(max_label_sets=0)
-
-    def test_cardinality_bound_is_enforced(self):
-        registry = MetricsRegistry(max_label_sets=3)
+    def test_cardinality_bound_is_enforced(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.metrics.MAX_LABEL_SETS", 3)
+        registry = MetricsRegistry()
         family = registry.counter("c_total", "help", labels=("key",))
         for i in range(3):
             family.labels(str(i)).inc()
@@ -169,6 +166,17 @@ class TestLabels:
             family.labels("one-too-many")
         # Existing children stay reachable after the refusal.
         assert family.labels("0").value == 1
+
+    def test_cardinality_bound_is_per_family(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.metrics.MAX_LABEL_SETS", 2)
+        registry = MetricsRegistry()
+        first = registry.counter("a_total", "help", labels=("key",))
+        second = registry.gauge("b", "help", labels=("key",))
+        for family in (first, second):
+            family.labels("x").inc()
+            family.labels("y").inc()
+        with pytest.raises(ObsError, match="'b' exceeded"):
+            second.labels("z")
 
     def test_label_values_are_stringified(self):
         registry = MetricsRegistry()

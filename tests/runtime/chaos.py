@@ -47,6 +47,11 @@ INLINE_SEEDS = tuple(range(100, 115))
 @pytest.fixture
 def chaos_gate(monkeypatch):
     monkeypatch.setenv(CHAOS_ENV_VAR, "1")
+    # An inline shard hangs in this process: bound the hang, so a broken
+    # watchdog fails a test within a minute instead of stalling the suite
+    # for an hour.  Subprocess shards hang for the full HANG_S, which a
+    # watchdog, a heartbeat kill or the wall-clock bound cuts short.
+    monkeypatch.setattr("repro.runtime.faults.HANG_S", 60.0)
 
 
 def chaos_spec(seed: int) -> CampaignSpec:
@@ -111,7 +116,7 @@ class TestChaosCorpusSubprocess:
     ):
         spec = dataclasses.replace(chaos_spec(seed), durability=durability)
         expected = serial_digest(spec, tmp_path)
-        plan = FaultPlan(p_kill=0.1, p_hang=0.05, p_fail=0.15, seed=seed, hang_s=60.0)
+        plan = FaultPlan(p_kill=0.1, p_hang=0.05, p_fail=0.15, seed=seed)
         report = supervise(spec, tmp_path, LocalProcessExecutor(), plan).run()
         assert_converged(report, spec, expected, seed)
         merged = open_store(tmp_path / "supervised")
@@ -128,7 +133,7 @@ class TestChaosCorpusInline:
         spec = chaos_spec(seed)
         expected = serial_digest(spec, tmp_path)
         # No kills: the inline executor runs shards in the pytest process.
-        plan = FaultPlan(p_hang=0.1, p_fail=0.25, seed=seed, hang_s=60.0)
+        plan = FaultPlan(p_hang=0.1, p_fail=0.25, seed=seed)
         report = supervise(
             spec, tmp_path, InlineExecutor(), plan, task_timeout_s=0.3
         ).run()
@@ -153,7 +158,7 @@ class TestChaosWithTracing:
     ):
         spec = chaos_spec(seed)
         expected = serial_digest(spec, tmp_path)
-        plan = FaultPlan(p_kill=0.1, p_hang=0.05, p_fail=0.15, seed=seed, hang_s=60.0)
+        plan = FaultPlan(p_kill=0.1, p_hang=0.05, p_fail=0.15, seed=seed)
         coordinator = supervise(
             spec, tmp_path, LocalProcessExecutor(), plan, trace=True
         )
@@ -188,7 +193,7 @@ class TestTargetedRecovery:
         spec = chaos_spec(1000)
         expected = serial_digest(spec, tmp_path)
         # Every first-dispatch task hangs; re-dispatches are clean.
-        plan = FaultPlan(p_hang=1.0, max_salt=1, hang_s=60.0)
+        plan = FaultPlan(p_hang=1.0, max_salt=1)
         report = supervise(
             spec, tmp_path, InlineExecutor(), plan, task_timeout_s=0.2
         ).run()
@@ -219,7 +224,7 @@ class TestTargetedRecovery:
         spec = chaos_spec(3000)
         # Hangs with no watchdog and a heartbeat deadline the bound beats:
         # only max_wall_clock_s can end this run.
-        plan = FaultPlan(p_hang=1.0, hang_s=600.0)
+        plan = FaultPlan(p_hang=1.0)
         coordinator = supervise(
             spec,
             tmp_path,

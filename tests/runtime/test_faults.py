@@ -6,6 +6,7 @@ from repro.exceptions import CampaignError, FaultInjectionError
 from repro.runtime.faults import (
     CHAOS_ENV_VAR,
     FAULT_MODES,
+    HANG_S,
     FaultPlan,
     chaos_enabled,
     inject_fault,
@@ -27,11 +28,9 @@ class TestValidation:
             FaultPlan(p_kill=0.5, p_hang=0.4, p_fail=0.2)
         FaultPlan(p_kill=0.5, p_hang=0.3, p_fail=0.2)  # exactly 1 is fine
 
-    def test_salt_and_hang_validation(self):
+    def test_salt_and_seed_validation(self):
         with pytest.raises(CampaignError, match="salt"):
             FaultPlan(salt=-1)
-        with pytest.raises(CampaignError, match="hang_s"):
-            FaultPlan(hang_s=0)
         with pytest.raises(CampaignError, match="seed"):
             FaultPlan(seed="x")
 
@@ -114,8 +113,8 @@ class TestInjectFault:
     def test_hang_mode_sleeps_for_hang_s(self, monkeypatch):
         slept = []
         monkeypatch.setattr("repro.runtime.faults.time.sleep", slept.append)
-        inject_fault(FaultPlan(p_hang=1.0, hang_s=12.5).to_payload(), "task-x", 1)
-        assert slept == [12.5]
+        inject_fault(FaultPlan(p_hang=1.0).to_payload(), "task-x", 1)
+        assert slept == [HANG_S] == [3600.0]
 
     def test_kill_mode_exits_the_process(self, monkeypatch):
         codes = []

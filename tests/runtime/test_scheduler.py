@@ -23,6 +23,7 @@ from repro.runtime import (
     execute_task,
     records_from_summaries,
     run_campaign,
+    status_counts_of,
     summaries_of,
     task_shard_index,
 )
@@ -478,7 +479,7 @@ class TestFailureIsolation:
         stats = run_campaign(spec, tmp_path, workers=0)
         assert stats.executed == spec.num_tasks()
         assert stats.failed == 2  # the n=4 tasks; k=9 is feasible at n=12
-        counts = CampaignStore(tmp_path).status_counts()
+        counts = status_counts_of(CampaignStore(tmp_path).summaries())
         assert counts == {"failed": 2, "done": 2}
         failed = [r for r in CampaignStore(tmp_path).rows() if r["status"] == "failed"]
         assert all(r["error_type"] == "HypergraphError" for r in failed)

@@ -180,8 +180,6 @@ class TestRetryPolicyValidation:
             {"max_attempts": 2.0},
             {"base_delay_s": -0.1},
             {"base_delay_s": "1"},
-            {"backoff": 0.5},
-            {"backoff": "2"},
         ],
     )
     def test_malformed_policy_rejected(self, overrides):
@@ -189,8 +187,8 @@ class TestRetryPolicyValidation:
             RetryPolicy(**overrides)
 
     def test_round_delays_grow_geometrically(self):
-        policy = RetryPolicy(base_delay_s=0.5, backoff=3.0)
-        assert [policy.round_delay_s(r) for r in (1, 2, 3)] == [0.5, 1.5, 4.5]
+        policy = RetryPolicy(base_delay_s=0.5)
+        assert [policy.round_delay_s(r) for r in (1, 2, 3)] == [0.5, 1.0, 2.0]
 
     def test_non_policy_retry_is_refused_before_the_store_opens(self, tmp_path):
         with pytest.raises(CampaignError):

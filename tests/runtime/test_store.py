@@ -92,7 +92,7 @@ class TestRows:
         rows = store.rows()
         assert [r["task_key"] for r in rows] == ["a", "b"]
         assert completed_of(store.summaries()) == {"a"}
-        assert store.status_counts() == {"done": 1, "failed": 1}
+        assert status_counts_of(store.summaries()) == {"done": 1, "failed": 1}
 
     def test_append_requires_key_and_status(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -128,7 +128,7 @@ class TestRows:
         store.append(row("a", status="failed"))
         store.append(row("a"))
         assert completed_of(store.summaries()) == {"a"}
-        assert store.status_counts() == {"done": 1}
+        assert status_counts_of(store.summaries()) == {"done": 1}
 
     def test_truncated_tail_line_is_skipped(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -164,7 +164,7 @@ class TestRows:
         assert store.rows() == []
         assert store.latest_rows() == {}
         assert completed_of(store.summaries()) == set()
-        assert store.status_counts() == {}
+        assert status_counts_of(store.summaries()) == {}
         assert cache_counts_of(store.summaries()) == {"cache_hits": 0, "cache_misses": 0}
         assert retry_exhausted_of(store.summaries(), 3) == set()
         assert store.summaries() == {}
@@ -362,7 +362,7 @@ class TestDurability:
         store.append(row("a"))
         store.append(row("b", status="failed", error="boom"))
         assert [r["task_key"] for r in store.rows()] == ["a", "b"]
-        assert store.status_counts() == {"done": 1, "failed": 1}
+        assert status_counts_of(store.summaries()) == {"done": 1, "failed": 1}
 
     def test_fsync_actually_syncs_each_append(self, tmp_path, monkeypatch):
         import os as os_module

@@ -5,6 +5,9 @@ Most tests drive :class:`ShardCoordinator` through a scripted executor
 the real :class:`LocalProcessExecutor` subprocess path.
 """
 
+import dataclasses
+import sys
+from pathlib import Path
 from typing import Dict, List, Optional
 
 import pytest
@@ -23,7 +26,7 @@ from repro.runtime import (
     campaign_records,
     run_campaign,
 )
-from repro.runtime.faults import KILL_EXIT_CODE
+from repro.runtime.faults import KILL_EXIT_CODE, FaultPlan
 
 from tests.runtime.test_spec import small_spec
 
@@ -93,8 +96,6 @@ class TestValidation:
             {"heartbeat_timeout_s": 0},
             {"max_restarts": -1},
             {"base_backoff_s": -1.0},
-            {"backoff": 0.5},
-            {"jitter": 2.0},
             {"poll_interval_s": 0},
             {"max_wall_clock_s": 0},
         ],
@@ -214,29 +215,13 @@ class TestCrashRecovery:
         assert report.digest == serial_digest(spec, tmp_path)
 
     def test_backoff_delays_grow_exponentially(self, tmp_path):
-        coord = coordinator(
-            small_spec(),
-            tmp_path,
-            ScriptedExecutor({}),
-            base_backoff_s=0.1,
-            backoff=2.0,
-            jitter=0.5,
-            rng_seed=42,
-        )
+        coord = coordinator(small_spec(), tmp_path, ScriptedExecutor({}), base_backoff_s=0.1)
         delays = [coord._backoff_delay(r) for r in (1, 2, 3)]
         for restart, delay in enumerate(delays, start=1):
             base = 0.1 * 2.0 ** (restart - 1)
-            assert base <= delay <= base * 1.5
-        # Seeded jitter: same seed, same delays.
-        again = coordinator(
-            small_spec(),
-            tmp_path,
-            ScriptedExecutor({}),
-            base_backoff_s=0.1,
-            backoff=2.0,
-            jitter=0.5,
-            rng_seed=42,
-        )
+            assert base <= delay <= base * 1.25
+        # Seeded jitter: every coordinator draws the same delays.
+        again = coordinator(small_spec(), tmp_path, ScriptedExecutor({}), base_backoff_s=0.1)
         assert [again._backoff_delay(r) for r in (1, 2, 3)] == delays
 
 
@@ -302,11 +287,71 @@ class TestFailedShards:
         assert report.status_counts.get("done", 0) > 0
 
 
-class TestLocalProcessExecutor:
-    def test_command_encodes_the_launch(self, tmp_path):
-        from repro.runtime.faults import FaultPlan
+def off_default(cls, **values):
+    """``cls(**values)``, refused unless every field is off its default.
 
-        executor = LocalProcessExecutor(python="pythonX")
+    A field the worker's command line drops comes back at its default, so
+    only a field set off its default can show the drop.
+    """
+    instance = cls(**values)
+    at_default = [
+        field.name
+        for field in dataclasses.fields(cls)
+        if getattr(instance, field.name) == field.default
+    ]
+    assert not at_default, f"{cls.__name__} fields left at their defaults: {at_default}"
+    return instance
+
+
+class TestLocalProcessExecutor:
+    @pytest.mark.parametrize("retry", [None, "policy"])
+    @pytest.mark.parametrize("chaos", [None, "salted-plan"])
+    def test_the_worker_rebuilds_the_launch_from_its_argv(self, tmp_path, retry, chaos):
+        from repro.cli import _build_parser, _fault_plan, _parse_shard, _retry_policy
+
+        launch = ShardLaunch(
+            spec_path=tmp_path / "spec.json",
+            shard_dir=tmp_path / "shards" / "shard-1",
+            index=1,
+            n_shards=3,
+            heartbeat_path=tmp_path / "shards" / "shard-1" / "heartbeat",
+            task_timeout_s=2.5,
+            retry=(
+                None
+                if retry is None
+                else off_default(RetryPolicy, max_attempts=5, base_delay_s=0.25)
+            ),
+            durability="fsync",
+            chaos=(
+                None
+                if chaos is None
+                else off_default(
+                    FaultPlan, p_kill=0.1, p_hang=0.05, p_fail=0.2, seed=9, salt=3, max_salt=4
+                )
+            ),
+            trace=True,
+        )
+        argv = LocalProcessExecutor().command(launch)
+        assert argv[:3] == [sys.executable, "-m", "repro"]
+        args = _build_parser().parse_args(argv[3:])
+        assert (args.command, args.campaign_command, args.workers) == ("campaign", "run", 0)
+        index, n_shards = _parse_shard(args.shard)
+        rebuilt = ShardLaunch(
+            spec_path=Path(args.spec),
+            shard_dir=Path(args.out),
+            index=index,
+            n_shards=n_shards,
+            heartbeat_path=Path(args.heartbeat),
+            task_timeout_s=args.task_timeout,
+            retry=_retry_policy(args),
+            durability=args.durability,
+            chaos=_fault_plan(args),
+            trace=args.trace,
+        )
+        assert rebuilt == launch
+
+    def test_command_encodes_the_launch(self, tmp_path):
+        executor = LocalProcessExecutor()
         launch = ShardLaunch(
             spec_path=tmp_path / "spec.json",
             shard_dir=tmp_path / "shard-0",
@@ -319,7 +364,7 @@ class TestLocalProcessExecutor:
             chaos=FaultPlan(p_kill=0.1, seed=3, salt=1),
         )
         argv = executor.command(launch)
-        assert argv[:5] == ["pythonX", "-m", "repro", "campaign", "run"]
+        assert argv[:5] == [sys.executable, "-m", "repro", "campaign", "run"]
         text = " ".join(argv)
         assert "--shard 0/4" in text
         assert "--workers 0" in text

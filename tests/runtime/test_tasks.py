@@ -106,8 +106,9 @@ class TestInstanceCache:
         second, hit = cache.entry("interval", 10, 5, 3, 0.5, seed=1)
         assert hit and second.hypergraph is first.hypergraph
 
-    def test_eviction_is_bounded_fifo(self):
-        cache = InstanceCache(maxsize=2)
+    def test_eviction_is_bounded_fifo(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.tasks.INSTANCE_CACHE_SIZE", 2)
+        cache = InstanceCache()
         cache.entry("interval", 6, 3, 1, 0.5, seed=1)
         cache.entry("interval", 6, 3, 1, 0.5, seed=2)
         cache.entry("interval", 6, 3, 1, 0.5, seed=3)  # evicts seed=1
@@ -122,10 +123,6 @@ class TestInstanceCache:
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (0, 0)
-
-    def test_invalid_maxsize_rejected(self):
-        with pytest.raises(CampaignError):
-            InstanceCache(maxsize=0)
 
     def test_cached_and_fresh_builds_are_identical(self):
         cache = InstanceCache()

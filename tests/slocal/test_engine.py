@@ -10,7 +10,6 @@ from repro.exceptions import LocalityViolation, ModelError
 from repro.graphs import Graph, cycle_graph, path_graph
 from repro.slocal import (
     LocalView,
-    NodeState,
     SLOCALAlgorithm,
     SLOCALEngine,
     StateMap,
@@ -26,12 +25,6 @@ from tests.conftest import graphs, star_graph
 
 
 class TestStateMap:
-    def test_read_write(self):
-        state = StateMap([1, 2])
-        state[1].write("key", 42)
-        assert state[1].read("key") == 42
-        assert state[2].read("key", "default") == "default"
-
     def test_missing_vertex_raises(self):
         state = StateMap([1])
         with pytest.raises(ModelError):
@@ -42,12 +35,6 @@ class TestStateMap:
         state[1].output = "x"
         state[1].processed = True
         assert state.outputs() == {1: "x"}
-
-    def test_keys_are_the_written_keys(self):
-        node = NodeState("v")
-        node.write("a", 1)
-        node.write("b", 2)
-        assert sorted(node.keys()) == ["a", "b"]
 
 
 class TestLocalView:
@@ -130,7 +117,6 @@ class _CountingRule(SLOCALAlgorithm):
     name = "counting"
 
     def process(self, view, state):
-        state.write("ball", len(view.vertices))
         return sum(view.is_processed(v) for v in view.vertices)
 
 

@@ -283,6 +283,40 @@ class TestCampaignShardCLI:
         with pytest.raises(SystemExit):
             main(["campaign", "merge", "--out", str(tmp_path / "merged")])
 
+    def test_supervise_refuses_a_chaos_salt(self, spec_path, tmp_path, capsys):
+        # The coordinator salts every dispatch itself, so supervise has no
+        # --chaos-salt to ignore; a shard worker's `campaign run` keeps it.
+        with pytest.raises(SystemExit) as refused:
+            main(
+                [
+                    "campaign", "supervise",
+                    "--spec", str(spec_path),
+                    "--out", str(tmp_path / "out"),
+                    "--chaos-salt", "3",
+                ]
+            )
+        assert refused.value.code == 2
+        assert "--chaos-salt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_supervise_plan_starts_unsalted_and_keeps_max_salt(self, spec_path, tmp_path):
+        from repro.cli import _build_parser, _fault_plan
+        from repro.runtime import FaultPlan
+
+        args = _build_parser().parse_args(
+            [
+                "campaign", "supervise",
+                "--spec", str(spec_path),
+                "--out", str(tmp_path / "out"),
+                "--chaos", "0.1,0.05,0.2",
+                "--chaos-seed", "7",
+                "--chaos-max-salt", "2",
+            ]
+        )
+        assert _fault_plan(args) == FaultPlan(
+            p_kill=0.1, p_hang=0.05, p_fail=0.2, seed=7, salt=0, max_salt=2
+        )
+
 
 class TestCampaignStoreCLI:
     """The store-facing subcommands: compact, legacy refusal, single-read status."""

@@ -147,9 +147,8 @@ class TestModelsIntegration:
             cg = ConflictGraph(hypergraph, k)
             host = hypergraph.primal_graph()
             embedding = VirtualGraphEmbedding(host, cg.graph, cg.host_assignment())
-            stats = embedding.stats()
-            assert stats.dilation <= 2
-            assert stats.num_virtual_vertices == cg.num_vertices()
+            assert embedding.dilation() <= 2
+            assert embedding.virtual_graph.num_vertices() == cg.num_vertices()
             # Simulating an O(log n)-round virtual algorithm costs only a
             # constant factor more on the host.
             assert embedding.simulation_rounds(10) <= 20

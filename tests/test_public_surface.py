@@ -8,11 +8,14 @@ or as an identifier inside a string (the benchmark's ledger hooks name
 their targets in strings).  A docstring, the first statement of a module,
 class or function body, is prose, not a use.
 
-A method name that more than one class defines is checked class by class:
-a use of ``m`` counts for ``C.m`` only in C's own module, in a file that
-names C or a class related to C by inheritance, or in a file that imports
-C's module or C's package.  So a caller of one class's ``to_dict`` does
-not keep another class's ``to_dict`` alive.
+A method is checked class by class.  A use of ``m`` counts for ``C.m``
+only as an attribute or inside a string (a bare name ``m`` is a local
+variable or a function, never a method), and only in C's own module, in a
+file that names C or a class related to C by inheritance, or in a file
+that imports C's module or C's package.  So a caller of one class's
+``to_dict`` does not keep another class's ``to_dict`` alive, and neither
+does a call ``handle.read()`` on a file object in a module that never
+reaches the class.
 
 A definition without such a use is a key of ``KEEP`` (``name`` or
 ``Class.method``), which says which test or ROADMAP item needs it, and a
@@ -83,6 +86,8 @@ class Source(NamedTuple):
     imports: frozenset
     #: name -> {(top-level definition or None, (class, method) or None)} of its uses
     sites: dict
+    #: the same, for the uses a method can have: attributes and string identifiers
+    members: dict
 
 
 def _docstrings(tree: ast.AST):
@@ -95,27 +100,36 @@ def _docstrings(tree: ast.AST):
 
 
 def _names(node: ast.AST, docstrings):
-    """Every name, attribute and identifier inside a non-docstring string directly at ``node``."""
+    """``(name, member)`` for the name, attribute or identifiers of a non-docstring string at ``node``.
+
+    ``member`` is False for a bare name, which can be no method use.
+    """
     if isinstance(node, ast.Name):
-        yield node.id
+        yield node.id, False
     elif isinstance(node, ast.Attribute):
-        yield node.attr
+        yield node.attr, True
     elif (
         isinstance(node, ast.Constant)
         and isinstance(node.value, str)
         and id(node) not in docstrings
     ):
-        yield from IDENTIFIER.findall(node.value)
+        for name in IDENTIFIER.findall(node.value):
+            yield name, True
 
 
 def _sites(tree: ast.Module):
-    """Map each name used in ``tree`` to the definitions whose bodies the uses sit in."""
+    """``(sites, members)``: each name used in ``tree`` mapped to the definitions its uses sit in.
+
+    ``members`` keeps only the attribute and string uses.
+    """
     docstrings = _docstrings(tree)
-    sites = {}
+    sites, members = {}, {}
 
     def visit(node, top, method):
-        for name in _names(node, docstrings):
+        for name, member in _names(node, docstrings):
             sites.setdefault(name, set()).add((top, method))
+            if member:
+                members.setdefault(name, set()).add((top, method))
         for child in ast.iter_child_nodes(node):
             if isinstance(node, ast.ClassDef) and isinstance(child, FUNCTIONS):
                 visit(child, top, (node.name, child.name))
@@ -124,7 +138,7 @@ def _sites(tree: ast.Module):
 
     for node in tree.body:
         visit(node, node.name if isinstance(node, DEFINITIONS) else None, None)
-    return sites
+    return sites, members
 
 
 def _imports(tree: ast.Module, module: str, is_package: bool):
@@ -147,7 +161,7 @@ def _imports(tree: ast.Module, module: str, is_package: bool):
 def _source(path: Path, module: str, text: str) -> Source:
     tree = ast.parse(text, filename=str(path))
     is_package = path.name == "__init__.py"
-    return Source(path, module, tree, _imports(tree, module, is_package), _sites(tree))
+    return Source(path, module, tree, _imports(tree, module, is_package), *_sites(tree))
 
 
 def _dunder(name: str) -> bool:
@@ -212,23 +226,18 @@ def uncalled(library, callers):
             ):
                 flagged[node.name] = source.path
 
-    methods = list(_methods(library))
-    definers = {}
-    for _, cls, name in methods:
-        definers[name] = definers.get(name, 0) + 1
     relatives = _relatives(library)
-    for source, cls, name in methods:
+    for source, cls, name in _methods(library):
         package = source.module.rpartition(".")[0]
 
         def counts(site):
-            owners = site.sites.get(name, set())
+            owners = site.members.get(name, set())
             if site.path == source.path:
                 owners = {owner for owner in owners if owner[1] != (cls, name)}
             if not owners:
                 return False
             return (
-                definers[name] == 1
-                or site.path == source.path
+                site.path == source.path
                 or not relatives[cls].isdisjoint(site.sites)
                 or not {source.module, package}.isdisjoint(site.imports)
             )
@@ -309,7 +318,7 @@ def test_a_docstring_is_not_a_use_but_another_string_is():
         '    """Names delta."""\n'
         '    hook = "epsilon"\n'
     )
-    names = set(_sites(tree))
+    names = set(_sites(tree)[0])
     assert {"gamma", "epsilon"} <= names
     assert not names & {"alpha", "beta", "delta"}
 
@@ -352,7 +361,21 @@ def test_a_shared_method_name_counts_only_where_its_class_is_in_reach():
     unique = _synthetic(
         {"lib.a.mod": library["lib.a.mod"], "app.five": "def g(x):\n    return x.f()\n"}
     )
-    assert "A.f" not in unique, "a name only one class defines counts anywhere"
+    assert "A.f" in unique, "a name only one class defines counts only where A is in reach"
+
+
+def test_a_bare_name_is_not_a_method_use():
+    library = {"lib.a.mod": "class A:\n    def f(self):\n        return 1\n"}
+    local = _synthetic(
+        {**library, "app.six": "import lib.a.mod\ndef g():\n    f = 2\n    return f\n"}
+    )
+    assert "A.f" in local, "a local variable named f does not keep A.f alive"
+    attribute = _synthetic(
+        {**library, "app.seven": "import lib.a.mod\ndef g(x):\n    return x.f()\n"}
+    )
+    assert "A.f" not in attribute
+    hooked = _synthetic({**library, "app.eight": 'import lib.a.mod\nHOOK = "A.f"\n'})
+    assert "A.f" not in hooked, "a string naming the method is a use"
 
 
 def test_keep_resolves_class_qualified_keys():
