@@ -268,7 +268,7 @@ def _build_structures(hypergraph: Hypergraph, k: int) -> ConflictGraphBuild:
     num_edges = k * sum(map(popcount, rows[::k])) // 2
     colors = sorted(range(1, k + 1), key=repr)
     snapshot = IndexedGraph._from_bitsets(
-        rows, num_edges, partial(_triple_labels, pair_edge, pair_vertex, colors)
+        rows, partial(_triple_labels, pair_edge, pair_vertex, colors)
     )
     return ConflictGraphBuild(
         hypergraph, k, pair_vertex, colors, snapshot, MappingProxyType(blocks), num_edges
@@ -502,7 +502,7 @@ class ConflictGraph:
         # Both masks are unions of whole blocks, which permuting the color
         # slots fixes, so the k triples of a pair count alike: count slot 0
         # and multiply by k.
-        bitsets = self.build.snapshot.bitsets()
+        bitsets = self.build.snapshot._bitsets
         alive_old = self._alive
         incident = 0
         within = 0

@@ -55,48 +55,10 @@ class Graph:
     ) -> None:
         self._adj: Dict[Vertex, Set[Vertex]] = {}
         self._num_edges: int = 0
-        # degree -> number of vertices with that degree (zero counts removed);
-        # together with _max_degree this makes num_edges()/max_degree() O(1).
-        self._degree_hist: Dict[int, int] = {}
-        self._max_degree: int = 0
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
             self.add_edge(u, v)
-
-    # ------------------------------------------------------------------
-    # incremental bookkeeping
-    # ------------------------------------------------------------------
-    def _degree_changed(self, old: int, new: int) -> None:
-        """Move one vertex from degree bucket ``old`` to ``new``."""
-        hist = self._degree_hist
-        count = hist[old] - 1
-        if count:
-            hist[old] = count
-        else:
-            del hist[old]
-        hist[new] = hist.get(new, 0) + 1
-        if new > self._max_degree:
-            self._max_degree = new
-        elif old == self._max_degree and old not in hist:
-            d = old
-            while d > 0 and d not in hist:
-                d -= 1
-            self._max_degree = d
-
-    def _degree_dropped(self, old: int) -> None:
-        """Forget one vertex that had degree ``old`` (vertex removal)."""
-        hist = self._degree_hist
-        count = hist[old] - 1
-        if count:
-            hist[old] = count
-        else:
-            del hist[old]
-        if old == self._max_degree and old not in hist:
-            d = old
-            while d > 0 and d not in hist:
-                d -= 1
-            self._max_degree = d
 
     # ------------------------------------------------------------------
     # construction
@@ -105,7 +67,6 @@ class Graph:
         """Add vertex ``v``; adding an existing vertex is a no-op."""
         if v not in self._adj:
             self._adj[v] = set()
-            self._degree_hist[0] = self._degree_hist.get(0, 0) + 1
 
     def add_edge(self, u: Vertex, v: Vertex) -> None:
         """Add the undirected edge ``{u, v}``; endpoints are auto-added.
@@ -126,8 +87,6 @@ class Graph:
         nbrs_u.add(v)
         nbrs_v.add(u)
         self._num_edges += 1
-        self._degree_changed(len(nbrs_u) - 1, len(nbrs_u))
-        self._degree_changed(len(nbrs_v) - 1, len(nbrs_v))
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove the edge ``{u, v}``.
@@ -142,8 +101,6 @@ class Graph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._num_edges -= 1
-        self._degree_changed(len(self._adj[u]) + 1, len(self._adj[u]))
-        self._degree_changed(len(self._adj[v]) + 1, len(self._adj[v]))
 
     def remove_vertex(self, v: Vertex) -> None:
         """Remove vertex ``v`` and all incident edges.
@@ -157,9 +114,7 @@ class Graph:
             raise GraphError(f"vertex {v!r} not in graph")
         for u in self._adj[v]:
             self._adj[u].discard(v)
-            self._degree_changed(len(self._adj[u]) + 1, len(self._adj[u]))
         self._num_edges -= len(self._adj[v])
-        self._degree_dropped(len(self._adj[v]))
         del self._adj[v]
 
     # ------------------------------------------------------------------
@@ -206,9 +161,10 @@ class Graph:
     def max_degree(self) -> int:
         """Return the maximum degree Δ of the graph (0 for empty graphs).
 
-        Maintained incrementally via a degree histogram, so this is O(1).
+        One pass over the adjacency sets, computed when called: each caller
+        asks once per check.
         """
-        return self._max_degree
+        return max(map(len, self._adj.values()), default=0)
 
     @property
     def vertices(self) -> Set[Vertex]:
@@ -268,18 +224,7 @@ class Graph:
         """
         g = cls.__new__(cls)
         g._adj = adj
-        total = 0
-        hist: Dict[int, int] = {}
-        max_degree = 0
-        for nbrs in adj.values():
-            d = len(nbrs)
-            total += d
-            hist[d] = hist.get(d, 0) + 1
-            if d > max_degree:
-                max_degree = d
-        g._num_edges = total // 2
-        g._degree_hist = hist
-        g._max_degree = max_degree
+        g._num_edges = sum(map(len, adj.values())) // 2
         return g
 
     def copy(self) -> "Graph":
@@ -287,8 +232,6 @@ class Graph:
         g = Graph.__new__(Graph)
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         g._num_edges = self._num_edges
-        g._degree_hist = dict(self._degree_hist)
-        g._max_degree = self._max_degree
         return g
 
     def subgraph(self, vertices: Iterable[Vertex]) -> "Graph":

@@ -6,8 +6,8 @@ the adjacency structure once, as one Python arbitrary-precision integer
 per vertex (bit ``j`` of row ``i`` is set iff ``{i, j}`` is an edge), so
 that set algebra on whole neighborhoods — the inner loop of every
 independent-set algorithm — becomes single ``&``/``|``
-machine-word-parallel operations.  Degrees are popcounts and
-:meth:`IndexedGraph.neighbors` walks the row's set bits.
+machine-word-parallel operations.  Degrees are popcounts and neighbors
+are the row's set bits (:func:`iter_bits`).
 
 Interning / determinism contract
 --------------------------------
@@ -17,34 +17,39 @@ The interning table is fixed at construction time and never changes: id
 :meth:`_from_bitsets` (the conflict-graph builder's path) holds a
 zero-argument label factory instead and builds the table, and the
 label → id index, on first use, so a caller that works on ids alone never
-pays for labels.  Sizes and masks come from the rows, so no kernel reads
-the table.  When built via :meth:`from_graph`
+pays for labels.  Sizes come from the alive mask and neighborhoods from
+the rows, so no kernel reads the table.  When built via :meth:`from_graph`
 (or :meth:`Graph.freeze`) the default order is the *insertion order* of the
 mutable :class:`~repro.graphs.graph.Graph`, so any deterministically
 constructed graph freezes to a deterministic ``IndexedGraph``; callers that
 need a canonical order independent of construction history pass an explicit
 ``order`` (the MIS ports use ``sorted(vertices, key=repr)`` to reproduce
-the tie-breaking of the reference implementations bit-for-bit).  Neighbors
-are listed ascending by id, so neighbor iteration order, bitset contents
-and :meth:`to_graph` round-trips are all functions of the interning table
-alone.
+the tie-breaking of the reference implementations bit-for-bit).  Bitset
+contents and :meth:`to_graph` round-trips are therefore functions of the
+interning table alone.
 
 The structure is immutable by design: algorithms that need to "remove"
 vertices track an ``alive`` bitmask instead of mutating the graph, which is
 both faster and side-effect free.
 
-Alive-mask subgraph views
--------------------------
-:meth:`IndexedGraph.subgraph_view` lifts that idiom to whole-pipeline
-scope: it returns an :class:`IndexedSubgraph` — an induced-subgraph view
-that shares the parent's interning table and bitset rows and only
-carries an ``alive`` bitmask.  Construction is O(1) (no re-interning,
-no row copying); all size/degree/adjacency queries answer for the induced
-subgraph.  Views keep the *parent's* integer ids (the id space stays
-sparse), which is exactly what the bitset kernels below want: the kernels
-accept views directly and restrict themselves to the alive ids, so a phase
-of the paper's reduction can shrink the conflict graph without rebuilding
-anything.
+Alive ids and views
+-------------------
+Every graph carries that ``alive`` bitmask: all of ``range(n)`` on a
+graph built from labels or rows, its *root*.
+:meth:`IndexedGraph.subgraph_view` returns the induced subgraph on fewer
+alive ids as another :class:`IndexedGraph`, a *view*, which shares its
+root's interning table and raw bitset rows.  Construction is O(1) (no
+re-interning, no row copying), and the size, membership and
+:meth:`~IndexedGraph.to_graph` queries answer for the induced subgraph.
+Views keep the root's integer ids (the id space stays sparse), which is
+exactly what the bitset kernels below want: they read the raw rows, the
+alive mask and the alive ids, so a phase of the paper's reduction can
+shrink the conflict graph without rebuilding anything.
+
+A view refers to its root for the table; a root refers to no graph
+(``_root`` is ``None``, never ``self``), so no graph sits in a reference
+cycle and a dropped ``G_k`` snapshot is freed by reference counting, not
+left to the cyclic collector.
 """
 
 from __future__ import annotations
@@ -74,9 +79,19 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class IndexedGraph:
-    """An immutable graph over interned integer ids (see module docstring)."""
+    """An immutable graph over interned integer ids, or a view of one (see module docstring).
 
-    __slots__ = ("_labels", "_index", "_bitsets", "_num_edges", "_make_labels")
+    A graph is raw bitset rows, an alive id-mask and its root's interning
+    table.  ``label(i)`` / ``labels()`` answer for the whole table, while
+    the size, membership and :meth:`to_graph` queries answer for the
+    alive ids (dead ids are rejected like unknown vertices).  The relative
+    order of alive ids is the root's interning order, so a view of a
+    ``repr``-sorted graph is itself ``repr``-sorted — the property the MIS
+    wrappers rely on for bit-for-bit reproducibility.
+    """
+
+    # A view sets the last four slots only: it reads its root's table.
+    __slots__ = ("_labels", "_index", "_make_labels", "_bitsets", "_alive", "_alive_ids", "_root")
 
     def __init__(self, labels: Sequence[Vertex], rows: Sequence[Iterable[int]]) -> None:
         """Build from interned ``labels`` and per-vertex neighbor-id ``rows``.
@@ -110,43 +125,45 @@ class IndexedGraph:
             total += len(ids)
         if total % 2:
             raise GraphError("adjacency rows are not symmetric (odd degree sum)")
-        self._bitsets = bitsets
-        self._num_edges = total // 2
         self._make_labels = None
+        self._bitsets = bitsets
+        self._alive = (1 << n) - 1
+        self._alive_ids: Optional[Sequence[int]] = range(n)
+        self._root: Optional[IndexedGraph] = None
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
     def _from_bitsets(
-        cls, bitsets: List[int], num_edges: int, make_labels: Callable[[], Sequence[Vertex]]
+        cls, bitsets: List[int], make_labels: Callable[[], Sequence[Vertex]]
     ) -> "IndexedGraph":
         """Adopt prebuilt bitset rows without re-validating them (internal).
 
-        The caller guarantees symmetry and loop-freeness, that ``num_edges``
-        is the edge count of the rows, and that ``make_labels()`` returns
-        ``len(bitsets)`` distinct labels; it is called on the first use of
-        the interning table.  Constructing a graph this way is O(1)
-        on top of the rows — the path the conflict-graph builder takes.
+        The caller guarantees symmetry and loop-freeness, and that
+        ``make_labels()`` returns ``len(bitsets)`` distinct labels; it is
+        called on the first use of the interning table.  Constructing a
+        graph this way is O(1) on top of the rows — the path the
+        conflict-graph builder takes.
         """
         g = cls.__new__(cls)
         g._labels = g._index = None
         g._make_labels = make_labels
         g._bitsets = bitsets
-        g._num_edges = num_edges
+        g._alive = (1 << len(bitsets)) - 1
+        g._alive_ids = range(len(bitsets))
+        g._root = None
         return g
 
-    def _lookup(self) -> Dict[Vertex, int]:
-        """The label → id index of the interning table (built on first use)."""
-        if self._index is None:
-            self._intern()
-        return self._index
-
-    def _intern(self) -> None:
-        # The factory is kept: two threads interning at once build equal tables.
-        labels = tuple(self._make_labels())
-        self._index = {v: i for i, v in enumerate(labels)}
-        self._labels = labels
+    def _interned(self) -> "IndexedGraph":
+        """The graph holding the interning table (the root), its table built."""
+        root = self if self._root is None else self._root
+        if root._labels is None:
+            # The factory is kept: two threads interning at once build equal tables.
+            labels = tuple(root._make_labels())
+            root._index = {v: i for i, v in enumerate(labels)}
+            root._labels = labels
+        return root
 
     @classmethod
     def from_graph(cls, graph, order: Optional[Iterable[Vertex]] = None) -> "IndexedGraph":
@@ -164,22 +181,24 @@ class IndexedGraph:
         ]
         return cls(labels, rows)
 
-    def _materialize_graph(self, ids: Iterable[int], mask: Optional[int]):
-        """Build a mutable :class:`Graph` from the rows of ``ids`` (internal).
+    def to_graph(self):
+        """Materialize the graph on the alive ids as a mutable :class:`Graph`.
 
-        ``mask`` restricts each row (``None`` keeps it whole).  The inlined
-        low-bit loop is deliberate: this conversion is what the rebuild
-        benchmark baseline pays per phase, and the generator form measured
-        ~40% slower.
+        Labels are the original ones, and insertion order is the alive ids'
+        interning order, matching what freezing a from-scratch rebuild
+        would produce.  The inlined low-bit loop is deliberate: this
+        conversion is what the rebuild benchmark baseline pays per phase,
+        and the generator form measured ~40% slower.
         """
         from repro.graphs.graph import Graph
 
         labels = self.labels()
         bitsets = self._bitsets
+        alive = self._alive
         adj = {}
-        for i in ids:
+        for i in self.vertex_ids():
             nbrs = set()
-            m = bitsets[i] if mask is None else bitsets[i] & mask
+            m = bitsets[i] & alive
             while m:
                 low = m & -m
                 nbrs.add(labels[low.bit_length() - 1])
@@ -187,108 +206,76 @@ class IndexedGraph:
             adj[labels[i]] = nbrs
         return Graph._from_adjacency_unchecked(adj)
 
-    def to_graph(self):
-        """Materialize a mutable :class:`Graph` with the original labels."""
-        return self._materialize_graph(range(len(self._bitsets)), None)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def num_vertices(self) -> int:
-        """Return ``|V|``."""
-        return len(self._bitsets)
-
-    def num_edges(self) -> int:
-        """Return ``|E|``."""
-        return self._num_edges
+        """Return ``|V|``, the number of alive ids."""
+        return popcount(self._alive)
 
     def labels(self) -> Tuple[Vertex, ...]:
         """The interning table: ``labels()[i]`` is the label of id ``i``."""
-        if self._labels is None:
-            self._intern()
-        return self._labels
+        return self._interned()._labels
 
     def label(self, i: int) -> Vertex:
         """Return the original label of id ``i``."""
         return self.labels()[i]
 
     def index_of(self, label: Vertex) -> int:
-        """Return the dense id of ``label``.
+        """Return the id of ``label``.
 
         Raises
         ------
         GraphError
-            If the label is unknown.
+            If the label is unknown or its id is not alive.
         """
-        try:
-            return self._lookup()[label]
-        except KeyError:
-            raise GraphError(f"vertex {label!r} not in graph") from None
-
-    def degree(self, i: int) -> int:
-        """Return the degree of id ``i``."""
-        return popcount(self.neighbor_bitset(i))
-
-    def degrees(self) -> List[int]:
-        """Return the degree of every vertex, indexed by id."""
-        return [popcount(b) for b in self._bitsets]
-
-    def max_degree(self) -> int:
-        """Return Δ (0 for the empty graph)."""
-        return max(self.degrees(), default=0)
-
-    def neighbors(self, i: int) -> List[int]:
-        """Return the neighbor ids of ``i``, ascending (the set bits of its row)."""
-        return list(iter_bits(self.neighbor_bitset(i)))
-
-    def neighbor_bitset(self, i: int) -> int:
-        """Return the adjacency row of ``i`` as a Python-int bitset."""
-        return self._bitsets[i]
-
-    def bitsets(self) -> List[int]:
-        """Return the list of all adjacency bitsets, indexed by id."""
-        return self._bitsets
-
-    def has_edge(self, i: int, j: int) -> bool:
-        """Return ``True`` iff ids ``i`` and ``j`` are adjacent."""
-        return bool((self._bitsets[i] >> j) & 1)
+        i = self._interned()._index.get(label)
+        if i is None or not (self._alive >> i) & 1:
+            raise GraphError(f"vertex {label!r} not in graph")
+        return i
 
     def vertex_ids(self) -> Sequence[int]:
-        """Return the live vertex ids in ascending order.
+        """Return the alive ids in ascending order.
 
-        For a full graph this is simply ``range(n)``; for an
-        :class:`IndexedSubgraph` view it is the ascending list of alive
+        This is ``range(n)`` on a root and, on a view, the list of alive
         ids, built on first use.  Kernels that visit every id (the
         shuffled random-order trials, the Luby lanes, the clique cover)
-        iterate this so they work on both without branching; first-fit
-        and the exact solver walk :meth:`alive_mask` instead and never
-        list the ids.
+        iterate this; first-fit, min-degree and the exact solver walk
+        :meth:`alive_mask` instead and never list the ids.
         """
-        return range(len(self._bitsets))
+        if self._alive_ids is None:
+            self._alive_ids = list(iter_bits(self._alive))
+        return self._alive_ids
 
     def alive_mask(self) -> int:
-        """Return the bitmask of live ids (all-ones for a full graph)."""
-        return (1 << len(self._bitsets)) - 1
+        """Return the bitmask of alive ids (all of ``range(n)`` on a root)."""
+        return self._alive
 
     def subgraph_view(self, alive: int) -> "IndexedGraph":
-        """Return the induced subgraph on the id-bitset ``alive`` as a view.
+        """Return the subgraph induced on the alive ids in the id-bitset ``alive``.
 
-        The view shares this graph's interning table and bitset rows
-        (construction is O(1)); ids are *parent* ids, so masks computed
-        against the parent remain meaningful.  When ``alive`` covers every
-        vertex, ``self`` is returned unchanged.
+        The view shares the root's rows and interning table (construction
+        is O(1)) and keeps the root's ids, so masks computed against the
+        root remain meaningful.  A view refers to its root, never to the
+        graph it was taken from.  When ``alive`` keeps every alive id,
+        ``self`` is returned unchanged.
 
         Raises
         ------
         GraphError
             If ``alive`` has bits outside ``range(n)``.
         """
-        full = (1 << len(self._bitsets)) - 1
-        if alive & ~full:
+        if alive >> len(self._bitsets):
             raise GraphError("alive mask has bits outside the vertex-id range")
-        if alive == full:
+        alive &= self._alive
+        if alive == self._alive:
             return self
-        return IndexedSubgraph(self, alive)
+        view = IndexedGraph.__new__(IndexedGraph)
+        view._bitsets = self._bitsets
+        view._alive = alive
+        view._alive_ids = None
+        view._root = self if self._root is None else self._root
+        return view
 
     def labels_for_mask(self, mask: int) -> Set[Vertex]:
         """Translate a bitset over ids back into a set of vertex labels."""
@@ -296,169 +283,17 @@ class IndexedGraph:
         return {labels[i] for i in iter_bits(mask)}
 
     def __len__(self) -> int:
-        return len(self._bitsets)
-
-    def __iter__(self) -> Iterator[Vertex]:
-        return iter(self.labels())
-
-    def __contains__(self, label: Vertex) -> bool:
-        return label in self._lookup()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"IndexedGraph(n={self.num_vertices()}, m={self.num_edges()})"
-
-
-class IndexedSubgraph(IndexedGraph):
-    """An induced-subgraph *view* of an :class:`IndexedGraph` (alive bitmask).
-
-    The view keeps a reference to its parent, whose interning table it
-    reads, and to the parent's raw bitset rows, and adds only an ``alive``
-    id-bitmask, so creating one is O(1).  Ids are **parent ids**:
-    ``label(i)`` / ``labels()`` answer for the full interning table, while
-    the size, degree, membership and adjacency queries answer for the
-    induced subgraph (dead ids are rejected like unknown vertices).  The relative order of alive ids is
-    the parent's interning order, so a view of a ``repr``-sorted graph is
-    itself ``repr``-sorted — the property the MIS wrappers rely on for
-    bit-for-bit reproducibility.
-
-    Use :meth:`IndexedGraph.subgraph_view` to construct one.
-    """
-
-    __slots__ = ("_parent", "_alive", "_alive_ids", "_alive_edges")
-
-    def __init__(self, parent: IndexedGraph, alive: int) -> None:
-        if isinstance(parent, IndexedSubgraph):  # views compose on the base graph
-            alive &= parent._alive
-            parent = parent._parent
-        self._parent = parent
-        self._alive = alive
-        # Shared, *raw* rows: kernels that pre-filter by id (first-fit
-        # on its candidate mask, branch-and-bound on an active mask) read
-        # these directly and never see a dead contribution.
-        self._bitsets = parent._bitsets
-        self._num_edges = parent._num_edges
-        self._alive_ids: Optional[List[int]] = None
-        self._alive_edges: Optional[int] = None
-
-    # -- structure shared with the parent ------------------------------
-    def labels(self) -> Tuple[Vertex, ...]:
-        return self._parent.labels()
-
-    def _lookup(self) -> Dict[Vertex, int]:
-        return self._parent._lookup()
-
-    def alive_mask(self) -> int:
-        """The bitmask of alive ids."""
-        return self._alive
-
-    def vertex_ids(self) -> Sequence[int]:
-        """The alive ids in ascending (parent interning) order."""
-        if self._alive_ids is None:
-            self._alive_ids = list(iter_bits(self._alive))
-        return self._alive_ids
-
-    def subgraph_view(self, alive: int) -> "IndexedGraph":
-        full = (1 << len(self._bitsets)) - 1
-        if alive & ~full:
-            raise GraphError("alive mask has bits outside the vertex-id range")
-        alive &= self._alive
-        if alive == self._alive:
-            return self
-        return IndexedSubgraph(self._parent, alive)
-
-    # -- induced-subgraph queries --------------------------------------
-    def num_vertices(self) -> int:
-        return popcount(self._alive)
-
-    def num_edges(self) -> int:
-        if self._alive_edges is None:
-            alive = self._alive
-            bitsets = self._bitsets
-            self._alive_edges = (
-                sum(popcount(bitsets[i] & alive) for i in self.vertex_ids()) // 2
-            )
-        return self._alive_edges
-
-    def _check_alive(self, i: int) -> None:
-        if not (self._alive >> i) & 1:
-            raise GraphError(f"vertex id {i} is not alive in this view")
-
-    def degrees(self) -> List[int]:
-        """Masked degree for every parent id (dead ids report 0).
-
-        Keeps the base-class "indexed by id" contract so ``degrees()[i]``
-        is meaningful for any alive id regardless of which representation
-        the caller holds; like :meth:`bitsets`, dead ids read as empty.
-        """
-        alive = self._alive
-        bitsets = self._bitsets
-        return [
-            popcount(row & alive) if (alive >> i) & 1 else 0
-            for i, row in enumerate(bitsets)
-        ]
-
-    def max_degree(self) -> int:
-        alive = self._alive
-        bitsets = self._bitsets
-        return max(
-            (popcount(bitsets[i] & alive) for i in self.vertex_ids()), default=0
-        )
-
-    def neighbor_bitset(self, i: int) -> int:
-        self._check_alive(i)
-        return self._bitsets[i] & self._alive
-
-    def bitsets(self) -> List[int]:
-        """Masked rows for every parent id (dead rows are 0)."""
-        alive = self._alive
-        return [
-            row & alive if (alive >> i) & 1 else 0
-            for i, row in enumerate(self._bitsets)
-        ]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        alive = self._alive
-        if not ((alive >> i) & 1 and (alive >> j) & 1):
-            return False
-        return bool((self._bitsets[i] >> j) & 1)
-
-    def index_of(self, label: Vertex) -> int:
-        i = self._parent.index_of(label)
-        if not (self._alive >> i) & 1:
-            raise GraphError(f"vertex {label!r} not in graph")
-        return i
-
-    def to_graph(self):
-        """Materialize the induced subgraph as a mutable :class:`Graph`.
-
-        Insertion order is the alive subsequence of the parent's interning
-        order, matching what freezing a from-scratch rebuild would produce.
-        """
-        return self._materialize_graph(self.vertex_ids(), self._alive)
-
-    def __len__(self) -> int:
         return popcount(self._alive)
 
     def __iter__(self) -> Iterator[Vertex]:
-        labels = self.labels()
-        return (labels[i] for i in self.vertex_ids())
+        return map(self.labels().__getitem__, self.vertex_ids())
 
     def __contains__(self, label: Vertex) -> bool:
-        i = self._lookup().get(label)
+        i = self._interned()._index.get(label)
         return i is not None and bool((self._alive >> i) & 1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"IndexedSubgraph(n={self.num_vertices()}/{len(self._bitsets)}, "
-            f"m={self.num_edges()})"
-        )
-
-
-def _base_and_mask(graph: IndexedGraph) -> Tuple[IndexedGraph, Optional[int]]:
-    """Split ``graph`` into (full base graph, alive mask or None) for kernels."""
-    if isinstance(graph, IndexedSubgraph):
-        return graph._parent, graph._alive
-    return graph, None
+        return f"IndexedGraph(n={len(self)}/{len(self._bitsets)})"
 
 
 def freeze_sorted(graph) -> "IndexedGraph":
@@ -488,8 +323,8 @@ def first_fit_mis_ids(graph: IndexedGraph, order: Iterable[int]) -> List[int]:
     trials.
 
     Views work unchanged: with ``order`` drawn from the view's alive ids
-    (:meth:`IndexedGraph.vertex_ids`) the raw parent rows are safe because
-    the selected mask only ever contains processed — hence alive — ids.
+    (:meth:`IndexedGraph.vertex_ids`) the raw rows are safe because the
+    selected mask only ever contains processed — hence alive — ids.
     """
     bitsets = graph._bitsets
     selected_mask = 0
@@ -507,9 +342,8 @@ def ascending_first_fit_ids(graph: IndexedGraph) -> List[int]:
     Returns ``first_fit_mis_ids(graph, graph.vertex_ids())``, ascending:
     the lowest candidate joins, and it and its neighbors leave the
     candidates.  Only a pick costs row operations, so the walk is O(picks)
-    big-int operations and never lists the alive ids.  On a view the raw
-    parent rows are safe because the candidate mask only ever holds alive
-    ids.
+    big-int operations and never lists the alive ids.  The raw rows are
+    safe on a view because the candidate mask only ever holds alive ids.
     """
     bitsets = graph._bitsets
     candidates = graph.alive_mask()
@@ -561,11 +395,10 @@ def min_degree_greedy_ids(graph: IndexedGraph) -> List[int]:
     ``sorted(..., key=repr)`` order this reproduces the reference
     tie-breaking ``(degree, repr)`` exactly.
 
-    On an :class:`IndexedSubgraph` view the selection runs on the induced
-    subgraph and returns parent ids, ascending, as a rebuild of the
-    subgraph would.
+    On a view the selection runs on the induced subgraph and returns root
+    ids, ascending, as a rebuild of the subgraph would.
     """
-    bitsets = graph._bitsets  # raw rows; a view shares its parent's
+    bitsets = graph._bitsets  # raw rows; a view shares its root's
     alive = graph.alive_mask()
     degrees = array("Q", map(popcount, map(alive.__and__, bitsets)))
     planes = bit_planes(
@@ -625,12 +458,10 @@ def maximum_independent_set_mask(graph: IndexedGraph) -> int:
     reference solver in :mod:`repro.graphs.independent_sets`, but with the
     active set, the memo keys and all neighborhood algebra on bitsets.
 
-    Accepts an :class:`IndexedSubgraph` view, in which case the search
-    starts from the view's alive mask and the returned bitset is over
-    parent ids.
+    The search starts from the alive mask, so on a view it runs on the
+    induced subgraph and the returned bitset is over root ids.
     """
-    base, mask = _base_and_mask(graph)
-    adj = base._bitsets
+    adj = graph._bitsets
     memo: Dict[int, int] = {}
 
     def solve(active: int) -> int:
@@ -666,5 +497,4 @@ def maximum_independent_set_mask(graph: IndexedGraph) -> int:
         memo[active] = result
         return result
 
-    full = (1 << base.num_vertices()) - 1
-    return solve(full if mask is None else mask)
+    return solve(graph.alive_mask())

@@ -33,8 +33,8 @@ class Hypergraph:
     Examples
     --------
     >>> h = Hypergraph(edges=[(0, [1, 2, 3]), (1, [3, 4])])
-    >>> h.edge_size(0)
-    3
+    >>> sorted(h.edge(0))
+    [1, 2, 3]
     >>> sorted(h.edges_containing(3))
     [0, 1]
     """
@@ -157,17 +157,9 @@ class Hypergraph:
         for e in self.edge_ids:
             yield e, self._edges[e]
 
-    def has_edge(self, edge_id: EdgeId) -> bool:
-        """Return ``True`` if an edge with this id exists."""
-        return edge_id in self._edges
-
     def has_vertex(self, v: Vertex) -> bool:
         """Return ``True`` if ``v`` is a vertex of the hypergraph."""
         return v in self._vertices
-
-    def edge_size(self, edge_id: EdgeId) -> int:
-        """Return ``|e|`` for hyperedge ``edge_id``."""
-        return len(self.edge(edge_id))
 
     def edges_containing(self, v: Vertex) -> Set[EdgeId]:
         """Return the ids of every hyperedge containing ``v``."""
@@ -186,14 +178,6 @@ class Hypergraph:
     def total_edge_size(self) -> int:
         """Return ``Σ_e |e|`` — the number of incidences (O(1), counter-maintained)."""
         return self._total_edge_size
-
-    def neighbors(self, v: Vertex) -> Set[Vertex]:
-        """Return all vertices that co-occur with ``v`` in some hyperedge."""
-        result: Set[Vertex] = set()
-        for e in self.edges_containing(v):
-            result |= self._edges[e]
-        result.discard(v)
-        return result
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self._vertices

@@ -16,13 +16,10 @@ The greedy algorithms themselves are the bitset kernels
 
 from __future__ import annotations
 
-from typing import Union
-
 from repro.graphs.graph import Graph
-from repro.graphs.indexed import IndexedGraph
 
 
-def turan_guarantee(graph: Union[Graph, IndexedGraph]) -> float:
+def turan_guarantee(graph: Graph) -> float:
     """Return the worst-case approximation factor ``Δ + 1`` of the greedy algorithms.
 
     Any maximal independent set has size at least ``n / (Δ+1)`` while

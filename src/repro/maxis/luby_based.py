@@ -28,7 +28,7 @@ def _one_random_trial(frozen: IndexedGraph, rng: random.Random) -> List[int]:
     Shuffling the live-id list with ids interned in ``repr`` order consumes
     the same RNG stream and visits the same vertex sequence as the
     reference implementation, which shuffled the ``repr``-sorted label
-    list.  For an alive-mask view the list holds the alive parent ids, so
+    list.  For an alive-mask view the list holds the alive root ids, so
     the stream (a permutation of ``len(frozen)`` positions) — and hence the
     result — matches a from-scratch rebuild of the subgraph.
     """
@@ -99,7 +99,7 @@ def luby_batch_mis_ids(
     reproduces ``luby_mis(graph, seed=luby_trial_seeds(seed, trials)[t])``
     — see :func:`repro.graphs.independent_sets.luby_mis`.
 
-    Accepts alive-mask subgraph views; returned ids are parent ids.
+    Accepts alive-mask subgraph views; returned ids are root ids.
     """
     if trials <= 0:
         raise ApproximationError(f"trials must be positive, got {trials}")

@@ -153,7 +153,7 @@ class FaultPlan:
         """The ``repro campaign run`` arguments reproducing this plan."""
         args = [
             "--chaos",
-            f"{self.p_kill:g},{self.p_hang:g},{self.p_fail:g}",
+            f"{self.p_kill!r},{self.p_hang!r},{self.p_fail!r}",
             "--chaos-seed",
             str(self.seed),
             "--chaos-salt",

@@ -197,12 +197,6 @@ class CampaignRunStats:
             return 0.0
         return self.executed / self.wall_time_s
 
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Fraction of executed instance builds served from cache (0 when none ran)."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
 
 class WorkerPool:
     """A worker pool, persistent across ``run_campaign`` calls or scoped to one.
@@ -221,8 +215,6 @@ class WorkerPool:
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise CampaignError(f"WorkerPool needs workers >= 1, got {workers!r}")
         self.workers = workers
-        #: How many run_campaign calls dispatched tasks through this pool.
-        self.runs_served = 0
         self._pool = None
         self._closed = False
 
@@ -230,11 +222,6 @@ class WorkerPool:
     def started(self) -> bool:
         """True once the underlying processes exist (first dispatch)."""
         return self._pool is not None
-
-    @property
-    def warm(self) -> bool:
-        """True when a new run would reuse already-running workers."""
-        return self._pool is not None and self.runs_served > 0
 
     def imap_unordered(self, fn, iterable: Iterable, chunksize: int = 1):
         """Dispatch ``fn`` over ``iterable``, starting the pool on first use."""
@@ -244,7 +231,6 @@ class WorkerPool:
             import multiprocessing
 
             self._pool = multiprocessing.Pool(processes=self.workers)
-        self.runs_served += 1
         return self._pool.imap_unordered(fn, iterable, chunksize=chunksize)
 
     def close(self) -> None:

@@ -19,9 +19,9 @@ differentially checks.
 
 Sharding follows the same discipline: :func:`task_shard_index` assigns
 each task key to one of ``n`` shards via sha256 (never Python's
-randomized ``hash()``), so a multi-machine campaign can run
-``CampaignSpec.shard(i, n)`` per machine and the merged shard stores are
-provably the same row set as a monolithic run.
+randomized ``hash()``), so a multi-machine campaign can run shard
+``i/n`` per machine (``run_campaign(..., shard=(i, n))``) and the merged
+shard stores are provably the same row set as a monolithic run.
 """
 
 from __future__ import annotations
@@ -324,22 +324,6 @@ class CampaignSpec:
     def task_payloads(self) -> List[Dict[str, Any]]:
         """Expand into executor payload dicts (with derived instance seeds)."""
         return [task.payload(self.seed, self.epsilon) for task in self.expand()]
-
-    def shard(self, index: int, n_shards: int) -> List[TaskSpec]:
-        """The tasks of shard ``index`` of ``n_shards``, in expansion order.
-
-        The partition is by :func:`task_shard_index` over the task key:
-        deterministic, process-independent (sha256, no ``hash()``
-        randomization), pairwise disjoint, and covering — the union over
-        all ``n_shards`` shards is exactly :meth:`expand`.  ``n_shards=1``
-        returns the full task list.
-        """
-        check_shard(index, n_shards)
-        return [
-            task
-            for task in self.expand()
-            if task_shard_index(task.task_key, n_shards) == index
-        ]
 
     # ------------------------------------------------------------------
     # JSON round trip

@@ -208,13 +208,13 @@ class LocalProcessExecutor(ShardExecutor):
             str(launch.heartbeat_path),
         ]
         if launch.task_timeout_s is not None:
-            argv += ["--task-timeout", f"{launch.task_timeout_s:g}"]
+            argv += ["--task-timeout", repr(launch.task_timeout_s)]
         if launch.retry is not None:
             argv += [
                 "--max-retries",
                 str(launch.retry.max_attempts),
                 "--retry-base-delay",
-                f"{launch.retry.base_delay_s:g}",
+                repr(launch.retry.base_delay_s),
             ]
         else:
             # retry=None means *no* policy; the CLI default is 3, so the

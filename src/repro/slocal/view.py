@@ -51,10 +51,6 @@ class LocalView:
         """The vertices visible in this view (the ``radius``-ball)."""
         return set(self._ball)
 
-    def subgraph(self) -> Graph:
-        """The subgraph induced on the visible ball (a copy)."""
-        return self._subgraph.copy()
-
     def neighbors(self, vertex: Vertex) -> Set[Vertex]:
         """Neighbors of ``vertex`` *within the view*.
 

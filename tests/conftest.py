@@ -12,6 +12,7 @@ from repro.bench import hypergraph_family
 from repro.exceptions import GraphError
 from repro.graphs import Graph, bfs_distances, empty_graph, erdos_renyi_graph
 from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
+from repro.runtime import task_shard_index
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +98,21 @@ def mask_of(graph, vertices) -> int:
     for v in vertices:
         mask |= 1 << graph.index_of(v)
     return mask
+
+
+def rows_of(graph) -> List[int]:
+    """The adjacency rows of an indexed ``graph`` by id, each restricted to its alive ids."""
+    alive = graph.alive_mask()
+    return [row & alive for row in graph._bitsets]
+
+
+def shard_of(spec, index: int, n_shards: int) -> list:
+    """The tasks of shard ``index`` of ``n_shards``, in expansion order.
+
+    This is the filter ``run_campaign(..., shard=(index, n_shards))``
+    applies to the spec's payloads.
+    """
+    return [task for task in spec.expand() if task_shard_index(task.task_key, n_shards) == index]
 
 
 def graph_as_hypergraph(graph) -> Hypergraph:

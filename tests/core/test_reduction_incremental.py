@@ -22,11 +22,11 @@ from repro.core import ConflictFreeMulticoloringViaMaxIS
 from repro.core.conflict_graph import ConflictGraph, ConflictVertex
 from repro.exceptions import ReductionError
 import repro.graphs.indexed as indexed_module
-from repro.graphs.indexed import IndexedGraph, IndexedSubgraph
+from repro.graphs.indexed import IndexedGraph
 from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
 from repro.maxis import available_approximators, capped_oracle, get_approximator
 
-from tests.conftest import colorable_hypergraphs
+from tests.conftest import colorable_hypergraphs, rows_of
 from tests.fuzz.corpus import make_instance
 
 
@@ -150,7 +150,6 @@ class TestEngineEqualsRebuild:
             )
             with monkeypatch.context() as patch:
                 patch.setattr(IndexedGraph, "vertex_ids", refuse)
-                patch.setattr(IndexedSubgraph, "vertex_ids", refuse)
                 patch.setattr(indexed_module, "iter_bits", refuse)
                 result = reduction.run(instance.hypergraph)
             _assert_results_identical(result, reduction.run_rebuild(instance.hypergraph))
@@ -200,7 +199,7 @@ class TestEngineEqualsRebuild:
 def _build_state(build):
     """The rows, blocks (members copied) and edge count of a build, for before/after checks."""
     blocks = {e: (tuple(members), base) for e, (members, base) in build.blocks.items()}
-    return list(build.snapshot.bitsets()), blocks, build.num_edges
+    return rows_of(build.snapshot), blocks, build.num_edges
 
 
 class TestSharedBuild:

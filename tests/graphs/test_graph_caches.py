@@ -1,10 +1,10 @@
-"""Regression tests: incrementally maintained num_edges()/max_degree().
+"""Regression tests: the maintained num_edges() and the computed max_degree().
 
-``Graph`` keeps an edge counter and a degree histogram so that
-``num_edges()`` and ``max_degree()`` are O(1).  These tests drive random
-mutation sequences and compare both values against a naive recount after
-every single operation, so any bookkeeping drift is pinned to the exact
-mutation that caused it.
+``Graph`` keeps an edge counter so that ``num_edges()`` is O(1), and
+computes ``max_degree()`` in one pass over the adjacency sets when called.
+These tests drive random mutation sequences and compare both values
+against a naive recount after every single operation, so any bookkeeping
+drift is pinned to the exact mutation that caused it.
 """
 
 from __future__ import annotations

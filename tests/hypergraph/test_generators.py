@@ -26,7 +26,7 @@ class TestUniformRandom:
         h = uniform_random_hypergraph(20, 10, 4, seed=1)
         assert h.num_vertices() == 20
         assert h.num_edges() == 10
-        assert all(h.edge_size(e) == 4 for e in h.edge_ids)
+        assert all(len(h.edge(e)) == 4 for e in h.edge_ids)
 
     def test_edge_size_larger_than_n_rejected(self):
         with pytest.raises(HypergraphError):
@@ -46,8 +46,8 @@ class TestAlmostUniform:
     def test_edge_sizes_within_band(self):
         h = almost_uniform_hypergraph(30, 20, k=4, epsilon=0.5, seed=2)
         for e in h.edge_ids:
-            assert 4 <= h.edge_size(e) <= 6
-        sizes = [h.edge_size(e) for e in h.edge_ids]
+            assert 4 <= len(h.edge(e)) <= 6
+        sizes = [len(h.edge(e)) for e in h.edge_ids]
         assert max(sizes) <= 1.5 * min(sizes)
 
     def test_invalid_epsilon_rejected(self):
@@ -68,14 +68,14 @@ class TestColorableAlmostUniform:
 
     def test_edge_sizes_respect_band(self):
         h, _ = colorable_almost_uniform_hypergraph(40, 25, k=4, epsilon=0.5, seed=3)
-        sizes = [h.edge_size(e) for e in h.edge_ids]
+        sizes = [len(h.edge(e)) for e in h.edge_ids]
         assert max(sizes) <= 1.5 * min(sizes)
 
     def test_single_color_case(self):
         # With k = 1 every vertex has color 1, so only singleton edges can be happy.
         h, planted = colorable_almost_uniform_hypergraph(10, 5, k=1, epsilon=1.0, seed=4)
         verify_conflict_free_coloring(h, planted, k=1)
-        assert all(h.edge_size(e) == 1 for e in h.edge_ids)
+        assert all(len(h.edge(e)) == 1 for e in h.edge_ids)
 
     def test_too_few_vertices_rejected(self):
         with pytest.raises(HypergraphError):
@@ -128,7 +128,7 @@ class TestStructured:
         g = cycle_graph(5)
         h = graph_as_hypergraph(g)
         assert h.num_edges() == 5
-        assert all(h.edge_size(e) == 2 for e in h.edge_ids)
+        assert all(len(h.edge(e)) == 2 for e in h.edge_ids)
         assert h.vertices == g.vertices
 
     def test_sunflower_core_intersection(self):

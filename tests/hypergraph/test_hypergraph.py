@@ -15,7 +15,7 @@ class TestConstruction:
     def test_add_edge_returns_id_and_registers_vertices(self):
         h = Hypergraph()
         eid = h.add_edge([1, 2, 3])
-        assert h.has_edge(eid)
+        assert eid in h.edge_ids
         assert h.vertices == {1, 2, 3}
 
     def test_explicit_edge_ids(self):
@@ -56,7 +56,7 @@ class TestConstruction:
 class TestRemoval:
     def test_remove_edge_keeps_vertices(self, small_hypergraph):
         small_hypergraph.remove_edge(0)
-        assert not small_hypergraph.has_edge(0)
+        assert 0 not in small_hypergraph.edge_ids
         assert 0 in small_hypergraph.vertices
 
     def test_remove_missing_edge_raises(self, small_hypergraph):
@@ -82,8 +82,8 @@ class TestQueries:
         with pytest.raises(HypergraphError):
             small_hypergraph.edges_containing(99)
 
-    def test_neighbors(self, small_hypergraph):
-        assert small_hypergraph.neighbors(0) == {1, 2, 4}
+    def test_co_occurring_vertices_are_primal_neighbors(self, small_hypergraph):
+        assert small_hypergraph.primal_graph().neighbors(0) == {1, 2, 4}
 
     def test_equality_and_copy(self, small_hypergraph):
         clone = small_hypergraph.copy()

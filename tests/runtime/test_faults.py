@@ -53,7 +53,7 @@ class TestParse:
     def test_cli_args_reproduce_the_plan(self):
         plan = FaultPlan(p_kill=0.25, p_hang=0.5, seed=9, salt=3, max_salt=5)
         args = plan.cli_args()
-        assert args[:2] == ["--chaos", "0.25,0.5,0"]
+        assert args[:2] == ["--chaos", "0.25,0.5,0.0"]
         assert args[2:] == [
             "--chaos-seed", "9", "--chaos-salt", "3", "--chaos-max-salt", "5",
         ]

@@ -5,7 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import CampaignError
-from repro.runtime import CampaignSpec, task_instance_seed, task_shard_index
+from repro.runtime import (
+    CampaignSpec,
+    CampaignStore,
+    check_shard,
+    run_campaign,
+    task_instance_seed,
+    task_shard_index,
+)
+
+from tests.conftest import shard_of
 
 
 def small_spec(**overrides) -> CampaignSpec:
@@ -91,27 +100,27 @@ class TestExpansion:
 class TestSharding:
     def test_single_shard_is_the_full_expansion(self):
         spec = small_spec()
-        assert spec.shard(0, 1) == spec.expand()
+        assert shard_of(spec, 0, 1) == spec.expand()
 
-    def test_shards_preserve_expansion_order(self):
+    def test_a_serial_shard_runs_its_tasks_in_expansion_order(self, tmp_path):
         spec = small_spec()
-        order = {task.task_key: i for i, task in enumerate(spec.expand())}
         for index in range(3):
-            positions = [order[t.task_key] for t in spec.shard(index, 3)]
-            assert positions == sorted(positions)
+            run_campaign(spec, tmp_path / str(index), workers=0, shard=(index, 3))
+            keys = [row["task_key"] for row in CampaignStore(tmp_path / str(index)).rows()]
+            assert keys == [task.task_key for task in shard_of(spec, index, 3)]
 
-    def test_shard_assignment_matches_task_shard_index(self):
-        spec = small_spec()
-        for index in range(4):
-            for task in spec.shard(index, 4):
-                assert task_shard_index(task.task_key, 4) == index
+    def test_task_shard_index_is_a_stable_slot(self):
+        keys = [task.task_key for task in small_spec().expand()]
+        slots = [task_shard_index(key, 4) for key in keys]
+        assert slots == [task_shard_index(key, 4) for key in keys]
+        assert set(slots) <= set(range(4))
 
     @pytest.mark.parametrize(
         "index, n_shards", [(-1, 2), (2, 2), (5, 2), (0, 0), (0, -3), (True, 2), (0, True)]
     )
     def test_invalid_shard_slots_rejected(self, index, n_shards):
         with pytest.raises(CampaignError):
-            small_spec().shard(index, n_shards)
+            check_shard(index, n_shards)
 
     def test_task_shard_index_rejects_bad_counts(self):
         with pytest.raises(CampaignError):

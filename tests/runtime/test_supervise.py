@@ -303,11 +303,22 @@ def off_default(cls, **values):
     return instance
 
 
+#: ``(task_timeout_s, base_delay_s, p_kill)``: short decimals, and seven
+#: significant digits, one more than ``%g`` keeps.
+LAUNCH_NUMBERS = {
+    "short": (2.5, 0.25, 0.1),
+    "seven-digits": (0.1234567, 0.01234567, 0.1234567),
+}
+
+
 class TestLocalProcessExecutor:
     @pytest.mark.parametrize("retry", [None, "policy"])
     @pytest.mark.parametrize("chaos", [None, "salted-plan"])
-    def test_the_worker_rebuilds_the_launch_from_its_argv(self, tmp_path, retry, chaos):
+    @pytest.mark.parametrize("numbers", sorted(LAUNCH_NUMBERS))
+    def test_the_worker_rebuilds_the_launch_from_its_argv(self, tmp_path, retry, chaos, numbers):
         from repro.cli import _build_parser, _fault_plan, _parse_shard, _retry_policy
+
+        task_timeout_s, base_delay_s, p_kill = LAUNCH_NUMBERS[numbers]
 
         launch = ShardLaunch(
             spec_path=tmp_path / "spec.json",
@@ -315,18 +326,18 @@ class TestLocalProcessExecutor:
             index=1,
             n_shards=3,
             heartbeat_path=tmp_path / "shards" / "shard-1" / "heartbeat",
-            task_timeout_s=2.5,
+            task_timeout_s=task_timeout_s,
             retry=(
                 None
                 if retry is None
-                else off_default(RetryPolicy, max_attempts=5, base_delay_s=0.25)
+                else off_default(RetryPolicy, max_attempts=5, base_delay_s=base_delay_s)
             ),
             durability="fsync",
             chaos=(
                 None
                 if chaos is None
                 else off_default(
-                    FaultPlan, p_kill=0.1, p_hang=0.05, p_fail=0.2, seed=9, salt=3, max_salt=4
+                    FaultPlan, p_kill=p_kill, p_hang=0.05, p_fail=0.2, seed=9, salt=3, max_salt=4
                 )
             ),
             trace=True,
@@ -372,7 +383,7 @@ class TestLocalProcessExecutor:
         assert "--max-retries 5" in text
         assert "--retry-base-delay 0.25" in text
         assert "--durability fsync" in text
-        assert "--chaos 0.1,0,0" in text
+        assert "--chaos 0.1,0.0,0.0" in text
         assert "--chaos-salt 1" in text
 
     def test_minimal_command_omits_optional_flags(self, tmp_path):
