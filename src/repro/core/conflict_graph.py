@@ -211,17 +211,30 @@ def _build_structures(hypergraph: Hypergraph, k: int) -> ConflictGraphBuild:
     a multiple of ``k`` and the color-``c`` triples of any set are its
     color-1 triples shifted by ``s``.  With ``M[v]`` the color-1 triples of
     ``v``, ``A_e = ∪_{u∈e} M[u]``, ``B_v = ∪_{g∋v}`` (color-1 triples of
-    ``g``) and ``R = 2^k − 1``, four word operations per row give::
+    ``g``) and ``R = 2^k − 1``, each ``(e, v)`` pair computes::
 
-        row(e, v, c) = ((block_e | M[v]·R) ^ (M[v] << s))
-                       | (((A_e | B_v) & ~M[v]) << s)
+        keep = block_e | M[v]·R
+        flip = ((A_e | B_v) & ~block_e) | M[v]
 
-    It is exact: ``M[v]·R`` has no carries (its bits are ``k`` apart) and is
-    every triple of ``v`` (``E_vertex``); ``block_e`` is the ``E_edge``
-    clique; the XOR removes exactly the ``(·, v, c)`` triples, the triple
-    itself included, which no relation joins to it; and the last term is
-    ``E_color`` (``u ≠ v``), witnessed by ``e`` through ``A_e`` or by the
-    other triple's edge ``g`` through ``B_v``.
+    and each of its ``k`` rows costs one shift and one XOR::
+
+        row(e, v, c) = keep ^ (flip << s)
+
+    ``M[v]·R`` has no carries (its bits are ``k`` apart) and is every triple
+    of ``v`` (``E_vertex``); ``block_e`` is the ``E_edge`` clique.  The XOR
+    is exact because ``flip << s`` splits in two:
+
+    * ``M[v] << s`` lies inside ``keep`` and leaves it: those are the
+      ``(·, v, c)`` triples, the triple itself included, which no relation
+      joins to it.  This is where ``u ≠ v`` is encoded in ``E_color``.
+    * The rest lies outside ``keep`` and joins it: the color-1 triples of
+      ``A_e | B_v`` outside ``block_e`` and off ``v`` are in other edges, so
+      shifted by ``s`` they miss both ``block_e`` and ``M[v]·R``.  That is
+      ``E_color``, witnessed by ``e`` through ``A_e`` or by the other
+      triple's edge ``g`` through ``B_v``.
+
+    The ``E_color`` bits inside ``block_e`` need no term: they are already
+    in ``keep``.
 
     The edge count takes one popcount per pair (module docstring, "Edge
     counts").
@@ -259,12 +272,12 @@ def _build_structures(hypergraph: Hypergraph, k: int) -> ConflictGraphBuild:
         around = 0  # A_e
         for v in members:
             around |= color_one[v]
+        outside = ~block
         for v in members:
             mine = color_one[v]
             keep = block | mine * radix
-            # M[v] ⊆ A_e, so the XOR is the set difference (A_e | B_v) & ~M[v].
-            witness = (around | reach[v]) ^ mine
-            rows += [(keep ^ (mine << s)) | (witness << s) for s in shifts]
+            flip = ((around | reach[v]) & outside) | mine
+            rows += [keep ^ (flip << s) for s in shifts]
     num_edges = k * sum(map(popcount, rows[::k])) // 2
     colors = sorted(range(1, k + 1), key=repr)
     snapshot = IndexedGraph._from_bitsets(

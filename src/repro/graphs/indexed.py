@@ -497,4 +497,9 @@ def maximum_independent_set_mask(graph: IndexedGraph) -> int:
         memo[active] = result
         return result
 
-    return solve(graph.alive_mask())
+    try:
+        return solve(graph.alive_mask())
+    finally:
+        # ``solve`` reaches itself through its closure cell; emptying the
+        # cell frees it and the memo by reference counting.
+        del solve

@@ -133,8 +133,13 @@ def colorable_almost_uniform_hypergraph(
     for v, c in planted.items():
         by_color[c].append(v)
 
+    # The candidate pool of color c: every vertex of another color, in vertex
+    # order, built once.  An edge whose unique color is c draws its other
+    # members from it; the unique vertex has color c, so it is never in it.
+    pools = {c: [v for v in range(n) if planted[v] != c] for c in colors}
+    pool_size = {c: len(pools[c]) for c in colors}
+
     h = Hypergraph(vertices=range(n))
-    pool_size = {c: n - len(by_color[c]) for c in colors}
     for i in range(m):
         size = rng.randint(k, max_size)
         # The edge needs `size - 1` members outside the unique color class,
@@ -153,8 +158,7 @@ def colorable_almost_uniform_hypergraph(
         unique_vertex = rng.choice(by_color[unique_color])
         # The remaining members must avoid color `unique_color` so that
         # `unique_vertex` stays the unique vertex of that color in the edge.
-        pool = [v for v in range(n) if planted[v] != unique_color and v != unique_vertex]
-        members = rng.sample(pool, size - 1) + [unique_vertex]
+        members = rng.sample(pools[unique_color], size - 1) + [unique_vertex]
         h.add_edge(members, edge_id=i)
     return h, planted
 

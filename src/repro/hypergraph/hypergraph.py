@@ -95,11 +95,15 @@ class Hypergraph:
             self._next_auto_id += 1
         if edge_id in self._edges:
             raise HypergraphError(f"edge id {edge_id!r} already in use")
+        incidence = self._incidence
         for v in member_set:
-            self.add_vertex(v)
+            edges_of = incidence.get(v)
+            if edges_of is None:
+                self._vertices.add(v)
+                incidence[v] = {edge_id}
+            else:
+                edges_of.add(edge_id)
         self._edges[edge_id] = member_set
-        for v in member_set:
-            self._incidence[v].add(edge_id)
         self._total_edge_size += len(member_set)
         self._edge_ids_cache = None
         return edge_id

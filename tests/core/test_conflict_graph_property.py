@@ -3,7 +3,8 @@
 The mask builder in :mod:`repro.core.conflict_graph` computes each
 adjacency row in closed form from per-vertex color-1 masks.  These tests
 check it on ~50 random small hypergraphs for every palette size
-k ∈ {1, 2, 3, 4, 10} against two independent references:
+k ∈ {1, 2, 3, 4, 10} against two independent references (and the legacy
+builder also at the multi-phase benchmark's shape, at k = 4):
 
 * the :func:`classify_conflict_edge` oracle (pairwise definition of the
   paper's three relations), and
@@ -26,7 +27,11 @@ from repro.core import (
     conflict_vertices,
     legacy_build_graph,
 )
-from repro.hypergraph import Hypergraph
+from repro.hypergraph import (
+    Hypergraph,
+    colorable_almost_uniform_hypergraph,
+    uniform_random_hypergraph,
+)
 
 from tests.conftest import rows_of
 
@@ -70,9 +75,23 @@ def test_builder_matches_classification_oracle(k):
         assert cg.num_edges() == len(expected_edges), f"instance {idx} (k={k}): edge count"
 
 
+def _benchmark_shape_instances():
+    """One ``colorable`` and one ``uniform`` instance at n=120, m=80, k=4.
+
+    The multi-phase benchmark's shape: blocks of 4–6 members, so rows span
+    about 1,600 triples, unlike the small instances above.
+    """
+    colorable, _planted = colorable_almost_uniform_hypergraph(120, 80, 4, 0.5, seed=11)
+    return [("colorable", colorable), ("uniform", uniform_random_hypergraph(120, 80, 4, seed=11))]
+
+
 @pytest.mark.parametrize("k", PALETTES)
 def test_builder_matches_legacy_builder(k):
-    for idx, h in _instances():
+    instances = _instances()
+    if k == 4:
+        # The legacy build takes about 0.2 s at this shape and k = 4.
+        instances += _benchmark_shape_instances()
+    for idx, h in instances:
         cg = ConflictGraph(h, k)
         assert cg.graph == legacy_build_graph(h, k), f"instance {idx} (k={k})"
 

@@ -4,7 +4,8 @@ A root :class:`~repro.graphs.indexed.IndexedGraph` refers to no graph
 (``_root`` is ``None``) and a view refers only to its root, so dropping
 the last reference frees a graph at once.  A graph in a reference cycle
 would wait for the cyclic collector instead, and a campaign worker makes
-a ``G_k`` snapshot for every task.  Each shape below runs once to fill
+a ``G_k`` snapshot for every task.  The ``exact`` kernel's search memo is
+freed the same way when a call returns.  Each shape below runs once to fill
 lazy imports and caches, then again with the collector disabled, and a
 collection afterwards must find nothing to collect.
 """
@@ -17,9 +18,9 @@ import pytest
 
 from repro.core import ConflictFreeMulticoloringViaMaxIS, ConflictGraph
 from repro.graphs import erdos_renyi_graph
-from repro.graphs.indexed import freeze_sorted
+from repro.graphs.indexed import freeze_sorted, maximum_independent_set_mask
 from repro.hypergraph import colorable_almost_uniform_hypergraph
-from repro.maxis import capped_oracle
+from repro.maxis import capped_oracle, get_approximator
 
 
 def _touch(graph) -> None:
@@ -55,9 +56,22 @@ def capped_first_fit_run() -> None:
     assert reduction.run(hypergraph).num_phases > 1
 
 
+def exact_oracle_calls() -> None:
+    frozen = freeze_sorted(erdos_renyi_graph(30, 0.2, seed=3))
+    best = maximum_independent_set_mask(frozen)
+    assert get_approximator("exact")(frozen, ids=True) == [
+        i for i in frozen.vertex_ids() if best >> i & 1
+    ]
+
+
 @pytest.mark.parametrize(
     "shape",
-    [frozen_graph_and_views_of_views, conflict_graph_after_removals, capped_first_fit_run],
+    [
+        frozen_graph_and_views_of_views,
+        conflict_graph_after_removals,
+        capped_first_fit_run,
+        exact_oracle_calls,
+    ],
     ids=lambda shape: shape.__name__,
 )
 def test_graphs_are_freed_by_reference_counting(shape):

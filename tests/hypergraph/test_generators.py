@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +100,94 @@ class TestColorableAlmostUniform:
         assert_consistent_hypergraph(h)
         verify_conflict_free_coloring(h, planted, k=k, require_total=True)
         assert h.num_edges() == m
+
+
+def _per_edge_pool_reference(n, m, k, epsilon, rng):
+    """The colorable generator with one candidate list built per edge (reference).
+
+    It scans all ``n`` vertices for every edge.  Returns the edges in id
+    order, the planted coloring and how many edges took the size-shrink
+    branch.
+    """
+    max_size = int((1 + epsilon) * k)
+    colors = list(range(1, k + 1))
+    planted = {}
+    for v in range(n):
+        planted[v] = colors[v % k] if v < k else rng.choice(colors)
+    by_color = {c: [] for c in colors}
+    for v, c in planted.items():
+        by_color[c].append(v)
+    pool_size = {c: n - len(by_color[c]) for c in colors}
+    edges = []
+    shrinks = 0
+    for _ in range(m):
+        size = rng.randint(k, max_size)
+        feasible = [c for c in colors if pool_size[c] >= size - 1]
+        if not feasible:
+            shrinks += 1
+            size = max(k, 1 + max(pool_size.values()))
+            feasible = [c for c in colors if pool_size[c] >= size - 1]
+        unique_color = rng.choice(feasible)
+        unique_vertex = rng.choice(by_color[unique_color])
+        pool = [v for v in range(n) if planted[v] != unique_color and v != unique_vertex]
+        edges.append(frozenset(rng.sample(pool, size - 1) + [unique_vertex]))
+    return edges, planted, shrinks
+
+
+class _RecordingRandom(random.Random):
+    """A ``Random`` that keeps every population handed to :meth:`sample`."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.populations = []
+
+    def sample(self, population, k, **kwargs):
+        # Holding the population keeps its id from being reused.
+        self.populations.append(population)
+        return super().sample(population, k, **kwargs)
+
+
+class TestColorableDraws:
+    """The pooled generator draws exactly what the per-edge reference draws."""
+
+    #: The multi-phase benchmark's shape, the demo grid's sizes at k ∈ {2, 3},
+    #: a single color, and a shape whose drawn sizes often exceed every pool.
+    SHAPES = [
+        (120, 80, 4, 0.5),
+        (20, 12, 2, 0.5),
+        (20, 12, 3, 0.5),
+        (30, 20, 2, 0.5),
+        (30, 20, 3, 0.5),
+        (10, 5, 1, 1.0),
+        (4, 20, 2, 1.0),
+    ]
+    SEEDS = range(50)
+
+    @pytest.mark.parametrize("n, m, k, epsilon", SHAPES)
+    def test_matches_per_edge_pool_reference(self, n, m, k, epsilon):
+        for seed in self.SEEDS:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            h, planted = colorable_almost_uniform_hypergraph(n, m, k, epsilon, seed=ours)
+            edges, expected_planted, _ = _per_edge_pool_reference(n, m, k, epsilon, theirs)
+            assert sorted(h.edge_ids) == list(range(m)), f"seed {seed}"
+            assert [h.edge(i) for i in range(m)] == edges, f"seed {seed}"
+            assert planted == expected_planted, f"seed {seed}"
+            assert ours.getstate() == theirs.getstate(), f"seed {seed}"
+
+    def test_shrink_shape_takes_the_shrink_branch(self):
+        shrunk = [
+            seed
+            for seed in self.SEEDS
+            if _per_edge_pool_reference(4, 20, 2, 1.0, random.Random(seed))[2]
+        ]
+        assert 10 <= len(shrunk) <= 40
+
+    @pytest.mark.parametrize("n, m, k, epsilon", [(120, 80, 4, 0.5), (30, 20, 3, 0.5)])
+    def test_one_pool_per_color(self, n, m, k, epsilon):
+        rng = _RecordingRandom(7)
+        colorable_almost_uniform_hypergraph(n, m, k, epsilon, seed=rng)
+        assert len(rng.populations) == m
+        assert len({id(population) for population in rng.populations}) <= k
 
 
 class TestIntervalHypergraphs:
